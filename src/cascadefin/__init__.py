@@ -17,10 +17,9 @@ from .cascade import (
     CascadeResult,
     RoundState,
     apply_fire_sales,
-    apply_initial_shock,
+    apply_shock,
     evaluate_round,
     failure_probability,
-    initial_state,
     run_cascade,
     stream,
 )
@@ -76,12 +75,12 @@ __all__ = [
     "GroundTruthLabels", "PhaseDiagram", "RNG_ALGORITHM", "RawBalanceSheetRow",
     "RocPoint", "RoundState", "SURVIVED", "SchemaError", "SummaryStatistics",
     "SweepGrid", "SweepRecord", "SyntheticConfig", "apply_fire_sales",
-    "apply_initial_shock", "attribution_split", "complete_balance_sheet",
+    "apply_shock", "attribution_split", "complete_balance_sheet",
     "complete_dataset", "compute_average_weights", "evaluate_round",
-    "failure_probability", "generate_synthetic", "initial_state",
-    "labels_from_cascade", "load_completed_network", "load_labels",
-    "load_raw_csv", "market_share", "network_from_sheets", "phase_scan",
-    "roc_grid", "run_cascade", "save_completed_csv", "save_labels", "stream",
-    "summary_statistics", "survival_curves", "weight", "write_phase_csv",
-    "write_roc_csv", "write_survival_csv",
+    "failure_probability", "generate_synthetic", "labels_from_cascade",
+    "load_completed_network", "load_labels", "load_raw_csv", "market_share",
+    "network_from_sheets", "phase_scan", "roc_grid", "run_cascade",
+    "save_completed_csv", "save_labels", "stream", "summary_statistics",
+    "survival_curves", "weight", "write_phase_csv", "write_roc_csv",
+    "write_survival_csv",
 ]

@@ -3,8 +3,10 @@
 One run proceeds in rounds. Every alive bank is evaluated against the same
 pre-round prices (simultaneous evaluation), failures within a round are
 aggregated into a single fire-sale price update, and the loop stops at the
-first round with no failures. Holdings are tracked implicitly: a surviving
-bank's current position in asset m is its original holding times the asset's
+first round with no failures. The run's working arrays live in one RoundState
+that apply_shock, evaluate_round and apply_fire_sales update in place; the
+network is only read. Holdings are tracked implicitly: a surviving bank's
+current position in asset m is its original holding times the asset's
 cumulative price index, so the factorization invariant holds by construction
 and bank totals are cheap to recompute each round.
 
@@ -16,7 +18,7 @@ nothing and is fully deterministic regardless of seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -30,6 +32,9 @@ DOMAIN_SYNTHETIC = 0
 DOMAIN_CELL = 1
 
 SURVIVED = -1  # fate value; failed banks carry the failing round (0 = pre-shock)
+
+# every model parameter lies in the closed interval [0, PARAM_UPPER[name]]
+PARAM_UPPER = {"p": 1.0, "alpha": 1.0, "eta": 0.5}
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -50,16 +55,15 @@ class CascadeParams:
     eta: float
     shocked_assets: Mapping[int, float]
     seed: int = 0
-    max_rounds: int = None  # default 10 * n_banks, resolved at run time
+    max_rounds: int = None  # None runs to the fixpoint (at most n_banks + 1 rounds)
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.eta <= 0.5:
-            raise ValueError(f"eta must be in [0, 0.5], got {self.eta}")
+        for name, value in (("alpha", self.alpha), ("eta", self.eta)):
+            if not 0.0 <= value <= PARAM_UPPER[name]:
+                raise ValueError(f"{name} must be in [0, {PARAM_UPPER[name]:g}], got {value}")
         shocks = dict(sorted((int(k), float(v)) for k, v in self.shocked_assets.items()))
         for m, p in shocks.items():
-            if not 0.0 <= p <= 1.0:
+            if not 0.0 <= p <= PARAM_UPPER["p"]:
                 raise ValueError(f"p must be in [0, 1], got {p} for asset {m}")
         object.__setattr__(self, "shocked_assets", shocks)
 
@@ -88,41 +92,19 @@ class CascadeParams:
 
 @dataclass
 class RoundState:
-    """Mutable working copy for one run; the network itself is never touched.
+    """The working arrays of one run, updated in place; the network is never touched.
 
-    holdings_base stays the original matrix; current positions of alive banks
-    are holdings_base * price_index. Rows of banks that already failed are
-    frozen at their failure-time values and excluded from every sum, so this
-    product is only meaningful where alive is True.
+    holdings_base and liabilities are the network's own arrays, read only.
+    Current positions of alive banks are holdings_base * price_index. Rows of
+    banks that already failed are excluded from every sum, so that product is
+    only meaningful where alive is True.
     """
 
-    round_number: int
     alive: BoolA
     price_index: FloatA
     market_value: FloatA
     holdings_base: FloatA
     liabilities: FloatA
-    draws: FloatA = None          # r_i of the banks evaluated in the last round
-    clamped: tuple = ()           # asset indices clamped to price 0 in the last sale
-
-    def bank_totals(self) -> FloatA:
-        """Current total assets of every bank (alive rows meaningful)."""
-        return (self.holdings_base * self.price_index).sum(axis=1)
-
-    def current_holdings(self) -> FloatA:
-        """Current positions; alive rows only are meaningful."""
-        return self.holdings_base * self.price_index
-
-
-def initial_state(network: BankAssetNetwork) -> RoundState:
-    return RoundState(
-        round_number=-1,
-        alive=network.alive.copy(),
-        price_index=np.ones(network.n_assets),
-        market_value=network.market_value.copy(),
-        holdings_base=network.holdings,
-        liabilities=network.total_liabilities,
-    )
 
 
 def failure_probability(b: float, l: float, eta: float) -> float:
@@ -134,7 +116,7 @@ def failure_probability(b: float, l: float, eta: float) -> float:
     """
     if b < 0 or l < 0:
         raise ValueError("assets and liabilities must be non-negative")
-    if not 0.0 <= eta <= 0.5:
+    if not 0.0 <= eta <= PARAM_UPPER["eta"]:
         raise ValueError(f"eta must be in [0, 0.5], got {eta}")
     if b >= l:
         return 0.0
@@ -143,67 +125,53 @@ def failure_probability(b: float, l: float, eta: float) -> float:
     return 1.0
 
 
-def _shock(state: RoundState, params: CascadeParams) -> RoundState:
-    """Scale shocked assets' prices by p. Skips (with a warning) dead assets."""
-    q = state.price_index.copy()
-    a = state.market_value.copy()
+def apply_shock(state: RoundState, params: CascadeParams) -> list:
+    """Scale each shocked asset's price and market value by its p.
+
+    Assets with zero market value are skipped with a warning; returns their
+    indices.
+    """
     skipped = []
     for m, p in params.shocked_assets.items():
-        if m < 0 or m >= q.size:
+        if m < 0 or m >= state.price_index.size:
             raise ValueError(f"shocked asset {m} not in network")
-        if a[m] == 0.0:
+        if state.market_value[m] == 0.0:
             warnings.warn(f"shocked asset {m} has zero market value; shock skipped")
             skipped.append(m)
             continue
-        q[m] *= p
-        a[m] *= p
-    out = replace(state, price_index=q, market_value=a)
-    out._shock_skipped = skipped
-    return out
-
-
-def apply_initial_shock(network: BankAssetNetwork, params: CascadeParams) -> RoundState:
-    """Fresh post-shock state (price indices were all 1 before this)."""
-    state = initial_state(network)
-    out = _shock(state, params)
-    out.round_number = 0
-    return out
+        state.price_index[m] *= p
+        state.market_value[m] *= p
+    return skipped
 
 
 def evaluate_round(state: RoundState, params: CascadeParams,
-                   rng: np.random.Generator) -> tuple[IntA, RoundState]:
+                   rng: np.random.Generator) -> IntA:
     """One simultaneous barrier evaluation over the alive banks.
 
     Recomputes every alive bank's total assets at the current (pre-round)
     prices, draws fresh r_i ~ Uniform[0, eta] in ascending bank order, and
-    fails banks with totals below (1 - r_i) * L_i. Returns the failed bank
-    indices (ascending) and the advanced state with those banks marked dead.
+    fails banks with totals below (1 - r_i) * L_i. Marks them dead and returns
+    their indices (ascending).
     """
     alive_idx = np.flatnonzero(state.alive)
     totals = (state.holdings_base[alive_idx] * state.price_index).sum(axis=1)
     liab = state.liabilities[alive_idx]
     if params.eta == 0.0:
-        draws = np.zeros(alive_idx.size)
         failed = totals < liab
     else:
-        draws = rng.random(alive_idx.size) * params.eta
-        failed = totals < (1.0 - draws) * liab
+        failed = totals < (1.0 - rng.random(alive_idx.size) * params.eta) * liab
     failures = alive_idx[failed]
-    alive = state.alive.copy()
-    alive[failures] = False
-    out = replace(state, round_number=state.round_number + 1, alive=alive,
-                  draws=draws, clamped=())
-    return failures, out
+    state.alive[failures] = False
+    return failures
 
 
-def apply_fire_sales(state: RoundState, failures: IntA,
-                     params: CascadeParams) -> RoundState:
+def apply_fire_sales(state: RoundState, failures: IntA, params: CascadeParams) -> list:
     """Aggregate this round's failed banks' sales into one price update.
 
     Each failed bank's current holding B_{i,m} (at failure-time prices) takes
     alpha * B_{i,m} out of asset m's market value; the common factor
     (A_m - D_m)/A_m, clamped below at 0, multiplies surviving holdings and the
-    price index.
+    price index. Returns the assets whose factor was clamped.
     """
     failures = np.asarray(failures)
     if failures.size == 0:
@@ -211,17 +179,15 @@ def apply_fire_sales(state: RoundState, failures: IntA,
     deduction = params.alpha * (state.holdings_base[failures] * state.price_index).sum(axis=0)
     a = state.market_value
     # a dead asset cannot be dumped: its holders' positions are already 0
-    assert np.all(deduction[a == 0.0] == 0.0), "fire sale on zero-value asset"
+    if np.any(deduction[a == 0.0] != 0.0):
+        raise ValueError("fire sale on a zero-value asset")
+    remaining = a - deduction
     factor = np.ones_like(a)
-    np.divide(a - deduction, a, out=factor, where=a > 0.0)
-    clamped = tuple(int(m) for m in np.flatnonzero(factor < 0.0))
-    factor = np.maximum(factor, 0.0)
-    return replace(
-        state,
-        price_index=state.price_index * factor,
-        market_value=np.maximum(a - deduction, 0.0),
-        clamped=clamped,
-    )
+    np.divide(remaining, a, out=factor, where=a > 0.0)
+    clamped = np.flatnonzero(factor < 0.0).tolist()
+    state.price_index *= np.maximum(factor, 0.0)
+    np.maximum(remaining, 0.0, out=a)
+    return clamped
 
 
 @dataclass
@@ -271,57 +237,57 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
     given, restrict one extra survival fraction to the labeled subset.
     """
     n = network.n_banks
-    max_rounds = params.max_rounds if params.max_rounds is not None else 10 * n
     if rng is None:
         rng = stream(params.seed)
-
+    state = RoundState(alive=np.ones(n, dtype=bool), price_index=np.ones(network.n_assets),
+                       market_value=network.market_value.copy(),
+                       holdings_base=network.holdings,
+                       liabilities=network.total_liabilities)
     failed_round = np.full(n, SURVIVED, dtype=np.int64)
-    state = initial_state(network)
 
-    failures0, state = evaluate_round(state, params, rng)  # round 0: pre-shock pass
+    failures0 = evaluate_round(state, params, rng)  # round 0: pre-shock pass
     failed_round[failures0] = 0
     failures_per_round = [int(failures0.size)]
 
-    state = _shock(state, params)
-    shock_skipped = list(getattr(state, "_shock_skipped", []))
+    shock_skipped = apply_shock(state, params)
     trajectory = [state.price_index.copy()]
     clamp_events = []
 
-    rounds_executed = 0
+    rounds = 0
     non_converged = False
     while state.alive.any():
-        if rounds_executed >= max_rounds:
+        if params.max_rounds is not None and rounds >= params.max_rounds:
             non_converged = True
             break
-        failures, state = evaluate_round(state, params, rng)
-        rounds_executed = state.round_number
+        failures = evaluate_round(state, params, rng)
+        rounds += 1
         failures_per_round.append(int(failures.size))
         if failures.size == 0:
             break
-        failed_round[failures] = rounds_executed
-        state = apply_fire_sales(state, failures, params)
-        clamp_events.extend((rounds_executed, m) for m in state.clamped)
+        failed_round[failures] = rounds
+        clamp_events.extend([rounds, m] for m in apply_fire_sales(state, failures, params))
         trajectory.append(state.price_index.copy())
 
-    assert rounds_executed <= n + 1, "termination bound violated"
+    if rounds > n + 1:
+        raise RuntimeError(f"{rounds} rounds on {n} banks: termination bound violated")
 
     survival_all = float(state.alive.sum() / n)
     survival_labeled = None
     if labels is not None:
-        idx = [network.index_of(b) for b in sorted(set(labels)) if b in network._index_of]
-        if idx:
-            survival_labeled = float(state.alive[np.array(idx)].mean())
+        idx = network.indices_of(labels)
+        if idx.size:
+            survival_labeled = float(state.alive[idx].mean())
 
     diagnostics = {
         "preshock_failed": int(failures0.size),
-        "clamp_events": [[int(r), int(m)] for r, m in clamp_events],
-        "shock_skipped_assets": [int(m) for m in shock_skipped],
+        "clamp_events": clamp_events,
+        "shock_skipped_assets": shock_skipped,
         "non_converged": non_converged,
     }
     return CascadeResult(
         params=params,
         failed_round=failed_round,
-        rounds_executed=rounds_executed,
+        rounds_executed=rounds,
         failures_per_round=failures_per_round,
         price_index=state.price_index,
         market_value=state.market_value,

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cascade import RNG_ALGORITHM, CascadeParams, run_cascade, stream
+from .cascade import PARAM_UPPER, RNG_ALGORITHM, CascadeParams, run_cascade, stream
 from .evaluation import (
     DEFAULT_REGION_THRESHOLD,
     DEFAULT_REPLICATES,
@@ -49,24 +49,28 @@ class UsageError(Exception):
 
 
 def _parse_values(text: str, name: str) -> list:
-    """A scalar or an inclusive lo:hi:step range."""
+    """A scalar or an inclusive lo:hi:step range, every value in the domain of name."""
     if ":" not in text:
         try:
-            return [float(text)]
+            values = [float(text)]
         except ValueError:
             raise UsageError(f"--{name}: expected a number or lo:hi:step, got {text!r}") from None
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--{name}: ranges are lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (float(v) for v in parts)
-    except ValueError:
-        raise UsageError(f"--{name}: non-numeric range bound in {text!r}") from None
-    if step <= 0 or hi < lo:
-        raise UsageError(f"--{name}: need lo <= hi and step > 0 in {text!r}")
-    values = np.round(np.arange(lo, hi + step / 2, step), 12).tolist()
-    if not values:
-        raise UsageError(f"--{name}: empty range {text!r}")
+    else:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise UsageError(f"--{name}: ranges are lo:hi:step, got {text!r}")
+        try:
+            lo, hi, step = (float(v) for v in parts)
+        except ValueError:
+            raise UsageError(f"--{name}: non-numeric range bound in {text!r}") from None
+        if step <= 0 or hi < lo:
+            raise UsageError(f"--{name}: need lo <= hi and step > 0 in {text!r}")
+        values = np.round(np.arange(lo, hi + step / 2, step), 12).tolist()
+        if not values:
+            raise UsageError(f"--{name}: empty range {text!r}")
+    for v in values:
+        if not 0.0 <= v <= PARAM_UPPER[name]:
+            raise UsageError(f"--{name}: {v!r} is outside [0, {PARAM_UPPER[name]:g}]")
     return values
 
 
@@ -117,13 +121,20 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
         needed = {"label_asset", "label_p", "label_alpha", "label_eta"}
         if not needed <= set(label):
             raise UsageError(f"--synthetic: label cascade needs {sorted(needed)}")
-        kwargs["label_cascade"] = CascadeParams.single(
-            label["label_asset"], label["label_p"], label["label_alpha"],
-            label["label_eta"], seed=label.get("label_seed", 0))
+        if label.get("label_seed", 0) < 0:
+            raise UsageError("--synthetic: label_seed must be non-negative")
     try:
-        return SyntheticConfig(**kwargs)
+        if label:
+            kwargs["label_cascade"] = CascadeParams.single(
+                label["label_asset"], label["label_p"], label["label_alpha"],
+                label["label_eta"], seed=label.get("label_seed", 0))
+        config = SyntheticConfig(**kwargs)
     except ValueError as e:
         raise UsageError(f"--synthetic: {e}") from None
+    if label and not 0 <= label["label_asset"] < config.n_assets:
+        raise UsageError(f"--synthetic: label_asset {label['label_asset']} out of range "
+                         f"({config.n_assets} assets)")
+    return config
 
 
 def _sha256(path) -> str:
@@ -136,15 +147,20 @@ def _sha256(path) -> str:
 
 def _resolve_seed(args, etas) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     if any(e > 0 for e in etas):
         raise UsageError("--seed is required when eta > 0 (no silent default)")
     env = os.environ.get("CASCADEFIN_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"CASCADEFIN_SEED is not an integer: {env!r}") from None
+        if seed < 0:
+            raise UsageError(f"CASCADEFIN_SEED must be a non-negative integer, got {seed}")
+        return seed
     return 0
 
 
@@ -171,9 +187,14 @@ def _resolve_labels(args, network, synth_labels):
     return None, {}
 
 
-def _check_asset(network, asset):
+def _check_asset(network, asset, flag="--asset"):
     if asset < 0 or asset >= network.n_assets:
-        raise UsageError(f"--asset {asset} out of range (network has {network.n_assets} assets)")
+        raise UsageError(f"{flag} {asset} out of range (network has {network.n_assets} assets)")
+
+
+def _check_replicates(args):
+    if args.replicates < 1:
+        raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
 
 
 def _write_manifest(out_dir, command, config, output_files):
@@ -226,17 +247,22 @@ def cmd_run(args) -> int:
     if len(p_values) != 1 or len(eta_values) != 1 or len(alpha_values) != 1:
         raise UsageError("run takes scalar --p/--alpha/--eta; use sweep/roc/phase for grids")
     eta = eta_values[0]
-    seed = _resolve_seed(args, [eta])
-    network, synth_labels, _ = _resolve_network(args, seed)
-    labels, _ = _resolve_labels(args, network, synth_labels)
-    _check_asset(network, args.asset)
     shocks = {args.asset: p_values[0]}
     for extra in args.shock or []:
         try:
             m, p_m = extra.split(":")
-            shocks[int(m)] = float(p_m)
+            m, p_m = int(m), float(p_m)
         except ValueError:
             raise UsageError(f"--shock: expected asset:p, got {extra!r}") from None
+        if not 0.0 <= p_m <= PARAM_UPPER["p"]:
+            raise UsageError(f"--shock {extra}: p {p_m!r} is outside [0, 1]")
+        shocks[m] = p_m
+    seed = _resolve_seed(args, [eta])
+    network, synth_labels, _ = _resolve_network(args, seed)
+    labels, _ = _resolve_labels(args, network, synth_labels)
+    _check_asset(network, args.asset)
+    for m in shocks:
+        _check_asset(network, m, "--shock")
     params = CascadeParams(alpha=alpha_values[0], eta=eta, shocked_assets=shocks, seed=seed)
     result = run_cascade(network, params, labels=labels, rng=stream(seed))
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
@@ -274,6 +300,7 @@ def cmd_roc(args) -> int:
     alphas = _parse_values(args.alpha, "alpha")
     etas = _parse_values(args.eta, "eta")
     ps = _parse_values(args.p, "p")
+    _check_replicates(args)
     seed = _resolve_seed(args, etas)
     network, synth_labels, desc = _resolve_network(args, seed)
     labels, labels_desc = _resolve_labels(args, network, synth_labels)
@@ -303,6 +330,9 @@ def cmd_phase(args) -> int:
     fixed = {k: v[0] for k, v in values.items() if len(v) == 1}
     if not 1 <= len(axes) <= 2:
         raise UsageError("phase needs one or two of --p/--alpha/--eta as ranges")
+    _check_replicates(args)
+    if not 0.0 <= args.threshold <= 1.0:
+        raise UsageError(f"--threshold must be in [0, 1], got {args.threshold}")
     seed = _resolve_seed(args, values["eta"])
     network, _, desc = _resolve_network(args, seed)
     _check_asset(network, args.asset)

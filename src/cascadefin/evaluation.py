@@ -1,8 +1,9 @@
 """Survival curves, ROC grids, failure attribution and phase-diagram scans.
 
-Every analysis walks a parameter lattice, runs cascades per cell, and reduces
-results in lattice order no matter how many workers computed them. Per-cell
-RNG streams are derived from (master seed, cell index, replicate index), so
+Every analysis is a lattice of cells. One driver runs each cell's replicates,
+with RNG streams derived from (master seed, cell index, replicate index), and
+feeds their fate vectors one at a time to the analysis' reducer in the worker
+that ran them. Only the reduced cell results come back, in lattice order, so
 the outputs are independent of execution order and of --jobs.
 """
 
@@ -13,11 +14,12 @@ import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .cascade import DOMAIN_CELL, CascadeParams, run_cascade, stream
-from .network import BankAssetNetwork, FloatA
+from .cascade import DOMAIN_CELL, SURVIVED, CascadeParams, run_cascade, stream
+from .network import BankAssetNetwork, BoolA, FloatA
 
 SPLIT_FULL = "full"
 SPLIT_FIRST = "first_step"
@@ -28,21 +30,6 @@ REGION_COLLAPSED = "II"
 
 DEFAULT_REGION_THRESHOLD = 0.05
 DEFAULT_REPLICATES = 300
-
-# default lattice resolution when a caller asks for "the" grid
-DEFAULT_ALPHA_STEP = 0.02
-DEFAULT_P_STEP = 0.02
-DEFAULT_ETA_STEP = 0.02
-
-
-def default_axis(name: str) -> FloatA:
-    if name in ("alpha", "p"):
-        step = DEFAULT_ALPHA_STEP if name == "alpha" else DEFAULT_P_STEP
-        return np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
-    if name == "eta":
-        return np.round(np.arange(0.0, 0.5 + DEFAULT_ETA_STEP / 2, DEFAULT_ETA_STEP), 12)
-    raise ValueError(f"unknown axis {name!r}")
-
 
 @dataclass(frozen=True)
 class RocPoint:
@@ -94,55 +81,93 @@ class PhaseDiagram:
 
 
 # ---------------------------------------------------------------------------
-# parallel lattice plumbing: a context object is shipped to each worker once,
-# cell tasks are plain indices, reduction keeps lattice order
-
-_CTX = None
-
-
-def _init_worker(ctx):
-    global _CTX
-    _CTX = ctx
-
-
-def _map_cells(cell_fn, n_cells: int, ctx, jobs: int):
-    if jobs is None or jobs <= 1 or n_cells <= 1:
-        _init_worker(ctx)
-        return [cell_fn(i) for i in range(n_cells)]
-    chunk = max(1, n_cells // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(ctx,)) as pool:
-        return list(pool.map(cell_fn, range(n_cells), chunksize=chunk))
-
+# the lattice driver: one _Lattice is shipped to each worker once, cell tasks
+# are plain indices, results come back in lattice order
 
 @dataclass
-class _SurvivalCtx:
+class _Lattice:
     network: BankAssetNetwork
-    labeled_idx: np.ndarray
-    shocked_asset: int
-    cells: list          # (p, alpha) per cell
-    eta: float
+    cells: list          # CascadeParams per cell, in lattice order
+    replicates: int
     seed: int
+    reduce: Callable     # module-level (fate vectors, lattice) -> cell result
+    positives: BoolA = None   # labeled banks present in the network
 
 
-def _survival_cell(i):
-    ctx = _CTX
-    p, alpha = ctx.cells[i]
-    params = CascadeParams.single(ctx.shocked_asset, p, alpha, ctx.eta, seed=ctx.seed)
-    rng = stream(ctx.seed, DOMAIN_CELL, i, 0)
-    result = run_cascade(ctx.network, params, rng=rng)
+_LATTICE = None
+
+
+def _init_worker(lattice):
+    global _LATTICE
+    _LATTICE = lattice
+
+
+def _cell(i):
+    """Run cell i's replicates one at a time through the lattice's reducer."""
+    lat = _LATTICE
+    fates = (run_cascade(lat.network, lat.cells[i],
+                         rng=stream(lat.seed, DOMAIN_CELL, i, rep)).failed_round
+             for rep in range(lat.replicates))
+    return lat.reduce(fates, lat)
+
+
+def _run_lattice(lattice: _Lattice, jobs: int) -> list:
+    n_cells = len(lattice.cells)
+    if jobs is None or jobs <= 1 or n_cells <= 1:
+        _init_worker(lattice)
+        return [_cell(i) for i in range(n_cells)]
+    chunk = max(1, n_cells // (jobs * 8))
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                             initargs=(lattice,)) as pool:
+        return list(pool.map(_cell, range(n_cells), chunksize=chunk))
+
+
+def _survival_fraction(fate) -> float:
+    return float((fate == SURVIVED).sum() / fate.size)
+
+
+def _reduce_survival(fates, lat):
+    """(survival of all banks, of labeled banks or None) of the one replicate."""
+    (fate,) = fates
     labeled = None
-    if ctx.labeled_idx.size:
-        alive = result.failed_round == -1
-        labeled = float(alive[ctx.labeled_idx].mean())
-    return SweepRecord(p, alpha, ctx.eta, result.survival_fraction_all, labeled)
+    if lat.positives.any():
+        labeled = float((fate[lat.positives] == SURVIVED).mean())
+    return _survival_fraction(fate), labeled
 
 
-def _labeled_indices(network, labels):
-    if labels is None:
-        return np.array([], dtype=np.int64)
-    idx = sorted(network.index_of(b) for b in set(labels) if b in network._index_of)
-    return np.array(idx, dtype=np.int64)
+def _reduce_roc(fates, lat):
+    """(true, false) positive counts of the full, first-step and
+    consecutive-steps splits.
+
+    A bank is classified failed (fate round >= 1) by strict majority vote over
+    the replicates, and attributed to the first step when at least half of its
+    failing runs failed in round 1.
+    """
+    failed_votes = np.zeros(lat.network.n_banks, dtype=np.int64)
+    first_votes = np.zeros(lat.network.n_banks, dtype=np.int64)
+    for fate in fates:
+        failed_votes += fate >= 1
+        first_votes += fate == 1
+    model_failed = failed_votes * 2 > lat.replicates
+    first_step = model_failed & (first_votes * 2 >= failed_votes)
+    pos = lat.positives
+    return [(int((mask & pos).sum()), int((mask & ~pos).sum()))
+            for mask in (model_failed, first_step, model_failed & ~first_step)]
+
+
+def _reduce_phase(fates, lat):
+    """(mean survival, 95 % CI half-width or None) over the replicates."""
+    fractions = np.array([_survival_fraction(fate) for fate in fates])
+    ci = None
+    if lat.replicates >= 2:
+        ci = float(1.96 * fractions.std(ddof=1) / np.sqrt(lat.replicates))
+    return float(fractions.mean()), ci
+
+
+def _positives(network, labels) -> BoolA:
+    pos = np.zeros(network.n_banks, dtype=bool)
+    pos[network.indices_of(labels)] = True
+    return pos
 
 
 def survival_curves(network, labels, shocked_asset, p_grid, alpha_grid, eta,
@@ -156,64 +181,16 @@ def survival_curves(network, labels, shocked_asset, p_grid, alpha_grid, eta,
     alpha_grid = [float(a) for a in alpha_grid]
     if not p_grid or not alpha_grid:
         raise ValueError("empty parameter grid")
-    labeled_idx = _labeled_indices(network, labels)
-    if labels is not None and labeled_idx.size == 0:
+    eta, seed = float(eta), int(seed)
+    positives = _positives(network, labels)
+    if labels is not None and not positives.any():
         warnings.warn("labels are disjoint from the network; labeled fraction undefined")
     cells = [(p, a) for a in alpha_grid for p in p_grid]
-    ctx = _SurvivalCtx(network, labeled_idx, int(shocked_asset), cells, float(eta), int(seed))
-    return _map_cells(_survival_cell, len(cells), ctx, jobs)
-
-
-@dataclass
-class _RocCtx:
-    network: BankAssetNetwork
-    pos_mask: np.ndarray
-    shocked_asset: int
-    cells: list          # (alpha, eta, p) per cell
-    replicates: int
-    seed: int
-
-
-def _classify_failed(ctx, cell_index, alpha, eta, p):
-    """Per-bank classification for one lattice cell.
-
-    Returns boolean arrays (model_failed, first_step). With replicates > 1 the
-    bank is classified failed by strict majority vote, and attributed to the
-    first step when at least half of its failing runs failed in round 1.
-    """
-    n = ctx.network.n_banks
-    reps = ctx.replicates
-    failed_votes = np.zeros(n, dtype=np.int64)
-    first_votes = np.zeros(n, dtype=np.int64)
-    params = CascadeParams.single(ctx.shocked_asset, p, alpha, eta, seed=ctx.seed)
-    for rep in range(reps):
-        rng = stream(ctx.seed, DOMAIN_CELL, cell_index, rep)
-        result = run_cascade(ctx.network, params, rng=rng)
-        failed_votes += result.failed_round >= 1
-        first_votes += result.failed_round == 1
-    if reps == 1:
-        model_failed = failed_votes == 1
-    else:
-        model_failed = failed_votes * 2 > reps
-    first_step = model_failed & (first_votes * 2 >= failed_votes)
-    return model_failed, first_step
-
-
-def _roc_cell(i):
-    ctx = _CTX
-    alpha, eta, p = ctx.cells[i]
-    model_failed, first_step = _classify_failed(ctx, i, alpha, eta, p)
-    pos = ctx.pos_mask
-    n_pos = int(pos.sum())
-    n_neg = pos.size - n_pos
-    points = []
-    for split, mask in ((SPLIT_FULL, model_failed),
-                        (SPLIT_FIRST, first_step),
-                        (SPLIT_CONSECUTIVE, model_failed & ~first_step)):
-        tp = int((mask & pos).sum())
-        fp = int((mask & ~pos).sum())
-        points.append(RocPoint(alpha, eta, p, tp / n_pos, fp / n_neg, tp, split))
-    return points
+    params = [CascadeParams.single(int(shocked_asset), p, a, eta, seed=seed)
+              for p, a in cells]
+    out = _run_lattice(_Lattice(network, params, 1, seed, _reduce_survival, positives),
+                       jobs)
+    return [SweepRecord(p, a, eta, *r) for (p, a), r in zip(cells, out)]
 
 
 def roc_grid(network, labels, shocked_asset, grid: SweepGrid,
@@ -225,20 +202,23 @@ def roc_grid(network, labels, shocked_asset, grid: SweepGrid,
     pre-shock insolvencies never contribute to any split. The first-step and
     consecutive-steps splits partition the full split's true positives.
     """
-    labeled_idx = _labeled_indices(network, labels)
-    pos_mask = np.zeros(network.n_banks, dtype=bool)
-    pos_mask[labeled_idx] = True
-    n_pos = int(pos_mask.sum())
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    positives = _positives(network, labels)
+    n_pos = int(positives.sum())
     n_neg = network.n_banks - n_pos
     if n_pos == 0 or n_neg == 0:
         warnings.warn("ROC undefined: need at least one positive and one negative bank; "
                       "no points emitted")
         return []
-    cells = [c for _, c in SweepGrid(tuple(grid.alphas), tuple(grid.etas),
-                                     tuple(grid.ps)).cells()]
-    ctx = _RocCtx(network, pos_mask, int(shocked_asset), cells, int(replicates), int(seed))
-    nested = _map_cells(_roc_cell, len(cells), ctx, jobs)
-    return [pt for cell_points in nested for pt in cell_points]
+    cells = list(itertools.product(grid.alphas, grid.etas, grid.ps))
+    params = [CascadeParams.single(int(shocked_asset), p, alpha, eta, seed=int(seed))
+              for alpha, eta, p in cells]
+    lattice = _Lattice(network, params, int(replicates), int(seed), _reduce_roc, positives)
+    splits = (SPLIT_FULL, SPLIT_FIRST, SPLIT_CONSECUTIVE)
+    return [RocPoint(alpha, eta, p, tp / n_pos, fp / n_neg, tp, split)
+            for (alpha, eta, p), counts in zip(cells, _run_lattice(lattice, jobs))
+            for split, (tp, fp) in zip(splits, counts)]
 
 
 def attribution_split(result, labels, network) -> dict:
@@ -247,36 +227,10 @@ def attribution_split(result, labels, network) -> dict:
     Pre-shock failures (round 0) are excluded from both counts; the two counts
     sum to the full split's true positives.
     """
-    labeled_idx = _labeled_indices(network, labels)
-    pos = np.zeros(network.n_banks, dtype=bool)
-    pos[labeled_idx] = True
+    pos = _positives(network, labels)
     first = int(((result.failed_round == 1) & pos).sum())
     consecutive = int(((result.failed_round >= 2) & pos).sum())
     return {"first_step_count": first, "consecutive_count": consecutive}
-
-
-@dataclass
-class _PhaseCtx:
-    network: BankAssetNetwork
-    shocked_asset: int
-    cells: list          # dict of {p, alpha, eta} per cell
-    replicates: int
-    seed: int
-
-
-def _phase_cell(i):
-    ctx = _CTX
-    kv = ctx.cells[i]
-    params = CascadeParams.single(ctx.shocked_asset, kv["p"], kv["alpha"], kv["eta"],
-                                  seed=ctx.seed)
-    fractions = np.empty(ctx.replicates)
-    for rep in range(ctx.replicates):
-        rng = stream(ctx.seed, DOMAIN_CELL, i, rep)
-        fractions[rep] = run_cascade(ctx.network, params, rng=rng).survival_fraction_all
-    mean = float(fractions.mean())
-    ci = float(1.96 * fractions.std(ddof=1) / np.sqrt(ctx.replicates)) \
-        if ctx.replicates >= 2 else None
-    return mean, ci
 
 
 def phase_scan(network, shocked_asset, axes: dict, fixed: dict,
@@ -302,15 +256,14 @@ def phase_scan(network, shocked_asset, axes: dict, fixed: dict,
         raise ValueError("replicates must be >= 1")
 
     values = [np.asarray([float(v) for v in axes[k]]) for k in names]
-    combos = list(itertools.product(*values))
-    cells = []
-    for combo in combos:
+    params = []
+    for combo in itertools.product(*values):
         kv = {k: float(fixed[k]) for k in all_params - set(names)}
         kv.update({k: float(v) for k, v in zip(names, combo)})
-        cells.append(kv)
-
-    ctx = _PhaseCtx(network, int(shocked_asset), cells, int(replicates), int(seed))
-    out = _map_cells(_phase_cell, len(cells), ctx, jobs)
+        params.append(CascadeParams.single(int(shocked_asset), kv["p"], kv["alpha"],
+                                           kv["eta"], seed=int(seed)))
+    out = _run_lattice(_Lattice(network, params, int(replicates), int(seed),
+                                _reduce_phase), jobs)
 
     shape = tuple(len(v) for v in values)
     mean = np.array([m for m, _ in out]).reshape(shape)

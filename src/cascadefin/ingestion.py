@@ -272,8 +272,7 @@ class GroundTruthLabels:
     window: str = None
 
     def intersection_report(self, network: BankAssetNetwork):
-        present = sum(1 for b in self.ids if b in network._index_of)
-        return len(self.ids), present
+        return len(self.ids), network.indices_of(self.ids).size
 
     def __contains__(self, bank_id):
         return bank_id in self.ids

@@ -108,8 +108,7 @@ class BankAssetNetwork:
     """The bipartite system in array form.
 
     holdings is the N x M matrix of original (pre-shock) positions; market_value
-    holds the per-asset totals A_m = sum_i B_{i,m}; price_index starts at 1 for
-    every asset and is only ever modified on per-run working copies, never here.
+    holds the per-asset totals A_m = sum_i B_{i,m}. A cascade only reads them.
     """
 
     bank_ids: tuple[str, ...]
@@ -118,8 +117,6 @@ class BankAssetNetwork:
     total_liabilities: FloatA
     assets: tuple[AssetCategory, ...]
     market_value: FloatA = None
-    price_index: FloatA = None
-    alive: BoolA = None
     _index_of: dict = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -147,10 +144,6 @@ class BankAssetNetwork:
             )
         if self.market_value is None:
             self.market_value = self.holdings.sum(axis=0)
-        if self.price_index is None:
-            self.price_index = np.ones(m)
-        if self.alive is None:
-            self.alive = np.ones(n, dtype=bool)
         self._index_of = {b: i for i, b in enumerate(self.bank_ids)}
 
     @classmethod
@@ -194,6 +187,13 @@ class BankAssetNetwork:
             return self._index_of[bank_id]
         except KeyError:
             raise KeyError(f"unknown bank_id {bank_id!r}") from None
+
+    def indices_of(self, bank_ids) -> IntA:
+        """Ascending row indices of the given bank ids; ids not in the network,
+        and None for no ids, give none."""
+        ids = set(bank_ids) if bank_ids is not None else ()
+        return np.array(sorted(self._index_of[b] for b in ids if b in self._index_of),
+                        dtype=np.int64)
 
     def links(self) -> BoolA:
         """Bipartite adjacency: a link exists iff the holding is strictly positive."""
@@ -249,10 +249,8 @@ def summary_statistics(network: BankAssetNetwork, labels=None, bin_edges=None) -
         bin_edges = np.linspace(0.0, 1.0, 51)
     bin_edges = np.asarray(bin_edges, dtype=np.float64)
 
-    idx = []
-    if labels is not None:
-        idx = sorted(network.index_of(b) for b in set(labels) if b in network._index_of)
-    empty = len(idx) == 0
+    idx = network.indices_of(labels)
+    empty = idx.size == 0
     if empty and labels is not None:
         warnings.warn("label set is empty or disjoint from the network; "
                       "emitting all-banks densities only")

@@ -78,7 +78,6 @@ def criterion_1():
     for j, (ratio, eta) in enumerate(points):
         b = 100.0 * ratio
         state = cf.RoundState(
-            round_number=0,
             alive=np.ones(k, dtype=bool),
             price_index=np.ones(1),
             market_value=np.array([b * k]),
@@ -86,7 +85,7 @@ def criterion_1():
             liabilities=np.full(k, 100.0),
         )
         params = cf.CascadeParams.single(0, 1.0, 0.0, eta)
-        failures, _ = cf.evaluate_round(state, params, cf.stream(SEED, 1, j))
+        failures = cf.evaluate_round(state, params, cf.stream(SEED, 1, j))
         freq = failures.size / k
         expect = cf.failure_probability(b, 100.0, eta)
         assert abs(expect - min(max((1.0 - ratio) / eta, 0.0), 1.0)) < 1e-12

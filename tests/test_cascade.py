@@ -19,13 +19,29 @@ def state_for(totals, liabilities):
     # K banks on a single unit-priced asset, one holding each
     totals = np.asarray(totals, dtype=np.float64).reshape(-1, 1)
     return cf.RoundState(
-        round_number=0,
         alive=np.ones(totals.shape[0], dtype=bool),
         price_index=np.ones(1),
         market_value=np.array([float(totals.sum())]),
         holdings_base=totals,
         liabilities=np.asarray(liabilities, dtype=np.float64),
     )
+
+
+def fresh_state(net):
+    # the state run_cascade starts from: everyone alive, every price index 1
+    return cf.RoundState(
+        alive=np.ones(net.n_banks, dtype=bool),
+        price_index=np.ones(net.n_assets),
+        market_value=net.market_value.copy(),
+        holdings_base=net.holdings,
+        liabilities=net.total_liabilities,
+    )
+
+
+def shocked(net, params):
+    state = fresh_state(net)
+    assert cf.apply_shock(state, params) == []
+    return state
 
 
 # --- Eq-style barrier probability ---------------------------------------
@@ -59,7 +75,7 @@ def test_barrier_monte_carlo_matches_closed_form():
     k = 100_000
     state = state_for(np.full(k, 80.0), np.full(k, 100.0))
     params = cf.CascadeParams.single(0, 1.0, 0.0, 0.5)
-    failures, _ = cf.evaluate_round(state, params, cf.stream(1234))
+    failures = cf.evaluate_round(state, params, cf.stream(1234))
     assert abs(failures.size / k - 0.4) < 0.01
 
 
@@ -87,14 +103,15 @@ def test_params_single_and_p_property():
 
 def test_shock_scales_price_and_market():
     net = toy_network()
-    state = cf.apply_initial_shock(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0))
-    assert state.round_number == 0
+    state = shocked(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0))
     assert np.allclose(state.price_index, [0.6])
     assert np.allclose(state.market_value, [120.0])
+    # the network itself is never touched
+    assert np.array_equal(net.market_value, [200.0])
     # p = 1 is a no-op shock, p = 0 wipes the asset
-    s1 = cf.apply_initial_shock(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
+    s1 = shocked(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
     assert np.array_equal(s1.price_index, [1.0])
-    s0 = cf.apply_initial_shock(net, cf.CascadeParams.single(0, 0.0, 0.0, 0.0))
+    s0 = shocked(net, cf.CascadeParams.single(0, 0.0, 0.0, 0.0))
     assert np.array_equal(s0.price_index, [0.0])
     assert np.array_equal(s0.market_value, [0.0])
 
@@ -102,21 +119,24 @@ def test_shock_scales_price_and_market():
 def test_shock_reduces_bank_total_per_holding():
     # a 100 holding of the shocked asset at p=0.6 costs the bank 40
     net = make_network([[100.0, 50.0]], [100.0])
-    state = cf.apply_initial_shock(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0))
-    assert state.bank_totals()[0] == pytest.approx(110.0)
+    state = shocked(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0))
+    totals = (state.holdings_base * state.price_index).sum(axis=1)
+    assert totals[0] == pytest.approx(110.0)
 
 
 def test_shock_skips_dead_asset_with_warning():
     net = make_network([[100.0, 0.0]], [50.0])
+    state = fresh_state(net)
     with pytest.warns(UserWarning, match="zero market value"):
-        state = cf.apply_initial_shock(net, cf.CascadeParams.single(1, 0.5, 0.0, 0.0))
+        skipped = cf.apply_shock(state, cf.CascadeParams.single(1, 0.5, 0.0, 0.0))
+    assert skipped == [1]
     assert np.array_equal(state.price_index, [1.0, 1.0])
 
 
 def test_shock_unknown_asset_raises():
     net = toy_network()
     with pytest.raises(ValueError, match="not in network"):
-        cf.apply_initial_shock(net, cf.CascadeParams.single(7, 0.5, 0.0, 0.0))
+        cf.apply_shock(fresh_state(net), cf.CascadeParams.single(7, 0.5, 0.0, 0.0))
 
 
 # --- round evaluation ----------------------------------------------------
@@ -124,25 +144,28 @@ def test_shock_unknown_asset_raises():
 def test_evaluate_round_eta_zero_needs_no_rng():
     state = state_for([90.0, 110.0], [100.0, 100.0])
     params = cf.CascadeParams.single(0, 1.0, 0.0, 0.0)
-    failures, nxt = cf.evaluate_round(state, params, None)
+    failures = cf.evaluate_round(state, params, None)
     assert failures.tolist() == [0]
-    assert nxt.alive.tolist() == [False, True]
-    assert nxt.round_number == 1
+    assert state.alive.tolist() == [False, True]
 
 
 def test_evaluate_round_records_draws_for_alive_banks():
     state = state_for([90.0, 110.0, 80.0], [100.0, 100.0, 100.0])
     state.alive[2] = False
     params = cf.CascadeParams.single(0, 1.0, 0.0, 0.26)
-    _, nxt = cf.evaluate_round(state, params, cf.stream(5))
-    assert nxt.draws.shape == (2,)
-    assert np.all((nxt.draws >= 0.0) & (nxt.draws < 0.26))
+    rng = cf.stream(5)
+    failures = cf.evaluate_round(state, params, rng)
+    # one uniform per alive bank, ascending; only bank 0 can fail
+    r = cf.stream(5).random(2) * 0.26
+    assert failures.tolist() == ([0] if 90.0 < (1.0 - r[0]) * 100.0 else [])
+    assert rng.random() == cf.stream(5).random(3)[2]
+    assert not state.alive[2]
 
 
 def test_evaluate_round_simultaneous_at_fixed_prices():
     # both marginal banks are judged at the same pre-round prices
     state = state_for([99.0, 99.5], [100.0, 100.0])
-    failures, _ = cf.evaluate_round(state, cf.CascadeParams.single(0, 1.0, 0.0, 0.0), None)
+    failures = cf.evaluate_round(state, cf.CascadeParams.single(0, 1.0, 0.0, 0.0), None)
     assert failures.tolist() == [0, 1]
 
 
@@ -153,19 +176,20 @@ def test_fire_sale_worked_example():
     state = state_for([50.0, 100.0, 50.0], [60.0, 60.0, 60.0])
     state.alive[0] = False
     params = cf.CascadeParams.single(0, 1.0, 0.5, 0.0)
-    nxt = cf.apply_fire_sales(state, np.array([0]), params)
-    assert nxt.price_index[0] == pytest.approx(0.875, rel=1e-15)
-    assert nxt.market_value[0] == pytest.approx(175.0, rel=1e-15)
-    assert nxt.current_holdings()[1, 0] == pytest.approx(87.5, rel=1e-15)
-    assert nxt.clamped == ()
+    clamped = cf.apply_fire_sales(state, np.array([0]), params)
+    assert state.price_index[0] == pytest.approx(0.875, rel=1e-15)
+    assert state.market_value[0] == pytest.approx(175.0, rel=1e-15)
+    holdings = state.holdings_base * state.price_index
+    assert holdings[1, 0] == pytest.approx(87.5, rel=1e-15)
+    assert clamped == []
 
 
 def test_fire_sale_alpha_zero_changes_nothing():
     state = state_for([50.0, 100.0], [60.0, 60.0])
-    nxt = cf.apply_fire_sales(state, np.array([0]),
-                              cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
-    assert nxt.price_index[0] == 1.0
-    assert nxt.market_value[0] == 150.0
+    assert cf.apply_fire_sales(state, np.array([0]),
+                               cf.CascadeParams.single(0, 1.0, 0.0, 0.0)) == []
+    assert state.price_index[0] == 1.0
+    assert state.market_value[0] == 150.0
 
 
 def test_fire_sale_requires_failures():
@@ -178,18 +202,31 @@ def test_fire_sale_requires_failures():
 def test_fire_sale_clamps_oversold_asset():
     # defensive path: a deduction exceeding the tracked value pins price at 0
     state = cf.RoundState(
-        round_number=1,
         alive=np.array([True]),
         price_index=np.ones(1),
         market_value=np.array([20.0]),
         holdings_base=np.array([[30.0]]),
         liabilities=np.array([10.0]),
     )
-    nxt = cf.apply_fire_sales(state, np.array([0]),
-                              cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
-    assert nxt.clamped == (0,)
-    assert nxt.price_index[0] == 0.0
-    assert nxt.market_value[0] == 0.0
+    clamped = cf.apply_fire_sales(state, np.array([0]),
+                                  cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
+    assert clamped == [0]
+    assert state.price_index[0] == 0.0
+    assert state.market_value[0] == 0.0
+
+
+def test_fire_sale_on_zero_value_asset_raises():
+    # holdings of an asset whose market value is already 0 cannot be sold
+    state = cf.RoundState(
+        alive=np.array([True]),
+        price_index=np.ones(1),
+        market_value=np.array([0.0]),
+        holdings_base=np.array([[30.0]]),
+        liabilities=np.array([10.0]),
+    )
+    with pytest.raises(ValueError, match="zero-value asset"):
+        cf.apply_fire_sales(state, np.array([0]),
+                            cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
 
 
 # --- full cascades -------------------------------------------------------

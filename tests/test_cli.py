@@ -304,3 +304,50 @@ def test_config_errors(toy_csv, tmp_path, capsys):
     cfg.write_text("just words\n")
     assert run_cli("run", "--input", toy_csv, "--config", str(cfg)) == 2
     assert run_cli("run", "--input", toy_csv, "--config") == 2
+
+
+# --- bad inputs are usage errors, caught before any network is built -------
+
+MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["roc", "--input", MISSING, "--labels", MISSING, "--p", "0.5", "--alpha", "0",
+      "--eta", "0", "--replicates", "0"], "--replicates must be >= 1"),
+    (["phase", "--input", MISSING, "--replicates", "0", "--eta", "0"],
+     "--replicates must be >= 1"),
+    (["phase", "--input", MISSING, "--threshold", "7", "--eta", "0"],
+     "--threshold must be in [0, 1]"),
+    (["run", "--input", MISSING, "--seed", "-1"], "--seed must be a non-negative integer"),
+    (["run", "--input", MISSING, "--alpha", "2"], "--alpha: 2.0 is outside [0, 1]"),
+    (["run", "--input", MISSING, "--eta", "0.7", "--seed", "1"],
+     "--eta: 0.7 is outside [0, 0.5]"),
+    (["run", "--input", MISSING, "--p", "1.5"], "--p: 1.5 is outside [0, 1]"),
+    (["sweep", "--input", MISSING, "--p", "0:1.5:0.5"], "--p: 1.5 is outside [0, 1]"),
+    (["run", "--input", MISSING, "--shock", "2:1.5"], "--shock 2:1.5: p 1.5 is outside [0, 1]"),
+], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
+        "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5"])
+def test_bad_input_exits_2_before_loading(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_env_seed_exits_2(toy_csv, monkeypatch, capsys):
+    monkeypatch.setenv("CASCADEFIN_SEED", "-1")
+    assert run_cli("run", "--input", toy_csv) == 2
+    assert "CASCADEFIN_SEED must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_shock_asset_out_of_range_exits_2(toy_csv, capsys):
+    assert run_cli("run", "--input", toy_csv, "--shock", "99:0.5") == 2
+    assert "--shock 99 out of range (network has 1 assets)" in capsys.readouterr().err
+
+
+def test_label_cascade_out_of_domain_exits_2(capsys):
+    spec = "n=10,label_asset={},label_p={},label_alpha=0,label_eta=0"
+    assert run_cli("run", "--synthetic", spec.format(99, 0.5)) == 2
+    assert "label_asset 99 out of range (13 assets)" in capsys.readouterr().err
+    assert run_cli("run", "--synthetic", spec.format(0, 1.5)) == 2
+    assert "p must be in [0, 1]" in capsys.readouterr().err
+    assert run_cli("run", "--synthetic", spec.format(0, 0.5) + ",label_seed=-1") == 2
+    assert "label_seed must be non-negative" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 import cascadefin as cf
 from cascadefin.cascade import DOMAIN_CELL
-from cascadefin.evaluation import default_axis
 
 from helpers import dense_synthetic, make_network, toy_network
 
@@ -15,14 +14,6 @@ def three_bank_network():
     # out the sales (liabilities 8 stay below its shrinking 13.3 position)
     return make_network([[100.0], [100.0], [100.0]], [70.0, 55.0, 8.0],
                         ids=("A", "B", "C"))
-
-
-def test_default_axes():
-    assert default_axis("alpha").size == 51
-    assert default_axis("p")[0] == 0.0 and default_axis("p")[-1] == 1.0
-    assert default_axis("eta")[-1] == 0.5
-    with pytest.raises(ValueError):
-        default_axis("gamma")
 
 
 # --- survival curves -----------------------------------------------------

@@ -84,8 +84,6 @@ def test_network_rejects_duplicate_ids():
 def test_derived_quantities():
     net = make_network([[60.0, 40.0], [0.0, 10.0]], [80.0, 5.0])
     assert np.array_equal(net.market_value, [60.0, 50.0])
-    assert np.array_equal(net.price_index, [1.0, 1.0])
-    assert net.alive.all()
     assert np.array_equal(net.links(), [[True, True], [False, True]])
     assert np.allclose(net.weights(), [[0.6, 0.4], [0.0, 1.0]])
     assert net.index_of("b001") == 1
