@@ -7,7 +7,6 @@ classifier in the first place.
 """
 
 import argparse
-import warnings
 
 import numpy as np
 
@@ -25,13 +24,11 @@ def main():
     ap.add_argument("--p", type=float, default=0.35, help="post-shock value fraction")
     args = ap.parse_args()
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        network, labels = cf.generate_synthetic(
-            cf.SyntheticConfig(
-                n_banks=args.n,
-                label_cascade=cf.CascadeParams.single(0, args.p, 0.0, 0.0)),
-            args.seed)
+    network, labels = cf.generate_synthetic(
+        cf.SyntheticConfig(
+            n_banks=args.n,
+            label_cascade=cf.CascadeParams.single(0, args.p, 0.0, 0.0)),
+        args.seed)
 
     n_failed = len(labels.ids)
     print(f"{args.n} banks, shock p={args.p} on asset 0: "

@@ -7,8 +7,6 @@ separates banks that fail directly under the shock from banks only reachable
 through fire-sale feedback.
 """
 
-import warnings
-
 import numpy as np
 
 import cascadefin as cf
@@ -17,9 +15,7 @@ N = 1500
 SEED = 13
 TRUTH = dict(asset=0, p=0.45, alpha=0.05, eta=0.0)
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=N), SEED)
+network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=N), SEED)
 
 truth_params = cf.CascadeParams.single(TRUTH["asset"], TRUTH["p"],
                                        TRUTH["alpha"], TRUTH["eta"])

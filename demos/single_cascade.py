@@ -1,6 +1,5 @@
 """Walk one cascade round by round, first by hand, then at scale."""
 
-import warnings
 
 import numpy as np
 
@@ -33,9 +32,7 @@ for bank, fate in zip(net.bank_ids, result.failed_round):
 print()
 print("500-bank synthetic market")
 seed = 42
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=500), seed)
+network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=500), seed)
 
 params = cf.CascadeParams.single(asset=0, p=0.55, alpha=0.08, eta=0.26, seed=seed)
 result = cf.run_cascade(network, params, rng=cf.stream(seed))

@@ -6,7 +6,6 @@ carve out a regime where the same shock wipes out most of the market.
 """
 
 import argparse
-import warnings
 
 import numpy as np
 
@@ -23,10 +22,7 @@ def main():
                     default=[0.0, 0.05, 0.10, 0.15])
     args = ap.parse_args()
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        network, _ = cf.generate_synthetic(
-            cf.SyntheticConfig(n_banks=args.n), args.seed)
+    network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=args.n), args.seed)
 
     ps = np.round(np.arange(1.0, -0.001, -0.1), 12).tolist()
     records = cf.survival_curves(network, None, 0, ps, args.alphas, args.eta,

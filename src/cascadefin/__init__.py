@@ -8,7 +8,7 @@ Library layout:
   cli        -- the `cascadefin` command-line tool
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .cascade import (
     RNG_ALGORITHM,

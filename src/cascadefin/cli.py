@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -48,6 +49,11 @@ class UsageError(Exception):
     """Bad flags or inconsistent options; maps to exit code 2."""
 
 
+# the most cells one sweep, roc or phase lattice may have; the default roc
+# grid has 67,626
+MAX_CELLS = 1_000_000
+
+
 def _parse_values(text: str, name: str) -> list:
     """A scalar or an inclusive lo:hi:step range, every value in the domain of name."""
     if ":" not in text:
@@ -63,8 +69,11 @@ def _parse_values(text: str, name: str) -> list:
             lo, hi, step = (float(v) for v in parts)
         except ValueError:
             raise UsageError(f"--{name}: non-numeric range bound in {text!r}") from None
-        if step <= 0 or hi < lo:
-            raise UsageError(f"--{name}: need lo <= hi and step > 0 in {text!r}")
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+            raise UsageError(f"--{name}: need finite lo <= hi and step > 0 in {text!r}")
+        # count the values before np.arange allocates them
+        if (hi - lo) / step + 0.5 > MAX_CELLS:
+            raise UsageError(f"--{name}: {text!r} has more than {MAX_CELLS} values")
         values = np.round(np.arange(lo, hi + step / 2, step), 12).tolist()
         if not values:
             raise UsageError(f"--{name}: empty range {text!r}")
@@ -192,6 +201,25 @@ def _check_asset(network, asset, flag="--asset"):
         raise UsageError(f"{flag} {asset} out of range (network has {network.n_assets} assets)")
 
 
+def _check_cells(*grids) -> int:
+    cells = math.prod(len(g) for g in grids)
+    if cells > MAX_CELLS:
+        raise UsageError(f"the grid has {cells} cells, more than {MAX_CELLS}")
+    return cells
+
+
+def _jobs(text: str) -> int:
+    """--jobs: at least 1, and at most the core count, since extra workers
+    only add forks."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _check_replicates(args):
     if args.replicates < 1:
         raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
@@ -280,6 +308,7 @@ def cmd_sweep(args) -> int:
     eta_values = _parse_values(args.eta, "eta")
     if len(eta_values) != 1:
         raise UsageError("sweep varies p and alpha; --eta must be a scalar")
+    _check_cells(p_grid, alpha_grid)
     eta = eta_values[0]
     seed = _resolve_seed(args, [eta])
     network, synth_labels, desc = _resolve_network(args, seed)
@@ -300,6 +329,7 @@ def cmd_roc(args) -> int:
     alphas = _parse_values(args.alpha, "alpha")
     etas = _parse_values(args.eta, "eta")
     ps = _parse_values(args.p, "p")
+    _check_cells(alphas, etas, ps)
     _check_replicates(args)
     seed = _resolve_seed(args, etas)
     network, synth_labels, desc = _resolve_network(args, seed)
@@ -330,6 +360,7 @@ def cmd_phase(args) -> int:
     fixed = {k: v[0] for k, v in values.items() if len(v) == 1}
     if not 1 <= len(axes) <= 2:
         raise UsageError("phase needs one or two of --p/--alpha/--eta as ranges")
+    cells = _check_cells(*axes.values())
     _check_replicates(args)
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError(f"--threshold must be in [0, 1], got {args.threshold}")
@@ -346,7 +377,6 @@ def cmd_phase(args) -> int:
               "seed": seed, "replicates": args.replicates,
               "threshold": args.threshold}
     _write_manifest(out, "phase", config, ["phase.csv"])
-    cells = int(np.prod([len(v) for v in axes.values()]))
     drop = "" if diagram.max_step_drop is None \
         else f", max step drop {diagram.max_step_drop:.3f}"
     print(f"scanned {cells} cells x {args.replicates} replicates{drop} "
@@ -365,8 +395,9 @@ def _add_network_flags(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed; required when eta > 0, "
                          "else falls back to CASCADEFIN_SEED or 0")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes; never changes the output bytes")
+    sp.add_argument("--jobs", type=_jobs, default=1,
+                    help="worker processes, at most the core count; "
+                         "never changes the output bytes")
     sp.add_argument("--out", help="output directory (file for run)")
 
 

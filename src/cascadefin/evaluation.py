@@ -3,8 +3,10 @@
 Every analysis is a lattice of cells. One driver runs each cell's replicates,
 with RNG streams derived from (master seed, cell index, replicate index), and
 feeds their fate vectors one at a time to the analysis' reducer in the worker
-that ran them. Only the reduced cell results come back, in lattice order, so
-the outputs are independent of execution order and of --jobs.
+that ran them. An eta = 0 cell is deterministic, so its cascade runs once and
+its one fate vector is fed to the reducer once per replicate. Only the reduced
+cell results come back, in lattice order, so the outputs are independent of
+execution order and of --jobs.
 """
 
 from __future__ import annotations
@@ -103,9 +105,22 @@ def _init_worker(lattice):
 
 
 def _cell(i):
-    """Run cell i's replicates one at a time through the lattice's reducer."""
+    """Run cell i's replicates one at a time through the lattice's reducer.
+
+    An eta = 0 cell runs one cascade, on replicate 0's stream, and feeds that
+    fate vector to the reducer once per replicate. This is exact: at eta = 0
+    the barrier is a step, so evaluate_round draws no random number, and
+    neither apply_shock nor apply_fire_sales ever touches the rng. Every
+    replicate of such a cell therefore has the same fates, and the reducer
+    sees the same R vectors, in the same order, as a per-replicate loop.
+    """
     lat = _LATTICE
-    fates = (run_cascade(lat.network, lat.cells[i],
+    params = lat.cells[i]
+    if params.eta == 0.0:
+        fate = run_cascade(lat.network, params,
+                           rng=stream(lat.seed, DOMAIN_CELL, i, 0)).failed_round
+        return lat.reduce(itertools.repeat(fate, lat.replicates), lat)
+    fates = (run_cascade(lat.network, params,
                          rng=stream(lat.seed, DOMAIN_CELL, i, rep)).failed_round
              for rep in range(lat.replicates))
     return lat.reduce(fates, lat)
@@ -116,8 +131,10 @@ def _run_lattice(lattice: _Lattice, jobs: int) -> list:
     if jobs is None or jobs <= 1 or n_cells <= 1:
         _init_worker(lattice)
         return [_cell(i) for i in range(n_cells)]
-    chunk = max(1, n_cells // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    # the pool forks every worker up front, so never more than there are cells
+    workers = min(jobs, n_cells)
+    chunk = max(1, n_cells // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(lattice,)) as pool:
         return list(pool.map(_cell, range(n_cells), chunksize=chunk))
 
@@ -156,12 +173,21 @@ def _reduce_roc(fates, lat):
 
 
 def _reduce_phase(fates, lat):
-    """(mean survival, 95 % CI half-width or None) over the replicates."""
+    """(mean survival, 95 % CI half-width or None) over the replicates.
+
+    When every replicate agrees, as in any eta = 0 cell, the mean is that
+    value and the half-width exactly 0.0; the floating-point mean and std of
+    R equal values can be off by an ulp.
+    """
     fractions = np.array([_survival_fraction(fate) for fate in fates])
+    if fractions.min() == fractions.max():
+        mean, std = fractions[0], 0.0
+    else:
+        mean, std = fractions.mean(), fractions.std(ddof=1)
     ci = None
     if lat.replicates >= 2:
-        ci = float(1.96 * fractions.std(ddof=1) / np.sqrt(lat.replicates))
-    return float(fractions.mean()), ci
+        ci = float(1.96 * std / np.sqrt(lat.replicates))
+    return float(mean), ci
 
 
 def _positives(network, labels) -> BoolA:

@@ -316,8 +316,9 @@ class SyntheticConfig:
     """Knobs for the synthetic network generator.
 
     mean_weights defaults to the 13-entry population averages; because those
-    average only over holders, they do not sum to 1 and are renormalized (with
-    a warning). label_cascade, when given, produces ground-truth labels by
+    average only over holders, they do not sum to 1 and are renormalized
+    silently. Given weights that do not sum to 1 are renormalized with a
+    warning. label_cascade, when given, produces ground-truth labels by
     running that reference cascade on the generated network.
     """
 
@@ -342,14 +343,13 @@ class SyntheticConfig:
 
 
 def _target_weights(config: SyntheticConfig) -> FloatA:
-    if config.mean_weights is not None:
-        target = np.asarray(config.mean_weights, dtype=np.float64)
-        if target.size != config.n_assets:
-            raise ValueError("mean_weights length does not match n_assets")
-    elif config.n_assets == DEFAULT_MEAN_WEIGHTS.size:
-        target = DEFAULT_MEAN_WEIGHTS.copy()
-    else:
-        target = np.full(config.n_assets, 1.0 / config.n_assets)
+    if config.mean_weights is None:
+        if config.n_assets == DEFAULT_MEAN_WEIGHTS.size:
+            return DEFAULT_MEAN_WEIGHTS / DEFAULT_MEAN_WEIGHTS.sum()
+        return np.full(config.n_assets, 1.0 / config.n_assets)
+    target = np.asarray(config.mean_weights, dtype=np.float64)
+    if target.size != config.n_assets:
+        raise ValueError("mean_weights length does not match n_assets")
     if np.any(target < 0) or target.sum() <= 0:
         raise ValueError("mean weights must be non-negative with positive sum")
     if abs(target.sum() - 1.0) > 1e-9:

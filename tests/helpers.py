@@ -1,7 +1,6 @@
 """Shared builders for the test suite: small fixed networks, seeded random
 instances, and the two large synthetic fixtures the acceptance suite runs on."""
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -45,12 +44,8 @@ def random_instance(gen, n_lo=2, n_hi=40, m_lo=1, m_hi=6,
 
 
 def dense_synthetic(n_banks, seed, **kwargs):
-    """Default-config synthetic network with the renormalization warning muted."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        network, labels = cf.generate_synthetic(
-            cf.SyntheticConfig(n_banks=n_banks, **kwargs), seed)
-    return network, labels
+    """Default-config synthetic network."""
+    return cf.generate_synthetic(cf.SyntheticConfig(n_banks=n_banks, **kwargs), seed)
 
 
 @lru_cache(maxsize=1)
@@ -78,3 +73,26 @@ def bimodal_dense_2000(seed=7):
     sheets = [cf.BalanceSheet.from_holdings(f"b{i:04d}", w[i], leverage[i])
               for i in range(n)]
     return cf.network_from_sheets(sheets)
+
+
+def serial_pool(monkeypatch):
+    """Replace the lattice's ProcessPoolExecutor with an in-process stand-in
+    that starts no worker; returns the max_workers of each pool asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cf.evaluation, "ProcessPoolExecutor", SerialPool)
+    return sizes

@@ -38,3 +38,21 @@ def test_traced_phase_run_decomposes(tmp_path):
     assert m["cascade.rounds"] > 0
     assert m["cascade.barrier_tests"] > 0
     assert abs(m["evaluation.lattice_s"] - sum(m[k] for k in LATTICE_PARTS)) <= 1e-6
+
+
+def test_traced_eta_zero_phase_runs_each_cell_once(tmp_path):
+    cells = 5
+    argv = ["phase", "--synthetic", "n=60", "--p", "0.5", "--alpha", "0:1:0.25",
+            "--eta", "0", "--replicates", "4", "--seed", "4",
+            "--jobs", "1", "--out", str(tmp_path)]
+    tracer = tr.Tracer("tier1")
+    tr.install(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.timed("cli.main", cli.main)(argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    m = tr.layer_metrics(tracer.spans, tracer.meta)
+    assert m["cascade.calls"] == cells
+    assert m["evaluation.useful_cascade_ratio"] == 1.0

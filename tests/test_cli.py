@@ -7,6 +7,8 @@ import pytest
 
 from cascadefin import cli
 
+from helpers import serial_pool
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -325,8 +327,17 @@ MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
     (["run", "--input", MISSING, "--p", "1.5"], "--p: 1.5 is outside [0, 1]"),
     (["sweep", "--input", MISSING, "--p", "0:1.5:0.5"], "--p: 1.5 is outside [0, 1]"),
     (["run", "--input", MISSING, "--shock", "2:1.5"], "--shock 2:1.5: p 1.5 is outside [0, 1]"),
+    (["phase", "--input", MISSING, "--eta", "0", "--jobs", "0"],
+     "argument --jobs: must be >= 1, got 0"),
+    (["sweep", "--input", MISSING, "--jobs", "-3"], "argument --jobs: must be >= 1, got -3"),
+    (["roc", "--input", MISSING, "--p", "0:1:0.001", "--alpha", "0:1:0.001", "--eta", "0"],
+     "the grid has 1002001 cells, more than 1000000"),
+    (["sweep", "--input", MISSING, "--p", "0:1:0.0005", "--alpha", "0:1:0.001"],
+     "the grid has 2003001 cells, more than 1000000"),
+    (["run", "--input", MISSING, "--alpha", "0:inf:1"], "need finite lo <= hi and step > 0"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
-        "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5"])
+        "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "jobs-0",
+        "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite"])
 def test_bad_input_exits_2_before_loading(argv, message, capsys):
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
@@ -351,3 +362,24 @@ def test_label_cascade_out_of_domain_exits_2(capsys):
     assert "p must be in [0, 1]" in capsys.readouterr().err
     assert run_cli("run", "--synthetic", spec.format(0, 0.5) + ",label_seed=-1") == 2
     assert "label_seed must be non-negative" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_core_count(toy_csv, tmp_path, monkeypatch):
+    sizes = serial_pool(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert run_cli("phase", "--input", toy_csv, "--p", "0.6", "--alpha", "0:1:0.25",
+                   "--eta", "0", "--replicates", "2", "--jobs", "64",
+                   "--out", str(tmp_path)) == 0
+    assert sizes == [2]
+
+
+def test_range_counted_before_allocating(monkeypatch, capsys):
+    real_arange = cli.np.arange
+
+    def bounded_arange(lo, hi, step):
+        assert (hi - lo) / step <= cli.MAX_CELLS + 1, "allocated an oversized axis"
+        return real_arange(lo, hi, step)
+
+    monkeypatch.setattr(cli.np, "arange", bounded_arange)
+    assert run_cli("phase", "--input", MISSING, "--eta", "0", "--alpha", "0:1:1e-12") == 2
+    assert "--alpha: '0:1:1e-12' has more than 1000000 values" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 import cascadefin as cf
 from cascadefin.cascade import DOMAIN_CELL
 
-from helpers import dense_synthetic, make_network, toy_network
+from helpers import dense_synthetic, make_network, serial_pool, toy_network
 
 
 def three_bank_network():
@@ -254,3 +254,55 @@ def test_write_phase_csv(tmp_path):
     assert path.read_text() == ("alpha,mean_survival,ci_half,region\n"
                                 "0.0,0.5,,I\n"
                                 "1.0,0.0,,II\n")
+
+
+# --- eta = 0 cells run once ------------------------------------------------
+
+def counting_run_cascade(monkeypatch):
+    calls = []
+    real = cf.evaluation.run_cascade
+
+    def counted(network, params, **kw):
+        calls.append(params.eta)
+        return real(network, params, **kw)
+
+    monkeypatch.setattr(cf.evaluation, "run_cascade", counted)
+    return calls
+
+
+def test_eta_zero_cells_run_one_cascade(monkeypatch):
+    net, _ = dense_synthetic(60, seed=36)
+    reps, alphas, etas = 4, (0.0, 0.3, 0.6), (0.0, 0.1)
+    n0, n1 = len(alphas), len(alphas)   # eta = 0 cells, eta > 0 cells
+    calls = counting_run_cascade(monkeypatch)
+    cf.phase_scan(net, 0, {"alpha": alphas, "eta": etas}, {"p": 0.5},
+                  replicates=reps, seed=3)
+    assert len(calls) == n0 + reps * n1
+    calls.clear()
+    labels = [net.bank_ids[i] for i in range(0, net.n_banks, 3)]
+    cf.roc_grid(net, labels, 0, cf.SweepGrid(alphas, etas, (0.5,)),
+                seed=3, replicates=reps)
+    assert len(calls) == n0 + reps * n1
+    assert calls.count(0.0) == n0
+
+
+def test_eta_zero_phase_cell_is_exact():
+    net, _ = dense_synthetic(80, seed=37)
+    alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    diagram = cf.phase_scan(net, 0, {"alpha": alphas}, {"p": 0.5, "eta": 0.0},
+                            replicates=7, seed=5)
+    for i, alpha in enumerate(alphas):
+        result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, alpha, 0.0, seed=5))
+        assert diagram.mean_survival[i] == result.survival_fraction_all
+        assert diagram.ci_half[i] == 0.0
+
+
+def test_pool_is_never_larger_than_the_lattice(monkeypatch):
+    sizes = serial_pool(monkeypatch)
+    net = toy_network()
+    serial = cf.phase_scan(net, 0, {"alpha": [0.0, 1.0]}, {"p": 0.6, "eta": 0.0},
+                           replicates=2)
+    pooled = cf.phase_scan(net, 0, {"alpha": [0.0, 1.0]}, {"p": 0.6, "eta": 0.0},
+                           replicates=2, jobs=8)
+    assert sizes == [2]
+    assert np.array_equal(serial.mean_survival, pooled.mean_survival)

@@ -1,5 +1,7 @@
 """CSV ingestion, average-weight completion, labels, synthetic generation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,13 +246,24 @@ def test_synthetic_respects_mean_weights():
     assert np.max(np.abs(got - target)) < 0.01
 
 
-def test_synthetic_default_weights_renormalized_with_warning():
-    with pytest.warns(UserWarning, match="renormaliz"):
+def test_synthetic_default_weights_renormalized_silently():
+    # the defaults are known not to sum to 1; normalizing them is silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         net, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=2000), 13)
     target = cf.DEFAULT_MEAN_WEIGHTS / cf.DEFAULT_MEAN_WEIGHTS.sum()
     got = net.weights().mean(axis=0)
     # heavier tails at concentration 8, so a looser band than the uniform case
     assert np.max(np.abs(got - target)) < 0.02
+
+
+def test_synthetic_user_weights_renormalized_with_warning():
+    weights = (0.5, 0.25, 0.5)
+    with pytest.warns(UserWarning, match="renormaliz"):
+        net, _ = cf.generate_synthetic(
+            cf.SyntheticConfig(n_banks=2000, n_assets=3, mean_weights=weights), 14)
+    got = net.weights().mean(axis=0)
+    assert np.max(np.abs(got - np.array(weights) / 1.25)) < 0.02
 
 
 def test_synthetic_sparsity_leaves_no_empty_banks():
