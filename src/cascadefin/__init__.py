@@ -37,12 +37,10 @@ from .evaluation import (
     write_survival_csv,
 )
 from .ingestion import (
-    AverageWeights,
     GroundTruthLabels,
-    RawBalanceSheetRow,
+    RawTable,
     SchemaError,
     SyntheticConfig,
-    complete_balance_sheet,
     complete_dataset,
     compute_average_weights,
     generate_synthetic,
@@ -69,13 +67,12 @@ from .network import (
 )
 
 __all__ = [
-    "AssetCategory", "AssetGroup", "AverageWeights", "BalanceSheet",
-    "BankAssetNetwork", "CANONICAL_ASSET_CATEGORIES", "CascadeParams",
-    "CascadeResult", "DEFAULT_MEAN_WEIGHTS", "DistributionTable",
-    "GroundTruthLabels", "PhaseDiagram", "RNG_ALGORITHM", "RawBalanceSheetRow",
-    "RocPoint", "RoundState", "SURVIVED", "SchemaError", "SummaryStatistics",
-    "SweepGrid", "SweepRecord", "SyntheticConfig", "apply_fire_sales",
-    "apply_shock", "attribution_split", "complete_balance_sheet",
+    "AssetCategory", "AssetGroup", "BalanceSheet", "BankAssetNetwork",
+    "CANONICAL_ASSET_CATEGORIES", "CascadeParams", "CascadeResult",
+    "DEFAULT_MEAN_WEIGHTS", "DistributionTable", "GroundTruthLabels",
+    "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RocPoint", "RoundState",
+    "SURVIVED", "SchemaError", "SummaryStatistics", "SweepGrid", "SweepRecord",
+    "SyntheticConfig", "apply_fire_sales", "apply_shock", "attribution_split",
     "complete_dataset", "compute_average_weights", "evaluate_round",
     "failure_probability", "generate_synthetic", "labels_from_cascade",
     "load_completed_network", "load_labels", "load_raw_csv", "market_share",

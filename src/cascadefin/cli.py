@@ -251,19 +251,19 @@ def _out_dir(args) -> str:
 
 
 def cmd_ingest(args) -> int:
-    rows = load_raw_csv(args.input)
-    if not rows:
+    raw = load_raw_csv(args.input)
+    if not raw.bank_ids:
         raise SchemaError("no data rows in input")
-    sheets, report = complete_dataset(rows)
+    network, report = complete_dataset(raw)
     out = _out_dir(args)
     completed = os.path.join(out, "completed.csv")
-    save_completed_csv(sheets, completed)
+    save_completed_csv(network, completed)
     report_path = os.path.join(out, "repair_report.json")
     with open(report_path, "w") as fh:
-        json.dump({"rows": len(sheets), "repairs": report}, fh, indent=2)
+        json.dump({"rows": network.n_banks, "repairs": report}, fh, indent=2)
         fh.write("\n")
-    blanks = sum(1 for r in rows for v in r.holdings if v is None)
-    print(f"ingested {len(sheets)} banks ({blanks} blank cells completed, "
+    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))
+    print(f"ingested {network.n_banks} banks ({blanks} blank cells completed, "
           f"{len(report)} repaired rows) -> {completed}")
     return 0
 
@@ -395,9 +395,6 @@ def _add_network_flags(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed; required when eta > 0, "
                          "else falls back to CASCADEFIN_SEED or 0")
-    sp.add_argument("--jobs", type=_jobs, default=1,
-                    help="worker processes, at most the core count; "
-                         "never changes the output bytes")
     sp.add_argument("--out", help="output directory (file for run)")
 
 
@@ -447,6 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=DEFAULT_REGION_THRESHOLD,
                     help="region II when mean survival falls below this")
     sp.set_defaults(func=cmd_phase)
+
+    for name in ("sweep", "roc", "phase"):
+        sub.choices[name].add_argument("--jobs", type=_jobs, default=1, help="worker processes, "
+                                       "at most the core count; never changes the output bytes")
     return ap
 
 

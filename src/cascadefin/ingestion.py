@@ -3,9 +3,10 @@
 The on-disk schema is one header row
     bank_id,total_assets,total_liabilities,asset_00,...,asset_12
 with a blank asset cell meaning "not reported" (which is not the same as a
-zero holding). Completion distributes each bank's unexplained residual across
-its missing assets in proportion to the population-average weights, computed
-beforehand from the rows where the asset is present.
+zero holding), read as NaN into one RawTable of columns. Completion
+distributes each bank's unexplained residual across its missing assets in
+proportion to the population-average weights, computed beforehand from the
+rows where the asset is present.
 
 The synthetic generator substitutes for proprietary data at desk scale:
 log-normal bank sizes, Dirichlet-style portfolio weights around configurable
@@ -16,22 +17,28 @@ produced by running a reference cascade, never invented.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cascade import DOMAIN_SYNTHETIC, CascadeParams, run_cascade, stream
 from .network import (
     DEFAULT_MEAN_WEIGHTS,
-    BalanceSheet,
     BankAssetNetwork,
     FloatA,
+    IntA,
     generic_asset_categories,
 )
 
 COMPLETION_RTOL = 1e-9
 FIXED_COLUMNS = ("bank_id", "total_assets", "total_liabilities")
+# rows parsed or written at a time: bounds the Python objects alive at once
+BLOCK_ROWS = 256
+REPAIR_ACTIONS = ("rescaled_inconsistent_row", "redistributed_zero_row",
+                  "negative_residual_rescaled", "uniform_fill_zero_average_weights")
 
 
 class SchemaError(Exception):
@@ -42,15 +49,16 @@ def expected_columns(n_assets: int) -> list[str]:
     return list(FIXED_COLUMNS) + [f"asset_{m:02d}" for m in range(n_assets)]
 
 
-@dataclass
-class RawBalanceSheetRow:
-    """One CSV data row before completion; holdings entries may be None."""
+@dataclass(frozen=True)
+class RawTable:
+    """A balance-sheet CSV as arrays: holdings is N x M with NaN for each blank
+    cell, line_numbers the file line of each row."""
 
-    bank_id: str
-    total_assets: float
-    total_liabilities: float
-    holdings: list  # float or None per asset
-    line_number: int = 0
+    bank_ids: tuple
+    total_assets: FloatA
+    total_liabilities: FloatA
+    holdings: FloatA
+    line_numbers: IntA
 
 
 def _check_header(header: list[str]) -> int:
@@ -70,197 +78,186 @@ def _check_header(header: list[str]) -> int:
     return n_assets
 
 
-def _parse_cell(text: str, column: str, line_number: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(
-            f"row {line_number}: column {column!r} has non-numeric value {text!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise SchemaError(f"row {line_number}: column {column!r} is not finite")
-    return value
+def _row_error(line: int, rec: list, header: list, first: int) -> SchemaError:
+    """The first problem of a bad data row, checking its columns in order;
+    first is the line where the row's bank_id first appears."""
+    if len(rec) != len(header):
+        return SchemaError(f"row {line}: expected {len(header)} fields, found {len(rec)}")
+    bank_id = rec[0].strip()
+    if not bank_id:
+        return SchemaError(f"row {line}: empty bank_id")
+    if first != line:
+        return SchemaError(f"row {line}: duplicate bank_id {bank_id!r}, first on row {first}")
+    for k in range(1, len(rec)):
+        text = rec[k] if k < 3 else rec[k].strip()
+        if k >= 3 and not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            return SchemaError(f"row {line}: column {header[k]!r} has non-numeric value {text!r}")
+        if not math.isfinite(value):
+            return SchemaError(f"row {line}: column {header[k]!r} is not finite")
+        if k == 2 and (value < 0 or float(rec[1]) < 0):
+            return SchemaError(f"row {line}: negative totals")
+        if k >= 3 and value < 0:
+            return SchemaError(f"row {line}: negative holding {header[k]}")
 
 
-def load_raw_csv(path) -> list[RawBalanceSheetRow]:
-    """Read a balance-sheet CSV; blank asset cells become None."""
-    rows = []
+def _parse_block(block, header, first_line: dict) -> FloatA:
+    """The numbers of a block of (line, record) data rows: one row each of the
+    two totals and the holdings, NaN for a blank holding. Raises the
+    SchemaError of the block's first bad row."""
+    values, blanks = [], []
+    for line, rec in block:
+        bank_id = rec[0].strip()
+        first = first_line.setdefault(bank_id, line)
+        try:
+            if len(rec) != len(header) or not bank_id or first != line:
+                raise ValueError
+            cells = [c.strip() for c in rec[3:]]
+            values.append([float(rec[1]), float(rec[2]),
+                           *(float(c) if c else math.nan for c in cells)])
+        except ValueError:
+            break   # a bad row: no later row can be the first bad one
+        blanks.append(cells.count(""))
+    array = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 1)
+    # NaN from a blank cell is fine; a non-finite number written in a cell is not
+    bad = (np.count_nonzero(~np.isfinite(array), axis=1) != blanks) | (array < 0).any(axis=1)
+    if bad.any() or len(values) < len(block):
+        line, rec = block[int(np.argmax(bad)) if bad.any() else len(values)]
+        raise _row_error(line, rec, header, first_line[rec[0].strip()])
+    return array
+
+
+def load_raw_csv(path) -> RawTable:
+    """Read a balance-sheet CSV; blank asset cells become NaN. A bad file
+    raises SchemaError for its first bad row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: missing header row") from None
-        n_assets = _check_header(header)
-        for line_number, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
-                continue
-            if len(rec) != len(header):
-                raise SchemaError(
-                    f"row {line_number}: expected {len(header)} fields, found {len(rec)}"
-                )
-            bank_id = rec[0].strip()
-            if not bank_id:
-                raise SchemaError(f"row {line_number}: empty bank_id")
-            total_a = _parse_cell(rec[1], "total_assets", line_number)
-            total_l = _parse_cell(rec[2], "total_liabilities", line_number)
-            if total_a < 0 or total_l < 0:
-                raise SchemaError(f"row {line_number}: negative totals")
-            holdings = []
-            for m in range(n_assets):
-                cell = rec[3 + m].strip()
-                if cell == "":
-                    holdings.append(None)
-                else:
-                    v = _parse_cell(cell, f"asset_{m:02d}", line_number)
-                    if v < 0:
-                        raise SchemaError(f"row {line_number}: negative holding asset_{m:02d}")
-                    holdings.append(v)
-            rows.append(RawBalanceSheetRow(bank_id, total_a, total_l, holdings, line_number))
-    return rows
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty file: missing header row")
+        _check_header(header)
+        records = ((line, rec) for line, rec in enumerate(reader, start=2)
+                   if rec and not (len(rec) == 1 and rec[0].strip() == ""))
+        first_line, lines, blocks = {}, [], []
+        while block := list(itertools.islice(records, BLOCK_ROWS)):
+            blocks.append(_parse_block(block, header, first_line))
+            lines += [line for line, _ in block]
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(header) - 1))
+    # first_line holds every bank_id once, in row order
+    return RawTable(tuple(first_line), values[:, 0].copy(), values[:, 1].copy(),
+                    np.ascontiguousarray(values[:, 2:]), np.array(lines))
 
 
-@dataclass(frozen=True)
-class AverageWeights:
-    """Population-average portfolio weight per asset, from present cells only."""
-
-    values: FloatA           # NaN where no row reports the asset
-    contributing: np.ndarray  # row counts per asset
-
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.values)
+def compute_average_weights(raw: RawTable) -> FloatA:
+    """Per asset m, the mean of B_{i,m}/B_i over the rows that report m and
+    have B_i > 0; NaN where no row does."""
+    reported = (raw.total_assets > 0)[:, None] & ~np.isnan(raw.holdings)
+    return np.array([np.mean(raw.holdings[rows, m] / raw.total_assets[rows]) if rows.any()
+                     else np.nan for m, rows in enumerate(reported.T)])
 
 
-def compute_average_weights(rows) -> AverageWeights:
-    """Mean of B_{i,m}/B_i over the rows that actually report asset m."""
-    if not rows:
-        raise ValueError("no rows")
-    n_assets = len(rows[0].holdings)
-    values = np.full(n_assets, np.nan)
-    counts = np.zeros(n_assets, dtype=np.int64)
-    for m in range(n_assets):
-        contrib = [r.holdings[m] / r.total_assets for r in rows
-                   if r.holdings[m] is not None and r.total_assets > 0]
-        counts[m] = len(contrib)
-        if contrib:
-            values[m] = np.mean(np.array(contrib))
-    return AverageWeights(values, counts)
+def _row_sums(values, mask) -> FloatA:
+    """np.sum over each row's cells where mask holds, in column order.
+
+    Numpy's pairwise summation groups a row of 8 or more cells by position, so
+    a zero-filled row sum can differ in the last bit; instead each row's cells
+    are packed to the left and the rows are summed by count."""
+    packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    counts = np.count_nonzero(mask, axis=1)
+    sums = np.zeros(len(counts))
+    for k in np.unique(counts):
+        rows = counts == k
+        sums[rows] = packed[rows, :k].sum(axis=1)
+    return sums
 
 
-def complete_balance_sheet(row: RawBalanceSheetRow, avg: AverageWeights):
-    """Fill a row's missing assets, returning (BalanceSheet, repair or None).
+def complete_dataset(raw: RawTable):
+    """Complete every row; returns (network, repair report in row order).
 
-    The residual R = B - sum(known) is split across the missing assets in
-    proportion to their average weights. Inconsistent rows are repaired rather
-    than dropped; every repair is reported as a dict {row_id, action, residual}.
+    A row's residual R = B - sum(known) is split across its missing assets in
+    proportion to their average weights, or evenly when those sum to 0
+    (uniform_fill_zero_average_weights). A row without blanks that is off its
+    total B is scaled to it (rescaled_inconsistent_row) or, when all zero,
+    filled as if every cell were blank (redistributed_zero_row); known
+    holdings above B are scaled to it and the blanks get 0
+    (negative_residual_rescaled). Each repair is a {row_id, action, residual}.
     """
-    b = row.total_assets
-    known = [v for v in row.holdings if v is not None]
-    missing = [m for m, v in enumerate(row.holdings) if v is None]
-    known_sum = float(np.sum(known)) if known else 0.0
+    avg = compute_average_weights(raw)
+    b = raw.total_assets
+    missing = np.isnan(raw.holdings)
+    has_missing = missing.any(axis=1)
+    known_sum = _row_sums(raw.holdings, ~missing)
     residual = b - known_sum
-    tol = COMPLETION_RTOL * max(b, 1.0)
-    repair = None
-    filled = list(row.holdings)
+    tol = COMPLETION_RTOL * np.maximum(b, 1.0)
+    off = ~has_missing & (np.abs(residual) > tol)
+    rescaled = off & (known_sum > 0)
+    zero = off & (known_sum <= 0)
+    negative = has_missing & (residual < -tol)
 
-    if not missing:
-        if abs(residual) > tol:
-            if known_sum > 0:
-                scale = b / known_sum
-                filled = [v * scale for v in filled]
-                repair = {"row_id": row.bank_id, "action": "rescaled_inconsistent_row",
-                          "residual": residual}
-            else:
-                # all-zero holdings yet a positive total: fall back to averages
-                filled = _spread(b, list(range(len(filled))), avg, row.bank_id)
-                repair = {"row_id": row.bank_id, "action": "redistributed_zero_row",
-                          "residual": residual}
-    else:
-        undefined = [m for m in missing if np.isnan(avg.values[m])]
-        if undefined:
-            raise ValueError(
-                f"bank {row.bank_id}: asset {undefined[0]} missing but its average "
-                "weight is undefined (no row reports it)"
-            )
-        if residual < -tol:
-            if known_sum <= 0:
-                raise ValueError(f"bank {row.bank_id}: negative residual with no known holdings")
-            scale = b / known_sum
-            filled = [0.0 if v is None else v * scale for v in filled]
-            sheet = BalanceSheet(row.bank_id, np.array(filled, dtype=np.float64),
-                                 b, row.total_liabilities)
-            return sheet, {"row_id": row.bank_id, "action": "negative_residual_rescaled",
-                           "residual": residual}
-        r = max(residual, 0.0)
-        weight_sum = float(np.sum([avg.values[m] for m in missing]))
-        if weight_sum > 0.0:
-            for m in missing:
-                filled[m] = r * avg.values[m] / weight_sum
-        else:
-            share = r / len(missing)
-            for m in missing:
-                filled[m] = share
-            if r > tol:
-                repair = {"row_id": row.bank_id, "action": "uniform_fill_zero_average_weights",
-                          "residual": residual}
+    fill = missing | zero[:, None]
+    undefined = fill & np.isnan(avg)
+    failing = undefined.any(axis=1) | (negative & (known_sum <= 0))
+    if failing.any():
+        i = int(np.argmax(failing))
+        bank = raw.bank_ids[i]
+        if zero[i]:
+            raise ValueError(f"bank {bank}: average weight undefined for redistribution")
+        if undefined[i].any():
+            raise ValueError(f"bank {bank}: asset {int(np.argmax(undefined[i]))} missing but "
+                             "its average weight is undefined (no row reports it)")
+        raise ValueError(f"bank {bank}: negative residual with no known holdings")
 
-    sheet = BalanceSheet(row.bank_id, np.array(filled, dtype=np.float64),
-                         b, row.total_liabilities)
-    return sheet, repair
+    weight_sum = _row_sums(np.broadcast_to(avg, fill.shape), fill)[:, None]
+    r = np.where(negative, 0.0, np.maximum(residual, 0.0))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.where(weight_sum > 0, r * avg / weight_sum, r / fill.sum(axis=1)[:, None])
+        scale = np.where(rescaled | negative, b / known_sum, 1.0)[:, None]
+    holdings = np.where(fill, share, raw.holdings * scale)
 
-
-def _spread(total, assets, avg, bank_id):
-    weights = [avg.values[m] for m in assets]
-    if any(np.isnan(w) for w in weights):
-        raise ValueError(f"bank {bank_id}: average weight undefined for redistribution")
-    s = float(np.sum(weights))
-    if s <= 0:
-        return [total / len(assets)] * len(assets)
-    return [total * w / s for w in weights]
-
-
-def complete_dataset(rows, avg: AverageWeights = None):
-    """Complete every row. Returns (list of BalanceSheet, repair report list)."""
-    if avg is None:
-        avg = compute_average_weights(rows)
-    sheets, report = [], []
-    for row in rows:
-        sheet, repair = complete_balance_sheet(row, avg)
-        sheets.append(sheet)
-        if repair is not None:
-            report.append(repair)
-    return sheets, report
+    uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)
+    action = np.select([rescaled, zero, negative, uniform], [0, 1, 2, 3], default=-1)
+    report = [{"row_id": raw.bank_ids[i], "action": REPAIR_ACTIONS[action[i]],
+               "residual": float(residual[i])} for i in np.flatnonzero(action >= 0)]
+    return network_from_sheets(replace(raw, holdings=holdings)), report
 
 
 def network_from_sheets(sheets) -> BankAssetNetwork:
-    return BankAssetNetwork.from_balance_sheets(sheets)
+    """The network of a RawTable without blanks, or of a list of BalanceSheet."""
+    if not isinstance(sheets, RawTable):
+        return BankAssetNetwork.from_balance_sheets(sheets)
+    if not sheets.bank_ids:
+        raise ValueError("empty network")
+    return BankAssetNetwork(sheets.bank_ids, sheets.holdings, sheets.total_assets,
+                            sheets.total_liabilities,
+                            generic_asset_categories(sheets.holdings.shape[1]))
 
 
 def load_completed_network(path) -> BankAssetNetwork:
     """Load a CSV that must have no blanks (i.e. already completed)."""
-    rows = load_raw_csv(path)
-    for row in rows:
-        for m, v in enumerate(row.holdings):
-            if v is None:
-                raise SchemaError(
-                    f"row {row.line_number}: blank asset_{m:02d}; run ingest first"
-                )
-    sheets = [BalanceSheet(r.bank_id, np.array(r.holdings, dtype=np.float64),
-                           r.total_assets, r.total_liabilities) for r in rows]
-    return network_from_sheets(sheets)
+    raw = load_raw_csv(path)
+    blank = np.argwhere(np.isnan(raw.holdings))
+    if blank.size:
+        i, m = blank[0]
+        raise SchemaError(f"row {raw.line_numbers[i]}: blank asset_{m:02d}; run ingest first")
+    return network_from_sheets(raw)
 
 
-def save_completed_csv(sheets, path):
-    """Write completed sheets back out in the canonical schema."""
-    sheets = list(sheets)
-    n_assets = len(sheets[0].holdings) if sheets else 0
+def save_completed_csv(network, path):
+    """Write a network, or a list of BalanceSheet, in the canonical schema."""
+    if not isinstance(network, BankAssetNetwork):
+        network = network_from_sheets(network)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(expected_columns(n_assets))
-        for s in sheets:
-            writer.writerow([s.bank_id, repr(float(s.total_assets)),
-                             repr(float(s.total_liabilities))]
-                            + [repr(float(v)) for v in s.holdings])
+        writer.writerow(expected_columns(network.n_assets))
+        columns = np.column_stack([network.total_assets, network.total_liabilities,
+                                   network.holdings])
+        for lo in range(0, network.n_banks, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            writer.writerows([bank_id, *map(repr, values)] for bank_id, values
+                             in zip(network.bank_ids[rows], columns[rows].tolist()))
 
 
 @dataclass(frozen=True)
@@ -340,6 +337,8 @@ class SyntheticConfig:
             raise ValueError("sparsity must be in [0, 1)")
         if not 0.0 <= self.leverage_low <= self.leverage_high:
             raise ValueError("need 0 <= leverage_low <= leverage_high")
+        if not (self.concentration > 0 and self.size_median > 0):
+            raise ValueError("concentration and median must be positive")
 
 
 def _target_weights(config: SyntheticConfig) -> FloatA:

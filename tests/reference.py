@@ -1,4 +1,5 @@
-"""Straight-line reference cascade used as an oracle by the test suite.
+"""Straight-line reference cascade and row-by-row balance-sheet completion,
+used as oracles by the test suite.
 
 Deliberately naive: explicit per-bank holdings updated with python loops, no
 vectorization, no shortcuts. The production engine tracks holdings through a
@@ -19,6 +20,8 @@ still be 1 when the shock lands).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
@@ -142,3 +145,85 @@ def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
         "boundaries": boundaries,
         "non_converged": non_converged,
     }
+
+
+def _average_weights(rows):
+    """Per asset, the mean of B_{i,m}/B_i over the rows that report it (NaN if none)."""
+    values = []
+    for m in range(len(rows[0][2])):
+        contrib = [h[m] / b for _, b, h in rows if h[m] is not None and b > 0]
+        values.append(np.mean(np.array(contrib)) if contrib else np.nan)
+    return values
+
+
+def _spread(total, assets, avg, bank_id):
+    weights = [avg[m] for m in assets]
+    if any(np.isnan(w) for w in weights):
+        raise ValueError(f"bank {bank_id}: average weight undefined for redistribution")
+    s = float(np.sum(weights))
+    if s <= 0:
+        return [total / len(assets)] * len(assets)
+    return [total * w / s for w in weights]
+
+
+def _complete_row(bank_id, b, holdings, avg):
+    """(filled holdings, repair or None) of one row; holdings entries may be None."""
+    known = [v for v in holdings if v is not None]
+    missing = [m for m, v in enumerate(holdings) if v is None]
+    known_sum = float(np.sum(known)) if known else 0.0
+    residual = b - known_sum
+    tol = 1e-9 * max(b, 1.0)
+    filled = list(holdings)
+
+    if not missing:
+        if abs(residual) <= tol:
+            return filled, None
+        if known_sum > 0:
+            scale = b / known_sum
+            return [v * scale for v in filled], {
+                "row_id": bank_id, "action": "rescaled_inconsistent_row", "residual": residual}
+        # all-zero holdings yet a positive total: fall back to averages
+        return _spread(b, list(range(len(filled))), avg, bank_id), {
+            "row_id": bank_id, "action": "redistributed_zero_row", "residual": residual}
+    undefined = [m for m in missing if np.isnan(avg[m])]
+    if undefined:
+        raise ValueError(f"bank {bank_id}: asset {undefined[0]} missing but its average "
+                         "weight is undefined (no row reports it)")
+    if residual < -tol:
+        if known_sum <= 0:
+            raise ValueError(f"bank {bank_id}: negative residual with no known holdings")
+        scale = b / known_sum
+        return [0.0 if v is None else v * scale for v in filled], {
+            "row_id": bank_id, "action": "negative_residual_rescaled", "residual": residual}
+    r = max(residual, 0.0)
+    weight_sum = float(np.sum([avg[m] for m in missing]))
+    repair = None
+    if weight_sum > 0.0:
+        for m in missing:
+            filled[m] = r * avg[m] / weight_sum
+    else:
+        for m in missing:
+            filled[m] = r / len(missing)
+        if r > tol:
+            repair = {"row_id": bank_id, "action": "uniform_fill_zero_average_weights",
+                      "residual": residual}
+    return filled, repair
+
+
+def complete_rows(bank_ids, total_assets, holdings):
+    """Row-by-row completion: (average weights, N x M completed holdings,
+    repair report).
+
+    holdings is N x M with NaN for a blank cell. Each row is completed on its
+    own in Python floats and lists, as a check on the columnar arithmetic.
+    """
+    rows = [(bank_id, float(b), [None if np.isnan(v) else float(v) for v in h])
+            for bank_id, b, h in zip(bank_ids, total_assets, holdings)]
+    avg = _average_weights(rows)
+    filled, report = [], []
+    for bank_id, b, h in rows:
+        values, repair = _complete_row(bank_id, b, h, avg)
+        filled.append(values)
+        if repair is not None:
+            report.append(repair)
+    return np.array(avg), np.array(filled, dtype=np.float64).reshape(holdings.shape), report

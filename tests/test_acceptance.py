@@ -265,35 +265,30 @@ def criterion_8():
     """Completion of a 20%-blanked dataset: totals restored, means exact."""
     net = dense_synthetic(500, seed=SEED)[0]
     mask = cf.stream(SEED, 8).random(net.holdings.shape) < 0.2
-    rows = []
-    for i, bank in enumerate(net.bank_ids):
-        cells = [None if mask[i, m] else float(net.holdings[i, m])
-                 for m in range(net.n_assets)]
-        rows.append(cf.RawBalanceSheetRow(bank, float(net.total_assets[i]),
-                                          float(net.total_liabilities[i]),
-                                          cells, i + 2))
+    raw = cf.RawTable(net.bank_ids, net.total_assets, net.total_liabilities,
+                      np.where(mask, np.nan, net.holdings), np.arange(net.n_banks) + 2)
     blanks = int(mask.sum())
     assert blanks > 0
-    sheets, _ = cf.complete_dataset(rows)
-    totals = np.array([s.holdings.sum() for s in sheets])
+    completed, _ = cf.complete_dataset(raw)
+    totals = np.array([row.sum() for row in completed.holdings])
     assert np.all(np.abs(totals - net.total_assets)
                   <= 1e-9 * np.maximum(net.total_assets, 1.0)), \
         "completion must restore every row sum to its reported total"
 
-    averages = cf.compute_average_weights(rows)
+    averages = cf.compute_average_weights(raw)
     for m in range(net.n_assets):
-        contrib = np.array([r.holdings[m] / r.total_assets for r in rows
-                            if r.holdings[m] is not None])
+        contrib = np.array([net.holdings[i, m] / net.total_assets[i]
+                            for i in range(net.n_banks) if not mask[i, m]])
         assert contrib.size > 0
-        assert averages.values[m] == np.mean(contrib), f"asset {m} mean not exact"
+        assert averages[m] == np.mean(contrib), f"asset {m} mean not exact"
 
     with tempfile.TemporaryDirectory() as td:
         first = os.path.join(td, "completed.csv")
-        cf.save_completed_csv(sheets, first)
-        sheets2, report2 = cf.complete_dataset(cf.load_raw_csv(first))
+        cf.save_completed_csv(completed, first)
+        completed2, report2 = cf.complete_dataset(cf.load_raw_csv(first))
         assert report2 == [], "re-completing a completed file must change nothing"
         second = os.path.join(td, "again.csv")
-        cf.save_completed_csv(sheets2, second)
+        cf.save_completed_csv(completed2, second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read(), "completion is not idempotent"
     return f"500 banks, {blanks} blank cells ({blanks / mask.size:.1%})"

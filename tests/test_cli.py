@@ -74,6 +74,17 @@ def test_ingest_completes_and_is_idempotent(tmp_path, capsys):
     assert report2["repairs"] == []
 
 
+def test_duplicate_bank_id_is_a_schema_error(tmp_path, capsys):
+    raw = tmp_path / "dup.csv"
+    raw.write_text(TRIO_CSV + "B,100.0,50.0,100.0\n")
+    message = "row 5: duplicate bank_id 'B', first on row 3"
+    assert run_cli("ingest", "--input", str(raw), "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert run_cli("run", "--input", str(raw)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_ingest_rejects_bad_schema(tmp_path, capsys):
     raw = tmp_path / "bad.csv"
     raw.write_text("name,total_assets,total_liabilities,asset_00\nA,1,1,1\n")
@@ -335,9 +346,17 @@ MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
     (["sweep", "--input", MISSING, "--p", "0:1:0.0005", "--alpha", "0:1:0.001"],
      "the grid has 2003001 cells, more than 1000000"),
     (["run", "--input", MISSING, "--alpha", "0:inf:1"], "need finite lo <= hi and step > 0"),
+    (["run", "--synthetic", "n=10,concentration=0"],
+     "--synthetic: concentration and median must be positive"),
+    (["run", "--synthetic", "n=10,concentration=-1"],
+     "--synthetic: concentration and median must be positive"),
+    (["run", "--synthetic", "n=10,median=-5"],
+     "--synthetic: concentration and median must be positive"),
+    (["run", "--input", MISSING, "--jobs", "2"], "unrecognized arguments: --jobs 2"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "jobs-0",
-        "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite"])
+        "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
+        "concentration-0", "concentration-negative", "median-negative", "run-jobs"])
 def test_bad_input_exits_2_before_loading(argv, message, capsys):
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err

@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 import cascadefin as cf
-from cascadefin.ingestion import RawBalanceSheetRow, expected_columns
+from cascadefin import ingestion
+from cascadefin.ingestion import expected_columns
 
 from helpers import dense_synthetic
 
+nan = np.nan
 
-def row(bank_id, total_a, total_l, holdings, line=2):
-    return RawBalanceSheetRow(bank_id, total_a, total_l, list(holdings), line)
+
+def table(*rows):
+    """RawTable of (bank_id, total_assets, total_liabilities, holdings) rows;
+    a None holding is a blank cell."""
+    ids, assets, liabilities, holdings = zip(*rows)
+    return cf.RawTable(ids, np.array(assets), np.array(liabilities),
+                       np.array([[nan if v is None else v for v in h] for h in holdings]),
+                       np.arange(len(rows)) + 2)
 
 
 def write(path, text):
@@ -27,10 +35,12 @@ def test_load_raw_csv_blank_means_missing(tmp_path):
                  "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
                  "b1,100.0,90.0,40.0,\n"
                  "b2,50.0,30.0,,10.0\n")
-    rows = cf.load_raw_csv(path)
-    assert rows[0].holdings == [40.0, None]
-    assert rows[1].holdings == [None, 10.0]
-    assert rows[0].line_number == 2
+    raw = cf.load_raw_csv(path)
+    assert raw.bank_ids == ("b1", "b2")
+    assert raw.total_assets.tolist() == [100.0, 50.0]
+    assert raw.total_liabilities.tolist() == [90.0, 30.0]
+    assert np.array_equal(raw.holdings, [[40.0, nan], [nan, 10.0]], equal_nan=True)
+    assert raw.line_numbers.tolist() == [2, 3]
 
 
 def test_load_raw_csv_header_is_checked(tmp_path):
@@ -62,6 +72,46 @@ def test_load_raw_csv_rejects_bad_cells(tmp_path):
         cf.load_raw_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", " nan ", "inf", "-inf", "Infinity"])
+def test_load_raw_csv_rejects_non_finite_numbers_not_blanks(tmp_path, cell):
+    # NaN marks a blank cell in the table; a number that reads NaN is not one
+    path = write(tmp_path / "raw.csv",
+                 "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+                 f"b1,10,5,4,\nb2,10,5,{cell},\n")
+    with pytest.raises(cf.SchemaError, match=r"^row 3: column 'asset_00' is not finite$"):
+        cf.load_raw_csv(path)
+    path = write(tmp_path / "totals.csv",
+                 "bank_id,total_assets,total_liabilities,asset_00\n"
+                 f"b1,{cell},5,4\n")
+    with pytest.raises(cf.SchemaError, match=r"^row 2: column 'total_assets' is not finite$"):
+        cf.load_raw_csv(path)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+def test_load_raw_csv_reports_first_bad_row_across_blocks(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    head = "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+    good = "".join(f"b{i},10,5,5,{'' if i % 2 else 5}\n" for i in range(5))
+    raw = cf.load_raw_csv(write(tmp_path / "good.csv", head + good + "\n"))
+    assert raw.bank_ids == tuple(f"b{i}" for i in range(5))
+    assert raw.line_numbers.tolist() == [2, 3, 4, 5, 6]
+    assert np.isnan(raw.holdings[:, 1]).tolist() == [False, True, False, True, False]
+    # row 4's negative holding comes before row 5's malformed row and row 6's text
+    bad = head + "a,10,5,5,5\nb,10,5,5,5\nc,10,5,-1,5\nd,1\ne,10,5,x,5\n"
+    with pytest.raises(cf.SchemaError, match=r"^row 4: negative holding asset_00$"):
+        cf.load_raw_csv(write(tmp_path / "bad.csv", bad))
+
+
+def test_load_raw_csv_rejects_duplicate_bank_id(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", 2)
+    path = write(tmp_path / "dup.csv",
+                 "bank_id,total_assets,total_liabilities,asset_00\n"
+                 "a,10,5,10\nb,10,5,10\nc,10,5,10\n a ,10,5,10\n")
+    with pytest.raises(cf.SchemaError,
+                       match=r"^row 5: duplicate bank_id 'a', first on row 2$"):
+        cf.load_raw_csv(path)
+
+
 def test_expected_columns():
     assert expected_columns(2) == ["bank_id", "total_assets", "total_liabilities",
                                    "asset_00", "asset_01"]
@@ -70,22 +120,17 @@ def test_expected_columns():
 # --- average weights -----------------------------------------------------
 
 def test_average_weights_mean_over_present_rows():
-    rows = [
-        row("a", 100.0, 50.0, [25.0, None]),
-        row("b", 100.0, 50.0, [75.0, 10.0]),
-    ]
-    avg = cf.compute_average_weights(rows)
-    assert avg.values[0] == 0.5          # mean of 0.25 and 0.75, exact
-    assert avg.values[1] == 0.1          # only row b reports asset 1
-    assert avg.contributing.tolist() == [2, 1]
-    assert avg.defined().tolist() == [True, True]
+    raw = table(("a", 100.0, 50.0, [25.0, None]),
+                ("b", 100.0, 50.0, [75.0, 10.0]))
+    avg = cf.compute_average_weights(raw)
+    assert avg[0] == 0.5          # mean of 0.25 and 0.75, exact
+    assert avg[1] == 0.1          # only row b reports asset 1
 
 
 def test_average_weights_undefined_when_nobody_reports():
-    rows = [row("a", 100.0, 50.0, [100.0, None])]
-    avg = cf.compute_average_weights(rows)
-    assert np.isnan(avg.values[1])
-    assert avg.defined().tolist() == [True, False]
+    avg = cf.compute_average_weights(table(("a", 100.0, 50.0, [100.0, None])))
+    assert avg[0] == 1.0
+    assert np.isnan(avg[1])
 
 
 # --- completion ----------------------------------------------------------
@@ -93,77 +138,69 @@ def test_average_weights_undefined_when_nobody_reports():
 def test_completion_worked_example():
     # residual 60 split over two missing assets with average weights 0.1 and
     # 0.3 lands 15 and 45 on them
-    donor = row("donor", 100.0, 50.0, [60.0, 10.0, 30.0])
-    target = row("t", 100.0, 80.0, [40.0, None, None])
-    avg = cf.compute_average_weights([donor, target])
-    assert avg.values[1] == 0.1 and avg.values[2] == 0.3
-    sheet, repair = cf.complete_balance_sheet(target, avg)
-    assert repair is None
-    assert sheet.holdings[0] == 40.0
-    assert np.allclose(sheet.holdings[1:], [15.0, 45.0], rtol=1e-12)
-    assert sheet.holdings.sum() == pytest.approx(100.0, rel=1e-9)
+    raw = table(("donor", 100.0, 50.0, [60.0, 10.0, 30.0]),
+                ("t", 100.0, 80.0, [40.0, None, None]))
+    avg = cf.compute_average_weights(raw)
+    assert avg[1] == 0.1 and avg[2] == 0.3
+    net, report = cf.complete_dataset(raw)
+    assert report == []
+    assert net.holdings[1, 0] == 40.0
+    assert np.allclose(net.holdings[1, 1:], [15.0, 45.0], rtol=1e-12)
+    assert net.holdings[1].sum() == pytest.approx(100.0, rel=1e-9)
 
 
 def test_completion_consistent_row_passes_through():
-    r = row("a", 100.0, 50.0, [60.0, 40.0])
-    sheet, repair = cf.complete_balance_sheet(r, cf.compute_average_weights([r]))
-    assert repair is None
-    assert sheet.holdings.tolist() == [60.0, 40.0]
+    net, report = cf.complete_dataset(table(("a", 100.0, 50.0, [60.0, 40.0])))
+    assert report == []
+    assert net.holdings[0].tolist() == [60.0, 40.0]
 
 
 def test_completion_rescales_inconsistent_row():
-    r = row("a", 100.0, 50.0, [25.0, 25.0])
-    sheet, repair = cf.complete_balance_sheet(r, cf.compute_average_weights([r]))
-    assert repair["action"] == "rescaled_inconsistent_row"
-    assert sheet.holdings.tolist() == [50.0, 50.0]
+    net, report = cf.complete_dataset(table(("a", 100.0, 50.0, [25.0, 25.0])))
+    assert [r["action"] for r in report] == ["rescaled_inconsistent_row"]
+    assert net.holdings[0].tolist() == [50.0, 50.0]
 
 
 def test_completion_redistributes_zero_row():
-    donor = row("d", 100.0, 50.0, [25.0, 75.0])
-    r = row("a", 100.0, 50.0, [0.0, 0.0])
-    sheet, repair = cf.complete_balance_sheet(r, cf.compute_average_weights([donor, r]))
-    assert repair["action"] == "redistributed_zero_row"
-    assert sheet.holdings.sum() == pytest.approx(100.0, rel=1e-9)
-    assert sheet.holdings[1] > sheet.holdings[0]
+    net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [25.0, 75.0]),
+                                            ("a", 100.0, 50.0, [0.0, 0.0])))
+    assert report == [{"row_id": "a", "action": "redistributed_zero_row", "residual": 100.0}]
+    assert net.holdings[1].sum() == pytest.approx(100.0, rel=1e-9)
+    assert net.holdings[1, 1] > net.holdings[1, 0]
 
 
 def test_completion_negative_residual_rescales_known():
-    donor = row("d", 100.0, 50.0, [50.0, 25.0, 25.0])
-    r = row("a", 100.0, 80.0, [80.0, 40.0, None])
-    sheet, repair = cf.complete_balance_sheet(r, cf.compute_average_weights([donor, r]))
-    assert repair["action"] == "negative_residual_rescaled"
-    assert sheet.holdings[2] == 0.0
-    assert sheet.holdings.sum() == pytest.approx(100.0, rel=1e-9)
+    net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [50.0, 25.0, 25.0]),
+                                            ("a", 100.0, 80.0, [80.0, 40.0, None])))
+    assert [r["action"] for r in report] == ["negative_residual_rescaled"]
+    assert net.holdings[1, 2] == 0.0
+    assert net.holdings[1].sum() == pytest.approx(100.0, rel=1e-9)
     # known holdings keep their ratio
-    assert sheet.holdings[0] / sheet.holdings[1] == pytest.approx(2.0, rel=1e-12)
+    assert net.holdings[1, 0] / net.holdings[1, 1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_completion_errors_on_undefined_average():
-    r = row("a", 100.0, 50.0, [40.0, None])
-    avg = cf.compute_average_weights([r])
     with pytest.raises(ValueError, match="average weight is undefined"):
-        cf.complete_balance_sheet(r, avg)
+        cf.complete_dataset(table(("a", 100.0, 50.0, [40.0, None])))
 
 
 def test_completion_uniform_fill_when_averages_are_zero():
-    donor = row("d", 100.0, 50.0, [100.0, 0.0, 0.0])
-    r = row("a", 100.0, 50.0, [40.0, None, None])
-    sheet, repair = cf.complete_balance_sheet(r, cf.compute_average_weights([donor, r]))
-    assert repair["action"] == "uniform_fill_zero_average_weights"
-    assert sheet.holdings.tolist() == [40.0, 30.0, 30.0]
+    net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [100.0, 0.0, 0.0]),
+                                            ("a", 100.0, 50.0, [40.0, None, None])))
+    assert [r["action"] for r in report] == ["uniform_fill_zero_average_weights"]
+    assert net.holdings[1].tolist() == [40.0, 30.0, 30.0]
 
 
 def test_complete_dataset_collects_repairs():
-    donor = row("d", 100.0, 50.0, [60.0, 40.0])
-    broken = row("x", 100.0, 50.0, [10.0, 10.0], line=3)
-    sheets, report = cf.complete_dataset([donor, broken])
-    assert len(sheets) == 2
+    net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [60.0, 40.0]),
+                                            ("x", 100.0, 50.0, [10.0, 10.0])))
+    assert net.bank_ids == ("d", "x")
     assert [r["row_id"] for r in report] == ["x"]
 
 
 # --- completed round trips -----------------------------------------------
 
-def test_save_load_round_trip_is_exact(tmp_path):
+def test_save_load_round_trip_is_exact(tmp_path, monkeypatch):
     net, _ = dense_synthetic(40, seed=17)
     path = tmp_path / "completed.csv"
     cf.save_completed_csv(net.banks, path)
@@ -176,6 +213,11 @@ def test_save_load_round_trip_is_exact(tmp_path):
     path2 = tmp_path / "again.csv"
     cf.save_completed_csv(loaded.banks, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a network is written column by column, a block of rows at a time
+    path3 = tmp_path / "network.csv"
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", 7)
+    cf.save_completed_csv(loaded, path3)
+    assert path.read_bytes() == path3.read_bytes()
 
 
 def test_load_completed_rejects_blanks(tmp_path):
@@ -297,5 +339,9 @@ def test_synthetic_config_validation():
         cf.SyntheticConfig(n_banks=5, sparsity=1.0)
     with pytest.raises(ValueError):
         cf.SyntheticConfig(n_banks=5, leverage_low=0.9, leverage_high=0.8)
+    for bad in ({"concentration": 0.0}, {"concentration": -1.0}, {"size_median": -5.0},
+                {"size_median": float("nan")}):
+        with pytest.raises(ValueError, match="must be positive"):
+            cf.SyntheticConfig(n_banks=5, **bad)
     with pytest.raises(ValueError, match="length"):
         cf.generate_synthetic(cf.SyntheticConfig(n_banks=5, mean_weights=(0.5, 0.5)), 1)

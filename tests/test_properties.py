@@ -1,16 +1,19 @@
 """Property tests: the engine against the reference loop on random instances,
-and the lattice analyses against themselves across --jobs."""
+the lattice analyses against themselves across --jobs, and columnar
+completion against the row-by-row reference."""
 
+import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascadefin as cf
 
 from helpers import make_network, random_instance
-from reference import brute_force_cascade
+from reference import brute_force_cascade, complete_rows
 
 # derandomized, so every run of the suite checks the same examples
 ENGINE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -111,3 +114,54 @@ def test_phase_scan_same_at_jobs_2(market, alphas, eta_grid, replicates):
     else:
         assert serial.ci_half is None and parallel.ci_half is None
     assert np.array_equal(serial.region, parallel.region)
+
+
+@st.composite
+def raw_tables(draw):
+    """(total assets, holdings with NaN blanks) of up to 8 banks and 16
+    assets, so rows reach numpy's pairwise summation blocks. Rows may be
+    consistent, off their total either way (with or without blanks), all
+    zero with a positive total, or have a zero total; some columns hold only
+    zeros, and row 0 may be a complete donor row."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 16))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+    holdings = np.array(draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                      min_size=n, max_size=n)))
+    holdings[:, sorted(draw(st.sets(st.integers(0, m - 1), max_size=m)))] = 0.0
+    blank = np.array(draw(st.lists(st.lists(st.sampled_from([False, False, False, True]),
+                                            min_size=m, max_size=m),
+                                   min_size=n, max_size=n)))
+    factor = np.array(draw(st.lists(st.one_of(st.sampled_from([1.0, 0.0]),
+                                              st.floats(0.5, 1.5)),
+                                    min_size=n, max_size=n)))
+    totals = holdings.sum(axis=1) * factor
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        holdings[i] = 0.0
+        blank[i] = False
+        totals[i] = draw(st.floats(1.0, 1e6))
+    if draw(st.booleans()):
+        blank[0] = False
+        totals[0] = holdings[0].sum()
+    return totals, np.where(blank, np.nan, holdings)
+
+
+@ENGINE
+@given(raw_tables())
+def test_completion_matches_row_by_row_reference(tab):
+    totals, holdings = tab
+    ids = tuple(f"b{i}" for i in range(len(totals)))
+    raw = cf.RawTable(ids, totals, 0.9 * totals, holdings, np.arange(len(ids)) + 2)
+    try:
+        avg, expect, report = complete_rows(ids, totals, holdings)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            cf.complete_dataset(raw)
+        assert str(got.value) == str(e)
+        return
+    assert cf.compute_average_weights(raw).tobytes() == avg.tobytes()
+    net, got_report = cf.complete_dataset(raw)
+    assert net.holdings.tobytes() == expect.tobytes()
+    assert json.dumps(got_report) == json.dumps(report)
+    sums = net.holdings.sum(axis=1)
+    assert np.all(np.abs(sums - totals) <= 1e-9 * np.maximum(totals, 1.0))
