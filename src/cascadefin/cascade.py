@@ -10,6 +10,13 @@ current position in asset m is its original holding times the asset's
 cumulative price index, so the factorization invariant holds by construction
 and bank totals are cheap to recompute each round.
 
+Screening: prices only fall, so every bank carries a certified lower bound on
+its total: its total when its row was last summed, times the smallest price
+factor of each later shock or fire sale, less a rounding margin. A barrier
+pass sums only the rows of banks whose bound lies below their threshold; every
+other bank provably survives the round. Fates, draws and prices are those of
+summing every row (see evaluate_round).
+
 Randomness: PCG64 streams derived from (seed, spawn key) via SeedSequence, so
 per-cell streams in sweeps are independent of execution order. eta = 0 draws
 nothing and is fully deterministic regardless of seed.
@@ -35,6 +42,12 @@ SURVIVED = -1  # fate value; failed banks carry the failing round (0 = pre-shock
 
 # every model parameter lies in the closed interval [0, PARAM_UPPER[name]]
 PARAM_UPPER = {"p": 1.0, "alpha": 1.0, "eta": 0.5}
+
+# below this, rounding errors are absolute rather than relative: a bound
+# screens a bank only from this value up, and a positive price falling below
+# it zeroes every bound
+BOUND_FLOOR = 2.0 ** -900
+EPS = float(np.finfo(np.float64).eps)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -98,6 +111,12 @@ class RoundState:
     Current positions of alive banks are holdings_base * price_index. Rows of
     banks that already failed are excluded from every sum, so that product is
     only meaningful where alive is True.
+
+    bound holds each bank's certified lower bound on its current total, 0.0
+    until its row is first summed; evaluate_round skips the banks it proves
+    solvent. It stays a lower bound only while every price change goes through
+    apply_shock or apply_fire_sales. Code that changes price_index any other
+    way must zero bound first, or banks that can fail are skipped.
     """
 
     alive: BoolA
@@ -105,6 +124,10 @@ class RoundState:
     market_value: FloatA
     holdings_base: FloatA
     liabilities: FloatA
+    bound: FloatA = field(init=False)
+
+    def __post_init__(self):
+        self.bound = np.zeros(self.alive.size)
 
 
 def failure_probability(b: float, l: float, eta: float) -> float:
@@ -131,6 +154,7 @@ def apply_shock(state: RoundState, params: CascadeParams) -> list:
     Assets with zero market value are skipped with a warning; returns their
     indices.
     """
+    factor = np.ones_like(state.price_index)
     skipped = []
     for m, p in params.shocked_assets.items():
         if m < 0 or m >= state.price_index.size:
@@ -139,28 +163,74 @@ def apply_shock(state: RoundState, params: CascadeParams) -> list:
             warnings.warn(f"shocked asset {m} has zero market value; shock skipped")
             skipped.append(m)
             continue
-        state.price_index[m] *= p
-        state.market_value[m] *= p
+        factor[m] = p
+    state.market_value *= factor
+    _scale_prices(state, factor)
     return skipped
+
+
+def _scale_prices(state: RoundState, factor: FloatA) -> None:
+    """Multiply each asset's price index by its factor (in [0, 1]) and every
+    bound by the smallest factor, less the margin proved in evaluate_round."""
+    prices = state.price_index * factor
+    if ((prices < BOUND_FLOOR) & (state.price_index > 0.0)).any():
+        state.bound[:] = 0.0
+    else:
+        state.bound *= factor.min() * (1.0 - max(1e-12, 4.0 * factor.size * EPS))
+    state.price_index[:] = prices
 
 
 def evaluate_round(state: RoundState, params: CascadeParams,
                    rng: np.random.Generator) -> IntA:
     """One simultaneous barrier evaluation over the alive banks.
 
-    Recomputes every alive bank's total assets at the current (pre-round)
-    prices, draws fresh r_i ~ Uniform[0, eta] in ascending bank order, and
-    fails banks with totals below (1 - r_i) * L_i. Marks them dead and returns
-    their indices (ascending).
+    Draws fresh r_i ~ Uniform[0, eta] for every alive bank in ascending bank
+    order and fails the banks whose total assets at the current (pre-round)
+    prices lie below the threshold (1 - r_i) * L_i. Marks them dead and
+    returns their indices (ascending).
+
+    Screening: a bank's row is summed only when its bound is below its
+    threshold or below BOUND_FLOOR, and each summed total becomes its bound.
+    Any other bank has total >= bound >= threshold, so it cannot fail, as long
+    as the bound never exceeds the total that summing its row would give.
+    Proof of that, with u = eps / 2 the unit roundoff and M assets; S is a
+    bank's exact sum of h_m P_m at the current prices:
+    - Totals. A computed total lies within a relative gamma = M u / (1 - M u)
+      of S, give or take an absolute d = M 2^-1075 from products that
+      underflow, since all M terms are >= 0.
+    - Prices. A shock or fire sale sets P'_m = fl(P_m f_m) with f_m in
+      [0, 1]: a shock's p, or a sale's deduction (>= 0) over market value.
+      _scale_prices zeroes every bound when a positive price falls below
+      BOUND_FLOOR; otherwise every rounding is relative, so the new exact
+      sum is S' >= (1 - u) g S, with g the smallest f_m.
+    - Bound. Each update sets b' = fl(b fl(g fl(1 - s))) <= b g (1 - s)
+      (1 + u)^3, with s = max(1e-12, 4 M eps) >= 2 gamma + 4 u. So a bound
+      only falls until its row is summed again, and a bound >= BOUND_FLOOR
+      came from bounds that all were.
+    If b <= (1 + gamma) S + d, as a summed total is, then to first order
+    b' <= (1 - gamma) S' - d - (s - 2 gamma - 4 u) g S + 2 d. For
+    b' >= BOUND_FLOOR = 2^-900 the slack term exceeds 2 d by far, so b' lies
+    below the computed total, and b' again satisfies the premise. At M = 13
+    the rounding terms come to ~3e-15 against s = 1e-12. A clamped factor or
+    a zero p takes a positive price to 0, so it zeroes every bound and forces
+    a full pass.
+
+    The draws are taken for every alive bank, screened or not, so screening
+    does not move the rng stream, and a row's sum does not depend on which
+    other rows are gathered with it.
     """
     alive_idx = np.flatnonzero(state.alive)
-    totals = (state.holdings_base[alive_idx] * state.price_index).sum(axis=1)
-    liab = state.liabilities[alive_idx]
-    if params.eta == 0.0:
-        failed = totals < liab
-    else:
-        failed = totals < (1.0 - rng.random(alive_idx.size) * params.eta) * liab
-    failures = alive_idx[failed]
+    threshold = state.liabilities[alive_idx]
+    if params.eta != 0.0:
+        threshold = (1.0 - rng.random(alive_idx.size) * params.eta) * threshold
+    # positions, among the alive banks, of those no bound clears
+    unsure = np.flatnonzero(state.bound[alive_idx] < np.maximum(threshold, BOUND_FLOOR))
+    rows = alive_idx[unsure]
+    positions = state.holdings_base[rows]
+    positions *= state.price_index    # in place: no second N x M temporary
+    totals = positions.sum(axis=1)
+    state.bound[rows] = totals
+    failures = rows[totals < threshold[unsure]]
     state.alive[failures] = False
     return failures
 
@@ -185,7 +255,7 @@ def apply_fire_sales(state: RoundState, failures: IntA, params: CascadeParams) -
     factor = np.ones_like(a)
     np.divide(remaining, a, out=factor, where=a > 0.0)
     clamped = np.flatnonzero(factor < 0.0).tolist()
-    state.price_index *= np.maximum(factor, 0.0)
+    _scale_prices(state, np.maximum(factor, 0.0))
     np.maximum(remaining, 0.0, out=a)
     return clamped
 

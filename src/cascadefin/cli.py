@@ -252,8 +252,6 @@ def _out_dir(args) -> str:
 
 def cmd_ingest(args) -> int:
     raw = load_raw_csv(args.input)
-    if not raw.bank_ids:
-        raise SchemaError("no data rows in input")
     network, report = complete_dataset(raw)
     out = _out_dir(args)
     completed = os.path.join(out, "completed.csv")

@@ -132,7 +132,7 @@ def _parse_block(block, header, first_line: dict) -> FloatA:
 
 def load_raw_csv(path) -> RawTable:
     """Read a balance-sheet CSV; blank asset cells become NaN. A bad file
-    raises SchemaError for its first bad row."""
+    raises SchemaError for its first bad row, or for having no data row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -145,7 +145,9 @@ def load_raw_csv(path) -> RawTable:
         while block := list(itertools.islice(records, BLOCK_ROWS)):
             blocks.append(_parse_block(block, header, first_line))
             lines += [line for line, _ in block]
-    values = np.concatenate(blocks) if blocks else np.empty((0, len(header) - 1))
+    if not blocks:
+        raise SchemaError("no data rows in input")
+    values = np.concatenate(blocks)
     # first_line holds every bank_id once, in row order
     return RawTable(tuple(first_line), values[:, 0].copy(), values[:, 1].copy(),
                     np.ascontiguousarray(values[:, 2:]), np.array(lines))
@@ -204,10 +206,10 @@ def complete_dataset(raw: RawTable):
         i = int(np.argmax(failing))
         bank = raw.bank_ids[i]
         if zero[i]:
-            raise ValueError(f"bank {bank}: average weight undefined for redistribution")
+            raise SchemaError(f"bank {bank}: average weight undefined for redistribution")
         if undefined[i].any():
-            raise ValueError(f"bank {bank}: asset {int(np.argmax(undefined[i]))} missing but "
-                             "its average weight is undefined (no row reports it)")
+            raise SchemaError(f"bank {bank}: asset {int(np.argmax(undefined[i]))} missing but "
+                              "its average weight is undefined (no row reports it)")
         raise ValueError(f"bank {bank}: negative residual with no known holdings")
 
     weight_sum = _row_sums(np.broadcast_to(avg, fill.shape), fill)[:, None]

@@ -9,7 +9,7 @@ import cascadefin as cf
 from cascadefin.network import generic_asset_categories
 
 
-def make_network(holdings, liabilities, ids=None):
+def make_network(holdings, liabilities, ids=None, market_value=None):
     holdings = np.asarray(holdings, dtype=np.float64)
     liabilities = np.asarray(liabilities, dtype=np.float64)
     n, m = holdings.shape
@@ -21,6 +21,7 @@ def make_network(holdings, liabilities, ids=None):
         total_assets=holdings.sum(axis=1),
         total_liabilities=liabilities,
         assets=generic_asset_categories(m),
+        market_value=market_value,
     )
 
 

@@ -1,5 +1,6 @@
-"""Straight-line reference cascade and row-by-row balance-sheet completion,
-used as oracles by the test suite.
+"""Straight-line reference cascade, unscreened barrier pass, bank-by-bank ROC
+counts and row-by-row balance-sheet completion, used as oracles by the test
+suite.
 
 Deliberately naive: explicit per-bank holdings updated with python loops, no
 vectorization, no shortcuts. The production engine tracks holdings through a
@@ -21,16 +22,23 @@ still be 1 when the shock lands).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from cascadefin import CascadeParams, SchemaError, run_cascade, stream
+from cascadefin.cascade import DOMAIN_CELL
 
 
 def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
-                        max_rounds=None):
+                        max_rounds=None, market=None):
     """Run one cascade the slow way.
 
     holdings     N x M nested lists (or anything indexable) of non-negative floats
     liabilities  length-N list
     shocks       dict {asset index: p}
+    market       per-asset tracked market values A_m; the holdings' column
+                 sums when None
     rng          numpy Generator; only consulted when eta > 0. Draw discipline
                  matches the engine: one uniform per alive bank per round, in
                  ascending bank order (the final zero-failure round included).
@@ -46,10 +54,13 @@ def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
     if max_rounds is None:
         max_rounds = 10 * n
 
-    market = [0.0] * m
-    for a in range(m):
-        for i in range(n):
-            market[a] += hold[i][a]
+    if market is None:
+        market = [0.0] * m
+        for a in range(m):
+            for i in range(n):
+                market[a] += hold[i][a]
+    else:
+        market = [float(v) for v in market]
 
     price = [1.0] * m
     alive = [True] * n
@@ -147,6 +158,51 @@ def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
     }
 
 
+def full_barrier_round(state, params, rng):
+    """The barrier pass without screening: sums every alive bank's row, with
+    the draws and arithmetic of cascade.evaluate_round, so the two can be
+    compared bit for bit by patching it in."""
+    alive_idx = np.flatnonzero(state.alive)
+    totals = (state.holdings_base[alive_idx] * state.price_index).sum(axis=1)
+    threshold = state.liabilities[alive_idx]
+    if params.eta != 0.0:
+        threshold = (1.0 - rng.random(alive_idx.size) * params.eta) * threshold
+    failures = alive_idx[totals < threshold]
+    state.alive[failures] = False
+    return failures
+
+
+def brute_force_roc(network, labels, asset, alphas, etas, ps, seed, replicates):
+    """ROC counts recomputed bank by bank from every replicate's fates.
+
+    Runs every replicate of every (alpha, eta, p) cell, eta = 0 cells
+    included, on the lattice's streams. A bank is model-failed when more than
+    half of the replicates fail it in round 1 or later, and counts towards the
+    first step when at least half of those failing runs failed it in round 1.
+    Returns one (alpha, eta, p, split, tp, fp) per cell and split, in
+    roc_grid's order.
+    """
+    labels = set(labels)
+    positive = [bank in labels for bank in network.bank_ids]
+    out = []
+    cells = itertools.product(alphas, etas, ps)
+    for i, (alpha, eta, p) in enumerate(cells):
+        params = CascadeParams.single(asset, p, alpha, eta, seed=seed)
+        fates = [run_cascade(network, params, rng=stream(seed, DOMAIN_CELL, i, r)).failed_round
+                 for r in range(replicates)]
+        counts = {"full": [0, 0], "first_step": [0, 0], "consecutive_steps": [0, 0]}
+        for b in range(network.n_banks):
+            failing = [int(f[b]) for f in fates if f[b] >= 1]
+            if 2 * len(failing) <= replicates:
+                continue
+            first = 2 * failing.count(1) >= len(failing)
+            column = 0 if positive[b] else 1
+            counts["full"][column] += 1
+            counts["first_step" if first else "consecutive_steps"][column] += 1
+        out += [(alpha, eta, p, split, tp, fp) for split, (tp, fp) in counts.items()]
+    return out
+
+
 def _average_weights(rows):
     """Per asset, the mean of B_{i,m}/B_i over the rows that report it (NaN if none)."""
     values = []
@@ -159,7 +215,7 @@ def _average_weights(rows):
 def _spread(total, assets, avg, bank_id):
     weights = [avg[m] for m in assets]
     if any(np.isnan(w) for w in weights):
-        raise ValueError(f"bank {bank_id}: average weight undefined for redistribution")
+        raise SchemaError(f"bank {bank_id}: average weight undefined for redistribution")
     s = float(np.sum(weights))
     if s <= 0:
         return [total / len(assets)] * len(assets)
@@ -187,8 +243,8 @@ def _complete_row(bank_id, b, holdings, avg):
             "row_id": bank_id, "action": "redistributed_zero_row", "residual": residual}
     undefined = [m for m in missing if np.isnan(avg[m])]
     if undefined:
-        raise ValueError(f"bank {bank_id}: asset {undefined[0]} missing but its average "
-                         "weight is undefined (no row reports it)")
+        raise SchemaError(f"bank {bank_id}: asset {undefined[0]} missing but its average "
+                          "weight is undefined (no row reports it)")
     if residual < -tol:
         if known_sum <= 0:
             raise ValueError(f"bank {bank_id}: negative residual with no known holdings")

@@ -169,6 +169,62 @@ def test_evaluate_round_simultaneous_at_fixed_prices():
     assert failures.tolist() == [0, 1]
 
 
+class RowCounter(np.ndarray):
+    """A holdings matrix that records how many rows each integer index gathers."""
+
+    def __getitem__(self, idx):
+        if isinstance(idx, np.ndarray) and idx.dtype.kind == "i":
+            self.gathered.append(idx.size)
+        return np.asarray(self)[idx]
+
+
+def screening_run(market_value):
+    # A is far from its barrier, B next to it, and C, next to its barrier
+    # too, holds only asset 1; p = 0.5 shocks asset 0 and alpha is 0.5
+    holdings = np.array([[100.0, 0.0], [100.0, 0.0], [0.0, 100.0]]).view(RowCounter)
+    state = cf.RoundState(alive=np.ones(3, dtype=bool), price_index=np.ones(2),
+                          market_value=np.array(market_value), holdings_base=holdings,
+                          liabilities=np.array([10.0, 95.0, 99.0]))
+    params = cf.CascadeParams.single(0, 0.5, 0.5, 0.0)
+
+    def barrier():
+        # (failed banks, rows summed) of one pass
+        holdings.gathered = []
+        failures = cf.evaluate_round(state, params, None)
+        return failures.tolist(), holdings.gathered
+
+    return state, params, barrier
+
+
+def test_barrier_pass_skips_banks_their_bound_proves_solvent():
+    state, params, barrier = screening_run([200.0, 100.0])
+    assert barrier() == ([], [3])       # no bound yet: every row is summed
+    cf.apply_shock(state, params)
+    # the shock halves every bound to 50: A, against 10, is skipped, and B
+    # (against 95) and C (against 99) are summed
+    assert barrier() == ([1], [2])
+    assert 50.0 - 1e-9 < state.bound[0] < 50.0
+    assert state.bound[2] == 100.0
+    assert cf.apply_fire_sales(state, np.array([1]), params) == []
+    # factor 0.75 on asset 0: A's bound falls to 37.5, still above its 10,
+    # and C's to 75, so only C is summed
+    assert barrier() == ([], [1])
+    assert 37.5 - 1e-9 < state.bound[0] < 37.5
+    assert state.bound[2] == 100.0
+
+
+def test_clamped_fire_sale_forces_a_full_pass():
+    # asset 0 is tracked at 30, below its holdings, so B's sale clamps it
+    state, params, barrier = screening_run([30.0, 100.0])
+    assert barrier() == ([], [3])
+    cf.apply_shock(state, params)
+    assert barrier() == ([1], [2])
+    assert cf.apply_fire_sales(state, np.array([1]), params) == [0]
+    # the clamp zeroed every bound: A and C are summed again, and A fails at
+    # price 0
+    assert barrier() == ([0], [2])
+
+
 # --- fire sale -----------------------------------------------------------
 
 def test_fire_sale_worked_example():

@@ -92,6 +92,17 @@ def test_ingest_rejects_bad_schema(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def test_ingest_rejects_a_column_nobody_reports(tmp_path, capsys):
+    raw = tmp_path / "blank_column.csv"
+    raw.write_text(TWO_ASSET_CSV.splitlines(keepends=True)[0] +
+                   "a,10,5,10,\n"
+                   "b,10,5,5,\n")
+    assert run_cli("ingest", "--input", str(raw), "--out", str(tmp_path / "out")) == 2
+    assert ("schema error: bank a: asset 1 missing but its average weight is undefined"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # --- run -----------------------------------------------------------------
 
 def test_run_prints_cascade_json(toy_csv, capsys):
@@ -322,6 +333,7 @@ def test_config_errors(toy_csv, tmp_path, capsys):
 # --- bad inputs are usage errors, caught before any network is built -------
 
 MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
+HEADER_ONLY = "<a CSV with a header and no data row>"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -353,11 +365,17 @@ MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
     (["run", "--synthetic", "n=10,median=-5"],
      "--synthetic: concentration and median must be positive"),
     (["run", "--input", MISSING, "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["run", "--input", HEADER_ONLY], "schema error: no data rows in input"),
+    (["ingest", "--input", HEADER_ONLY], "schema error: no data rows in input"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
-        "concentration-0", "concentration-negative", "median-negative", "run-jobs"])
-def test_bad_input_exits_2_before_loading(argv, message, capsys):
+        "concentration-0", "concentration-negative", "median-negative", "run-jobs",
+        "run-header-only", "ingest-header-only"])
+def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
+    argv = [str(header_only) if arg == HEADER_ONLY else arg for arg in argv]
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
 

@@ -180,7 +180,8 @@ def test_completion_negative_residual_rescales_known():
 
 
 def test_completion_errors_on_undefined_average():
-    with pytest.raises(ValueError, match="average weight is undefined"):
+    # a column nobody reports is bad input, not a failure of the completion
+    with pytest.raises(cf.SchemaError, match="average weight is undefined"):
         cf.complete_dataset(table(("a", 100.0, 50.0, [40.0, None])))
 
 

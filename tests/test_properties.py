@@ -1,9 +1,12 @@
 """Property tests: the engine against the reference loop on random instances,
-the lattice analyses against themselves across --jobs, and columnar
-completion against the row-by-row reference."""
+screened barrier passes against full ones, nested survivor sets, the lattice
+analyses against themselves across --jobs and the ROC reducer against a
+bank-by-bank count, and columnar completion against the row-by-row
+reference."""
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import cascadefin as cf
 
 from helpers import make_network, random_instance
-from reference import brute_force_cascade, complete_rows
+from reference import brute_force_cascade, brute_force_roc, complete_rows, full_barrier_round
 
 # derandomized, so every run of the suite checks the same examples
 ENGINE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -66,6 +69,78 @@ def test_engine_matches_reference(instance):
 
 
 @st.composite
+def barrier_instances(draw):
+    """(holdings, liabilities, market values, shocks, alpha, eta, seed) that
+    put banks at or next to the barrier. Holdings are multiples of 1/8, so a
+    row sums exactly in any order and a total can equal its liabilities;
+    leverage is 1, just below 1, or 0 (a bank without liabilities); alpha
+    near 1 sells off nearly a whole market, so price factors come close to 0;
+    markets shrunk below the holdings' sum make sales clamp; p may be 0."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 4))
+    eighths = st.integers(0, 800).map(lambda k: k / 8.0)
+    holdings = np.array(draw(st.lists(st.lists(eighths, min_size=m, max_size=m),
+                                      min_size=n, max_size=n)))
+    leverage = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([1.0, 1.0 - 1e-12, 0.0]), st.floats(0.9, 1.0)),
+        min_size=n, max_size=n)))
+    shrink = np.array(draw(st.lists(st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+                                    min_size=m, max_size=m)))
+    shocks = draw(st.dictionaries(
+        st.integers(0, m - 1), st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.8, 1.0)),
+        min_size=1, max_size=m))
+    alpha = draw(st.one_of(st.sampled_from([1.0, 1.0 - 1e-9, 0.5]), st.floats(0.9, 1.0)))
+    eta = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (holdings, leverage * holdings.sum(axis=1), holdings.sum(axis=0) * shrink,
+            shocks, alpha, eta, seed)
+
+
+@ENGINE
+@given(barrier_instances())
+def test_screening_changes_nothing_at_the_barrier(instance):
+    holdings, liabilities, market, shocks, alpha, eta, seed = instance
+    net = make_network(holdings, liabilities, market_value=market)
+    params = cf.CascadeParams(alpha=alpha, eta=eta, shocked_assets=shocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = cf.run_cascade(net, params, rng=cf.stream(seed))
+        with mock.patch.object(cf.cascade, "evaluate_round", full_barrier_round):
+            full = cf.run_cascade(net, params, rng=cf.stream(seed))
+    # summing every row gives the same run, to the bit
+    assert res.failed_round.tobytes() == full.failed_round.tobytes()
+    assert res.failures_per_round == full.failures_per_round
+    assert res.price_trajectory.tobytes() == full.price_trajectory.tobytes()
+    assert res.market_value.tobytes() == full.market_value.tobytes()
+    assert res.diagnostics == full.diagnostics
+    ref = brute_force_cascade(holdings.tolist(), liabilities.tolist(), shocks,
+                              alpha, eta, rng=cf.stream(seed), market=market.tolist())
+    assert res.failed_round.tolist() == ref["failed_round"]
+    assert res.rounds_executed == ref["rounds"]
+    assert res.failures_per_round == ref["failures_per_round"]
+    assert np.allclose(res.price_index, ref["price_index"], rtol=0.0, atol=1e-12)
+
+
+@ENGINE
+@given(instances(), prices, prices, prices, prices)
+def test_survivor_sets_nest_at_eta_zero(instance, p1, p2, alpha1, alpha2):
+    # a deeper shock or a larger alpha never saves a bank
+    holdings, liabilities, _, _, _, _ = instance
+    net = make_network(holdings, liabilities)
+
+    def survivors(p, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = cf.run_cascade(net, cf.CascadeParams.single(0, p, alpha, 0.0))
+        return set(np.flatnonzero(res.survived).tolist())
+
+    p_lo, p_hi = sorted((p1, p2))
+    a_lo, a_hi = sorted((alpha1, alpha2))
+    assert survivors(p_lo, a_hi) <= survivors(p_lo, a_lo) <= survivors(p_hi, a_lo)
+    assert survivors(p_lo, a_hi) <= survivors(p_hi, a_hi) <= survivors(p_hi, a_lo)
+
+
+@st.composite
 def small_markets(draw):
     """A random network of up to 30 banks and a label set drawn from it."""
     seed = draw(st.integers(0, 2**32 - 1))
@@ -98,6 +173,23 @@ def test_roc_grid_same_at_jobs_2(market, ps, alphas, eta_grid, replicates):
     assert len(serial) == 3 * grid.n_cells
     assert cf.roc_grid(net, labels, 0, grid, seed=seed, replicates=replicates,
                        jobs=2) == serial
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_markets(), grids, grids, etas, st.integers(1, 4))
+def test_roc_grid_matches_bank_by_bank_count(market, ps, alphas, eta_grid, replicates):
+    # even replicate counts put banks on a tied vote, which is not a majority
+    net, labels, seed = market
+    grid = cf.SweepGrid(tuple(alphas), tuple(eta_grid), tuple(ps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        points = cf.roc_grid(net, labels, 0, grid, seed=seed, replicates=replicates)
+        expect = brute_force_roc(net, labels, 0, alphas, eta_grid, ps, seed, replicates)
+    n_pos = len(labels)
+    assert [(pt.alpha, pt.eta, pt.p, pt.split, pt.true_positives) for pt in points] == \
+        [cell[:5] for cell in expect]
+    assert [(pt.tpr, pt.fpr) for pt in points] == \
+        [(tp / n_pos, fp / (net.n_banks - n_pos)) for *_, tp, fp in expect]
 
 
 @LATTICE
@@ -154,8 +246,8 @@ def test_completion_matches_row_by_row_reference(tab):
     raw = cf.RawTable(ids, totals, 0.9 * totals, holdings, np.arange(len(ids)) + 2)
     try:
         avg, expect, report = complete_rows(ids, totals, holdings)
-    except ValueError as e:
-        with pytest.raises(ValueError) as got:
+    except (ValueError, cf.SchemaError) as e:
+        with pytest.raises(type(e)) as got:
             cf.complete_dataset(raw)
         assert str(got.value) == str(e)
         return
