@@ -30,7 +30,7 @@ def main():
             label_cascade=cf.CascadeParams.single(0, args.p, 0.0, 0.0)),
         args.seed)
 
-    n_failed = len(labels.ids)
+    n_failed = len(labels)
     print(f"{args.n} banks, shock p={args.p} on asset 0: "
           f"{n_failed} failed ({n_failed / args.n:.1%})")
 
@@ -49,7 +49,7 @@ def main():
         print(f"  [{lo:.2f}, {hi:.2f})  {bar(mass_all):<18} {bar(mass_failed)}")
 
     ratios = (network.total_assets - network.total_liabilities) / network.total_assets
-    failed_idx = [network.index_of(b) for b in labels]
+    failed_idx = network.indices_of(labels)
     print()
     print(f"median equity ratio, all banks:    {np.median(ratios):.4f}")
     print(f"median equity ratio, failed banks: {np.median(ratios[failed_idx]):.4f}")

@@ -21,7 +21,7 @@ truth_params = cf.CascadeParams.single(TRUTH["asset"], TRUTH["p"],
                                        TRUTH["alpha"], TRUTH["eta"])
 labels = cf.labels_from_cascade(network, truth_params)
 print(f"{N} banks; ground truth from (p={TRUTH['p']}, alpha={TRUTH['alpha']}): "
-      f"{len(labels.ids)} failed banks")
+      f"{len(labels)} failed banks")
 
 result = cf.run_cascade(network, truth_params, labels=labels)
 split = cf.attribution_split(result, labels, network)

@@ -37,7 +37,6 @@ from .evaluation import (
     write_survival_csv,
 )
 from .ingestion import (
-    GroundTruthLabels,
     RawTable,
     SchemaError,
     SyntheticConfig,
@@ -50,7 +49,6 @@ from .ingestion import (
     load_raw_csv,
     network_from_sheets,
     save_completed_csv,
-    save_labels,
 )
 from .network import (
     CANONICAL_ASSET_CATEGORIES,
@@ -61,23 +59,19 @@ from .network import (
     BankAssetNetwork,
     DistributionTable,
     SummaryStatistics,
-    market_share,
     summary_statistics,
-    weight,
 )
 
 __all__ = [
     "AssetCategory", "AssetGroup", "BalanceSheet", "BankAssetNetwork",
     "CANONICAL_ASSET_CATEGORIES", "CascadeParams", "CascadeResult",
-    "DEFAULT_MEAN_WEIGHTS", "DistributionTable", "GroundTruthLabels",
-    "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RocPoint", "RoundState",
-    "SURVIVED", "SchemaError", "SummaryStatistics", "SweepGrid", "SweepRecord",
-    "SyntheticConfig", "apply_fire_sales", "apply_shock", "attribution_split",
-    "complete_dataset", "compute_average_weights", "evaluate_round",
-    "failure_probability", "generate_synthetic", "labels_from_cascade",
-    "load_completed_network", "load_labels", "load_raw_csv", "market_share",
-    "network_from_sheets", "phase_scan", "roc_grid", "run_cascade",
-    "save_completed_csv", "save_labels", "stream", "summary_statistics",
-    "survival_curves", "weight", "write_phase_csv", "write_roc_csv",
-    "write_survival_csv",
+    "DEFAULT_MEAN_WEIGHTS", "DistributionTable", "PhaseDiagram", "RNG_ALGORITHM",
+    "RawTable", "RocPoint", "RoundState", "SURVIVED", "SchemaError",
+    "SummaryStatistics", "SweepGrid", "SweepRecord", "SyntheticConfig",
+    "apply_fire_sales", "apply_shock", "attribution_split", "complete_dataset",
+    "compute_average_weights", "evaluate_round", "failure_probability",
+    "generate_synthetic", "labels_from_cascade", "load_completed_network",
+    "load_labels", "load_raw_csv", "network_from_sheets", "phase_scan", "roc_grid",
+    "run_cascade", "save_completed_csv", "stream", "summary_statistics",
+    "survival_curves", "write_phase_csv", "write_roc_csv", "write_survival_csv",
 ]

@@ -282,6 +282,8 @@ def cmd_run(args) -> int:
             raise UsageError(f"--shock: expected asset:p, got {extra!r}") from None
         if not 0.0 <= p_m <= PARAM_UPPER["p"]:
             raise UsageError(f"--shock {extra}: p {p_m!r} is outside [0, 1]")
+        if m in shocks:
+            raise UsageError(f"--shock {extra}: asset {m} is already shocked")
         shocks[m] = p_m
     seed = _resolve_seed(args, [eta])
     network, synth_labels, _ = _resolve_network(args, seed)
@@ -335,6 +337,10 @@ def cmd_roc(args) -> int:
     if labels is None:
         raise UsageError("roc requires --labels (or a --synthetic label cascade)")
     _check_asset(network, args.asset)
+    n_pos = network.indices_of(labels).size
+    if n_pos in (0, network.n_banks):
+        raise UsageError(f"roc needs at least one positive and one negative bank; the labels "
+                         f"give {n_pos} positive and {network.n_banks - n_pos} negative")
     grid = SweepGrid(tuple(alphas), tuple(etas), tuple(ps))
     points = roc_grid(network, labels, args.asset, grid, seed=seed,
                       replicates=args.replicates, jobs=args.jobs)

@@ -55,14 +55,11 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A full (alpha, eta, p) lattice, enumerated in fixed order."""
+    """A full (alpha, eta, p) lattice; roc_grid runs its cells alpha-major."""
 
     alphas: tuple
     etas: tuple
     ps: tuple
-
-    def cells(self):
-        return enumerate(itertools.product(self.alphas, self.etas, self.ps))
 
     @property
     def n_cells(self):

@@ -229,7 +229,11 @@ def complete_dataset(raw: RawTable):
 def network_from_sheets(sheets) -> BankAssetNetwork:
     """The network of a RawTable without blanks, or of a list of BalanceSheet."""
     if not isinstance(sheets, RawTable):
-        return BankAssetNetwork.from_balance_sheets(sheets)
+        sheets = list(sheets)
+        sheets = RawTable(tuple(s.bank_id for s in sheets),
+                          np.array([s.total_assets for s in sheets]),
+                          np.array([s.total_liabilities for s in sheets]),
+                          np.array([s.holdings for s in sheets]), line_numbers=None)
     if not sheets.bank_ids:
         raise ValueError("empty network")
     return BankAssetNetwork(sheets.bank_ids, sheets.holdings, sheets.total_assets,
@@ -262,29 +266,9 @@ def save_completed_csv(network, path):
                              in zip(network.bank_ids[rows], columns[rows].tolist()))
 
 
-@dataclass(frozen=True)
-class GroundTruthLabels:
-    """Set of bank ids marked as failed, with an informational window string."""
-
-    ids: frozenset
-    duplicate_count: int = 0
-    window: str = None
-
-    def intersection_report(self, network: BankAssetNetwork):
-        return len(self.ids), network.indices_of(self.ids).size
-
-    def __contains__(self, bank_id):
-        return bank_id in self.ids
-
-    def __iter__(self):
-        return iter(sorted(self.ids))
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def load_labels(path, window=None) -> GroundTruthLabels:
-    """Read a one-column bank_id CSV (header optional, duplicates deduped)."""
+def load_labels(path) -> frozenset:
+    """The bank ids of a one-column bank_id CSV (header optional, duplicates
+    dropped with a warning)."""
     ids = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -299,15 +283,7 @@ def load_labels(path, window=None) -> GroundTruthLabels:
     dupes = len(ids) - len(unique)
     if dupes:
         warnings.warn(f"label file contains {dupes} duplicate ids; deduplicated")
-    return GroundTruthLabels(unique, dupes, window)
-
-
-def save_labels(labels, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bank_id"])
-        for bank_id in sorted(set(labels)):
-            writer.writerow([bank_id])
+    return unique
 
 
 @dataclass(frozen=True)
@@ -391,8 +367,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     return network, labels
 
 
-def labels_from_cascade(network: BankAssetNetwork, params: CascadeParams) -> GroundTruthLabels:
-    """Ground-truth labels = banks failed (round >= 1) by a reference cascade."""
+def labels_from_cascade(network: BankAssetNetwork, params: CascadeParams) -> frozenset:
+    """Ground-truth labels: the ids of the banks a reference cascade fails
+    (round >= 1)."""
     result = run_cascade(network, params)
-    failed = [network.bank_ids[i] for i in np.flatnonzero(result.failed_round >= 1)]
-    return GroundTruthLabels(frozenset(failed), 0, "reference-cascade")
+    return frozenset(network.bank_ids[i] for i in np.flatnonzero(result.failed_round >= 1))

@@ -2,7 +2,7 @@
 
 Banks hold amounts of 13 balance-sheet asset categories; a link between bank i
 and asset m exists iff the holding is strictly positive. Derived quantities
-(portfolio weights, market values, market shares) live here, along with the
+(portfolio weights, market values) live here, along with the
 binned distribution summaries used to compare failed banks against the
 population.
 """
@@ -86,12 +86,9 @@ class BalanceSheet:
     holdings: FloatA
     total_assets: float
     total_liabilities: float
-    equity: float = None  # filled in as total_assets - total_liabilities
 
     def __post_init__(self):
         object.__setattr__(self, "holdings", np.asarray(self.holdings, dtype=np.float64))
-        if self.equity is None:
-            object.__setattr__(self, "equity", self.total_assets - self.total_liabilities)
         if np.any(self.holdings < 0):
             raise ValueError(f"bank {self.bank_id}: negative holding")
         if self.total_assets < 0 or self.total_liabilities < 0:
@@ -117,7 +114,7 @@ class BankAssetNetwork:
     total_liabilities: FloatA
     assets: tuple[AssetCategory, ...]
     market_value: FloatA = None
-    _index_of: dict = field(default=None, repr=False)
+    _index_of: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.holdings = np.asarray(self.holdings, dtype=np.float64)
@@ -146,22 +143,6 @@ class BankAssetNetwork:
             self.market_value = self.holdings.sum(axis=0)
         self._index_of = {b: i for i, b in enumerate(self.bank_ids)}
 
-    @classmethod
-    def from_balance_sheets(cls, sheets, assets=None) -> "BankAssetNetwork":
-        sheets = list(sheets)
-        if not sheets:
-            raise ValueError("empty network")
-        m = len(sheets[0].holdings)
-        if assets is None:
-            assets = generic_asset_categories(m)
-        return cls(
-            bank_ids=tuple(s.bank_id for s in sheets),
-            holdings=np.stack([s.holdings for s in sheets]),
-            total_assets=np.array([s.total_assets for s in sheets]),
-            total_liabilities=np.array([s.total_liabilities for s in sheets]),
-            assets=tuple(assets),
-        )
-
     @property
     def n_banks(self) -> int:
         return self.holdings.shape[0]
@@ -182,12 +163,6 @@ class BankAssetNetwork:
             for i in range(self.n_banks)
         ]
 
-    def index_of(self, bank_id: str) -> int:
-        try:
-            return self._index_of[bank_id]
-        except KeyError:
-            raise KeyError(f"unknown bank_id {bank_id!r}") from None
-
     def indices_of(self, bank_ids) -> IntA:
         """Ascending row indices of the given bank ids; ids not in the network,
         and None for no ids, give none."""
@@ -195,32 +170,12 @@ class BankAssetNetwork:
         return np.array(sorted(self._index_of[b] for b in ids if b in self._index_of),
                         dtype=np.int64)
 
-    def links(self) -> BoolA:
-        """Bipartite adjacency: a link exists iff the holding is strictly positive."""
-        return self.holdings > 0
-
     def weights(self) -> FloatA:
         """N x M portfolio-weight matrix B_{i,m}/B_i. Requires positive totals."""
         if np.any(self.total_assets <= 0):
             bad = self.bank_ids[int(np.argmax(self.total_assets <= 0))]
             raise ValueError(f"bank {bad}: total assets not positive")
         return self.holdings / self.total_assets[:, None]
-
-
-def weight(bank: BalanceSheet, m: int) -> float:
-    """Portfolio weight of asset m in a bank's book: holding divided by total assets."""
-    if bank.total_assets <= 0:
-        raise ValueError(f"bank {bank.bank_id}: total assets not positive")
-    return float(bank.holdings[m] / bank.total_assets)
-
-
-def market_share(network: BankAssetNetwork, bank_id: str, m: int) -> float:
-    """Bank's share of asset m's total market value."""
-    a_m = network.market_value[m]
-    if a_m <= 0:
-        raise ValueError(f"asset {m}: zero market value, share undefined")
-    i = network.index_of(bank_id)
-    return float(network.holdings[i, m] / a_m)
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ def criterion_6():
     t0 = time.perf_counter()
     net = dense_5000()
     labels = cf.labels_from_cascade(net, cf.CascadeParams.single(0, 0.3, 0.0, 0.0))
-    n_pos = len(labels.ids)
+    n_pos = len(labels)
     assert 0 < n_pos < net.n_banks, "label cascade must split the population"
     grid = cf.SweepGrid(
         alphas=tuple(np.round(np.arange(0.0, 0.91, 0.1), 12)),

@@ -1,7 +1,10 @@
-"""End-to-end command-line checks, all in process via cli.main."""
+"""End-to-end command-line checks, in process via cli.main except where a
+check needs a fresh interpreter."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -262,6 +265,53 @@ def test_roc_from_synthetic_label_cascade(tmp_path, capsys):
     assert len((out / "roc.csv").read_text().splitlines()) == 1 + 4 * 3
 
 
+def test_roc_without_a_labeled_bank_exits_2(tmp_path, capsys):
+    # the label cascade fails every bank, so no negative is left
+    out = tmp_path / "roc"
+    assert run_cli("roc", "--synthetic",
+                   "n=300,label_asset=1,label_p=0.4,label_alpha=0.2,label_eta=0",
+                   "--p", "0.2:1:0.2", "--alpha", "0:0.8:0.4", "--eta", "0:0.2:0.1",
+                   "--replicates", "4", "--seed", "5", "--out", str(out)) == 2
+    assert "the labels give 300 positive and 0 negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ids, counts", [("X\nY\n", "0 positive and 3 negative"),
+                                         ("A\nB\nC\nX\n", "3 positive and 0 negative")],
+                         ids=["disjoint", "all-labeled"])
+def test_roc_label_file_without_both_classes_exits_2(ids, counts, trio_csv, tmp_path,
+                                                     capsys):
+    labels = tmp_path / "failed.csv"
+    labels.write_text("bank_id\n" + ids)
+    out = tmp_path / "roc"
+    assert run_cli("roc", "--input", trio_csv, "--labels", str(labels), "--p", "0.6",
+                   "--alpha", "0", "--eta", "0", "--out", str(out)) == 2
+    assert f"usage error: roc needs at least one positive and one negative bank; " \
+        f"the labels give {counts}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_roc_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # labels are a frozenset of strings, whose iteration order follows the
+    # interpreter's string hash seed
+    labels = tmp_path / "failed.csv"
+    labels.write_text("bank_id\n" + "".join(f"B{i:05d}\n" for i in range(0, 120, 3)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"roc{hash_seed}"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-m", "cascadefin.cli", "roc", "--synthetic", "n=120",
+                        "--labels", str(labels), "--p", "0.3:0.9:0.3", "--alpha", "0:0.4:0.2",
+                        "--eta", "0:0.2:0.1", "--replicates", "2", "--seed", "3",
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    for name in ("roc.csv", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert len((outs[0] / "roc.csv").read_text().splitlines()) == 1 + 27 * 3
+
+
 def test_synthetic_spec_errors(capsys):
     assert run_cli("run", "--synthetic", "assets=13") == 2          # n missing
     assert run_cli("run", "--synthetic", "n=10,flavor=mild") == 2   # unknown key
@@ -350,6 +400,8 @@ HEADER_ONLY = "<a CSV with a header and no data row>"
     (["run", "--input", MISSING, "--p", "1.5"], "--p: 1.5 is outside [0, 1]"),
     (["sweep", "--input", MISSING, "--p", "0:1.5:0.5"], "--p: 1.5 is outside [0, 1]"),
     (["run", "--input", MISSING, "--shock", "2:1.5"], "--shock 2:1.5: p 1.5 is outside [0, 1]"),
+    (["run", "--input", MISSING, "--asset", "0", "--p", "0.5", "--shock", "0:0.9",
+      "--shock", "0:0.7"], "--shock 0:0.9: asset 0 is already shocked"),
     (["phase", "--input", MISSING, "--eta", "0", "--jobs", "0"],
      "argument --jobs: must be >= 1, got 0"),
     (["sweep", "--input", MISSING, "--jobs", "-3"], "argument --jobs: must be >= 1, got -3"),
@@ -368,7 +420,7 @@ HEADER_ONLY = "<a CSV with a header and no data row>"
     (["run", "--input", HEADER_ONLY], "schema error: no data rows in input"),
     (["ingest", "--input", HEADER_ONLY], "schema error: no data rows in input"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
-        "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "jobs-0",
+        "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
         "concentration-0", "concentration-negative", "median-negative", "run-jobs",
         "run-header-only", "ingest-header-only"])
