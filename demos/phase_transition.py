@@ -36,8 +36,7 @@ print(f"collapse network: {net.n_banks} banks, "
 
 # 1-D scan: deterministic at eta = 0, so one replicate per cell suffices
 alphas = np.round(np.arange(0.0, 1.0001, 0.01), 12).tolist()
-scan = cf.phase_scan(net, 0, {"alpha": alphas}, {"p": 0.6, "eta": 0.0},
-                     replicates=1, seed=SEED)
+scan = cf.phase_scan(net, 0, [0.6], alphas, [0.0], replicates=1, seed=SEED)
 means = scan.mean_survival
 drop_at = int(np.argmax(-np.diff(means)))
 print()
@@ -48,8 +47,8 @@ print(f"  largest single-step drop: {scan.max_step_drop:.3f}")
 
 # 2-D map with barrier noise switched on; region II = mean survival below 0.05
 axis = np.round(np.arange(0.0, 1.0001, 0.1), 12).tolist()
-plane = cf.phase_scan(net, 0, {"p": axis, "alpha": axis}, {"eta": 0.02},
-                      replicates=10, seed=SEED, threshold=0.05)
+plane = cf.phase_scan(net, 0, axis, axis, [0.02], replicates=10, seed=SEED,
+                      threshold=0.05)
 print()
 print("(p, alpha) map at eta=0.02, '#' = collapsed (region II):")
 print("        alpha " + " ".join(f"{a:.1f}" for a in axis))

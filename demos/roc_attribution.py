@@ -29,12 +29,8 @@ print(f"attribution at the true parameters: "
       f"{split['first_step_count']} first-step failures, "
       f"{split['consecutive_count']} fire-sale-driven failures")
 
-grid = cf.SweepGrid(
-    alphas=(0.0, 0.05, 0.1),
-    etas=(0.0,),
-    ps=tuple(np.round(np.arange(0.25, 0.66, 0.05), 12)),
-)
-points = cf.roc_grid(network, labels, 0, grid, seed=SEED)
+ps = np.round(np.arange(0.25, 0.66, 0.05), 12)
+points = cf.roc_grid(network, labels, 0, ps, (0.0, 0.05, 0.1), (0.0,), seed=SEED)
 
 print()
 print("ROC points, full split (model failed = any failure round >= 1)")

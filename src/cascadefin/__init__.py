@@ -26,7 +26,6 @@ from .cascade import (
 from .evaluation import (
     PhaseDiagram,
     RocPoint,
-    SweepGrid,
     SweepRecord,
     attribution_split,
     phase_scan,
@@ -67,7 +66,7 @@ __all__ = [
     "CANONICAL_ASSET_CATEGORIES", "CascadeParams", "CascadeResult",
     "DEFAULT_MEAN_WEIGHTS", "DistributionTable", "PhaseDiagram", "RNG_ALGORITHM",
     "RawTable", "RocPoint", "RoundState", "SURVIVED", "SchemaError",
-    "SummaryStatistics", "SweepGrid", "SweepRecord", "SyntheticConfig",
+    "SummaryStatistics", "SweepRecord", "SyntheticConfig",
     "apply_fire_sales", "apply_shock", "attribution_split", "complete_dataset",
     "compute_average_weights", "evaluate_round", "failure_probability",
     "generate_synthetic", "labels_from_cascade", "load_completed_network",

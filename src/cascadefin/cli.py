@@ -21,11 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cascade import PARAM_UPPER, RNG_ALGORITHM, CascadeParams, run_cascade, stream
+from .cascade import PARAM_UPPER, RNG_ALGORITHM, CascadeParams, run_cascade
 from .evaluation import (
     DEFAULT_REGION_THRESHOLD,
     DEFAULT_REPLICATES,
-    SweepGrid,
     phase_scan,
     roc_grid,
     survival_curves,
@@ -173,27 +172,14 @@ def _resolve_seed(args, etas) -> int:
     return 0
 
 
-def _resolve_network(args, seed):
-    """Build the network from --input or --synthetic; returns (network, labels, desc)."""
-    if bool(args.input) == bool(args.synthetic):
-        raise UsageError("exactly one of --input or --synthetic is required")
-    if args.input:
-        network = load_completed_network(args.input)
-        desc = {"input": args.input, "input_sha256": _sha256(args.input)}
-        return network, None, desc
-    config = _parse_synthetic(args.synthetic)
-    network, labels = generate_synthetic(config, seed)
-    return network, labels, {"synthetic": args.synthetic, "synthetic_seed": seed}
-
-
-def _resolve_labels(args, network, synth_labels):
-    if args.labels:
-        labels = load_labels(args.labels)
-        desc = {"labels": args.labels, "labels_sha256": _sha256(args.labels)}
-        return labels, desc
-    if synth_labels is not None:
-        return synth_labels, {"labels": "synthetic-reference-cascade"}
-    return None, {}
+def _grids(args) -> list:
+    """The --p, --alpha and --eta grids, refused when their lattice has more
+    than MAX_CELLS cells."""
+    grids = [_parse_values(getattr(args, name), name) for name in ("p", "alpha", "eta")]
+    cells = math.prod(map(len, grids))
+    if cells > MAX_CELLS:
+        raise UsageError(f"the grid has {cells} cells, more than {MAX_CELLS}")
+    return grids
 
 
 def _check_asset(network, asset, flag="--asset"):
@@ -201,11 +187,42 @@ def _check_asset(network, asset, flag="--asset"):
         raise UsageError(f"{flag} {asset} out of range (network has {network.n_assets} assets)")
 
 
-def _check_cells(*grids) -> int:
-    cells = math.prod(len(g) for g in grids)
-    if cells > MAX_CELLS:
-        raise UsageError(f"the grid has {cells} cells, more than {MAX_CELLS}")
-    return cells
+def _resolve(args, etas):
+    """Seed, network and labels of a run-like command, with --asset checked,
+    and the manifest config that pins them; returns (seed, network, labels,
+    config).
+
+    Labels come from --labels or a --synthetic label cascade; phase takes
+    none. Labels must name a bank of the network, and roc also needs a bank
+    they leave out.
+    """
+    seed = _resolve_seed(args, etas)
+    if bool(args.input) == bool(args.synthetic):
+        raise UsageError("exactly one of --input or --synthetic is required")
+    if args.input:
+        network, labels = load_completed_network(args.input), None
+        config = {"input": args.input, "input_sha256": _sha256(args.input)}
+    else:
+        network, labels = generate_synthetic(_parse_synthetic(args.synthetic), seed)
+        config = {"synthetic": args.synthetic, "synthetic_seed": seed}
+    if "labels" not in args:
+        labels = None
+    elif args.labels:
+        labels = load_labels(args.labels)
+        config.update(labels=args.labels, labels_sha256=_sha256(args.labels))
+    elif labels is not None:
+        config["labels"] = "synthetic-reference-cascade"
+    _check_asset(network, args.asset)
+    if labels is not None:
+        n_pos = network.indices_of(labels).size
+        if args.command == "roc" and n_pos in (0, network.n_banks):
+            raise UsageError(f"roc needs at least one positive and one negative bank; the "
+                             f"labels give {n_pos} positive and {network.n_banks - n_pos} "
+                             f"negative")
+        if n_pos == 0:
+            raise UsageError(f"the labels name none of the network's {network.n_banks} banks")
+    config["asset"] = args.asset
+    return seed, network, labels, config
 
 
 def _jobs(text: str) -> int:
@@ -225,7 +242,18 @@ def _check_replicates(args):
         raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
 
 
-def _write_manifest(out_dir, command, config, output_files):
+def _out_dir(args) -> str:
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    return out
+
+
+def _write_outputs(args, name, write, result, config) -> str:
+    """Write result to the CSV name in the output directory, then the
+    manifest.json that pins it; returns the CSV's path."""
+    out = _out_dir(args)
+    path = os.path.join(out, name)
+    write(result, path)
     manifest = {
         "tool": {
             "name": "cascadefin",
@@ -233,21 +261,14 @@ def _write_manifest(out_dir, command, config, output_files):
             "rng": RNG_ALGORITHM,
             "numpy": np.__version__,
         },
-        "command": command,
+        "command": args.command,
         "config": config,
-        "outputs": {name: _sha256(os.path.join(out_dir, name)) for name in output_files},
+        "outputs": {name: _sha256(path)},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return path
-
-
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def cmd_ingest(args) -> int:
@@ -267,13 +288,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
-    p_values = _parse_values(args.p, "p")
-    eta_values = _parse_values(args.eta, "eta")
-    alpha_values = _parse_values(args.alpha, "alpha")
-    if len(p_values) != 1 or len(eta_values) != 1 or len(alpha_values) != 1:
+    grids = _grids(args)
+    if any(len(g) != 1 for g in grids):
         raise UsageError("run takes scalar --p/--alpha/--eta; use sweep/roc/phase for grids")
-    eta = eta_values[0]
-    shocks = {args.asset: p_values[0]}
+    (p,), (alpha,), (eta,) = grids
+    shocks = {args.asset: p}
     for extra in args.shock or []:
         try:
             m, p_m = extra.split(":")
@@ -285,14 +304,11 @@ def cmd_run(args) -> int:
         if m in shocks:
             raise UsageError(f"--shock {extra}: asset {m} is already shocked")
         shocks[m] = p_m
-    seed = _resolve_seed(args, [eta])
-    network, synth_labels, _ = _resolve_network(args, seed)
-    labels, _ = _resolve_labels(args, network, synth_labels)
-    _check_asset(network, args.asset)
+    seed, network, labels, _ = _resolve(args, [eta])
     for m in shocks:
         _check_asset(network, m, "--shock")
-    params = CascadeParams(alpha=alpha_values[0], eta=eta, shocked_assets=shocks, seed=seed)
-    result = run_cascade(network, params, labels=labels, rng=stream(seed))
+    params = CascadeParams(alpha=alpha, eta=eta, shocked_assets=shocks, seed=seed)
+    result = run_cascade(network, params, labels=labels)
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -303,88 +319,52 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    p_grid = _parse_values(args.p, "p")
-    alpha_grid = _parse_values(args.alpha, "alpha")
-    eta_values = _parse_values(args.eta, "eta")
-    if len(eta_values) != 1:
+    ps, alphas, etas = _grids(args)
+    if len(etas) != 1:
         raise UsageError("sweep varies p and alpha; --eta must be a scalar")
-    _check_cells(p_grid, alpha_grid)
-    eta = eta_values[0]
-    seed = _resolve_seed(args, [eta])
-    network, synth_labels, desc = _resolve_network(args, seed)
-    labels, labels_desc = _resolve_labels(args, network, synth_labels)
-    _check_asset(network, args.asset)
-    records = survival_curves(network, labels, args.asset, p_grid, alpha_grid, eta,
+    seed, network, labels, config = _resolve(args, etas)
+    records = survival_curves(network, labels, args.asset, ps, alphas, etas[0],
                               seed=seed, jobs=args.jobs)
-    out = _out_dir(args)
-    write_survival_csv(records, os.path.join(out, "survival.csv"))
-    config = {**desc, **labels_desc, "asset": args.asset, "p_grid": p_grid,
-              "alpha_grid": alpha_grid, "eta": eta, "seed": seed}
-    _write_manifest(out, "sweep", config, ["survival.csv"])
-    print(f"wrote {len(records)} rows -> {os.path.join(out, 'survival.csv')}")
+    config.update(p_grid=ps, alpha_grid=alphas, eta=etas[0], seed=seed)
+    path = _write_outputs(args, "survival.csv", write_survival_csv, records, config)
+    print(f"wrote {len(records)} rows -> {path}")
     return 0
 
 
 def cmd_roc(args) -> int:
-    alphas = _parse_values(args.alpha, "alpha")
-    etas = _parse_values(args.eta, "eta")
-    ps = _parse_values(args.p, "p")
-    _check_cells(alphas, etas, ps)
+    ps, alphas, etas = _grids(args)
     _check_replicates(args)
-    seed = _resolve_seed(args, etas)
-    network, synth_labels, desc = _resolve_network(args, seed)
-    labels, labels_desc = _resolve_labels(args, network, synth_labels)
+    seed, network, labels, config = _resolve(args, etas)
     if labels is None:
         raise UsageError("roc requires --labels (or a --synthetic label cascade)")
-    _check_asset(network, args.asset)
-    n_pos = network.indices_of(labels).size
-    if n_pos in (0, network.n_banks):
-        raise UsageError(f"roc needs at least one positive and one negative bank; the labels "
-                         f"give {n_pos} positive and {network.n_banks - n_pos} negative")
-    grid = SweepGrid(tuple(alphas), tuple(etas), tuple(ps))
-    points = roc_grid(network, labels, args.asset, grid, seed=seed,
+    points = roc_grid(network, labels, args.asset, ps, alphas, etas, seed=seed,
                       replicates=args.replicates, jobs=args.jobs)
-    out = _out_dir(args)
-    write_roc_csv(points, os.path.join(out, "roc.csv"))
-    config = {**desc, **labels_desc, "asset": args.asset, "alpha_grid": alphas,
-              "eta_grid": etas, "p_grid": ps, "seed": seed,
-              "replicates": args.replicates}
-    _write_manifest(out, "roc", config, ["roc.csv"])
-    print(f"wrote {len(points)} ROC points -> {os.path.join(out, 'roc.csv')}")
+    config.update(alpha_grid=alphas, eta_grid=etas, p_grid=ps, seed=seed,
+                  replicates=args.replicates)
+    path = _write_outputs(args, "roc.csv", write_roc_csv, points, config)
+    print(f"wrote {len(points)} ROC points -> {path}")
     return 0
 
 
 def cmd_phase(args) -> int:
-    values = {
-        "p": _parse_values(args.p, "p"),
-        "alpha": _parse_values(args.alpha, "alpha"),
-        "eta": _parse_values(args.eta, "eta"),
-    }
-    axes = {k: v for k, v in values.items() if len(v) > 1}
-    fixed = {k: v[0] for k, v in values.items() if len(v) == 1}
-    if not 1 <= len(axes) <= 2:
+    grids = _grids(args)
+    if not 1 <= sum(len(g) > 1 for g in grids) <= 2:
         raise UsageError("phase needs one or two of --p/--alpha/--eta as ranges")
-    cells = _check_cells(*axes.values())
     _check_replicates(args)
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError(f"--threshold must be in [0, 1], got {args.threshold}")
-    seed = _resolve_seed(args, values["eta"])
-    network, _, desc = _resolve_network(args, seed)
-    _check_asset(network, args.asset)
-    diagram = phase_scan(network, args.asset, axes, fixed,
-                         replicates=args.replicates, seed=seed,
+    seed, network, _, config = _resolve(args, grids[2])
+    diagram = phase_scan(network, args.asset, *grids, args.replicates, seed=seed,
                          threshold=args.threshold, jobs=args.jobs)
-    out = _out_dir(args)
-    write_phase_csv(diagram, os.path.join(out, "phase.csv"))
-    config = {**desc, "asset": args.asset,
-              "axes": {k: list(v) for k, v in axes.items()}, "fixed": fixed,
-              "seed": seed, "replicates": args.replicates,
-              "threshold": args.threshold}
-    _write_manifest(out, "phase", config, ["phase.csv"])
+    config.update(axes={name: values.tolist() for name, values
+                        in zip(diagram.axis_names, diagram.axis_values)},
+                  fixed=diagram.fixed, seed=seed, replicates=args.replicates,
+                  threshold=args.threshold)
+    path = _write_outputs(args, "phase.csv", write_phase_csv, diagram, config)
     drop = "" if diagram.max_step_drop is None \
         else f", max step drop {diagram.max_step_drop:.3f}"
-    print(f"scanned {cells} cells x {args.replicates} replicates{drop} "
-          f"-> {os.path.join(out, 'phase.csv')}")
+    print(f"scanned {diagram.mean_survival.size} cells x {args.replicates} replicates"
+          f"{drop} -> {path}")
     return 0
 
 
@@ -394,7 +374,6 @@ def _add_network_flags(sp):
                     help="generate data instead: n=5000[,assets=13,median=1e5,"
                          "sigma=1.2,lev_low=0.85,lev_high=0.98,sparsity=0,"
                          "concentration=8,label_asset=0,label_p=0.6,...]")
-    sp.add_argument("--labels", help="CSV of failed bank_ids (ground truth)")
     sp.add_argument("--asset", type=int, default=0, help="shocked asset index (default 0)")
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed; required when eta > 0, "
@@ -449,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="region II when mean survival falls below this")
     sp.set_defaults(func=cmd_phase)
 
+    for name in ("run", "sweep", "roc"):
+        sub.choices[name].add_argument("--labels", help="CSV of failed bank_ids (ground truth)")
     for name in ("sweep", "roc", "phase"):
         sub.choices[name].add_argument("--jobs", type=_jobs, default=1, help="worker processes, "
                                        "at most the core count; never changes the output bytes")

@@ -53,19 +53,6 @@ class SweepRecord:
     survival_labeled: float  # None when no labeled bank is in the network
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """A full (alpha, eta, p) lattice; roc_grid runs its cells alpha-major."""
-
-    alphas: tuple
-    etas: tuple
-    ps: tuple
-
-    @property
-    def n_cells(self):
-        return len(self.alphas) * len(self.etas) * len(self.ps)
-
-
 @dataclass
 class PhaseDiagram:
     axis_names: tuple
@@ -193,6 +180,12 @@ def _positives(network, labels) -> BoolA:
     return pos
 
 
+def _params(asset, seed, cells) -> list:
+    """One single-shock CascadeParams per (p, alpha, eta) cell."""
+    return [CascadeParams.single(int(asset), p, alpha, eta, seed=int(seed))
+            for p, alpha, eta in cells]
+
+
 def survival_curves(network, labels, shocked_asset, p_grid, alpha_grid, eta,
                     *, seed=0, jobs=1):
     """Survival fraction (all banks, labeled banks) per (p, alpha) cell.
@@ -208,22 +201,21 @@ def survival_curves(network, labels, shocked_asset, p_grid, alpha_grid, eta,
     positives = _positives(network, labels)
     if labels is not None and not positives.any():
         warnings.warn("labels are disjoint from the network; labeled fraction undefined")
-    cells = [(p, a) for a in alpha_grid for p in p_grid]
-    params = [CascadeParams.single(int(shocked_asset), p, a, eta, seed=seed)
-              for p, a in cells]
-    out = _run_lattice(_Lattice(network, params, 1, seed, _reduce_survival, positives),
-                       jobs)
-    return [SweepRecord(p, a, eta, *r) for (p, a), r in zip(cells, out)]
+    cells = [(p, a, eta) for a in alpha_grid for p in p_grid]
+    out = _run_lattice(_Lattice(network, _params(shocked_asset, seed, cells), 1, seed,
+                                _reduce_survival, positives), jobs)
+    return [SweepRecord(*cell, *r) for cell, r in zip(cells, out)]
 
 
-def roc_grid(network, labels, shocked_asset, grid: SweepGrid,
+def roc_grid(network, labels, shocked_asset, ps, alphas, etas,
              *, seed=0, replicates=1, jobs=1):
-    """ROC points over a parameter lattice, three splits per cell.
+    """ROC points over the (p, alpha, eta) lattice, three splits per cell.
 
-    Positives are the labeled banks present in the network; negatives are the
-    rest. A bank counts as model-failed when its fate round is >= 1, so
-    pre-shock insolvencies never contribute to any split. The first-step and
-    consecutive-steps splits partition the full split's true positives.
+    Cells run alpha-major, then eta, then p. Positives are the labeled banks
+    present in the network; negatives are the rest. A bank counts as
+    model-failed when its fate round is >= 1, so pre-shock insolvencies never
+    contribute to any split. The first-step and consecutive-steps splits
+    partition the full split's true positives.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -234,13 +226,12 @@ def roc_grid(network, labels, shocked_asset, grid: SweepGrid,
         warnings.warn("ROC undefined: need at least one positive and one negative bank; "
                       "no points emitted")
         return []
-    cells = list(itertools.product(grid.alphas, grid.etas, grid.ps))
-    params = [CascadeParams.single(int(shocked_asset), p, alpha, eta, seed=int(seed))
-              for alpha, eta, p in cells]
-    lattice = _Lattice(network, params, int(replicates), int(seed), _reduce_roc, positives)
+    cells = [(p, alpha, eta) for alpha, eta, p in itertools.product(alphas, etas, ps)]
+    lattice = _Lattice(network, _params(shocked_asset, seed, cells), int(replicates),
+                       int(seed), _reduce_roc, positives)
     splits = (SPLIT_FULL, SPLIT_FIRST, SPLIT_CONSECUTIVE)
     return [RocPoint(alpha, eta, p, tp / n_pos, fp / n_neg, tp, split)
-            for (alpha, eta, p), counts in zip(cells, _run_lattice(lattice, jobs))
+            for (p, alpha, eta), counts in zip(cells, _run_lattice(lattice, jobs))
             for split, (tp, fp) in zip(splits, counts)]
 
 
@@ -256,50 +247,42 @@ def attribution_split(result, labels, network) -> dict:
     return {"first_step_count": first, "consecutive_count": consecutive}
 
 
-def phase_scan(network, shocked_asset, axes: dict, fixed: dict,
+def phase_scan(network, shocked_asset, ps, alphas, etas,
                replicates=DEFAULT_REPLICATES, *, seed=0,
                threshold=DEFAULT_REGION_THRESHOLD, jobs=1) -> PhaseDiagram:
-    """Mean survival over a 1-D or 2-D parameter scan, with region labels.
+    """Mean survival over the (p, alpha, eta) lattice, with region labels.
 
-    axes maps one or two of {p, alpha, eta} to value grids; fixed supplies the
-    remaining parameters. Region II marks cells whose mean survival falls
-    below the threshold. 1-D scans also report the largest jump between
-    adjacent cells (the abrupt-transition detector).
+    The axes are the grids with more than one value, in (p, alpha, eta)
+    order; there must be one or two, and the other grids fix their parameter.
+    Region II marks cells whose mean survival falls below the threshold. 1-D
+    scans also report the largest jump between adjacent cells (the
+    abrupt-transition detector).
     """
-    names = list(axes)
-    if not 1 <= len(names) <= 2:
-        raise ValueError("phase_scan needs one or two axes")
-    all_params = {"p", "alpha", "eta"}
-    if not set(names) <= all_params:
-        raise ValueError(f"axes must be among {sorted(all_params)}")
-    missing = all_params - set(names) - set(fixed)
-    if missing:
-        raise ValueError(f"missing fixed parameters: {sorted(missing)}")
+    grids = [[float(v) for v in g] for g in (ps, alphas, etas)]
+    if not all(grids):
+        raise ValueError("empty parameter grid")
+    axes = [k for k, g in enumerate(grids) if len(g) > 1]
+    if not 1 <= len(axes) <= 2:
+        raise ValueError("phase_scan needs one or two axes (grids with more than one value)")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
 
-    values = [np.asarray([float(v) for v in axes[k]]) for k in names]
-    params = []
-    for combo in itertools.product(*values):
-        kv = {k: float(fixed[k]) for k in all_params - set(names)}
-        kv.update({k: float(v) for k, v in zip(names, combo)})
-        params.append(CascadeParams.single(int(shocked_asset), kv["p"], kv["alpha"],
-                                           kv["eta"], seed=int(seed)))
-    out = _run_lattice(_Lattice(network, params, int(replicates), int(seed),
-                                _reduce_phase), jobs)
+    cells = list(itertools.product(*grids))
+    out = _run_lattice(_Lattice(network, _params(shocked_asset, seed, cells),
+                                int(replicates), int(seed), _reduce_phase), jobs)
 
-    shape = tuple(len(v) for v in values)
+    shape = tuple(len(grids[k]) for k in axes)
     mean = np.array([m for m, _ in out]).reshape(shape)
     ci = None
     if replicates >= 2:
         ci = np.array([c for _, c in out]).reshape(shape)
     region = np.where(mean < threshold, REGION_COLLAPSED, REGION_STABLE)
-    drop = None
-    if len(names) == 1 and mean.size > 1:
-        drop = float(np.max(np.abs(np.diff(mean))))
-    return PhaseDiagram(tuple(names), tuple(values), mean, ci, region,
+    drop = float(np.max(np.abs(np.diff(mean)))) if len(axes) == 1 else None
+    names = ("p", "alpha", "eta")
+    return PhaseDiagram(tuple(names[k] for k in axes),
+                        tuple(np.asarray(grids[k]) for k in axes), mean, ci, region,
                         float(threshold), int(replicates),
-                        {k: float(v) for k, v in fixed.items()}, drop)
+                        {names[k]: g[0] for k, g in enumerate(grids) if len(g) == 1}, drop)
 
 
 # ---------------------------------------------------------------------------

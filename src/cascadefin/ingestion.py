@@ -27,13 +27,13 @@ import numpy as np
 from .cascade import DOMAIN_SYNTHETIC, CascadeParams, run_cascade, stream
 from .network import (
     DEFAULT_MEAN_WEIGHTS,
+    SUM_RTOL,
     BankAssetNetwork,
     FloatA,
     IntA,
     generic_asset_categories,
 )
 
-COMPLETION_RTOL = 1e-9
 FIXED_COLUMNS = ("bank_id", "total_assets", "total_liabilities")
 # rows parsed or written at a time: bounds the Python objects alive at once
 BLOCK_ROWS = 256
@@ -193,7 +193,7 @@ def complete_dataset(raw: RawTable):
     has_missing = missing.any(axis=1)
     known_sum = _row_sums(raw.holdings, ~missing)
     residual = b - known_sum
-    tol = COMPLETION_RTOL * np.maximum(b, 1.0)
+    tol = SUM_RTOL * np.maximum(b, 1.0)
     off = ~has_missing & (np.abs(residual) > tol)
     rescaled = off & (known_sum > 0)
     zero = off & (known_sum <= 0)

@@ -20,7 +20,8 @@ FloatA = NDArray[np.float64]
 IntA = NDArray[np.int64]
 BoolA = NDArray[np.bool_]
 
-# |sum(holdings) - total_assets| must stay below this relative tolerance
+# |sum(holdings) - total_assets| must stay below this relative tolerance;
+# completion repairs every row off by more, so it keeps no row this rejects
 SUM_RTOL = 1e-9
 
 

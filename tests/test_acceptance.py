@@ -7,6 +7,7 @@ across criteria.
 """
 
 import io
+import math
 import os
 import sys
 import tempfile
@@ -207,13 +208,11 @@ def criterion_6():
     labels = cf.labels_from_cascade(net, cf.CascadeParams.single(0, 0.3, 0.0, 0.0))
     n_pos = len(labels)
     assert 0 < n_pos < net.n_banks, "label cascade must split the population"
-    grid = cf.SweepGrid(
-        alphas=tuple(np.round(np.arange(0.0, 0.91, 0.1), 12)),
-        etas=tuple(np.round(np.arange(0.0, 0.46, 0.05), 12)),
-        ps=tuple(np.round(np.arange(0.1, 1.01, 0.1), 12)),
-    )
-    assert grid.n_cells == 1000
-    points = cf.roc_grid(net, labels, 0, grid, seed=SEED)
+    grid = (np.round(np.arange(0.1, 1.01, 0.1), 12),     # p
+            np.round(np.arange(0.0, 0.91, 0.1), 12),     # alpha
+            np.round(np.arange(0.0, 0.46, 0.05), 12))    # eta
+    assert math.prod(map(len, grid)) == 1000
+    points = cf.roc_grid(net, labels, 0, *grid, seed=SEED)
     oracle = [pt for pt in points if pt.split == "full"
               and pt.alpha == 0.0 and pt.eta == 0.0 and pt.p == 0.3]
     assert len(oracle) == 1
@@ -222,7 +221,7 @@ def criterion_6():
 
     shuffled = frozenset(net.bank_ids[j] for j in
                          cf.stream(SEED, 6).permutation(net.n_banks)[:n_pos])
-    noise = cf.roc_grid(net, shuffled, 0, grid, seed=SEED)
+    noise = cf.roc_grid(net, shuffled, 0, *grid, seed=SEED)
     gaps = np.array([abs(pt.tpr - pt.fpr) for pt in noise if pt.split == "full"])
     assert gaps.size == 1000
     assert gaps.mean() < 0.05, f"permuted labels: mean |TPR-FPR| {gaps.mean():.4f}"
@@ -238,8 +237,7 @@ def criterion_7():
     net = bimodal_dense_2000()
     alphas = np.round(np.arange(0.0, 1.0001, 0.01), 12).tolist()
     assert len(alphas) == 101
-    scan = cf.phase_scan(net, 0, {"alpha": alphas}, {"p": 0.6, "eta": 0.0},
-                         replicates=300, seed=SEED)
+    scan = cf.phase_scan(net, 0, [0.6], alphas, [0.0], replicates=300, seed=SEED)
     means = scan.mean_survival
     cliff = np.flatnonzero((means[:-1] > 0.8) & (means[1:] < 0.1))
     assert cliff.size, \
@@ -247,8 +245,8 @@ def criterion_7():
     j = int(cliff[0])
 
     axis = np.round(np.arange(0.0, 1.0001, 0.05), 12).tolist()
-    plane = cf.phase_scan(net, 0, {"p": axis, "alpha": axis}, {"eta": 0.02},
-                          replicates=20, seed=SEED, threshold=0.05)
+    plane = cf.phase_scan(net, 0, axis, axis, [0.02], replicates=20, seed=SEED,
+                          threshold=0.05)
     collapsed = plane.region == "II"
     assert collapsed.any() and (~collapsed).any()
     _, n_ii = scipy.ndimage.label(collapsed)

@@ -1,9 +1,9 @@
 """The benchmark's tracer (bench/tracer.py) still fits the package.
 
 The tracer wraps module-level call sites from outside src/; a refactor that
-renames or inlines one of them breaks traced benchmark runs. This runs a small
-phase scan through a traced cli.main and checks the counts and the lattice
-decomposition the benchmark reports.
+renames or inlines one of them breaks traced benchmark runs. This runs small
+phase scans and a small roc grid through a traced cli.main and checks the
+counts and the lattice decomposition the benchmark reports.
 """
 
 import contextlib
@@ -20,39 +20,51 @@ from run import LATTICE_PARTS  # noqa: E402
 from cascadefin import cli  # noqa: E402
 
 
-def test_traced_phase_run_decomposes(tmp_path):
-    cells, replicates = 5, 3
-    argv = ["phase", "--synthetic", "n=60", "--p", "0.5", "--alpha", "0:1:0.25",
-            "--eta", "0.1", "--replicates", str(replicates), "--seed", "4",
-            "--jobs", "1", "--out", str(tmp_path)]
+def traced_metrics(argv, out):
+    """The benchmark's per-layer metrics of one traced cli.main run."""
     tracer = tr.Tracer("tier1")
     tr.install(tracer)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = tracer.timed("cli.main", cli.main)(argv)
+            code = tracer.timed("cli.main", cli.main)(argv + ["--out", str(out)])
     finally:
         tracer.restore()
     assert code == 0
-    m = tr.layer_metrics(tracer.spans, tracer.meta)
-    assert m["cascade.calls"] == cells * replicates
+    return tr.layer_metrics(tracer.spans, tracer.meta)
+
+
+def assert_lattice_decomposes(m):
     assert m["cascade.rounds"] > 0
     assert m["cascade.barrier_tests"] > 0
     assert abs(m["evaluation.lattice_s"] - sum(m[k] for k in LATTICE_PARTS)) <= 1e-6
 
 
+def test_traced_phase_run_decomposes(tmp_path):
+    cells, replicates = 5, 3
+    m = traced_metrics(["phase", "--synthetic", "n=60", "--p", "0.5", "--alpha", "0:1:0.25",
+                        "--eta", "0.1", "--replicates", str(replicates), "--seed", "4",
+                        "--jobs", "1"], tmp_path)
+    assert m["cascade.calls"] == cells * replicates
+    assert_lattice_decomposes(m)
+
+
+def test_traced_roc_run_decomposes(tmp_path):
+    # every cell has eta > 0, so each replicate runs its own cascade; the
+    # label cascade is set-up work, outside the lattice's count
+    cells, replicates = 2 * 2 * 2, 3
+    m = traced_metrics(["roc", "--synthetic",
+                        "n=60,label_asset=0,label_p=0.5,label_alpha=0,label_eta=0",
+                        "--p", "0.4:0.8:0.4", "--alpha", "0:0.5:0.5", "--eta", "0.1:0.2:0.1",
+                        "--replicates", str(replicates), "--seed", "4", "--jobs", "1"],
+                       tmp_path)
+    assert m["cascade.calls"] == cells * replicates
+    assert_lattice_decomposes(m)
+
+
 def test_traced_eta_zero_phase_runs_each_cell_once(tmp_path):
     cells = 5
-    argv = ["phase", "--synthetic", "n=60", "--p", "0.5", "--alpha", "0:1:0.25",
-            "--eta", "0", "--replicates", "4", "--seed", "4",
-            "--jobs", "1", "--out", str(tmp_path)]
-    tracer = tr.Tracer("tier1")
-    tr.install(tracer)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = tracer.timed("cli.main", cli.main)(argv)
-    finally:
-        tracer.restore()
-    assert code == 0
-    m = tr.layer_metrics(tracer.spans, tracer.meta)
+    m = traced_metrics(["phase", "--synthetic", "n=60", "--p", "0.5", "--alpha", "0:1:0.25",
+                        "--eta", "0", "--replicates", "4", "--seed", "4", "--jobs", "1"],
+                       tmp_path)
     assert m["cascade.calls"] == cells
     assert m["evaluation.useful_cascade_ratio"] == 1.0

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, in process via cli.main except where a
 check needs a fresh interpreter."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -209,7 +210,6 @@ def test_sweep_writes_csv_and_manifest(toy_csv, tmp_path, capsys):
     assert manifest["command"] == "sweep"
     assert manifest["tool"]["name"] == "cascadefin"
     assert manifest["config"]["input_sha256"]
-    import hashlib
     digest = hashlib.sha256((out / "survival.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["survival.csv"] == digest
 
@@ -310,6 +310,23 @@ def test_roc_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     for name in ("roc.csv", "manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     assert len((outs[0] / "roc.csv").read_text().splitlines()) == 1 + 27 * 3
+
+
+# --- labels that name no bank --------------------------------------------
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source, banks", [("file", 3), ("label-cascade", 50)])
+def test_labels_naming_no_bank_exit_2(command, source, banks, trio_csv, tmp_path, capsys):
+    labels = tmp_path / "failed.csv"
+    labels.write_text("bank_id\nX\nY\n")
+    # the label cascade leaves the market unshocked, so it fails no bank
+    flags = (["--input", trio_csv, "--labels", str(labels)] if source == "file" else
+             ["--synthetic", "n=50,label_asset=0,label_p=1,label_alpha=0,label_eta=0"])
+    out = tmp_path / "out"
+    assert run_cli(command, *flags, "--p", "0.6", "--out", str(out)) == 2
+    assert f"usage error: the labels name none of the network's {banks} banks" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synthetic_spec_errors(capsys):
@@ -417,13 +434,15 @@ HEADER_ONLY = "<a CSV with a header and no data row>"
     (["run", "--synthetic", "n=10,median=-5"],
      "--synthetic: concentration and median must be positive"),
     (["run", "--input", MISSING, "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["phase", "--input", MISSING, "--labels", MISSING, "--eta", "0"],
+     "unrecognized arguments: --labels"),
     (["run", "--input", HEADER_ONLY], "schema error: no data rows in input"),
     (["ingest", "--input", HEADER_ONLY], "schema error: no data rows in input"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
         "concentration-0", "concentration-negative", "median-negative", "run-jobs",
-        "run-header-only", "ingest-header-only"])
+        "phase-labels", "run-header-only", "ingest-header-only"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
@@ -472,3 +491,47 @@ def test_range_counted_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(cli.np, "arange", bounded_arange)
     assert run_cli("phase", "--input", MISSING, "--eta", "0", "--alpha", "0:1:1e-12") == 2
     assert "--alpha: '0:1:1e-12' has more than 1000000 values" in capsys.readouterr().err
+
+
+# --- pinned output bytes ---------------------------------------------------
+
+# a hand-written two-asset market; A, C and E are the labeled failures
+MARKET_CSV = ("bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+              "A,100.0,70.0,100.0,0.0\n"
+              "B,100.0,55.0,60.0,40.0\n"
+              "C,200.0,150.0,50.0,150.0\n"
+              "D,80.0,30.0,40.0,40.0\n"
+              "E,120.0,100.0,90.0,30.0\n"
+              "F,50.0,10.0,0.0,50.0\n")
+LABELS = "<a label file naming A, C and E>"
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    (["run", "--labels", LABELS, "--p", "0.4", "--alpha", "0.8", "--eta", "0.2",
+      "--seed", "3"], "result.json",
+     "87022ea8f3ac566419e4651ee5d2a156a454eeb0c342c8d2170d593ccbfd78fc"),
+    (["sweep", "--labels", LABELS, "--p", "0.4:1:0.3", "--alpha", "0:0.5:0.25",
+      "--eta", "0"], "survival.csv",
+     "5d0b96b8b60f09f40c8f5a4deaeb54a6554dc7ac5901b737fc86820b8a7b1857"),
+    (["roc", "--labels", LABELS, "--p", "0.5:0.9:0.2", "--alpha", "0:0.6:0.3",
+      "--eta", "0:0.2:0.1", "--replicates", "3", "--seed", "7"], "roc.csv",
+     "1b2545549f834c61f26956fee9b8d99a698b35d8cfab3ca4975968458fac78ae"),
+    (["phase", "--p", "0.6", "--alpha", "0:1:0.25", "--eta", "0", "--replicates", "2"],
+     "phase.csv", "1201a946facffc8a8bce8d91baca9a05a29b8446aacfa9d500d0a08dd3c8f59d"),
+    (["phase", "--p", "0.4:1:0.3", "--alpha", "0:0.8:0.4", "--eta", "0.1",
+      "--replicates", "3", "--seed", "5"], "phase.csv",
+     "7585fdcc060c4775bafe5e256423820cc519442321be23ce4ed3f21168cde0c9"),
+], ids=["run", "sweep", "roc", "phase-1d-eta-0", "phase-2d"])
+def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
+    # reruns agreeing with each other would miss a change that moves every
+    # run's bytes alike; these digests would not
+    market = tmp_path / "market.csv"
+    market.write_text(MARKET_CSV)
+    labels = tmp_path / "failed.csv"
+    labels.write_text("bank_id\nA\nC\nE\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(labels) if arg == LABELS else arg for arg in argv]
+    dest = out / name if argv[0] == "run" else out
+    assert run_cli(*argv, "--input", str(market), "--out", str(dest)) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

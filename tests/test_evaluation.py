@@ -72,8 +72,7 @@ def test_roc_oracle_cell_hits_top_left():
     cell = cf.CascadeParams.single(0, 0.6, 1.0, 0.0)
     labels = oracle_labels(net, cell)
     assert labels == {"A", "B"}
-    grid = cf.SweepGrid(alphas=(0.0, 1.0), etas=(0.0,), ps=(0.6, 1.0))
-    points = cf.roc_grid(net, labels, 0, grid, seed=0)
+    points = cf.roc_grid(net, labels, 0, (0.6, 1.0), (0.0, 1.0), (0.0,), seed=0)
     by_cell = {(pt.alpha, pt.p, pt.split): pt for pt in points}
     top = by_cell[(1.0, 0.6, "full")]
     assert (top.fpr, top.tpr) == (0.0, 1.0)
@@ -86,8 +85,7 @@ def test_roc_oracle_cell_hits_top_left():
 def test_roc_splits_partition_full():
     net = three_bank_network()
     labels = ["A", "B"]
-    grid = cf.SweepGrid(alphas=(0.0, 1.0), etas=(0.0,), ps=(0.6, 1.0))
-    points = cf.roc_grid(net, labels, 0, grid, seed=0)
+    points = cf.roc_grid(net, labels, 0, (0.6, 1.0), (0.0, 1.0), (0.0,), seed=0)
     cells = {}
     for pt in points:
         cells.setdefault((pt.alpha, pt.eta, pt.p), {})[pt.split] = pt
@@ -103,22 +101,21 @@ def test_roc_splits_partition_full():
 def test_roc_needs_both_classes():
     net = three_bank_network()
     with pytest.warns(UserWarning, match="at least one positive"):
-        assert cf.roc_grid(net, [], 0, cf.SweepGrid((0.0,), (0.0,), (1.0,))) == []
+        assert cf.roc_grid(net, [], 0, (1.0,), (0.0,), (0.0,)) == []
     with pytest.warns(UserWarning, match="at least one positive"):
-        assert cf.roc_grid(net, ["A", "B", "C"], 0,
-                           cf.SweepGrid((0.0,), (0.0,), (1.0,))) == []
+        assert cf.roc_grid(net, ["A", "B", "C"], 0, (1.0,), (0.0,), (0.0,)) == []
 
 
 def test_roc_replicates_are_deterministic_and_collapse_at_eta_zero():
     net, _ = dense_synthetic(80, seed=32)
     labels = oracle_labels(net, cf.CascadeParams.single(0, 0.4, 0.0, 0.0))
-    grid = cf.SweepGrid(alphas=(0.0, 0.2), etas=(0.0,), ps=(0.4, 0.8))
-    single = cf.roc_grid(net, labels, 0, grid, seed=5, replicates=1)
-    voted = cf.roc_grid(net, labels, 0, grid, seed=5, replicates=3)
+    grid = ((0.4, 0.8), (0.0, 0.2), (0.0,))
+    single = cf.roc_grid(net, labels, 0, *grid, seed=5, replicates=1)
+    voted = cf.roc_grid(net, labels, 0, *grid, seed=5, replicates=3)
     assert single == voted
-    noisy_grid = cf.SweepGrid(alphas=(0.2,), etas=(0.26,), ps=(0.4,))
-    a = cf.roc_grid(net, labels, 0, noisy_grid, seed=5, replicates=4)
-    b = cf.roc_grid(net, labels, 0, noisy_grid, seed=5, replicates=4)
+    noisy_grid = ((0.4,), (0.2,), (0.26,))
+    a = cf.roc_grid(net, labels, 0, *noisy_grid, seed=5, replicates=4)
+    b = cf.roc_grid(net, labels, 0, *noisy_grid, seed=5, replicates=4)
     assert a == b
 
 
@@ -127,9 +124,8 @@ def test_roc_invariant_under_bank_reordering():
     flipped = make_network(net.holdings[::-1].copy(),
                            net.total_liabilities[::-1].copy(),
                            ids=tuple(reversed(net.bank_ids)))
-    grid = cf.SweepGrid(alphas=(1.0,), etas=(0.0,), ps=(0.6,))
-    a = cf.roc_grid(net, ["A", "B"], 0, grid, seed=0)
-    b = cf.roc_grid(flipped, ["A", "B"], 0, grid, seed=0)
+    a = cf.roc_grid(net, ["A", "B"], 0, (0.6,), (1.0,), (0.0,), seed=0)
+    b = cf.roc_grid(flipped, ["A", "B"], 0, (0.6,), (1.0,), (0.0,), seed=0)
     assert [(pt.split, pt.tpr, pt.fpr) for pt in a] == \
         [(pt.split, pt.tpr, pt.fpr) for pt in b]
 
@@ -137,9 +133,9 @@ def test_roc_invariant_under_bank_reordering():
 def test_roc_jobs_do_not_change_results():
     net, _ = dense_synthetic(60, seed=33)
     labels = oracle_labels(net, cf.CascadeParams.single(0, 0.4, 0.0, 0.0))
-    grid = cf.SweepGrid(alphas=(0.0, 0.3), etas=(0.0, 0.2), ps=(0.4, 0.9))
-    assert cf.roc_grid(net, labels, 0, grid, seed=6) == \
-        cf.roc_grid(net, labels, 0, grid, seed=6, jobs=2)
+    grid = ((0.4, 0.9), (0.0, 0.3), (0.0, 0.2))
+    assert cf.roc_grid(net, labels, 0, *grid, seed=6) == \
+        cf.roc_grid(net, labels, 0, *grid, seed=6, jobs=2)
 
 
 # --- attribution ---------------------------------------------------------
@@ -163,21 +159,17 @@ def test_attribution_excludes_preshock_failures():
 def test_phase_scan_validates_axes():
     net = toy_network()
     with pytest.raises(ValueError, match="one or two axes"):
-        cf.phase_scan(net, 0, {}, {"p": 1.0, "alpha": 0.0, "eta": 0.0})
+        cf.phase_scan(net, 0, [1.0], [0.0], [0.0])
     with pytest.raises(ValueError, match="one or two axes"):
-        cf.phase_scan(net, 0, {"p": [1.0], "alpha": [0.0], "eta": [0.0]}, {})
-    with pytest.raises(ValueError, match="axes must be among"):
-        cf.phase_scan(net, 0, {"gamma": [0.0]}, {"p": 1, "alpha": 0, "eta": 0})
-    with pytest.raises(ValueError, match="missing fixed"):
-        cf.phase_scan(net, 0, {"alpha": [0.0, 1.0]}, {"p": 0.6})
+        cf.phase_scan(net, 0, [0.6, 1.0], [0.0, 1.0], [0.0, 0.1])
+    with pytest.raises(ValueError, match="empty parameter grid"):
+        cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [])
     with pytest.raises(ValueError, match="replicates"):
-        cf.phase_scan(net, 0, {"alpha": [0.0, 1.0]}, {"p": 0.6, "eta": 0.0},
-                      replicates=0)
+        cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=0)
 
 
 def test_phase_scan_one_dimensional():
-    diagram = cf.phase_scan(toy_network(), 0, {"alpha": [0.0, 1.0]},
-                            {"p": 0.6, "eta": 0.0}, replicates=1)
+    diagram = cf.phase_scan(toy_network(), 0, [0.6], [0.0, 1.0], [0.0], replicates=1)
     assert diagram.axis_names == ("alpha",)
     assert np.allclose(diagram.mean_survival, [0.5, 0.0])
     assert diagram.region.tolist() == ["I", "II"]
@@ -186,16 +178,15 @@ def test_phase_scan_one_dimensional():
 
 
 def test_phase_scan_ci_zero_when_deterministic():
-    diagram = cf.phase_scan(toy_network(), 0, {"alpha": [0.0, 1.0]},
-                            {"p": 0.6, "eta": 0.0}, replicates=5)
+    diagram = cf.phase_scan(toy_network(), 0, [0.6], [0.0, 1.0], [0.0], replicates=5)
     assert np.allclose(diagram.ci_half, 0.0)
 
 
 def test_phase_scan_ci_matches_direct_formula():
     net, _ = dense_synthetic(50, seed=34)
     reps = 6
-    diagram = cf.phase_scan(net, 0, {"alpha": [0.4]}, {"p": 0.5, "eta": 0.26},
-                            replicates=reps, seed=9)
+    # cell 0 of a two-cell alpha axis
+    diagram = cf.phase_scan(net, 0, [0.5], [0.4, 0.8], [0.26], replicates=reps, seed=9)
     fractions = np.array([
         cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, 0.4, 0.26, seed=9),
                        rng=cf.stream(9, DOMAIN_CELL, 0, rep)).survival_fraction_all
@@ -207,9 +198,7 @@ def test_phase_scan_ci_matches_direct_formula():
 
 
 def test_phase_scan_two_dimensional():
-    diagram = cf.phase_scan(toy_network(), 0,
-                            {"p": [1.0, 0.6], "alpha": [0.0, 1.0]},
-                            {"eta": 0.0}, replicates=1)
+    diagram = cf.phase_scan(toy_network(), 0, [1.0, 0.6], [0.0, 1.0], [0.0], replicates=1)
     assert diagram.axis_names == ("p", "alpha")
     assert diagram.mean_survival.shape == (2, 2)
     assert diagram.mean_survival[0, 0] == 1.0   # no shock, no sale
@@ -221,9 +210,8 @@ def test_phase_scan_two_dimensional():
 def test_phase_scan_jobs_do_not_change_results():
     net, _ = dense_synthetic(50, seed=35)
     kw = dict(replicates=3, seed=2)
-    a = cf.phase_scan(net, 0, {"alpha": [0.0, 0.5, 1.0]}, {"p": 0.5, "eta": 0.1}, **kw)
-    b = cf.phase_scan(net, 0, {"alpha": [0.0, 0.5, 1.0]}, {"p": 0.5, "eta": 0.1},
-                      jobs=2, **kw)
+    a = cf.phase_scan(net, 0, [0.5], [0.0, 0.5, 1.0], [0.1], **kw)
+    b = cf.phase_scan(net, 0, [0.5], [0.0, 0.5, 1.0], [0.1], jobs=2, **kw)
     assert np.array_equal(a.mean_survival, b.mean_survival)
     assert np.array_equal(a.ci_half, b.ci_half)
 
@@ -247,8 +235,7 @@ def test_write_roc_csv(tmp_path):
 
 
 def test_write_phase_csv(tmp_path):
-    diagram = cf.phase_scan(toy_network(), 0, {"alpha": [0.0, 1.0]},
-                            {"p": 0.6, "eta": 0.0}, replicates=1)
+    diagram = cf.phase_scan(toy_network(), 0, [0.6], [0.0, 1.0], [0.0], replicates=1)
     path = tmp_path / "phase.csv"
     cf.write_phase_csv(diagram, path)
     assert path.read_text() == ("alpha,mean_survival,ci_half,region\n"
@@ -275,13 +262,11 @@ def test_eta_zero_cells_run_one_cascade(monkeypatch):
     reps, alphas, etas = 4, (0.0, 0.3, 0.6), (0.0, 0.1)
     n0, n1 = len(alphas), len(alphas)   # eta = 0 cells, eta > 0 cells
     calls = counting_run_cascade(monkeypatch)
-    cf.phase_scan(net, 0, {"alpha": alphas, "eta": etas}, {"p": 0.5},
-                  replicates=reps, seed=3)
+    cf.phase_scan(net, 0, (0.5,), alphas, etas, replicates=reps, seed=3)
     assert len(calls) == n0 + reps * n1
     calls.clear()
     labels = [net.bank_ids[i] for i in range(0, net.n_banks, 3)]
-    cf.roc_grid(net, labels, 0, cf.SweepGrid(alphas, etas, (0.5,)),
-                seed=3, replicates=reps)
+    cf.roc_grid(net, labels, 0, (0.5,), alphas, etas, seed=3, replicates=reps)
     assert len(calls) == n0 + reps * n1
     assert calls.count(0.0) == n0
 
@@ -289,8 +274,7 @@ def test_eta_zero_cells_run_one_cascade(monkeypatch):
 def test_eta_zero_phase_cell_is_exact():
     net, _ = dense_synthetic(80, seed=37)
     alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    diagram = cf.phase_scan(net, 0, {"alpha": alphas}, {"p": 0.5, "eta": 0.0},
-                            replicates=7, seed=5)
+    diagram = cf.phase_scan(net, 0, [0.5], alphas, [0.0], replicates=7, seed=5)
     for i, alpha in enumerate(alphas):
         result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, alpha, 0.0, seed=5))
         assert diagram.mean_survival[i] == result.survival_fraction_all
@@ -300,9 +284,7 @@ def test_eta_zero_phase_cell_is_exact():
 def test_pool_is_never_larger_than_the_lattice(monkeypatch):
     sizes = serial_pool(monkeypatch)
     net = toy_network()
-    serial = cf.phase_scan(net, 0, {"alpha": [0.0, 1.0]}, {"p": 0.6, "eta": 0.0},
-                           replicates=2)
-    pooled = cf.phase_scan(net, 0, {"alpha": [0.0, 1.0]}, {"p": 0.6, "eta": 0.0},
-                           replicates=2, jobs=8)
+    serial = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2)
+    pooled = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2, jobs=8)
     assert sizes == [2]
     assert np.array_equal(serial.mean_survival, pooled.mean_survival)

@@ -168,11 +168,11 @@ def test_survival_curves_same_at_jobs_2(market, ps, alphas, eta):
 @given(small_markets(), grids, grids, etas, st.integers(1, 3))
 def test_roc_grid_same_at_jobs_2(market, ps, alphas, eta_grid, replicates):
     net, labels, seed = market
-    grid = cf.SweepGrid(tuple(alphas), tuple(eta_grid), tuple(ps))
-    serial = cf.roc_grid(net, labels, 0, grid, seed=seed, replicates=replicates)
-    assert len(serial) == 3 * grid.n_cells
-    assert cf.roc_grid(net, labels, 0, grid, seed=seed, replicates=replicates,
-                       jobs=2) == serial
+    serial = cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
+                         replicates=replicates)
+    assert len(serial) == 3 * len(ps) * len(alphas) * len(eta_grid)
+    assert cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
+                       replicates=replicates, jobs=2) == serial
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -180,10 +180,10 @@ def test_roc_grid_same_at_jobs_2(market, ps, alphas, eta_grid, replicates):
 def test_roc_grid_matches_bank_by_bank_count(market, ps, alphas, eta_grid, replicates):
     # even replicate counts put banks on a tied vote, which is not a majority
     net, labels, seed = market
-    grid = cf.SweepGrid(tuple(alphas), tuple(eta_grid), tuple(ps))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        points = cf.roc_grid(net, labels, 0, grid, seed=seed, replicates=replicates)
+        points = cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
+                             replicates=replicates)
         expect = brute_force_roc(net, labels, 0, alphas, eta_grid, ps, seed, replicates)
     n_pos = len(labels)
     assert [(pt.alpha, pt.eta, pt.p, pt.split, pt.true_positives) for pt in points] == \
@@ -197,9 +197,8 @@ def test_roc_grid_matches_bank_by_bank_count(market, ps, alphas, eta_grid, repli
 def test_phase_scan_same_at_jobs_2(market, alphas, eta_grid, replicates):
     net, _, seed = market
     kw = dict(replicates=replicates, seed=seed)
-    axes = {"alpha": alphas, "eta": eta_grid}
-    serial = cf.phase_scan(net, 0, axes, {"p": 0.5}, **kw)
-    parallel = cf.phase_scan(net, 0, axes, {"p": 0.5}, jobs=2, **kw)
+    serial = cf.phase_scan(net, 0, [0.5], alphas, eta_grid, **kw)
+    parallel = cf.phase_scan(net, 0, [0.5], alphas, eta_grid, jobs=2, **kw)
     assert np.array_equal(serial.mean_survival, parallel.mean_survival)
     if replicates >= 2:
         assert np.array_equal(serial.ci_half, parallel.ci_half)
