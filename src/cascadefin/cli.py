@@ -160,15 +160,6 @@ def _resolve_seed(args, etas) -> int:
         return args.seed
     if any(e > 0 for e in etas):
         raise UsageError("--seed is required when eta > 0 (no silent default)")
-    env = os.environ.get("CASCADEFIN_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise UsageError(f"CASCADEFIN_SEED is not an integer: {env!r}") from None
-        if seed < 0:
-            raise UsageError(f"CASCADEFIN_SEED must be a non-negative integer, got {seed}")
-        return seed
     return 0
 
 
@@ -193,8 +184,8 @@ def _resolve(args, etas):
     config).
 
     Labels come from --labels or a --synthetic label cascade; phase takes
-    none. Labels must name a bank of the network, and roc also needs a bank
-    they leave out.
+    neither. Labels must name a bank of the network, and roc also needs a
+    bank they leave out.
     """
     seed = _resolve_seed(args, etas)
     if bool(args.input) == bool(args.synthetic):
@@ -203,11 +194,13 @@ def _resolve(args, etas):
         network, labels = load_completed_network(args.input), None
         config = {"input": args.input, "input_sha256": _sha256(args.input)}
     else:
-        network, labels = generate_synthetic(_parse_synthetic(args.synthetic), seed)
+        synthetic = _parse_synthetic(args.synthetic)
+        if synthetic.label_cascade is not None and "labels" not in args:
+            raise UsageError(f"--synthetic: {args.command} takes no labels; drop the "
+                             "label_* keys")
+        network, labels = generate_synthetic(synthetic, seed)
         config = {"synthetic": args.synthetic, "synthetic_seed": seed}
-    if "labels" not in args:
-        labels = None
-    elif args.labels:
+    if getattr(args, "labels", None):
         labels = load_labels(args.labels)
         config.update(labels=args.labels, labels_sha256=_sha256(args.labels))
     elif labels is not None:
@@ -376,8 +369,7 @@ def _add_network_flags(sp):
                          "concentration=8,label_asset=0,label_p=0.6,...]")
     sp.add_argument("--asset", type=int, default=0, help="shocked asset index (default 0)")
     sp.add_argument("--seed", type=int, default=None,
-                    help="master seed; required when eta > 0, "
-                         "else falls back to CASCADEFIN_SEED or 0")
+                    help="master seed; required when eta > 0, else 0")
     sp.add_argument("--out", help="output directory (file for run)")
 
 
@@ -436,39 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(argv: list) -> list:
-    """Splice `key = value` lines from --config FILE in as flags (CLI wins)."""
-    if "--config" not in argv:
-        return argv
-    pos = argv.index("--config")
-    if pos + 1 >= len(argv):
-        raise UsageError("--config needs a file argument")
-    path = argv[pos + 1]
-    rest = argv[:pos] + argv[pos + 2:]
-    flags = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line is not key = value: {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            flags.extend([f"--{key}", value])
-    if not rest:
-        raise UsageError("--config given but no subcommand")
-    return [rest[0]] + flags + rest[1:]
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _apply_config(argv)
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as e:
-            return int(e.code or 0)
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    try:
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -133,7 +133,7 @@ def _parse_block(block, header, first_line: dict) -> FloatA:
 def load_raw_csv(path) -> RawTable:
     """Read a balance-sheet CSV; blank asset cells become NaN. A bad file
     raises SchemaError for its first bad row, or for having no data row."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -270,7 +270,7 @@ def load_labels(path) -> frozenset:
     """The bank ids of a one-column bank_id CSV (header optional, duplicates
     dropped with a warning)."""
     ids = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for pos, rec in enumerate(reader):
             if not rec or not rec[0].strip():
@@ -317,6 +317,9 @@ class SyntheticConfig:
             raise ValueError("need 0 <= leverage_low <= leverage_high")
         if not (self.concentration > 0 and self.size_median > 0):
             raise ValueError("concentration and median must be positive")
+        if not all(map(math.isfinite, (self.concentration, self.size_median, self.size_sigma,
+                                       self.leverage_low, self.leverage_high))):
+            raise ValueError("concentration, median, sigma and leverage must be finite")
 
 
 def _target_weights(config: SyntheticConfig) -> FloatA:

@@ -126,6 +126,11 @@ class BankAssetNetwork:
             raise ValueError("bank/asset labels do not match holdings shape")
         if len(set(self.bank_ids)) != n:
             raise ValueError("duplicate bank_id")
+        if self.market_value is None:
+            self.market_value = self.holdings.sum(axis=0)
+        for name in ("holdings", "total_assets", "total_liabilities", "market_value"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite value")
         if np.any(self.holdings < 0):
             bad = self.bank_ids[int(np.argwhere(np.any(self.holdings < 0, axis=1))[0, 0])]
             raise ValueError(f"bank {bad}: negative holding")
@@ -140,8 +145,6 @@ class BankAssetNetwork:
                 f"bank {bad}: holdings sum {sums[np.argmax(off)]} does not match "
                 f"total_assets {self.total_assets[np.argmax(off)]}"
             )
-        if self.market_value is None:
-            self.market_value = self.holdings.sum(axis=0)
         self._index_of = {b: i for i, b in enumerate(self.bank_ids)}
 
     @property

@@ -168,33 +168,23 @@ def test_run_checks_asset_range(toy_csv, capsys):
 
 # --- seed resolution -----------------------------------------------------
 
-def test_eta_without_seed_is_refused(toy_csv, capsys, monkeypatch):
-    monkeypatch.setenv("CASCADEFIN_SEED", "7")
+def test_eta_without_seed_is_refused(toy_csv, capsys):
     assert run_cli("run", "--input", toy_csv, "--eta", "0.26") == 2
     assert "--seed is required" in capsys.readouterr().err
 
 
-def test_env_seed_used_at_eta_zero(toy_csv, tmp_path, monkeypatch, capsys):
+def test_environment_does_not_change_outputs(tmp_path, monkeypatch, capsys):
+    # no environment variable stands in for a flag: the same command line
+    # writes the same bytes whatever the caller has exported
+    argv = ("phase", "--synthetic", "n=200", "--p", "0.6", "--alpha", "0:1:0.25",
+            "--eta", "0", "--replicates", "1")
+    outs = [tmp_path / "plain", tmp_path / "exported"]
+    assert run_cli(*argv, "--out", str(outs[0])) == 0
     monkeypatch.setenv("CASCADEFIN_SEED", "77")
-    out = tmp_path / "sweep"
-    assert run_cli("sweep", "--input", toy_csv, "--p", "1", "--alpha", "0",
-                   "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 77
-
-
-def test_env_seed_must_be_integer(toy_csv, monkeypatch, capsys):
-    monkeypatch.setenv("CASCADEFIN_SEED", "many")
-    assert run_cli("run", "--input", toy_csv) == 2
-
-
-def test_explicit_seed_wins(toy_csv, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CASCADEFIN_SEED", "77")
-    out = tmp_path / "sweep"
-    assert run_cli("sweep", "--input", toy_csv, "--p", "1", "--alpha", "0",
-                   "--seed", "5", "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 5
+    assert run_cli(*argv, "--out", str(outs[1])) == 0
+    for name in ("phase.csv", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / "manifest.json").read_text())["config"]["seed"] == 0
 
 
 # --- sweep ---------------------------------------------------------------
@@ -228,6 +218,7 @@ def test_sweep_bytes_stable_across_runs_and_jobs(toy_csv, tmp_path, capsys):
     assert run_cli(*base, "--jobs", "2", "--out", str(outs[2])) == 0
     ref_csv = (outs[0] / "survival.csv").read_bytes()
     ref_man = (outs[0] / "manifest.json").read_bytes()
+    assert json.loads(ref_man)["config"]["seed"] == 11
     for out in outs[1:]:
         assert (out / "survival.csv").read_bytes() == ref_csv
         assert (out / "manifest.json").read_bytes() == ref_man
@@ -371,36 +362,11 @@ def test_phase_bytes_stable_across_runs_and_jobs(tmp_path, capsys):
         assert (out / "manifest.json").read_bytes() == ref_man
 
 
-# --- config files --------------------------------------------------------
-
-def test_config_file_supplies_flags(toy_csv, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 0.6\nalpha = 1  # full impact\n\n")
-    assert run_cli("run", "--input", toy_csv, "--config", str(cfg)) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["fates"] == [1, 2]
-
-
-def test_cli_flags_override_config(toy_csv, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 0.6\nalpha = 1\n")
-    assert run_cli("run", "--input", toy_csv, "--config", str(cfg),
-                   "--p", "1.0") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["fates"] == [None, None]
-
-
-def test_config_errors(toy_csv, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("just words\n")
-    assert run_cli("run", "--input", toy_csv, "--config", str(cfg)) == 2
-    assert run_cli("run", "--input", toy_csv, "--config") == 2
-
-
 # --- bad inputs are usage errors, caught before any network is built -------
 
 MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
 HEADER_ONLY = "<a CSV with a header and no data row>"
+NOT_FINITE = "--synthetic: concentration, median, sigma and leverage must be finite"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -436,25 +402,29 @@ HEADER_ONLY = "<a CSV with a header and no data row>"
     (["run", "--input", MISSING, "--jobs", "2"], "unrecognized arguments: --jobs 2"),
     (["phase", "--input", MISSING, "--labels", MISSING, "--eta", "0"],
      "unrecognized arguments: --labels"),
+    (["run", "--synthetic", "n=10,sigma=nan"], NOT_FINITE),
+    (["run", "--synthetic", "n=10,sigma=inf"], NOT_FINITE),
+    (["run", "--synthetic", "n=10,median=inf"], NOT_FINITE),
+    (["run", "--synthetic", "n=10,concentration=inf"], NOT_FINITE),
+    (["run", "--synthetic", "n=10,lev_high=inf"], NOT_FINITE),
+    (["phase", "--synthetic", "n=50,label_asset=0,label_p=0.3,label_alpha=0,label_eta=0",
+      "--eta", "0"], "--synthetic: phase takes no labels; drop the label_* keys"),
+    (["run", "--input", MISSING, "--config", MISSING], "unrecognized arguments: --config"),
     (["run", "--input", HEADER_ONLY], "schema error: no data rows in input"),
     (["ingest", "--input", HEADER_ONLY], "schema error: no data rows in input"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
         "concentration-0", "concentration-negative", "median-negative", "run-jobs",
-        "phase-labels", "run-header-only", "ingest-header-only"])
+        "phase-labels", "sigma-nan", "sigma-inf", "median-inf", "concentration-inf",
+        "lev-high-inf", "phase-label-cascade", "run-config", "run-header-only",
+        "ingest-header-only"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
     argv = [str(header_only) if arg == HEADER_ONLY else arg for arg in argv]
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
-
-
-def test_negative_env_seed_exits_2(toy_csv, monkeypatch, capsys):
-    monkeypatch.setenv("CASCADEFIN_SEED", "-1")
-    assert run_cli("run", "--input", toy_csv) == 2
-    assert "CASCADEFIN_SEED must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_shock_asset_out_of_range_exits_2(toy_csv, capsys):

@@ -1,5 +1,6 @@
 """CSV ingestion, average-weight completion, labels, synthetic generation."""
 
+import codecs
 import warnings
 
 import numpy as np
@@ -41,6 +42,17 @@ def test_load_raw_csv_blank_means_missing(tmp_path):
     assert raw.total_liabilities.tolist() == [90.0, 30.0]
     assert np.array_equal(raw.holdings, [[40.0, nan], [nan, 10.0]], equal_nan=True)
     assert raw.line_numbers.tolist() == [2, 3]
+
+
+def test_load_raw_csv_ignores_a_byte_order_mark(tmp_path):
+    text = ("bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+            "b1,100.0,90.0,40.0,\n")
+    plain = cf.load_raw_csv(write(tmp_path / "plain.csv", text))
+    (tmp_path / "marked.csv").write_bytes(codecs.BOM_UTF8 + text.encode())
+    marked = cf.load_raw_csv(str(tmp_path / "marked.csv"))
+    assert marked.bank_ids == plain.bank_ids == ("b1",)
+    assert np.array_equal(marked.holdings, plain.holdings, equal_nan=True)
+    assert marked.line_numbers.tolist() == plain.line_numbers.tolist()
 
 
 def test_load_raw_csv_header_is_checked(tmp_path):
@@ -248,6 +260,14 @@ def test_labels_dedupe_warns(tmp_path):
 def test_labels_header_optional(tmp_path):
     path = write(tmp_path / "plain.csv", "b1\nb2\n")
     assert cf.load_labels(path) == frozenset({"b1", "b2"})
+
+
+@pytest.mark.parametrize("text", ["bank_id\nb1\nb2\n", "b1\nb2\n"], ids=["header", "plain"])
+def test_labels_ignore_a_byte_order_mark(text, tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    path = tmp_path / "marked.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert cf.load_labels(str(path)) == frozenset({"b1", "b2"})
 
 
 # --- synthetic generation ------------------------------------------------

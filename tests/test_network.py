@@ -79,6 +79,16 @@ def test_network_rejects_duplicate_ids():
         make_network([[1.0], [1.0]], [0.5, 0.5], ids=("same", "same"))
 
 
+@pytest.mark.parametrize("holdings, liabilities, name", [
+    ([[np.nan], [1.0]], [0.5, 0.5], "holdings"),
+    ([[1.0], [1.0]], [0.5, np.inf], "total_liabilities"),
+], ids=["nan-holding", "inf-liabilities"])
+def test_network_rejects_non_finite_values(holdings, liabilities, name):
+    # NaN fails no comparison, so only an explicit check stops it
+    with pytest.raises(ValueError, match=f"{name} has a non-finite value"):
+        make_network(holdings, liabilities)
+
+
 def test_derived_quantities():
     net = make_network([[60.0, 40.0], [0.0, 10.0]], [80.0, 5.0])
     assert np.array_equal(net.market_value, [60.0, 50.0])
