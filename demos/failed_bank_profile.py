@@ -34,22 +34,21 @@ def main():
     print(f"{args.n} banks, shock p={args.p} on asset 0: "
           f"{n_failed} failed ({n_failed / args.n:.1%})")
 
+    ratios = (network.total_assets - network.total_liabilities) / network.total_assets
+    failed_idx = network.indices_of(labels)
     edges = np.linspace(0.0, 0.20, 11)
-    summary = cf.summary_statistics(network, labels, bin_edges=edges)
-    table = summary.tables[-1]
-    assert table.variable == "equity_ratio"
+    density_all, _ = np.histogram(ratios, bins=edges, density=True)
+    density_failed, _ = np.histogram(ratios[failed_idx], bins=edges, density=True)
 
-    widths = np.diff(table.bin_edges)
+    widths = np.diff(edges)
     print()
     print("equity/assets     all banks          failed banks")
     for k in range(len(widths)):
-        lo, hi = table.bin_edges[k], table.bin_edges[k + 1]
-        mass_all = table.density_all[k] * widths[k]
-        mass_failed = table.density_failed[k] * widths[k]
+        lo, hi = edges[k], edges[k + 1]
+        mass_all = density_all[k] * widths[k]
+        mass_failed = density_failed[k] * widths[k]
         print(f"  [{lo:.2f}, {hi:.2f})  {bar(mass_all):<18} {bar(mass_failed)}")
 
-    ratios = (network.total_assets - network.total_liabilities) / network.total_assets
-    failed_idx = network.indices_of(labels)
     print()
     print(f"median equity ratio, all banks:    {np.median(ratios):.4f}")
     print(f"median equity ratio, failed banks: {np.median(ratios[failed_idx]):.4f}")

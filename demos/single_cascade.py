@@ -43,6 +43,6 @@ print(f"  rounds executed: {result.rounds_executed}")
 print(f"  failures per round: {result.failures_per_round}")
 print(f"  survival fraction: {result.survival_fraction_all:.3f}")
 worst = int(np.argmin(result.price_index))
-print(f"  hardest-hit asset: {network.assets[worst].name} "
+print(f"  hardest-hit asset: {cf.ASSET_NAMES[worst]} "
       f"at price index {result.price_index[worst]:.3f}")
 print(f"  rerun with the same seed reproduces this exactly, bit for bit")

@@ -1,7 +1,7 @@
 """cascadefin: cascading bank-failure simulation on a bank-asset network.
 
 Library layout:
-  network    -- domain types (balance sheets, the bipartite network, summaries)
+  network    -- domain types (balance sheets, the bipartite network, asset names)
   ingestion  -- CSV loading, missing-value completion, labels, synthetic data
   cascade    -- the shock / barrier / fire-sale engine
   evaluation -- survival curves, ROC grids, attribution, phase scans
@@ -49,28 +49,16 @@ from .ingestion import (
     network_from_sheets,
     save_completed_csv,
 )
-from .network import (
-    CANONICAL_ASSET_CATEGORIES,
-    DEFAULT_MEAN_WEIGHTS,
-    AssetCategory,
-    AssetGroup,
-    BalanceSheet,
-    BankAssetNetwork,
-    DistributionTable,
-    SummaryStatistics,
-    summary_statistics,
-)
+from .network import ASSET_NAMES, DEFAULT_MEAN_WEIGHTS, BalanceSheet, BankAssetNetwork
 
 __all__ = [
-    "AssetCategory", "AssetGroup", "BalanceSheet", "BankAssetNetwork",
-    "CANONICAL_ASSET_CATEGORIES", "CascadeParams", "CascadeResult",
-    "DEFAULT_MEAN_WEIGHTS", "DistributionTable", "PhaseDiagram", "RNG_ALGORITHM",
-    "RawTable", "RocPoint", "RoundState", "SURVIVED", "SchemaError",
-    "SummaryStatistics", "SweepRecord", "SyntheticConfig",
+    "ASSET_NAMES", "BalanceSheet", "BankAssetNetwork", "CascadeParams", "CascadeResult",
+    "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RocPoint",
+    "RoundState", "SURVIVED", "SchemaError", "SweepRecord", "SyntheticConfig",
     "apply_fire_sales", "apply_shock", "attribution_split", "complete_dataset",
     "compute_average_weights", "evaluate_round", "failure_probability",
     "generate_synthetic", "labels_from_cascade", "load_completed_network",
     "load_labels", "load_raw_csv", "network_from_sheets", "phase_scan", "roc_grid",
-    "run_cascade", "save_completed_csv", "stream", "summary_statistics",
-    "survival_curves", "write_phase_csv", "write_roc_csv", "write_survival_csv",
+    "run_cascade", "save_completed_csv", "stream", "survival_curves", "write_phase_csv",
+    "write_roc_csv", "write_survival_csv",
 ]

@@ -198,7 +198,10 @@ def _resolve(args, etas):
         if synthetic.label_cascade is not None and "labels" not in args:
             raise UsageError(f"--synthetic: {args.command} takes no labels; drop the "
                              "label_* keys")
-        network, labels = generate_synthetic(synthetic, seed)
+        try:
+            network, labels = generate_synthetic(synthetic, seed)
+        except ValueError as e:
+            raise UsageError(f"--synthetic: the spec gives no valid network: {e}") from None
         config = {"synthetic": args.synthetic, "synthetic_seed": seed}
     if getattr(args, "labels", None):
         labels = load_labels(args.labels)

@@ -25,14 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cascade import DOMAIN_SYNTHETIC, CascadeParams, run_cascade, stream
-from .network import (
-    DEFAULT_MEAN_WEIGHTS,
-    SUM_RTOL,
-    BankAssetNetwork,
-    FloatA,
-    IntA,
-    generic_asset_categories,
-)
+from .network import DEFAULT_MEAN_WEIGHTS, SUM_RTOL, BankAssetNetwork, FloatA, IntA, off_total
 
 FIXED_COLUMNS = ("bank_id", "total_assets", "total_liabilities")
 # rows parsed or written at a time: bounds the Python objects alive at once
@@ -130,21 +123,36 @@ def _parse_block(block, header, first_line: dict) -> FloatA:
     return array
 
 
+def _not_utf8(path) -> SchemaError:
+    """The error for a file that is not UTF-8, naming its first bad line; a
+    text reader decodes ahead of the row it reads, so its position cannot."""
+    with open(path, "rb") as fh:
+        for line, data in enumerate(fh, start=1):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return SchemaError(f"line {line}: byte {data[e.start]:#04x} is not UTF-8")
+    return SchemaError("the file is not UTF-8")
+
+
 def load_raw_csv(path) -> RawTable:
     """Read a balance-sheet CSV; blank asset cells become NaN. A bad file
     raises SchemaError for its first bad row, or for having no data row."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty file: missing header row")
-        _check_header(header)
-        records = ((line, rec) for line, rec in enumerate(reader, start=2)
-                   if rec and not (len(rec) == 1 and rec[0].strip() == ""))
-        first_line, lines, blocks = {}, [], []
-        while block := list(itertools.islice(records, BLOCK_ROWS)):
-            blocks.append(_parse_block(block, header, first_line))
-            lines += [line for line, _ in block]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("empty file: missing header row")
+            _check_header(header)
+            records = ((line, rec) for line, rec in enumerate(reader, start=2)
+                       if rec and not (len(rec) == 1 and rec[0].strip() == ""))
+            first_line, lines, blocks = {}, [], []
+            while block := list(itertools.islice(records, BLOCK_ROWS)):
+                blocks.append(_parse_block(block, header, first_line))
+                lines += [line for line, _ in block]
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if not blocks:
         raise SchemaError("no data rows in input")
     values = np.concatenate(blocks)
@@ -237,8 +245,7 @@ def network_from_sheets(sheets) -> BankAssetNetwork:
     if not sheets.bank_ids:
         raise ValueError("empty network")
     return BankAssetNetwork(sheets.bank_ids, sheets.holdings, sheets.total_assets,
-                            sheets.total_liabilities,
-                            generic_asset_categories(sheets.holdings.shape[1]))
+                            sheets.total_liabilities)
 
 
 def load_completed_network(path) -> BankAssetNetwork:
@@ -248,6 +255,11 @@ def load_completed_network(path) -> BankAssetNetwork:
     if blank.size:
         i, m = blank[0]
         raise SchemaError(f"row {raw.line_numbers[i]}: blank asset_{m:02d}; run ingest first")
+    off = off_total(raw.holdings, raw.total_assets)
+    if off.any():
+        i = int(np.argmax(off))
+        raise SchemaError(f"row {raw.line_numbers[i]}: holdings sum {raw.holdings[i].sum()} "
+                          f"does not match total_assets {raw.total_assets[i]}; run ingest first")
     return network_from_sheets(raw)
 
 
@@ -271,14 +283,16 @@ def load_labels(path) -> frozenset:
     dropped with a warning)."""
     ids = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for pos, rec in enumerate(reader):
-            if not rec or not rec[0].strip():
-                continue
-            value = rec[0].strip()
-            if pos == 0 and value.lower() == "bank_id":
-                continue
-            ids.append(value)
+        try:
+            for pos, rec in enumerate(csv.reader(fh)):
+                if not rec or not rec[0].strip():
+                    continue
+                value = rec[0].strip()
+                if pos == 0 and value.lower() == "bank_id":
+                    continue
+                ids.append(value)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     unique = frozenset(ids)
     dupes = len(ids) - len(unique)
     if dupes:
@@ -317,6 +331,8 @@ class SyntheticConfig:
             raise ValueError("need 0 <= leverage_low <= leverage_high")
         if not (self.concentration > 0 and self.size_median > 0):
             raise ValueError("concentration and median must be positive")
+        if self.size_sigma < 0:
+            raise ValueError("sigma must be non-negative")
         if not all(map(math.isfinite, (self.concentration, self.size_median, self.size_sigma,
                                        self.leverage_low, self.leverage_high))):
             raise ValueError("concentration, median, sigma and leverage must be finite")
@@ -362,7 +378,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         holdings=holdings,
         total_assets=total_assets,
         total_liabilities=total_liabilities,
-        assets=generic_asset_categories(m),
     )
     labels = None
     if config.label_cascade is not None:

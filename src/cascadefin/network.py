@@ -1,17 +1,14 @@
 """Core domain types for the bipartite bank-asset system.
 
-Banks hold amounts of 13 balance-sheet asset categories; a link between bank i
-and asset m exists iff the holding is strictly positive. Derived quantities
-(portfolio weights, market values) live here, along with the
-binned distribution summaries used to compare failed banks against the
-population.
+Banks hold amounts of M assets (13 balance-sheet categories in the canonical
+schema); a link between bank i and asset m exists iff the holding is strictly
+positive. The network is bank ids plus arrays: holdings, totals and the
+per-asset market values a cascade reads.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,41 +21,22 @@ BoolA = NDArray[np.bool_]
 # completion repairs every row off by more, so it keeps no row this rejects
 SUM_RTOL = 1e-9
 
-
-class AssetGroup(Enum):
-    REAL_ESTATE_LOANS = "RealEstateLoans"
-    OTHER_LOANS = "OtherLoans"
-    OTHER_ASSETS = "OtherAssets"
-
-
-@dataclass(frozen=True)
-class AssetCategory:
-    index: int
-    name: str
-    group: AssetGroup
-
-
 # Canonical 13-category balance-sheet schema (US commercial-bank call-report
-# asset classes, in fixed index order).
-CANONICAL_ASSET_CATEGORIES: tuple[AssetCategory, ...] = tuple(
-    AssetCategory(i, name, group)
-    for i, (name, group) in enumerate(
-        [
-            ("Construction and land development loans", AssetGroup.REAL_ESTATE_LOANS),
-            ("Loans secured by farmland", AssetGroup.REAL_ESTATE_LOANS),
-            ("Loans secured by 1-4 family residential properties", AssetGroup.REAL_ESTATE_LOANS),
-            ("Loans secured by multifamily residential properties", AssetGroup.REAL_ESTATE_LOANS),
-            ("Loans secured by nonfarm nonresidential properties", AssetGroup.REAL_ESTATE_LOANS),
-            ("Agricultural loans", AssetGroup.OTHER_LOANS),
-            ("Commercial and industrial loans", AssetGroup.OTHER_LOANS),
-            ("Loans to individuals", AssetGroup.OTHER_LOANS),
-            ("Obligations of states and political subdivisions", AssetGroup.OTHER_LOANS),
-            ("All other loans", AssetGroup.OTHER_LOANS),
-            ("Held-to-maturity securities", AssetGroup.OTHER_ASSETS),
-            ("Available-for-sale securities", AssetGroup.OTHER_ASSETS),
-            ("Premises and fixed assets", AssetGroup.OTHER_ASSETS),
-        ]
-    )
+# asset classes), in asset-index order.
+ASSET_NAMES: tuple[str, ...] = (
+    "Construction and land development loans",
+    "Loans secured by farmland",
+    "Loans secured by 1-4 family residential properties",
+    "Loans secured by multifamily residential properties",
+    "Loans secured by nonfarm nonresidential properties",
+    "Agricultural loans",
+    "Commercial and industrial loans",
+    "Loans to individuals",
+    "Obligations of states and political subdivisions",
+    "All other loans",
+    "Held-to-maturity securities",
+    "Available-for-sale securities",
+    "Premises and fixed assets",
 )
 
 # Average portfolio weights of US commercial banks (2007 snapshot), indexed by
@@ -70,13 +48,10 @@ DEFAULT_MEAN_WEIGHTS: FloatA = np.array(
 )
 
 
-def generic_asset_categories(m: int) -> tuple[AssetCategory, ...]:
-    """Placeholder categories for networks that are not on the 13-asset schema."""
-    if m == len(CANONICAL_ASSET_CATEGORIES):
-        return CANONICAL_ASSET_CATEGORIES
-    return tuple(
-        AssetCategory(i, f"asset_{i:02d}", AssetGroup.OTHER_ASSETS) for i in range(m)
-    )
+def off_total(holdings: FloatA, total_assets: FloatA) -> BoolA:
+    """The rows whose holdings sum misses total_assets by more than SUM_RTOL
+    of the total (of 1, for totals below 1)."""
+    return np.abs(holdings.sum(axis=1) - total_assets) > SUM_RTOL * np.maximum(total_assets, 1.0)
 
 
 @dataclass(frozen=True)
@@ -113,7 +88,6 @@ class BankAssetNetwork:
     holdings: FloatA
     total_assets: FloatA
     total_liabilities: FloatA
-    assets: tuple[AssetCategory, ...]
     market_value: FloatA = None
     _index_of: dict = field(init=False, repr=False)
 
@@ -121,10 +95,9 @@ class BankAssetNetwork:
         self.holdings = np.asarray(self.holdings, dtype=np.float64)
         self.total_assets = np.asarray(self.total_assets, dtype=np.float64)
         self.total_liabilities = np.asarray(self.total_liabilities, dtype=np.float64)
-        n, m = self.holdings.shape
-        if len(self.bank_ids) != n or len(self.assets) != m:
-            raise ValueError("bank/asset labels do not match holdings shape")
-        if len(set(self.bank_ids)) != n:
+        if self.holdings.ndim != 2 or len(self.bank_ids) != len(self.holdings):
+            raise ValueError("bank ids do not match the rows of a 2-D holdings matrix")
+        if len(set(self.bank_ids)) != len(self.bank_ids):
             raise ValueError("duplicate bank_id")
         if self.market_value is None:
             self.market_value = self.holdings.sum(axis=0)
@@ -136,15 +109,11 @@ class BankAssetNetwork:
             raise ValueError(f"bank {bad}: negative holding")
         if np.any(self.total_liabilities < 0):
             raise ValueError("negative liabilities")
-        sums = self.holdings.sum(axis=1)
-        tol = SUM_RTOL * np.maximum(self.total_assets, 1.0)
-        off = np.abs(sums - self.total_assets) > tol
-        if np.any(off):
-            bad = self.bank_ids[int(np.argmax(off))]
-            raise ValueError(
-                f"bank {bad}: holdings sum {sums[np.argmax(off)]} does not match "
-                f"total_assets {self.total_assets[np.argmax(off)]}"
-            )
+        off = off_total(self.holdings, self.total_assets)
+        if off.any():
+            i = int(np.argmax(off))
+            raise ValueError(f"bank {self.bank_ids[i]}: holdings sum {self.holdings[i].sum()} "
+                             f"does not match total_assets {self.total_assets[i]}")
         self._index_of = {b: i for i, b in enumerate(self.bank_ids)}
 
     @property
@@ -157,15 +126,9 @@ class BankAssetNetwork:
 
     @property
     def banks(self) -> list[BalanceSheet]:
-        return [
-            BalanceSheet(
-                self.bank_ids[i],
-                self.holdings[i].copy(),
-                float(self.total_assets[i]),
-                float(self.total_liabilities[i]),
-            )
-            for i in range(self.n_banks)
-        ]
+        return [BalanceSheet(bank_id, row.copy(), float(assets), float(liabilities))
+                for bank_id, row, assets, liabilities in zip(
+                    self.bank_ids, self.holdings, self.total_assets, self.total_liabilities)]
 
     def indices_of(self, bank_ids) -> IntA:
         """Ascending row indices of the given bank ids; ids not in the network,
@@ -173,57 +136,3 @@ class BankAssetNetwork:
         ids = set(bank_ids) if bank_ids is not None else ()
         return np.array(sorted(self._index_of[b] for b in ids if b in self._index_of),
                         dtype=np.int64)
-
-    def weights(self) -> FloatA:
-        """N x M portfolio-weight matrix B_{i,m}/B_i. Requires positive totals."""
-        if np.any(self.total_assets <= 0):
-            bad = self.bank_ids[int(np.argmax(self.total_assets <= 0))]
-            raise ValueError(f"bank {bad}: total assets not positive")
-        return self.holdings / self.total_assets[:, None]
-
-
-@dataclass(frozen=True)
-class DistributionTable:
-    """Binned empirical density of one variable, all banks vs labeled-failed banks."""
-
-    variable: str
-    bin_edges: FloatA
-    density_all: FloatA
-    density_failed: FloatA = None  # None when no labeled banks are present
-
-
-@dataclass(frozen=True)
-class SummaryStatistics:
-    tables: tuple[DistributionTable, ...]
-    empty_labels: bool
-
-
-def summary_statistics(network: BankAssetNetwork, labels=None, bin_edges=None) -> SummaryStatistics:
-    """Binned densities of per-asset weights and the equity/asset ratio.
-
-    labels may be any iterable of bank ids; ids absent from the network are
-    ignored. Default bins: 50 uniform bins on [0, 1].
-    """
-    if bin_edges is None:
-        bin_edges = np.linspace(0.0, 1.0, 51)
-    bin_edges = np.asarray(bin_edges, dtype=np.float64)
-
-    idx = network.indices_of(labels)
-    empty = idx.size == 0
-    if empty and labels is not None:
-        warnings.warn("label set is empty or disjoint from the network; "
-                      "emitting all-banks densities only")
-
-    w = network.weights()
-    equity_ratio = (network.total_assets - network.total_liabilities) / network.total_assets
-
-    def table(name, values):
-        dens_all, _ = np.histogram(values, bins=bin_edges, density=True)
-        dens_failed = None
-        if not empty:
-            dens_failed, _ = np.histogram(values[idx], bins=bin_edges, density=True)
-        return DistributionTable(name, bin_edges, dens_all, dens_failed)
-
-    tables = [table(f"weight_asset_{a.index:02d}", w[:, a.index]) for a in network.assets]
-    tables.append(table("equity_ratio", equity_ratio))
-    return SummaryStatistics(tuple(tables), empty)

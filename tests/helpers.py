@@ -6,21 +6,18 @@ from functools import lru_cache
 import numpy as np
 
 import cascadefin as cf
-from cascadefin.network import generic_asset_categories
 
 
 def make_network(holdings, liabilities, ids=None, market_value=None):
     holdings = np.asarray(holdings, dtype=np.float64)
     liabilities = np.asarray(liabilities, dtype=np.float64)
-    n, m = holdings.shape
     if ids is None:
-        ids = tuple(f"b{i:03d}" for i in range(n))
+        ids = tuple(f"b{i:03d}" for i in range(len(holdings)))
     return cf.BankAssetNetwork(
         bank_ids=tuple(ids),
         holdings=holdings,
         total_assets=holdings.sum(axis=1),
         total_liabilities=liabilities,
-        assets=generic_asset_categories(m),
         market_value=market_value,
     )
 

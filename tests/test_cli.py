@@ -367,6 +367,7 @@ def test_phase_bytes_stable_across_runs_and_jobs(tmp_path, capsys):
 MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
 HEADER_ONLY = "<a CSV with a header and no data row>"
 NOT_FINITE = "--synthetic: concentration, median, sigma and leverage must be finite"
+OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-finite value"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -407,6 +408,9 @@ NOT_FINITE = "--synthetic: concentration, median, sigma and leverage must be fin
     (["run", "--synthetic", "n=10,median=inf"], NOT_FINITE),
     (["run", "--synthetic", "n=10,concentration=inf"], NOT_FINITE),
     (["run", "--synthetic", "n=10,lev_high=inf"], NOT_FINITE),
+    (["run", "--synthetic", "n=10,sigma=-3"], "--synthetic: sigma must be non-negative"),
+    (["run", "--synthetic", "n=50,sigma=1000", "--p", "0.5"], OVERFLOW),
+    (["run", "--synthetic", "n=50,median=1e308", "--p", "0.5"], OVERFLOW),
     (["phase", "--synthetic", "n=50,label_asset=0,label_p=0.3,label_alpha=0,label_eta=0",
       "--eta", "0"], "--synthetic: phase takes no labels; drop the label_* keys"),
     (["run", "--input", MISSING, "--config", MISSING], "unrecognized arguments: --config"),
@@ -417,13 +421,39 @@ NOT_FINITE = "--synthetic: concentration, median, sigma and leverage must be fin
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
         "concentration-0", "concentration-negative", "median-negative", "run-jobs",
         "phase-labels", "sigma-nan", "sigma-inf", "median-inf", "concentration-inf",
-        "lev-high-inf", "phase-label-cascade", "run-config", "run-header-only",
+        "lev-high-inf", "sigma-negative", "sigma-overflow", "median-overflow",
+        "phase-label-cascade", "run-config", "run-header-only",
         "ingest-header-only"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
     argv = [str(header_only) if arg == HEADER_ONLY else arg for arg in argv]
     assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+# a spreadsheet's plain "CSV" export writes Latin-1; the text reader decodes a
+# chunk ahead of the row it parses, so the error must find the line itself
+LATIN1_CSV = (TOY_CSV + "Soci\xe9t\xe9,100.0,55.0,100.0\n").encode("latin-1")
+LATIN1_LABELS = "bank_id\nB00001\n\nSoci\xe9t\xe9\n".encode("latin-1")
+NOT_UTF8 = "schema error: line 4: byte 0xe9 is not UTF-8"
+ONE_GOOD_ROW = "bank_id,total_assets,total_liabilities,asset_00,asset_01,asset_02\na,10,5,4,6,0\n"
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["ingest", "--input"], LATIN1_CSV, NOT_UTF8),
+    (["run", "--input"], LATIN1_CSV, NOT_UTF8),
+    (["run", "--synthetic", "n=20", "--labels"], LATIN1_LABELS, NOT_UTF8),
+    (["run", "--input"], (ONE_GOOD_ROW + "c,1.1,412488.16,784568.14,297480.13,0.0\n").encode(),
+     "row 3: holdings sum 1082048.27 does not match total_assets 1.1; run ingest first"),
+    (["run", "--input"], (ONE_GOOD_ROW + "b,1e308,1e308,1e308,1e308,0\n").encode(),
+     "row 3: holdings sum inf does not match total_assets 1e+308; run ingest first"),
+], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
+        "run-row-sums-to-inf"])
+def test_bad_file_exits_2(argv, content, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert run_cli(*argv, str(path)) == 2
     assert message in capsys.readouterr().err
 
 
