@@ -50,8 +50,10 @@ DEFAULT_MEAN_WEIGHTS: FloatA = np.array(
 
 def off_total(holdings: FloatA, total_assets: FloatA) -> BoolA:
     """The rows whose holdings sum misses total_assets by more than SUM_RTOL
-    of the total (of 1, for totals below 1)."""
-    return np.abs(holdings.sum(axis=1) - total_assets) > SUM_RTOL * np.maximum(total_assets, 1.0)
+    of the total (of 1, for totals below 1); a sum that overflows misses it."""
+    with np.errstate(over="ignore"):
+        sums = holdings.sum(axis=1)
+    return np.abs(sums - total_assets) > SUM_RTOL * np.maximum(total_assets, 1.0)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,8 @@ class BankAssetNetwork:
         if len(set(self.bank_ids)) != len(self.bank_ids):
             raise ValueError("duplicate bank_id")
         if self.market_value is None:
-            self.market_value = self.holdings.sum(axis=0)
+            with np.errstate(over="ignore"):   # the finite check below refuses inf
+                self.market_value = self.holdings.sum(axis=0)
         for name in ("holdings", "total_assets", "total_liabilities", "market_value"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has a non-finite value")

@@ -438,6 +438,12 @@ LATIN1_CSV = (TOY_CSV + "Soci\xe9t\xe9,100.0,55.0,100.0\n").encode("latin-1")
 LATIN1_LABELS = "bank_id\nB00001\n\nSoci\xe9t\xe9\n".encode("latin-1")
 NOT_UTF8 = "schema error: line 4: byte 0xe9 is not UTF-8"
 ONE_GOOD_ROW = "bank_id,total_assets,total_liabilities,asset_00,asset_01,asset_02\na,10,5,4,6,0\n"
+ONE_ASSET = "bank_id,total_assets,total_liabilities,asset_00\n"
+# each row matches its total, but the asset column's sum overflows
+COLUMN_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
+                   + "a,1e308,5,1e308,0\nb,1e308,5,1e308,0\n").encode()
+COLUMN_INF = "schema error: column 'asset_00' sums to inf over all rows"
+ROW_OVERFLOW = (ONE_GOOD_ROW + "b,1e308,1e308,1e308,1e308,0\n").encode()
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -446,15 +452,52 @@ ONE_GOOD_ROW = "bank_id,total_assets,total_liabilities,asset_00,asset_01,asset_0
     (["run", "--synthetic", "n=20", "--labels"], LATIN1_LABELS, NOT_UTF8),
     (["run", "--input"], (ONE_GOOD_ROW + "c,1.1,412488.16,784568.14,297480.13,0.0\n").encode(),
      "row 3: holdings sum 1082048.27 does not match total_assets 1.1; run ingest first"),
-    (["run", "--input"], (ONE_GOOD_ROW + "b,1e308,1e308,1e308,1e308,0\n").encode(),
+    (["run", "--input"], ROW_OVERFLOW,
      "row 3: holdings sum inf does not match total_assets 1e+308; run ingest first"),
+    (["ingest", "--input"], (ONE_ASSET + '"a\rb",10,5,10\n').encode(),
+     "schema error: row 2: bank_id contains a line break"),
+    (["run", "--input"], (ONE_ASSET + 'a,10,5,10\n"b\nc",10,5,10\n').encode(),
+     "schema error: row 3: bank_id contains a line break"),
+    (["ingest", "--input"], COLUMN_OVERFLOW, COLUMN_INF),
+    (["run", "--input"], COLUMN_OVERFLOW, COLUMN_INF),
+    (["ingest", "--input"], (ONE_GOOD_ROW + "b,1e308,5,1e308,1e308,\n").encode(),
+     "schema error: bank b: reported holdings sum to inf"),
+    (["ingest", "--input"], (ONE_ASSET + "a,10,5,\u0663\n").encode(),
+     "schema error: row 2: column 'asset_00' has non-numeric value '\u0663'"),
+    (["ingest", "--input"], (ONE_ASSET + "a,1_000,5,1000\n").encode(),
+     "schema error: row 2: column 'total_assets' has non-numeric value '1_000'"),
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
-        "run-row-sums-to-inf"])
-def test_bad_file_exits_2(argv, content, message, tmp_path, capsys):
+        "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
+        "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
+        "ingest-underscore"])
+def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
     assert run_cli(*argv, str(path)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["run", "--synthetic", "n=50,sigma=1000", "--p", "0.5"], None),
+    (["run", "--synthetic", "n=50,median=1e308", "--p", "0.5"], None),
+    (["run", "--input"], COLUMN_OVERFLOW),
+    (["ingest", "--input"], COLUMN_OVERFLOW),
+    (["run", "--input"], ROW_OVERFLOW),
+], ids=["sigma-overflow", "median-overflow", "run-column-overflow", "ingest-column-overflow",
+        "run-row-overflow"])
+def test_overflow_errors_print_one_line(argv, content, tmp_path):
+    # a fresh interpreter, since pytest records warnings instead of printing them
+    if content is not None:
+        path = tmp_path / "overflow.csv"
+        path.write_bytes(content)
+        argv = [*argv, str(path)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "cascadefin.cli", *argv, "--out",
+                           str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_shock_asset_out_of_range_exits_2(toy_csv, capsys):

@@ -1,6 +1,9 @@
 """CSV ingestion, average-weight completion, labels, synthetic generation."""
 
 import codecs
+import csv
+import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +127,26 @@ def test_load_raw_csv_rejects_duplicate_bank_id(tmp_path, monkeypatch):
         cf.load_raw_csv(path)
 
 
+@pytest.mark.parametrize("layout", ["crlf", "cr", "blank-lines", "no-final-newline"])
+def test_load_raw_csv_reads_every_line_layout(layout, tmp_path):
+    # the columns are sized by the file's line breaks before it is parsed
+    lines = ["bank_id,total_assets,total_liabilities,asset_00,asset_01",
+             "b1,100.0,90.0,40.0,", "b2,50.0,30.0,,10.0", '"c,3",20.0,10.0,5.0,15.0']
+    plain = cf.load_raw_csv(write(tmp_path / "plain.csv", "\n".join(lines) + "\n"))
+    text = {"crlf": "\r\n".join(lines) + "\r\n",
+            "cr": "\r".join(lines) + "\r",
+            "blank-lines": "\n\n".join(lines) + "\n\n",
+            "no-final-newline": "\n".join(lines)}[layout]
+    (tmp_path / "other.csv").write_bytes(text.encode())
+    other = cf.load_raw_csv(str(tmp_path / "other.csv"))
+    assert other.bank_ids == plain.bank_ids == ("b1", "b2", "c,3")
+    for name in ("total_assets", "total_liabilities", "holdings"):
+        assert getattr(other, name).tobytes() == getattr(plain, name).tobytes()
+    assert other.holdings.flags.c_contiguous
+    step = 2 if layout == "blank-lines" else 1
+    assert other.line_numbers.tolist() == [1 + step, 1 + 2 * step, 1 + 3 * step]
+
+
 def test_expected_columns():
     assert expected_columns(2) == ["bank_id", "total_assets", "total_liabilities",
                                    "asset_00", "asset_01"]
@@ -231,6 +254,82 @@ def test_save_load_round_trip_is_exact(tmp_path, monkeypatch):
     monkeypatch.setattr(ingestion, "BLOCK_ROWS", 7)
     cf.save_completed_csv(loaded, path3)
     assert path.read_bytes() == path3.read_bytes()
+
+
+def _raw_text(n_banks, seed):
+    """A raw CSV of a synthetic network with about a fifth of the cells blank;
+    completion rescales every 20th row, which has no blank and misses its
+    total, and scales down the known cells of rows 5, 15, ..., whose totals
+    are halved."""
+    net, _ = dense_synthetic(n_banks, seed)
+    gen = np.random.default_rng(seed)
+    blank = gen.random(net.holdings.shape) < 0.2
+    blank[:, 0] = False
+    blank[::20] = False
+    blank[5::10, 1] = True
+    totals = net.total_assets.copy()
+    totals[::20] *= 1.05
+    totals[5::10] *= 0.5
+    lines = [",".join(expected_columns(net.n_assets))]
+    for i, bank_id in enumerate(net.bank_ids):
+        cells = ["" if b else repr(v) for v, b in zip(net.holdings[i].tolist(), blank[i])]
+        lines.append(",".join([bank_id, repr(float(totals[i])),
+                               repr(float(net.total_liabilities[i])), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+def test_complete_and_save_do_not_depend_on_the_block_size(block_rows, tmp_path, monkeypatch):
+    raw = cf.load_raw_csv(write(tmp_path / "raw.csv", _raw_text(60, seed=4)))
+    net, report = cf.complete_dataset(raw)
+    cf.save_completed_csv(net, tmp_path / "default.csv")
+    assert {r["action"] for r in report} == {"rescaled_inconsistent_row",
+                                             "negative_residual_rescaled"}
+    monkeypatch.setattr(ingestion, "COMPLETE_ROWS", block_rows)
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    blocked, blocked_report = cf.complete_dataset(raw)
+    assert blocked.holdings.tobytes() == net.holdings.tobytes()
+    assert blocked_report == report
+    cf.save_completed_csv(blocked, tmp_path / "blocked.csv")
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_save_quotes_bank_ids_as_csv_writer_does(tmp_path):
+    ids = ("plain", "a,b", 'say "hi"', "tab\there")
+    net = cf.BankAssetNetwork(ids, np.array([[1.0, 2.0]] * 4), np.full(4, 3.0), np.full(4, 1.5))
+    path = tmp_path / "completed.csv"
+    cf.save_completed_csv(net, path)
+    expect = io.StringIO()
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(expected_columns(2))
+    writer.writerows([bank_id, "3.0", "1.5", "1.0", "2.0"] for bank_id in ids)
+    assert path.read_text() == expect.getvalue()
+    assert cf.load_completed_network(path).bank_ids == ids
+
+
+def test_ingest_layers_peak_in_bounded_memory(tmp_path):
+    # on 10k rows each layer peaks at about 2.8 (parse), 3.0 (complete) and
+    # 0.25 (write) times the holdings' bytes; one that builds a whole-table
+    # temporary, such as a concatenation of parsed blocks or a stack of all
+    # columns, reads above 4.7, 5.0 and 1.4
+    def peak(layer, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = layer(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+
+    path = write(tmp_path / "raw.csv", _raw_text(10_000, seed=5))
+    tracemalloc.start()
+    try:
+        raw, parse = peak(cf.load_raw_csv, path)
+        (net, _), complete = peak(cf.complete_dataset, raw)
+        _, save = peak(cf.save_completed_csv, net, tmp_path / "completed.csv")
+    finally:
+        tracemalloc.stop()
+    nbytes = raw.holdings.nbytes
+    assert parse < 3.8 * nbytes
+    assert complete < 4.0 * nbytes
+    assert save < 0.7 * nbytes
 
 
 def test_load_completed_rejects_blanks(tmp_path):
