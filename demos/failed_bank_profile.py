@@ -35,10 +35,10 @@ def main():
           f"{n_failed} failed ({n_failed / args.n:.1%})")
 
     ratios = (network.total_assets - network.total_liabilities) / network.total_assets
-    failed_idx = network.indices_of(labels)
+    failed = network.mask(labels)
     edges = np.linspace(0.0, 0.20, 11)
     density_all, _ = np.histogram(ratios, bins=edges, density=True)
-    density_failed, _ = np.histogram(ratios[failed_idx], bins=edges, density=True)
+    density_failed, _ = np.histogram(ratios[failed], bins=edges, density=True)
 
     widths = np.diff(edges)
     print()
@@ -51,7 +51,7 @@ def main():
 
     print()
     print(f"median equity ratio, all banks:    {np.median(ratios):.4f}")
-    print(f"median equity ratio, failed banks: {np.median(ratios[failed_idx]):.4f}")
+    print(f"median equity ratio, failed banks: {np.median(ratios[failed]):.4f}")
 
 
 if __name__ == "__main__":

@@ -25,9 +25,8 @@ def collapse_network(n=400, m=13, nucleus_frac=0.15, concentration=900.0):
     leverage = np.empty(n)
     leverage[:k] = 0.90
     leverage[k:] = rng.uniform(0.91, 0.9175, n - k)
-    sheets = [cf.BalanceSheet.from_holdings(f"b{i:04d}", w[i], leverage[i])
-              for i in range(n)]
-    return cf.network_from_sheets(sheets)
+    return cf.BankAssetNetwork(tuple(f"b{i:04d}" for i in range(n)), holdings=w,
+                               total_assets=w.sum(axis=1), total_liabilities=leverage)
 
 
 net = collapse_network()

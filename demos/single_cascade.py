@@ -8,10 +8,8 @@ import cascadefin as cf
 # Two banks, one asset, everything traceable on paper. Bank A carries 70 of
 # liabilities against 100 of assets, bank B carries 55. A 40% shock (p = 0.6)
 # with full fire-sale impact (alpha = 1) takes both down in two rounds.
-net = cf.network_from_sheets([
-    cf.BalanceSheet.from_holdings("A", [100.0], total_liabilities=70.0),
-    cf.BalanceSheet.from_holdings("B", [100.0], total_liabilities=55.0),
-])
+net = cf.BankAssetNetwork(("A", "B"), holdings=[[100.0], [100.0]],
+                          total_assets=[100.0, 100.0], total_liabilities=[70.0, 55.0])
 
 params = cf.CascadeParams.single(asset=0, p=0.6, alpha=1.0, eta=0.0)
 result = cf.run_cascade(net, params)

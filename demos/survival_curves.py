@@ -25,7 +25,7 @@ def main():
     network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=args.n), args.seed)
 
     ps = np.round(np.arange(1.0, -0.001, -0.1), 12).tolist()
-    records = cf.survival_curves(network, None, 0, ps, args.alphas, args.eta,
+    records = cf.survival_curves(network, None, 0, ps, args.alphas, [args.eta],
                                  seed=args.seed)
 
     by_alpha = {}

@@ -344,9 +344,9 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
     survival_all = float(state.alive.sum() / n)
     survival_labeled = None
     if labels is not None:
-        idx = network.indices_of(labels)
-        if idx.size:
-            survival_labeled = float(state.alive[idx].mean())
+        labeled = network.mask(labels)
+        if labeled.any():
+            survival_labeled = float(state.alive[labeled].mean())
 
     diagnostics = {
         "preshock_failed": int(failures0.size),

@@ -210,7 +210,7 @@ def _resolve(args, etas):
         config["labels"] = "synthetic-reference-cascade"
     _check_asset(network, args.asset)
     if labels is not None:
-        n_pos = network.indices_of(labels).size
+        n_pos = int(network.mask(labels).sum())
         if args.command == "roc" and n_pos in (0, network.n_banks):
             raise UsageError(f"roc needs at least one positive and one negative bank; the "
                              f"labels give {n_pos} positive and {network.n_banks - n_pos} "
@@ -319,7 +319,7 @@ def cmd_sweep(args) -> int:
     if len(etas) != 1:
         raise UsageError("sweep varies p and alpha; --eta must be a scalar")
     seed, network, labels, config = _resolve(args, etas)
-    records = survival_curves(network, labels, args.asset, ps, alphas, etas[0],
+    records = survival_curves(network, labels, args.asset, ps, alphas, etas,
                               seed=seed, jobs=args.jobs)
     config.update(p_grid=ps, alpha_grid=alphas, eta=etas[0], seed=seed)
     path = _write_outputs(args, "survival.csv", write_survival_csv, records, config)

@@ -11,7 +11,6 @@ execution order and of --jobs.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -60,8 +59,6 @@ class PhaseDiagram:
     mean_survival: FloatA       # shaped like the axes
     ci_half: FloatA             # None when replicates < 2
     region: np.ndarray          # 'I' / 'II' per cell
-    threshold: float
-    replicates: int
     fixed: dict
     max_step_drop: float = None  # only for 1-D scans
 
@@ -110,8 +107,19 @@ def _cell(i):
     return lat.reduce(fates, lat)
 
 
-def _run_lattice(lattice: _Lattice, jobs: int) -> list:
-    n_cells = len(lattice.cells)
+def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
+                 positives=None) -> list:
+    """The reduced result of each (p, alpha, eta) cell of a single shock on
+    asset, in the order of cells, computed by up to jobs workers."""
+    if not cells:
+        raise ValueError("empty parameter grid")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    seed = int(seed)
+    lattice = _Lattice(network, [CascadeParams.single(int(asset), p, alpha, eta, seed=seed)
+                                 for p, alpha, eta in cells],
+                       int(replicates), seed, reduce, positives)
+    n_cells = len(cells)
     if jobs is None or jobs <= 1 or n_cells <= 1:
         _init_worker(lattice)
         return [_cell(i) for i in range(n_cells)]
@@ -123,17 +131,28 @@ def _run_lattice(lattice: _Lattice, jobs: int) -> list:
         return list(pool.map(_cell, range(n_cells), chunksize=chunk))
 
 
-def _survival_fraction(fate) -> float:
-    return float((fate == SURVIVED).sum() / fate.size)
-
-
 def _reduce_survival(fates, lat):
-    """(survival of all banks, of labeled banks or None) of the one replicate."""
-    (fate,) = fates
-    labeled = None
-    if lat.positives.any():
-        labeled = float((fate[lat.positives] == SURVIVED).mean())
-    return _survival_fraction(fate), labeled
+    """(mean survival of all banks, its 95 % CI half-width or None, mean
+    survival of the labeled banks or None) over the replicates.
+
+    When every replicate agrees, as in any eta = 0 cell, the mean is that
+    value and the half-width exactly 0.0; the floating-point mean and std of
+    R equal values can be off by an ulp.
+    """
+    labeled = lat.positives is not None and lat.positives.any()
+    of_all, of_labeled = [], []
+    for fate in fates:
+        survived = fate == SURVIVED
+        of_all.append(survived.sum() / fate.size)
+        if labeled:
+            of_labeled.append(survived[lat.positives].mean())
+    of_all = np.array(of_all)
+    if of_all.min() == of_all.max():
+        mean, std = of_all[0], 0.0
+    else:
+        mean, std = of_all.mean(), of_all.std(ddof=1)
+    ci = float(1.96 * std / np.sqrt(lat.replicates)) if lat.replicates >= 2 else None
+    return float(mean), ci, float(np.mean(of_labeled)) if labeled else None
 
 
 def _reduce_roc(fates, lat):
@@ -156,55 +175,26 @@ def _reduce_roc(fates, lat):
             for mask in (model_failed, first_step, model_failed & ~first_step)]
 
 
-def _reduce_phase(fates, lat):
-    """(mean survival, 95 % CI half-width or None) over the replicates.
-
-    When every replicate agrees, as in any eta = 0 cell, the mean is that
-    value and the half-width exactly 0.0; the floating-point mean and std of
-    R equal values can be off by an ulp.
-    """
-    fractions = np.array([_survival_fraction(fate) for fate in fates])
-    if fractions.min() == fractions.max():
-        mean, std = fractions[0], 0.0
-    else:
-        mean, std = fractions.mean(), fractions.std(ddof=1)
-    ci = None
-    if lat.replicates >= 2:
-        ci = float(1.96 * std / np.sqrt(lat.replicates))
-    return float(mean), ci
+def _alpha_eta_p(ps, alphas, etas) -> list:
+    """The (p, alpha, eta) cells, alpha-major, then eta, then p."""
+    return [(float(p), float(alpha), float(eta))
+            for alpha, eta, p in itertools.product(alphas, etas, ps)]
 
 
-def _positives(network, labels) -> BoolA:
-    pos = np.zeros(network.n_banks, dtype=bool)
-    pos[network.indices_of(labels)] = True
-    return pos
-
-
-def _params(asset, seed, cells) -> list:
-    """One single-shock CascadeParams per (p, alpha, eta) cell."""
-    return [CascadeParams.single(int(asset), p, alpha, eta, seed=int(seed))
-            for p, alpha, eta in cells]
-
-
-def survival_curves(network, labels, shocked_asset, p_grid, alpha_grid, eta,
+def survival_curves(network, labels, shocked_asset, ps, alphas, etas,
                     *, seed=0, jobs=1):
-    """Survival fraction (all banks, labeled banks) per (p, alpha) cell.
+    """Survival fraction (all banks, labeled banks) per (p, alpha, eta) cell.
 
-    One cascade per cell; cells are enumerated alpha-major so each alpha value
-    forms one curve over the p grid.
+    One cascade per cell; cells run in roc_grid's order, alpha-major, then
+    eta, then p, so each (alpha, eta) pair forms one curve over the p grid.
     """
-    p_grid = [float(p) for p in p_grid]
-    alpha_grid = [float(a) for a in alpha_grid]
-    if not p_grid or not alpha_grid:
-        raise ValueError("empty parameter grid")
-    eta, seed = float(eta), int(seed)
-    positives = _positives(network, labels)
+    positives = network.mask(labels)
     if labels is not None and not positives.any():
         warnings.warn("labels are disjoint from the network; labeled fraction undefined")
-    cells = [(p, a, eta) for a in alpha_grid for p in p_grid]
-    out = _run_lattice(_Lattice(network, _params(shocked_asset, seed, cells), 1, seed,
-                                _reduce_survival, positives), jobs)
-    return [SweepRecord(*cell, *r) for cell, r in zip(cells, out)]
+    cells = _alpha_eta_p(ps, alphas, etas)
+    out = _run_lattice(network, shocked_asset, cells, 1, seed, _reduce_survival, jobs,
+                       positives)
+    return [SweepRecord(*cell, mean, labeled) for cell, (mean, _, labeled) in zip(cells, out)]
 
 
 def roc_grid(network, labels, shocked_asset, ps, alphas, etas,
@@ -217,21 +207,19 @@ def roc_grid(network, labels, shocked_asset, ps, alphas, etas,
     contribute to any split. The first-step and consecutive-steps splits
     partition the full split's true positives.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    positives = _positives(network, labels)
+    positives = network.mask(labels)
     n_pos = int(positives.sum())
     n_neg = network.n_banks - n_pos
     if n_pos == 0 or n_neg == 0:
         warnings.warn("ROC undefined: need at least one positive and one negative bank; "
                       "no points emitted")
         return []
-    cells = [(p, alpha, eta) for alpha, eta, p in itertools.product(alphas, etas, ps)]
-    lattice = _Lattice(network, _params(shocked_asset, seed, cells), int(replicates),
-                       int(seed), _reduce_roc, positives)
+    cells = _alpha_eta_p(ps, alphas, etas)
+    out = _run_lattice(network, shocked_asset, cells, replicates, seed, _reduce_roc, jobs,
+                       positives)
     splits = (SPLIT_FULL, SPLIT_FIRST, SPLIT_CONSECUTIVE)
     return [RocPoint(alpha, eta, p, tp / n_pos, fp / n_neg, tp, split)
-            for (p, alpha, eta), counts in zip(cells, _run_lattice(lattice, jobs))
+            for (p, alpha, eta), counts in zip(cells, out)
             for split, (tp, fp) in zip(splits, counts)]
 
 
@@ -241,7 +229,7 @@ def attribution_split(result, labels, network) -> dict:
     Pre-shock failures (round 0) are excluded from both counts; the two counts
     sum to the full split's true positives.
     """
-    pos = _positives(network, labels)
+    pos = network.mask(labels)
     first = int(((result.failed_round == 1) & pos).sum())
     consecutive = int(((result.failed_round >= 2) & pos).sum())
     return {"first_step_count": first, "consecutive_count": consecutive}
@@ -259,29 +247,22 @@ def phase_scan(network, shocked_asset, ps, alphas, etas,
     abrupt-transition detector).
     """
     grids = [[float(v) for v in g] for g in (ps, alphas, etas)]
-    if not all(grids):
-        raise ValueError("empty parameter grid")
     axes = [k for k, g in enumerate(grids) if len(g) > 1]
     if not 1 <= len(axes) <= 2:
         raise ValueError("phase_scan needs one or two axes (grids with more than one value)")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-
-    cells = list(itertools.product(*grids))
-    out = _run_lattice(_Lattice(network, _params(shocked_asset, seed, cells),
-                                int(replicates), int(seed), _reduce_phase), jobs)
+    out = _run_lattice(network, shocked_asset, list(itertools.product(*grids)), replicates,
+                       seed, _reduce_survival, jobs)
 
     shape = tuple(len(grids[k]) for k in axes)
-    mean = np.array([m for m, _ in out]).reshape(shape)
+    mean = np.array([m for m, _, _ in out]).reshape(shape)
     ci = None
     if replicates >= 2:
-        ci = np.array([c for _, c in out]).reshape(shape)
+        ci = np.array([c for _, c, _ in out]).reshape(shape)
     region = np.where(mean < threshold, REGION_COLLAPSED, REGION_STABLE)
     drop = float(np.max(np.abs(np.diff(mean)))) if len(axes) == 1 else None
     names = ("p", "alpha", "eta")
     return PhaseDiagram(tuple(names[k] for k in axes),
                         tuple(np.asarray(grids[k]) for k in axes), mean, ci, region,
-                        float(threshold), int(replicates),
                         {names[k]: g[0] for k, g in enumerate(grids) if len(g) == 1}, drop)
 
 
@@ -295,31 +276,30 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_roc_csv(points, path):
+def _write_rows(path, header, rows):
+    """Write the header and rows of text fields as plain comma joins; no
+    field of these files ever needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "eta", "p", "split", "fpr", "tpr", "tp_count"])
-        for pt in points:
-            writer.writerow([_fmt(pt.alpha), _fmt(pt.eta), _fmt(pt.p), pt.split,
-                             _fmt(pt.fpr), _fmt(pt.tpr), pt.true_positives])
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_roc_csv(points, path):
+    _write_rows(path, ["alpha", "eta", "p", "split", "fpr", "tpr", "tp_count"],
+                ([_fmt(pt.alpha), _fmt(pt.eta), _fmt(pt.p), pt.split, _fmt(pt.fpr),
+                  _fmt(pt.tpr), str(pt.true_positives)] for pt in points))
 
 
 def write_survival_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "alpha", "eta", "survival_all", "survival_labeled"])
-        for rec in records:
-            writer.writerow([_fmt(rec.p), _fmt(rec.alpha), _fmt(rec.eta),
-                             _fmt(rec.survival_all), _fmt(rec.survival_labeled)])
+    _write_rows(path, ["p", "alpha", "eta", "survival_all", "survival_labeled"],
+                ([_fmt(rec.p), _fmt(rec.alpha), _fmt(rec.eta), _fmt(rec.survival_all),
+                  _fmt(rec.survival_labeled)] for rec in records))
 
 
 def write_phase_csv(diagram: PhaseDiagram, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(diagram.axis_names) + ["mean_survival", "ci_half", "region"])
-        combos = list(itertools.product(*[range(len(v)) for v in diagram.axis_values]))
-        for idx in combos:
-            row = [_fmt(diagram.axis_values[k][i]) for k, i in enumerate(idx)]
-            ci = diagram.ci_half[idx] if diagram.ci_half is not None else None
-            writer.writerow(row + [_fmt(diagram.mean_survival[idx]), _fmt(ci),
-                                   str(diagram.region[idx])])
+    d = diagram
+    _write_rows(path, [*d.axis_names, "mean_survival", "ci_half", "region"],
+                ([*(_fmt(d.axis_values[k][i]) for k, i in enumerate(idx)),
+                  _fmt(d.mean_survival[idx]), _fmt(None if d.ci_half is None else d.ci_half[idx]),
+                  str(d.region[idx])] for idx in np.ndindex(d.mean_survival.shape)))

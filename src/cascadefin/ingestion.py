@@ -194,10 +194,12 @@ def load_raw_csv(path) -> RawTable:
 
 def compute_average_weights(raw: RawTable) -> FloatA:
     """Per asset m, the mean of B_{i,m}/B_i over the rows that report m and
-    have B_i > 0; NaN where no row does."""
+    have B_i > 0; NaN where no row does. A holding far above a tiny B_i
+    makes the weight inf, which completion refuses to fill from."""
     reported = (raw.total_assets > 0)[:, None] & ~np.isnan(raw.holdings)
-    return np.array([np.mean(raw.holdings[rows, m] / raw.total_assets[rows]) if rows.any()
-                     else np.nan for m, rows in enumerate(reported.T)])
+    with np.errstate(over="ignore"):
+        return np.array([np.mean(raw.holdings[rows, m] / raw.total_assets[rows]) if rows.any()
+                         else np.nan for m, rows in enumerate(reported.T)])
 
 
 def _row_sums(values, mask) -> FloatA:
@@ -256,27 +258,37 @@ def _complete_rows(bank_ids, b, values, avg, out) -> list:
     negative = has_missing & (residual < -tol)
 
     fill = missing | zero[:, None]
-    undefined = fill & np.isnan(avg)
+    r = np.where(negative, 0.0, np.maximum(residual, 0.0))[:, None]
+    # an overflow here shows as a non-finite value or a missed total below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weight_sum = _row_sums(np.broadcast_to(avg, fill.shape), fill)[:, None]
+        share = np.where(weight_sum > 0, r * avg / weight_sum, r / fill.sum(axis=1)[:, None])
+        scale = np.where(rescaled | negative, b / known_sum, 1.0)[:, None]
+        out[:] = np.where(fill, share, values * scale)
+
+    undefined = fill & ~np.isfinite(avg)
     overflow = np.isinf(known_sum)
-    failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow
+    # the rows BankAssetNetwork would refuse
+    broken = ~np.isfinite(out).all(axis=1) | off_total(out, b)
+    failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken
     if failing.any():
         i = int(np.argmax(failing))
         bank = bank_ids[i]
         if overflow[i]:
             raise SchemaError(f"bank {bank}: reported holdings sum to inf")
-        if zero[i]:
+        if zero[i] and undefined[i].any():
             raise SchemaError(f"bank {bank}: average weight undefined for redistribution")
         if undefined[i].any():
-            raise SchemaError(f"bank {bank}: asset {int(np.argmax(undefined[i]))} missing but "
-                              "its average weight is undefined (no row reports it)")
+            m = int(np.argmax(undefined[i]))
+            if np.isinf(avg[m]):
+                raise SchemaError(f"bank {bank}: asset {m} missing but its average weight "
+                                  "overflows to inf")
+            raise SchemaError(f"bank {bank}: asset {m} missing but its average weight is "
+                              "undefined (no row reports it)")
+        if broken[i]:
+            raise SchemaError(f"bank {bank}: completing the row overflows; its holdings "
+                              f"cannot meet total_assets {b[i]}")
         raise ValueError(f"bank {bank}: negative residual with no known holdings")
-
-    weight_sum = _row_sums(np.broadcast_to(avg, fill.shape), fill)[:, None]
-    r = np.where(negative, 0.0, np.maximum(residual, 0.0))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.where(weight_sum > 0, r * avg / weight_sum, r / fill.sum(axis=1)[:, None])
-        scale = np.where(rescaled | negative, b / known_sum, 1.0)[:, None]
-    out[:] = np.where(fill, share, values * scale)
 
     uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)
     action = np.select([rescaled, zero, negative, uniform], [0, 1, 2, 3], default=-1)

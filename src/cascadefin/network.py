@@ -8,7 +8,7 @@ per-asset market values a cascade reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,18 +65,6 @@ class BalanceSheet:
     total_assets: float
     total_liabilities: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "holdings", np.asarray(self.holdings, dtype=np.float64))
-        if np.any(self.holdings < 0):
-            raise ValueError(f"bank {self.bank_id}: negative holding")
-        if self.total_assets < 0 or self.total_liabilities < 0:
-            raise ValueError(f"bank {self.bank_id}: negative totals")
-
-    @classmethod
-    def from_holdings(cls, bank_id: str, holdings, total_liabilities: float) -> "BalanceSheet":
-        h = np.asarray(holdings, dtype=np.float64)
-        return cls(bank_id, h, float(h.sum()), float(total_liabilities))
-
 
 @dataclass
 class BankAssetNetwork:
@@ -91,7 +79,6 @@ class BankAssetNetwork:
     total_assets: FloatA
     total_liabilities: FloatA
     market_value: FloatA = None
-    _index_of: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.holdings = np.asarray(self.holdings, dtype=np.float64)
@@ -117,7 +104,6 @@ class BankAssetNetwork:
             i = int(np.argmax(off))
             raise ValueError(f"bank {self.bank_ids[i]}: holdings sum {self.holdings[i].sum()} "
                              f"does not match total_assets {self.total_assets[i]}")
-        self._index_of = {b: i for i, b in enumerate(self.bank_ids)}
 
     @property
     def n_banks(self) -> int:
@@ -133,9 +119,8 @@ class BankAssetNetwork:
                 for bank_id, row, assets, liabilities in zip(
                     self.bank_ids, self.holdings, self.total_assets, self.total_liabilities)]
 
-    def indices_of(self, bank_ids) -> IntA:
-        """Ascending row indices of the given bank ids; ids not in the network,
-        and None for no ids, give none."""
-        ids = set(bank_ids) if bank_ids is not None else ()
-        return np.array(sorted(self._index_of[b] for b in ids if b in self._index_of),
-                        dtype=np.int64)
+    def mask(self, bank_ids) -> BoolA:
+        """True at the rows of the given bank ids; ids not in the network,
+        and None for no ids, mark none."""
+        ids = frozenset(() if bank_ids is None else bank_ids)
+        return np.fromiter((b in ids for b in self.bank_ids), dtype=bool, count=self.n_banks)

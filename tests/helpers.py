@@ -68,9 +68,7 @@ def bimodal_dense_2000(seed=7):
     leverage = np.empty(n)
     leverage[:k] = 0.90
     leverage[k:] = rng.uniform(0.91, 0.9175, n - k)
-    sheets = [cf.BalanceSheet.from_holdings(f"b{i:04d}", w[i], leverage[i])
-              for i in range(n)]
-    return cf.network_from_sheets(sheets)
+    return make_network(w, leverage, ids=[f"b{i:04d}" for i in range(n)])
 
 
 def serial_pool(monkeypatch):

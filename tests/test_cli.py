@@ -444,6 +444,9 @@ COLUMN_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
                    + "a,1e308,5,1e308,0\nb,1e308,5,1e308,0\n").encode()
 COLUMN_INF = "schema error: column 'asset_00' sums to inf over all rows"
 ROW_OVERFLOW = (ONE_GOOD_ROW + "b,1e308,1e308,1e308,1e308,0\n").encode()
+# row a's weight for asset_00 is 1e10 / 1e-300, which overflows; row c fills from it
+WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
+                   + "a,1e-300,0,1e10,0\nb,10,5,5,5\nc,10,5,,5\n").encode()
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -466,10 +469,12 @@ ROW_OVERFLOW = (ONE_GOOD_ROW + "b,1e308,1e308,1e308,1e308,0\n").encode()
      "schema error: row 2: column 'asset_00' has non-numeric value '\u0663'"),
     (["ingest", "--input"], (ONE_ASSET + "a,1_000,5,1000\n").encode(),
      "schema error: row 2: column 'total_assets' has non-numeric value '1_000'"),
+    (["ingest", "--input"], WEIGHT_OVERFLOW,
+     "schema error: bank c: asset 0 missing but its average weight overflows to inf"),
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
         "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
         "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
-        "ingest-underscore"])
+        "ingest-underscore", "ingest-average-weight-overflows"])
 def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
     path = tmp_path / "bad.csv"
@@ -484,8 +489,9 @@ def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch)
     (["run", "--input"], COLUMN_OVERFLOW),
     (["ingest", "--input"], COLUMN_OVERFLOW),
     (["run", "--input"], ROW_OVERFLOW),
+    (["ingest", "--input"], WEIGHT_OVERFLOW),
 ], ids=["sigma-overflow", "median-overflow", "run-column-overflow", "ingest-column-overflow",
-        "run-row-overflow"])
+        "run-row-overflow", "ingest-average-weight-overflow"])
 def test_overflow_errors_print_one_line(argv, content, tmp_path):
     # a fresh interpreter, since pytest records warnings instead of printing them
     if content is not None:
@@ -578,3 +584,17 @@ def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
     dest = out / name if argv[0] == "run" else out
     assert run_cli(*argv, "--input", str(market), "--out", str(dest)) == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["sweep", "--synthetic", "n=300,label_asset=0,label_p=0.5,label_alpha=0.1,label_eta=0",
+      "--p", "0:1:0.25", "--alpha", "0:0.2:0.1", "--eta", "0.1", "--seed", "4"],
+     {"survival.csv": "36e974e6ee92c384f19393d28d49dc2a0aae1c78be52584815c1e856a2ef810f",
+      "manifest.json": "45121a7ff2108af0acf5d157abc3ca83b44238bdf0a38f9db1e577db55299e53"}),
+], ids=["sweep-eta-0.1-labeled"])
+def test_synthetic_output_bytes_are_pinned(argv, digests, tmp_path, capsys):
+    # at eta > 0 every cell's stream key (seed, cell index, replicate) reaches
+    # the bytes, so a change in cell order moves them; --seed 5 writes others
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -20,7 +20,7 @@ def three_bank_network():
 
 def test_survival_curon_toy_grid():
     records = cf.survival_curves(toy_network(), ["B"], 0,
-                                 [1.0, 0.6], [0.0, 1.0], 0.0, seed=1)
+                                 [1.0, 0.6], [0.0, 1.0], [0.0], seed=1)
     # alpha-major enumeration: each alpha value is one curve over p
     assert [(r.p, r.alpha) for r in records] == [(1.0, 0.0), (0.6, 0.0),
                                                 (1.0, 1.0), (0.6, 1.0)]
@@ -31,27 +31,37 @@ def test_survival_curon_toy_grid():
     assert all(r.eta == 0.0 for r in records)
 
 
+def test_survival_curves_run_in_roc_grid_cell_order():
+    net = three_bank_network()
+    grids = ([1.0, 0.6], [0.0, 1.0], [0.0, 0.1])
+    records = cf.survival_curves(net, ["A"], 0, *grids, seed=2)
+    points = cf.roc_grid(net, ["A"], 0, *grids, seed=2)
+    assert [(r.p, r.alpha, r.eta) for r in records] == \
+        [(pt.p, pt.alpha, pt.eta) for pt in points if pt.split == "full"]
+    assert [(r.alpha, r.eta) for r in records[:4]] == [(0.0, 0.0)] * 2 + [(0.0, 0.1)] * 2
+
+
 def test_survival_curves_without_labels():
-    records = cf.survival_curves(toy_network(), None, 0, [0.6], [1.0], 0.0)
+    records = cf.survival_curves(toy_network(), None, 0, [0.6], [1.0], [0.0])
     assert records[0].survival_labeled is None
 
 
 def test_survival_curves_disjoint_labels_warn():
     with pytest.warns(UserWarning, match="disjoint"):
-        records = cf.survival_curves(toy_network(), ["ghost"], 0, [0.6], [1.0], 0.0)
+        records = cf.survival_curves(toy_network(), ["ghost"], 0, [0.6], [1.0], [0.0])
     assert records[0].survival_labeled is None
 
 
 def test_survival_curves_empty_grid_rejected():
     with pytest.raises(ValueError, match="empty"):
-        cf.survival_curves(toy_network(), None, 0, [], [0.0], 0.0)
+        cf.survival_curves(toy_network(), None, 0, [], [0.0], [0.0])
 
 
 def test_survival_curves_jobs_do_not_change_results():
     net, _ = dense_synthetic(60, seed=31)
     kw = dict(seed=4)
-    serial = cf.survival_curves(net, None, 0, [0.8, 0.5], [0.0, 0.4], 0.26, **kw)
-    parallel = cf.survival_curves(net, None, 0, [0.8, 0.5], [0.0, 0.4], 0.26,
+    serial = cf.survival_curves(net, None, 0, [0.8, 0.5], [0.0, 0.4], [0.26], **kw)
+    parallel = cf.survival_curves(net, None, 0, [0.8, 0.5], [0.0, 0.4], [0.26],
                                   jobs=2, **kw)
     assert serial == parallel
 

@@ -19,17 +19,13 @@ def test_default_mean_weights_are_per_holder_averages():
     assert len(cf.ASSET_NAMES) == w.size
 
 
-def test_balance_sheet_from_holdings():
-    t = cf.BalanceSheet.from_holdings("y", [30.0, 20.0], 45.0)
-    assert t.holdings.dtype == np.float64
-    assert (t.total_assets, t.total_liabilities) == (50.0, 45.0)
-
-
-def test_balance_sheet_rejects_negatives():
-    with pytest.raises(ValueError, match="negative holding"):
-        cf.BalanceSheet("x", np.array([-1.0]), 10.0, 5.0)
-    with pytest.raises(ValueError, match="negative totals"):
-        cf.BalanceSheet("x", np.array([1.0]), 1.0, -5.0)
+@pytest.mark.parametrize("holdings, liabilities, message", [
+    ([[1.0], [-1.0]], [0.5, 0.5], "bank b001: negative holding"),
+    ([[1.0], [1.0]], [0.5, -5.0], "negative liabilities"),
+], ids=["holding", "liabilities"])
+def test_network_rejects_negatives(holdings, liabilities, message):
+    with pytest.raises(ValueError, match=message):
+        make_network(holdings, liabilities)
 
 
 def test_network_validates_holdings_sum():
@@ -81,8 +77,9 @@ def test_network_rejects_non_finite_values(holdings, liabilities, name):
 def test_derived_quantities():
     net = make_network([[60.0, 40.0], [0.0, 10.0]], [80.0, 5.0])
     assert np.array_equal(net.market_value, [60.0, 50.0])
-    assert net.indices_of(["nope", "b001", "b000", "b001"]).tolist() == [0, 1]
-    assert net.indices_of(None).tolist() == []
+    assert net.mask(["nope", "b001", "b000", "b001"]).tolist() == [True, True]
+    assert net.mask(["b001"]).tolist() == [False, True]
+    assert net.mask(None).tolist() == [False, False]
 
 
 def test_round_trip_banks_property():

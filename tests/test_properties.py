@@ -157,11 +157,12 @@ etas = st.lists(st.sampled_from([0.0, 0.1, 0.26]), min_size=1, max_size=2)
 
 
 @LATTICE
-@given(small_markets(), grids, grids, st.sampled_from([0.0, 0.26]))
-def test_survival_curves_same_at_jobs_2(market, ps, alphas, eta):
+@given(small_markets(), grids, grids, etas)
+def test_survival_curves_same_at_jobs_2(market, ps, alphas, eta_grid):
     net, labels, seed = market
-    serial = cf.survival_curves(net, labels, 0, ps, alphas, eta, seed=seed)
-    assert cf.survival_curves(net, labels, 0, ps, alphas, eta, seed=seed, jobs=2) == serial
+    serial = cf.survival_curves(net, labels, 0, ps, alphas, eta_grid, seed=seed)
+    assert len(serial) == len(ps) * len(alphas) * len(eta_grid)
+    assert cf.survival_curves(net, labels, 0, ps, alphas, eta_grid, seed=seed, jobs=2) == serial
 
 
 @LATTICE
