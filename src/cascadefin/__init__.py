@@ -1,7 +1,7 @@
 """cascadefin: cascading bank-failure simulation on a bank-asset network.
 
 Library layout:
-  network    -- domain types (balance sheets, the bipartite network, asset names)
+  network    -- the bipartite bank-asset network as arrays, asset names
   ingestion  -- CSV loading, missing-value completion, labels, synthetic data
   cascade    -- the shock / barrier / fire-sale engine
   evaluation -- survival curves, ROC grids, attribution, phase scans
@@ -49,10 +49,10 @@ from .ingestion import (
     network_from_sheets,
     save_completed_csv,
 )
-from .network import ASSET_NAMES, DEFAULT_MEAN_WEIGHTS, BalanceSheet, BankAssetNetwork
+from .network import ASSET_NAMES, DEFAULT_MEAN_WEIGHTS, BankAssetNetwork
 
 __all__ = [
-    "ASSET_NAMES", "BalanceSheet", "BankAssetNetwork", "CascadeParams", "CascadeResult",
+    "ASSET_NAMES", "BankAssetNetwork", "CascadeParams", "CascadeResult",
     "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RocPoint",
     "RoundState", "SURVIVED", "SchemaError", "SweepRecord", "SyntheticConfig",
     "apply_fire_sales", "apply_shock", "attribution_split", "complete_dataset",

@@ -198,6 +198,9 @@ def _resolve(args, etas):
         if synthetic.label_cascade is not None and "labels" not in args:
             raise UsageError(f"--synthetic: {args.command} takes no labels; drop the "
                              "label_* keys")
+        if synthetic.label_cascade is not None and args.labels:
+            raise UsageError("--labels and the --synthetic label_* keys both give labels; "
+                             "drop one")
         try:
             network, labels = generate_synthetic(synthetic, seed)
         except ValueError as e:

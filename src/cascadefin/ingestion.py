@@ -9,9 +9,9 @@ proportion to the population-average weights, computed beforehand from the
 rows where the asset is present.
 
 The synthetic generator substitutes for proprietary data at desk scale:
-log-normal bank sizes, Dirichlet-style portfolio weights around configurable
-targets, uniform leverage. Labels for classifier self-tests are only ever
-produced by running a reference cascade, never invented.
+log-normal bank sizes, Dirichlet-style portfolio weights around the
+population averages, uniform leverage. Labels for classifier self-tests are
+only ever produced by running a reference cascade, never invented.
 """
 
 from __future__ import annotations
@@ -276,8 +276,6 @@ def _complete_rows(bank_ids, b, values, avg, out) -> list:
         bank = bank_ids[i]
         if overflow[i]:
             raise SchemaError(f"bank {bank}: reported holdings sum to inf")
-        if zero[i] and undefined[i].any():
-            raise SchemaError(f"bank {bank}: average weight undefined for redistribution")
         if undefined[i].any():
             m = int(np.argmax(undefined[i]))
             if np.isinf(avg[m]):
@@ -296,24 +294,18 @@ def _complete_rows(bank_ids, b, values, avg, out) -> list:
              "residual": float(residual[i])} for i in np.flatnonzero(action >= 0)]
 
 
-def network_from_sheets(sheets) -> BankAssetNetwork:
-    """The network of a RawTable without blanks, or of a list of BalanceSheet.
-    An asset column that sums to inf raises SchemaError."""
-    if not isinstance(sheets, RawTable):
-        sheets = list(sheets)
-        sheets = RawTable(tuple(s.bank_id for s in sheets),
-                          np.array([s.total_assets for s in sheets]),
-                          np.array([s.total_liabilities for s in sheets]),
-                          np.array([s.holdings for s in sheets]), line_numbers=None)
-    if not sheets.bank_ids:
+def network_from_sheets(raw: RawTable) -> BankAssetNetwork:
+    """The network of a RawTable without blanks. An asset column that sums to
+    inf raises SchemaError."""
+    if not raw.bank_ids:
         raise ValueError("empty network")
     with np.errstate(over="ignore"):
-        market_value = sheets.holdings.sum(axis=0)
+        market_value = raw.holdings.sum(axis=0)
     if np.isinf(market_value).any():
         m = int(np.argmax(np.isinf(market_value)))
         raise SchemaError(f"column 'asset_{m:02d}' sums to inf over all rows")
-    return BankAssetNetwork(sheets.bank_ids, sheets.holdings, sheets.total_assets,
-                            sheets.total_liabilities, market_value)
+    return BankAssetNetwork(raw.bank_ids, raw.holdings, raw.total_assets,
+                            raw.total_liabilities, market_value)
 
 
 def load_completed_network(path) -> BankAssetNetwork:
@@ -345,12 +337,9 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def save_completed_csv(network, path):
-    """Write a network, or a list of BalanceSheet, in the canonical schema,
-    each float as its repr. The columns are stacked BLOCK_ROWS rows at a
-    time."""
-    if not isinstance(network, BankAssetNetwork):
-        network = network_from_sheets(network)
+def save_completed_csv(network: BankAssetNetwork, path):
+    """Write a network in the canonical schema, each float as its repr. The
+    columns are stacked BLOCK_ROWS rows at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(expected_columns(network.n_assets)) + "\n")
         for lo in range(0, network.n_banks, BLOCK_ROWS):
@@ -388,16 +377,15 @@ def load_labels(path) -> frozenset:
 class SyntheticConfig:
     """Knobs for the synthetic network generator.
 
-    mean_weights defaults to the 13-entry population averages; because those
-    average only over holders, they do not sum to 1 and are renormalized
-    silently. Given weights that do not sum to 1 are renormalized with a
-    warning. label_cascade, when given, produces ground-truth labels by
-    running that reference cascade on the generated network.
+    The target portfolio weights are the 13-entry population averages,
+    normalized to sum to 1 (they average only over holders, so they do not),
+    when n_assets is 13, and uniform otherwise. label_cascade, when given,
+    produces ground-truth labels by running that reference cascade on the
+    generated network.
     """
 
     n_banks: int
     n_assets: int = 13
-    mean_weights: tuple = None
     concentration: float = 8.0
     size_median: float = 1e5
     size_sigma: float = 1.2
@@ -422,27 +410,12 @@ class SyntheticConfig:
             raise ValueError("concentration, median, sigma and leverage must be finite")
 
 
-def _target_weights(config: SyntheticConfig) -> FloatA:
-    if config.mean_weights is None:
-        if config.n_assets == DEFAULT_MEAN_WEIGHTS.size:
-            return DEFAULT_MEAN_WEIGHTS / DEFAULT_MEAN_WEIGHTS.sum()
-        return np.full(config.n_assets, 1.0 / config.n_assets)
-    target = np.asarray(config.mean_weights, dtype=np.float64)
-    if target.size != config.n_assets:
-        raise ValueError("mean_weights length does not match n_assets")
-    if np.any(target < 0) or target.sum() <= 0:
-        raise ValueError("mean weights must be non-negative with positive sum")
-    if abs(target.sum() - 1.0) > 1e-9:
-        warnings.warn(f"mean weights sum to {target.sum():.4f}; renormalizing to 1")
-        target = target / target.sum()
-    return target
-
-
 def generate_synthetic(config: SyntheticConfig, seed: int):
     """Generate (network, labels-or-None), deterministic for a fixed seed."""
     rng = stream(seed, DOMAIN_SYNTHETIC)
     n, m = config.n_banks, config.n_assets
-    target = _target_weights(config)
+    target = (DEFAULT_MEAN_WEIGHTS / DEFAULT_MEAN_WEIGHTS.sum()
+              if m == DEFAULT_MEAN_WEIGHTS.size else np.full(m, 1.0 / m))
 
     # an overflowing spec makes inf, or inf * 0 = NaN, which BankAssetNetwork
     # refuses as non-finite

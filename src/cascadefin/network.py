@@ -56,16 +56,6 @@ def off_total(holdings: FloatA, total_assets: FloatA) -> BoolA:
     return np.abs(sums - total_assets) > SUM_RTOL * np.maximum(total_assets, 1.0)
 
 
-@dataclass(frozen=True)
-class BalanceSheet:
-    """One bank: per-asset holdings plus totals. Currency unit is thousands."""
-
-    bank_id: str
-    holdings: FloatA
-    total_assets: float
-    total_liabilities: float
-
-
 @dataclass
 class BankAssetNetwork:
     """The bipartite system in array form.
@@ -112,12 +102,6 @@ class BankAssetNetwork:
     @property
     def n_assets(self) -> int:
         return self.holdings.shape[1]
-
-    @property
-    def banks(self) -> list[BalanceSheet]:
-        return [BalanceSheet(bank_id, row.copy(), float(assets), float(liabilities))
-                for bank_id, row, assets, liabilities in zip(
-                    self.bank_ids, self.holdings, self.total_assets, self.total_liabilities)]
 
     def mask(self, bank_ids) -> BoolA:
         """True at the rows of the given bank ids; ids not in the network,

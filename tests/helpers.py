@@ -46,6 +46,19 @@ def dense_synthetic(n_banks, seed, **kwargs):
     return cf.generate_synthetic(cf.SyntheticConfig(n_banks=n_banks, **kwargs), seed)
 
 
+class _FixtureNetwork(cf.BankAssetNetwork):
+    """A network whose banks property is the network itself.
+
+    It serves one call: bench/fixtures.py writes the bimodal fixture with
+    cf.save_completed_csv(network.banks, path). The benchmark's own upkeep
+    (ROADMAP item 3) makes that call pass the network, and deletes this class.
+    """
+
+    @property
+    def banks(self):
+        return self
+
+
 @lru_cache(maxsize=1)
 def bimodal_dense_2000(seed=7):
     """Dense 2000-bank network built for a first-order collapse.
@@ -68,7 +81,7 @@ def bimodal_dense_2000(seed=7):
     leverage = np.empty(n)
     leverage[:k] = 0.90
     leverage[k:] = rng.uniform(0.91, 0.9175, n - k)
-    return make_network(w, leverage, ids=[f"b{i:04d}" for i in range(n)])
+    return _FixtureNetwork(tuple(f"b{i:04d}" for i in range(n)), w, w.sum(axis=1), leverage)
 
 
 def serial_pool(monkeypatch):

@@ -1,12 +1,15 @@
-"""The benchmark's tracer (bench/tracer.py) still fits the package.
+"""The benchmark's tracer and fixtures (bench/) still fit the package.
 
 The tracer wraps module-level call sites from outside src/; a refactor that
 renames or inlines one of them breaks traced benchmark runs. This runs small
 phase scans and a small roc grid through a traced cli.main and checks the
-counts and the lattice decomposition the benchmark reports.
+counts and the lattice decomposition the benchmark reports. It also pins the
+bytes of the phase-cliff input file, which bench/fixtures.py writes through
+the package.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -14,6 +17,7 @@ import sys
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
 
+import fixtures  # noqa: E402
 import tracer as tr  # noqa: E402
 from run import LATTICE_PARTS  # noqa: E402
 
@@ -68,3 +72,11 @@ def test_traced_eta_zero_phase_runs_each_cell_once(tmp_path):
                        tmp_path)
     assert m["cascade.calls"] == cells
     assert m["evaluation.useful_cascade_ratio"] == 1.0
+
+
+def test_phase_cliff_input_bytes_are_pinned(tmp_path):
+    # bench/fixtures.py writes it from tests/helpers.bimodal_dense_2000
+    path = tmp_path / "bimodal.csv"
+    fixtures.write_bimodal_csv(path, 1)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "8016327b1ad5354d6b25e116f00d35cd98c19849833a325a52e20cad35a0bb84"

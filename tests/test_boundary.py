@@ -30,35 +30,65 @@ TEXT_COLUMNS = {"bank_id", "split", "region"}
 
 @st.composite
 def mostly(draw, valid, bad):
-    """A draw from valid nine times in ten, else from bad: most command lines
-    then get past the first check and reach the arithmetic."""
+    """A draw from valid nine times in ten, else from bad: most rows of a
+    file then get past the first check and reach the arithmetic."""
     return draw(bad if draw(st.integers(0, 9)) == 0 else valid)
 
 
+BAD_NUMBER = st.one_of(st.sampled_from(["-1", "-1e308", "inf", "-inf", "nan", " ", "x",
+                                        "1_000", "\u0663", "0x10"]),
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr))
 # numbers as a user may type them, at every magnitude, or malformed
 NUMBER = mostly(
     st.one_of(st.sampled_from(["0", "1", "0.5", "0.9", "10", "5e-324", "1e-300", "1e10",
                                "1e300", "1e308"]),
               st.floats(0, 1e6).map(repr)),
-    st.one_of(st.sampled_from(["-1", "-1e308", "inf", "-inf", "nan", " ", "x", "1_000",
-                               "\u0663", "0x10"]),
-              st.floats(allow_nan=True, allow_infinity=True).map(repr)))
+    BAD_NUMBER)
 CELL = mostly(NUMBER, st.just(""))
-COUNT = mostly(st.integers(1, 40).map(str), st.sampled_from(["0", "-2", "", "x", "1.5", "1e3"]))
 BAD_GRID = st.sampled_from(["-1", "2", "nan", "inf", "x", "", "0:inf:1", "0.2:0.1:0.1",
                             "0:1:0", "0:1"])
-GRIDS = {
-    "--p": mostly(st.sampled_from(["0", "0.5", "1", "0:1:0.5", "0.4:0.6:0.1", "5e-324"]),
-                  BAD_GRID),
-    "--alpha": mostly(st.sampled_from(["0", "0.1", "1", "0:1:0.5", "0:0.2:0.1", "1e-300"]),
-                      BAD_GRID),
-    "--eta": mostly(st.sampled_from(["0", "0.1", "0.5", "0:0.5:0.25", "1e-300"]), BAD_GRID),
+COUNT = (st.integers(1, 40).map(str), st.sampled_from(["0", "-2", "", "x", "1.5", "1e3"]))
+# each command-line slot as (valid, bad): valid values reach the edges of
+# their domain, bad values lie outside it
+SYNTHETIC_KEYS = {
+    "assets": COUNT,
+    "concentration": (st.sampled_from(["5e-324", "1e-300", "0.5", "8", "1e10", "1e300"]),
+                      st.one_of(st.just("0"), BAD_NUMBER)),
+    "median": (st.sampled_from(["5e-324", "1e-300", "1", "1e5", "1e300"]),
+               st.one_of(st.just("0"), BAD_NUMBER)),
+    "sigma": (st.one_of(st.sampled_from(["0", "1.2", "5"]), st.floats(0, 10).map(repr)),
+              st.one_of(st.sampled_from(["1000", "1e308"]), BAD_NUMBER)),
+    "lev_low": (st.sampled_from(["0", "5e-324", "0.5", "0.85"]),
+                st.one_of(st.sampled_from(["0.99", "1e308"]), BAD_NUMBER)),
+    "lev_high": (st.sampled_from(["0.9", "0.98", "1", "1.5", "1e10"]),
+                 st.one_of(st.sampled_from(["0", "0.5"]), BAD_NUMBER)),
+    "sparsity": (st.one_of(st.sampled_from(["0", "0.5", "0.99"]), st.floats(0, 0.999).map(repr)),
+                 st.one_of(st.sampled_from(["1", "1e308"]), BAD_NUMBER)),
 }
-LABEL_CASCADE = {"label_asset": mostly(st.sampled_from(["0", "1"]),
-                                       st.sampled_from(["-1", "99", "x"])),
-                 "label_p": mostly(st.sampled_from(["0", "0.3", "0.6", "1"]), NUMBER),
-                 "label_alpha": mostly(st.sampled_from(["0", "0.1", "1"]), NUMBER),
-                 "label_eta": mostly(st.sampled_from(["0", "0.1", "0.5"]), NUMBER)}
+# a label cascade that, on ten or more banks, fails some and spares others,
+# as roc needs
+LABEL_CASCADE = {
+    "label_asset": (st.sampled_from(["0", "0", "1"]), st.sampled_from(["-1", "99", "x"])),
+    "label_p": (st.sampled_from(["0", "0.2", "0.3"]), st.one_of(st.just("1.5"), BAD_NUMBER)),
+    "label_alpha": (st.sampled_from(["0", "0.05"]), st.one_of(st.just("2"), BAD_NUMBER)),
+    "label_eta": (st.sampled_from(["0", "0.1"]), st.one_of(st.just("0.7"), BAD_NUMBER)),
+}
+# valid --p, --alpha and --eta values: (scalars, ranges of two or more values)
+GRIDS = {
+    "--p": (["0", "0.5", "1", "5e-324"], ["0:1:0.5", "0.4:0.6:0.1"]),
+    "--alpha": (["0", "0.1", "1", "1e-300"], ["0:1:0.5", "0:0.2:0.1"]),
+    "--eta": (["0", "0.1", "0.5", "1e-300"], ["0:0.5:0.25", "0:0.1:0.1"]),
+}
+# the grids each command may take as ranges
+RANGED = {"run": st.just(set()), "sweep": st.sets(st.sampled_from(["--p", "--alpha"])),
+          "roc": st.sets(st.sampled_from(list(GRIDS))),
+          "phase": st.sets(st.sampled_from(list(GRIDS)), min_size=1, max_size=2)}
+FLAGS = {
+    # no --seed is bad only when an eta is above 0
+    "--seed": (st.sampled_from(["0", "3"]), st.sampled_from([None, "-1", "x"])),
+    "--asset": (st.sampled_from(["0", "0", "1"]), st.sampled_from(["12", "13", "-1"])),
+    "--replicates": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1"])),
+}
 
 
 def _check_finite(path):
@@ -94,25 +124,32 @@ def run_checked(argv, out) -> int:
 
 @st.composite
 def synthetic_argv(draw):
+    """A --synthetic command line with at most one slot out of its domain,
+    so that most lines get past the checks and run their lattice."""
     command = draw(st.sampled_from(["run", "sweep", "roc", "phase"]))
-    items = [f"n={draw(COUNT)}"]
-    for key in draw(st.lists(st.sampled_from(["assets", "concentration", "median", "sigma",
-                                              "lev_low", "lev_high", "sparsity"]),
-                             unique=True, max_size=4)):
-        items.append(f"{key}={draw(COUNT if key == 'assets' else NUMBER)}")
-    if draw(mostly(st.just(command != "phase"), st.just(command == "phase"))):
-        items += [f"{key}={draw(value)}" for key, value in LABEL_CASCADE.items()]
+    keys = draw(st.lists(st.sampled_from(sorted(SYNTHETIC_KEYS)), unique=True, max_size=4))
+    ranges = draw(RANGED[command])
+    flags = [*GRIDS, *(flag for flag in FLAGS
+                       if flag != "--replicates" or command in ("roc", "phase"))]
+    # roc needs labels and phase takes none; bad swaps the two
+    label_slot = ["labels"] if command in ("roc", "phase") else []
+    labelled = command == "roc" or (command != "phase" and draw(st.booleans()))
+    bad = draw(st.one_of(st.none(), st.sampled_from(
+        ["n", *keys, *label_slot, *(LABEL_CASCADE if labelled else ()), *flags])))
+
+    def value(slot, valid_bad):
+        return draw(valid_bad[slot == bad])
+
+    items = [f"n={value('n', (st.integers(10 if labelled else 1, 40).map(str), COUNT[1]))}"]
+    items += [f"{key}={value(key, SYNTHETIC_KEYS[key])}" for key in keys]
+    if labelled != (bad == "labels"):
+        items += [f"{key}={value(key, pair)}" for key, pair in LABEL_CASCADE.items()]
     argv = [command, "--synthetic", ",".join(items)]
-    for flag, grid in GRIDS.items():
-        argv += [flag, draw(grid)]
-    seed = draw(mostly(st.sampled_from(["0", "3"]), st.sampled_from([None, "-1", "x"])))
-    if seed is not None:
-        argv += ["--seed", seed]
-    argv += ["--asset", draw(mostly(st.sampled_from(["0", "1"]),
-                                    st.sampled_from(["12", "13", "-1"])))]
-    if command in ("roc", "phase"):
-        argv += ["--replicates", draw(mostly(st.sampled_from(["1", "2"]),
-                                             st.sampled_from(["0", "-1"])))]
+    for flag in flags:
+        pair = (st.sampled_from(GRIDS[flag][flag in ranges]), BAD_GRID) if flag in GRIDS \
+            else FLAGS[flag]
+        if (text := value(flag, pair)) is not None:
+            argv += [flag, text]
     return argv
 
 
@@ -172,6 +209,7 @@ THREE_ASSETS = TWO_ASSETS[:-1] + ",asset_02\n"
 @example((ONE_ASSET + "a,1_000,5,1000\n").encode())                               # (g)
 @example((TWO_ASSETS + "a,1e-300,0,1e10,0\nb,10,5,5,5\nc,10,5,,5\n").encode())
 @example((TWO_ASSETS + "a,1e-300,0,1e10,0\nb,10,5,5,5\n").encode())
+@example((TWO_ASSETS + "a,1e-300,0,1e10,0\nb,10,5,0,0\n").encode())
 def test_small_csv_files_exit_0_or_2(content):
     # ingest the file, then run on it as given and on ingest's output
     with tempfile.TemporaryDirectory() as tmp:

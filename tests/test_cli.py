@@ -416,6 +416,15 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
     (["run", "--input", MISSING, "--config", MISSING], "unrecognized arguments: --config"),
     (["run", "--input", HEADER_ONLY], "schema error: no data rows in input"),
     (["ingest", "--input", HEADER_ONLY], "schema error: no data rows in input"),
+    (["sweep", "--synthetic", "n=50,label_asset=0,label_p=0.3,label_alpha=0,label_eta=0",
+      "--labels", MISSING, "--p", "0.5", "--alpha", "0"],
+     "--labels and the --synthetic label_* keys both give labels; drop one"),
+    (["run", "--synthetic", "n=10,sigma"], "--synthetic: expected key=value, got 'sigma'"),
+    (["run", "--synthetic", "n=10,sigma=abc"], "--synthetic: bad value for sigma: 'abc'"),
+    (["run", "--input", MISSING, "--p", "0:x:0.5"], "--p: non-numeric range bound in '0:x:0.5'"),
+    (["run", "--input", MISSING, "--p", "1:1:1e-17"], "--p: empty range '1:1:1e-17'"),
+    (["phase", "--input", MISSING, "--eta", "0", "--jobs", "x"],
+     "argument --jobs: expected an integer, got 'x'"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
@@ -423,7 +432,8 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
         "phase-labels", "sigma-nan", "sigma-inf", "median-inf", "concentration-inf",
         "lev-high-inf", "sigma-negative", "sigma-overflow", "median-overflow",
         "phase-label-cascade", "run-config", "run-header-only",
-        "ingest-header-only"])
+        "ingest-header-only", "two-label-sources", "synthetic-key-without-value",
+        "synthetic-bad-value", "range-non-numeric", "range-empty", "jobs-non-numeric"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
@@ -447,6 +457,9 @@ ROW_OVERFLOW = (ONE_GOOD_ROW + "b,1e308,1e308,1e308,1e308,0\n").encode()
 # row a's weight for asset_00 is 1e10 / 1e-300, which overflows; row c fills from it
 WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
                    + "a,1e-300,0,1e10,0\nb,10,5,5,5\nc,10,5,,5\n").encode()
+# row b holds nothing, so completion fills all of it, asset 0 from that weight
+ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
+                            + "a,1e-300,0,1e10,0\nb,10,5,0,0\n").encode()
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -471,10 +484,16 @@ WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
      "schema error: row 2: column 'total_assets' has non-numeric value '1_000'"),
     (["ingest", "--input"], WEIGHT_OVERFLOW,
      "schema error: bank c: asset 0 missing but its average weight overflows to inf"),
+    (["ingest", "--input"], ZERO_ROW_WEIGHT_OVERFLOW,
+     "schema error: bank b: asset 0 missing but its average weight overflows to inf"),
+    (["ingest", "--input"], b"bank_id,total_assets,total_liabilities\na,10,5\n",
+     "schema error: no asset_NN columns found"),
+    (["run", "--input"], b"", "schema error: empty file: missing header row"),
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
         "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
         "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
-        "ingest-underscore", "ingest-average-weight-overflows"])
+        "ingest-underscore", "ingest-average-weight-overflows",
+        "ingest-zero-row-fills-from-inf-weight", "ingest-no-asset-columns", "run-empty-file"])
 def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
     path = tmp_path / "bad.csv"

@@ -239,7 +239,7 @@ def test_complete_dataset_collects_repairs():
 def test_save_load_round_trip_is_exact(tmp_path, monkeypatch):
     net, _ = dense_synthetic(40, seed=17)
     path = tmp_path / "completed.csv"
-    cf.save_completed_csv(net.banks, path)
+    cf.save_completed_csv(net, path)
     loaded = cf.load_completed_network(path)
     assert loaded.bank_ids == net.bank_ids
     assert np.array_equal(loaded.holdings, net.holdings)
@@ -247,7 +247,7 @@ def test_save_load_round_trip_is_exact(tmp_path, monkeypatch):
     assert np.array_equal(loaded.total_liabilities, net.total_liabilities)
     # a second save produces identical bytes
     path2 = tmp_path / "again.csv"
-    cf.save_completed_csv(loaded.banks, path2)
+    cf.save_completed_csv(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
     # a network is written column by column, a block of rows at a time
     path3 = tmp_path / "network.csv"
@@ -389,11 +389,10 @@ def test_synthetic_shape_and_consistency():
 
 
 def test_synthetic_respects_mean_weights():
-    # explicit normalized targets, high concentration, large n: the empirical
-    # mean weight per asset lands within 0.01 of the target
-    target = np.full(13, 1.0 / 13)
-    net, _ = dense_synthetic(4000, seed=6, mean_weights=tuple(target),
-                             concentration=40.0)
+    # uniform targets (any asset count but 13), high concentration, large n:
+    # the empirical mean weight per asset lands within 0.01 of the target
+    target = np.full(4, 1.0 / 4)
+    net, _ = dense_synthetic(4000, seed=6, n_assets=4, concentration=40.0)
     got = (net.holdings / net.total_assets[:, None]).mean(axis=0)
     assert np.max(np.abs(got - target)) < 0.01
 
@@ -407,15 +406,6 @@ def test_synthetic_default_weights_renormalized_silently():
     got = (net.holdings / net.total_assets[:, None]).mean(axis=0)
     # heavier tails at concentration 8, so a looser band than the uniform case
     assert np.max(np.abs(got - target)) < 0.02
-
-
-def test_synthetic_user_weights_renormalized_with_warning():
-    weights = (0.5, 0.25, 0.5)
-    with pytest.warns(UserWarning, match="renormaliz"):
-        net, _ = cf.generate_synthetic(
-            cf.SyntheticConfig(n_banks=2000, n_assets=3, mean_weights=weights), 14)
-    got = (net.holdings / net.total_assets[:, None]).mean(axis=0)
-    assert np.max(np.abs(got - np.array(weights) / 1.25)) < 0.02
 
 
 def test_synthetic_sparsity_leaves_no_empty_banks():
@@ -454,5 +444,3 @@ def test_synthetic_config_validation():
             cf.SyntheticConfig(n_banks=5, **bad)
     with pytest.raises(ValueError, match="sigma must be non-negative"):
         cf.SyntheticConfig(n_banks=5, size_sigma=-3.0)
-    with pytest.raises(ValueError, match="length"):
-        cf.generate_synthetic(cf.SyntheticConfig(n_banks=5, mean_weights=(0.5, 0.5)), 1)

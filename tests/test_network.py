@@ -1,4 +1,4 @@
-"""Domain types: balance sheets, network validation, derived quantities."""
+"""The bank-asset network: validation and derived quantities."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from scipy import stats
 import cascadefin as cf
 from cascadefin.network import SUM_RTOL
 
-from helpers import dense_synthetic, make_network, toy_network
+from helpers import dense_synthetic, make_network
 
 
 def test_default_mean_weights_are_per_holder_averages():
@@ -82,16 +82,11 @@ def test_derived_quantities():
     assert net.mask(None).tolist() == [False, False]
 
 
-def test_round_trip_banks_property():
-    net = toy_network()
-    sheets = net.banks
-    assert [s.bank_id for s in sheets] == ["A", "B"]
-    rebuilt = cf.network_from_sheets(sheets)
-    assert rebuilt.bank_ids == net.bank_ids
-    assert np.array_equal(rebuilt.holdings, net.holdings)
-    assert np.array_equal(rebuilt.total_liabilities, net.total_liabilities)
+def test_network_from_sheets_refuses_an_empty_table():
+    empty = cf.RawTable((), np.empty(0), np.empty(0), np.empty((0, 1)),
+                        np.empty(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty network"):
-        cf.network_from_sheets([])
+        cf.network_from_sheets(empty)
 
 
 def test_failed_banks_have_lower_equity_ratio():

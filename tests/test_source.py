@@ -9,9 +9,50 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cascadefin"
 MODULES = sorted(SRC.glob("*.py"))
 
 
+def _tree(module):
+    return ast.parse(module.read_text(), filename=str(module))
+
+
+def _imported(tree) -> dict:
+    """The names a module's top-level imports bind, each with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _all(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_assert_statements(module):
     # python -O strips assert, so every check in the package must raise itself
-    tree = ast.parse(module.read_text(), filename=str(module))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{module.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_unused_imports(module):
+    # a re-export listed in __all__ counts as a use
+    tree = _tree(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_all(tree))
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert unused == {}, f"{module.name}: imported but never used: {unused}"
+
+
+def test_init_exports_every_name_it_imports():
+    tree = _tree(SRC / "__init__.py")
+    exported = _all(tree)
+    assert len(exported) == len(set(exported))
+    missing = sorted(set(_imported(tree)) - set(exported))
+    assert missing == [], f"__init__.py imports but leaves out of __all__: {missing}"
