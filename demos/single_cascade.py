@@ -15,7 +15,7 @@ params = cf.CascadeParams.single(asset=0, p=0.6, alpha=1.0, eta=0.0)
 result = cf.run_cascade(net, params)
 
 print("two-bank walkthrough")
-print(f"  shock: asset 0 keeps p = {params.p} of its value")
+print(f"  shock: asset 0 keeps p = {params.shocked_assets[0]} of its value")
 for r, count in enumerate(result.failures_per_round):
     stage = "pre-shock solvency check" if r == 0 else f"round {r}"
     print(f"  {stage}: {count} failure(s)")
@@ -35,7 +35,7 @@ network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=500), seed)
 params = cf.CascadeParams.single(asset=0, p=0.55, alpha=0.08, eta=0.26, seed=seed)
 result = cf.run_cascade(network, params, rng=cf.stream(seed))
 
-print(f"  seed {seed}, shock p={params.p} on asset 0, "
+print(f"  seed {seed}, shock p={params.shocked_assets[0]} on asset 0, "
       f"alpha={params.alpha}, eta={params.eta}")
 print(f"  rounds executed: {result.rounds_executed}")
 print(f"  failures per round: {result.failures_per_round}")

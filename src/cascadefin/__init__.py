@@ -4,7 +4,7 @@ Library layout:
   network    -- the bipartite bank-asset network as arrays, asset names
   ingestion  -- CSV loading, missing-value completion, labels, synthetic data
   cascade    -- the shock / barrier / fire-sale engine
-  evaluation -- survival curves, ROC grids, attribution, phase scans
+  evaluation -- survival curves, first-step/consecutive ROC splits, phase scans
   cli        -- the `cascadefin` command-line tool
 """
 
@@ -19,7 +19,6 @@ from .cascade import (
     apply_fire_sales,
     apply_shock,
     evaluate_round,
-    failure_probability,
     run_cascade,
     stream,
 )
@@ -27,7 +26,6 @@ from .evaluation import (
     PhaseDiagram,
     RocPoint,
     SweepRecord,
-    attribution_split,
     phase_scan,
     roc_grid,
     survival_curves,
@@ -55,9 +53,8 @@ __all__ = [
     "ASSET_NAMES", "BankAssetNetwork", "CascadeParams", "CascadeResult",
     "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RocPoint",
     "RoundState", "SURVIVED", "SchemaError", "SweepRecord", "SyntheticConfig",
-    "apply_fire_sales", "apply_shock", "attribution_split", "complete_dataset",
-    "compute_average_weights", "evaluate_round", "failure_probability",
-    "generate_synthetic", "labels_from_cascade", "load_completed_network",
+    "apply_fire_sales", "apply_shock", "complete_dataset", "compute_average_weights",
+    "evaluate_round", "generate_synthetic", "labels_from_cascade", "load_completed_network",
     "load_labels", "load_raw_csv", "network_from_sheets", "phase_scan", "roc_grid",
     "run_cascade", "save_completed_csv", "stream", "survival_curves", "write_phase_csv",
     "write_roc_csv", "write_survival_csv",

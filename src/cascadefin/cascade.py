@@ -86,13 +86,6 @@ class CascadeParams:
         return cls(alpha=alpha, eta=eta, shocked_assets={asset: p},
                    seed=seed, max_rounds=max_rounds)
 
-    @property
-    def p(self):
-        """The single-shock p, or None for multi-asset shocks."""
-        if len(self.shocked_assets) == 1:
-            return next(iter(self.shocked_assets.values()))
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -128,24 +121,6 @@ class RoundState:
 
     def __post_init__(self):
         self.bound = np.zeros(self.alive.size)
-
-
-def failure_probability(b: float, l: float, eta: float) -> float:
-    """Probability that a bank with assets b and liabilities l fails a round.
-
-    Piecewise: 0 when b >= l; (l - b)/(eta*l) on the open band
-    (1-eta)*l < b < l when eta > 0; 1 when b <= (1-eta)*l. With eta = 0 the
-    band is empty and failure is certain exactly when b < l.
-    """
-    if b < 0 or l < 0:
-        raise ValueError("assets and liabilities must be non-negative")
-    if not 0.0 <= eta <= PARAM_UPPER["eta"]:
-        raise ValueError(f"eta must be in [0, 0.5], got {eta}")
-    if b >= l:
-        return 0.0
-    if eta != 0.0 and (1.0 - eta) * l < b:
-        return (l - b) / (eta * l)
-    return 1.0
 
 
 def apply_shock(state: RoundState, params: CascadeParams) -> list:
@@ -274,14 +249,6 @@ class CascadeResult:
     survival_fraction_all: float
     survival_fraction_labeled: float
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def survived(self) -> BoolA:
-        return self.failed_round == SURVIVED
-
-    @property
-    def failed(self) -> BoolA:
-        return self.failed_round >= 0
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,4 +1,5 @@
-"""Survival curves, ROC grids, failure attribution and phase-diagram scans.
+"""Survival curves, ROC grids with first-step/consecutive splits, and
+phase-diagram scans.
 
 Every analysis is a lattice of cells. One driver runs each cell's replicates,
 with RNG streams derived from (master seed, cell index, replicate index), and
@@ -115,14 +116,16 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
         raise ValueError("empty parameter grid")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    seed = int(seed)
-    lattice = _Lattice(network, [CascadeParams.single(int(asset), p, alpha, eta, seed=seed)
+    lattice = _Lattice(network, [CascadeParams.single(int(asset), p, alpha, eta)
                                  for p, alpha, eta in cells],
-                       int(replicates), seed, reduce, positives)
+                       int(replicates), int(seed), reduce, positives)
     n_cells = len(cells)
     if jobs is None or jobs <= 1 or n_cells <= 1:
         _init_worker(lattice)
-        return [_cell(i) for i in range(n_cells)]
+        try:
+            return [_cell(i) for i in range(n_cells)]
+        finally:
+            _init_worker(None)  # else the module keeps the caller's network alive
     # the pool forks every worker up front, so never more than there are cells
     workers = min(jobs, n_cells)
     chunk = max(1, n_cells // (workers * 8))
@@ -221,18 +224,6 @@ def roc_grid(network, labels, shocked_asset, ps, alphas, etas,
     return [RocPoint(alpha, eta, p, tp / n_pos, fp / n_neg, tp, split)
             for (p, alpha, eta), counts in zip(cells, out)
             for split, (tp, fp) in zip(splits, counts)]
-
-
-def attribution_split(result, labels, network) -> dict:
-    """Count correctly-identified failures by first step vs later steps.
-
-    Pre-shock failures (round 0) are excluded from both counts; the two counts
-    sum to the full split's true positives.
-    """
-    pos = network.mask(labels)
-    first = int(((result.failed_round == 1) & pos).sum())
-    consecutive = int(((result.failed_round >= 2) & pos).sum())
-    return {"first_step_count": first, "consecutive_count": consecutive}
 
 
 def phase_scan(network, shocked_asset, ps, alphas, etas,

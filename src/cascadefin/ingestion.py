@@ -278,6 +278,9 @@ def _complete_rows(bank_ids, b, values, avg, out) -> list:
             raise SchemaError(f"bank {bank}: reported holdings sum to inf")
         if undefined[i].any():
             m = int(np.argmax(undefined[i]))
+            if zero[i]:
+                raise SchemaError(f"bank {bank}: every holding is 0, and refilling the row "
+                                  f"needs asset {m}, whose average weight overflows to inf")
             if np.isinf(avg[m]):
                 raise SchemaError(f"bank {bank}: asset {m} missing but its average weight "
                                   "overflows to inf")

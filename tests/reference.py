@@ -1,6 +1,6 @@
-"""Straight-line reference cascade, unscreened barrier pass, bank-by-bank ROC
-counts and row-by-row balance-sheet completion, used as oracles by the test
-suite.
+"""Closed-form barrier probability, straight-line reference cascade,
+unscreened barrier pass, bank-by-bank ROC counts and row-by-row balance-sheet
+completion, used as oracles by the test suite.
 
 Deliberately naive: explicit per-bank holdings updated with python loops, no
 vectorization, no shortcuts. The production engine tracks holdings through a
@@ -27,7 +27,25 @@ import itertools
 import numpy as np
 
 from cascadefin import CascadeParams, SchemaError, run_cascade, stream
-from cascadefin.cascade import DOMAIN_CELL
+from cascadefin.cascade import DOMAIN_CELL, PARAM_UPPER
+
+
+def failure_probability(b: float, l: float, eta: float) -> float:
+    """Probability that a bank with assets b and liabilities l fails a round.
+
+    Piecewise: 0 when b >= l; (l - b)/(eta*l) on the open band
+    (1-eta)*l < b < l when eta > 0; 1 when b <= (1-eta)*l. With eta = 0 the
+    band is empty and failure is certain exactly when b < l.
+    """
+    if b < 0 or l < 0:
+        raise ValueError("assets and liabilities must be non-negative")
+    if not 0.0 <= eta <= PARAM_UPPER["eta"]:
+        raise ValueError(f"eta must be in [0, 0.5], got {eta}")
+    if b >= l:
+        return 0.0
+    if eta != 0.0 and (1.0 - eta) * l < b:
+        return (l - b) / (eta * l)
+    return 1.0
 
 
 def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,

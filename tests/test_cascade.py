@@ -12,7 +12,7 @@ import cascadefin as cf
 from cascadefin.cascade import DOMAIN_CELL
 
 from helpers import make_network, random_instance, toy_network
-from reference import brute_force_cascade
+from reference import brute_force_cascade, failure_probability
 
 
 def state_for(totals, liabilities):
@@ -47,27 +47,27 @@ def shocked(net, params):
 # --- Eq-style barrier probability ---------------------------------------
 
 def test_failure_probability_branches():
-    assert cf.failure_probability(100.0, 100.0, 0.26) == 0.0
-    assert cf.failure_probability(120.0, 100.0, 0.26) == 0.0
-    assert cf.failure_probability(70.0, 100.0, 0.26) == 1.0
-    assert cf.failure_probability(90.0, 100.0, 0.26) == pytest.approx(10.0 / 26.0, rel=1e-15)
-    assert cf.failure_probability(80.0, 100.0, 0.5) == pytest.approx(0.4, rel=1e-15)
+    assert failure_probability(100.0, 100.0, 0.26) == 0.0
+    assert failure_probability(120.0, 100.0, 0.26) == 0.0
+    assert failure_probability(70.0, 100.0, 0.26) == 1.0
+    assert failure_probability(90.0, 100.0, 0.26) == pytest.approx(10.0 / 26.0, rel=1e-15)
+    assert failure_probability(80.0, 100.0, 0.5) == pytest.approx(0.4, rel=1e-15)
 
 
 def test_failure_probability_eta_zero_is_a_step():
-    assert cf.failure_probability(99.999, 100.0, 0.0) == 1.0
-    assert cf.failure_probability(100.0, 100.0, 0.0) == 0.0
+    assert failure_probability(99.999, 100.0, 0.0) == 1.0
+    assert failure_probability(100.0, 100.0, 0.0) == 0.0
 
 
 def test_failure_probability_domain():
     with pytest.raises(ValueError):
-        cf.failure_probability(-1.0, 10.0, 0.1)
+        failure_probability(-1.0, 10.0, 0.1)
     with pytest.raises(ValueError):
-        cf.failure_probability(10.0, -1.0, 0.1)
+        failure_probability(10.0, -1.0, 0.1)
     with pytest.raises(ValueError):
-        cf.failure_probability(10.0, 10.0, 0.6)
+        failure_probability(10.0, 10.0, 0.6)
     with pytest.raises(ValueError):
-        cf.failure_probability(10.0, 10.0, -0.1)
+        failure_probability(10.0, 10.0, -0.1)
 
 
 def test_barrier_monte_carlo_matches_closed_form():
@@ -90,12 +90,10 @@ def test_params_validation():
         cf.CascadeParams.single(0, -0.1, 0.5, 0.0)
 
 
-def test_params_single_and_p_property():
+def test_params_single_and_sorted_shocks():
     params = cf.CascadeParams.single(3, 0.6, 0.1, 0.2, seed=9)
     assert params.shocked_assets == {3: 0.6}
-    assert params.p == 0.6
     multi = cf.CascadeParams(alpha=0.0, eta=0.0, shocked_assets={1: 0.5, 0: 0.7})
-    assert multi.p is None
     assert list(multi.shocked_assets) == [0, 1]
 
 

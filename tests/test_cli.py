@@ -485,7 +485,8 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
     (["ingest", "--input"], WEIGHT_OVERFLOW,
      "schema error: bank c: asset 0 missing but its average weight overflows to inf"),
     (["ingest", "--input"], ZERO_ROW_WEIGHT_OVERFLOW,
-     "schema error: bank b: asset 0 missing but its average weight overflows to inf"),
+     "schema error: bank b: every holding is 0, and refilling the row needs asset 0, "
+     "whose average weight overflows to inf"),
     (["ingest", "--input"], b"bank_id,total_assets,total_liabilities\na,10,5\n",
      "schema error: no asset_NN columns found"),
     (["run", "--input"], b"", "schema error: empty file: missing header row"),

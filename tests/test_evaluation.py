@@ -1,4 +1,8 @@
-"""Survival curves, ROC grids, attribution, phase scans, CSV writers."""
+"""Survival curves, ROC grids and their splits, phase scans, CSV writers."""
+
+import gc
+import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -148,20 +152,17 @@ def test_roc_jobs_do_not_change_results():
         cf.roc_grid(net, labels, 0, *grid, seed=6, jobs=2)
 
 
-# --- attribution ---------------------------------------------------------
-
-def test_attribution_split_counts_rounds():
-    net = three_bank_network()
-    result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.6, 1.0, 0.0))
-    split = cf.attribution_split(result, ["A", "B"], net)
-    assert split == {"first_step_count": 1, "consecutive_count": 1}
-
-
-def test_attribution_excludes_preshock_failures():
-    net = make_network([[100.0], [100.0]], [120.0, 50.0], ids=("dead", "fine"))
-    result = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
-    split = cf.attribution_split(result, ["dead", "fine"], net)
-    assert split == {"first_step_count": 0, "consecutive_count": 0}
+def test_roc_counts_preshock_failures_in_no_split():
+    # both dead banks fail at round 0; only hit fails after the shock (round 1)
+    net = make_network([[100.0]] * 4, [120.0, 120.0, 80.0, 50.0],
+                       ids=("dead_pos", "dead_neg", "hit", "safe"))
+    for replicates in (1, 3):
+        points = cf.roc_grid(net, ["dead_pos", "hit"], 0, (0.6,), (0.0,), (0.0, 0.1),
+                             seed=3, replicates=replicates)
+        counts = [(pt.eta, pt.split, pt.true_positives, pt.fpr) for pt in points]
+        assert counts == [(eta, split, tp, 0.0) for eta in (0.0, 0.1)
+                          for split, tp in (("full", 1), ("first_step", 1),
+                                            ("consecutive_steps", 0))]
 
 
 # --- phase scans ---------------------------------------------------------
@@ -224,6 +225,17 @@ def test_phase_scan_jobs_do_not_change_results():
     b = cf.phase_scan(net, 0, [0.5], [0.0, 0.5, 1.0], [0.1], jobs=2, **kw)
     assert np.array_equal(a.mean_survival, b.mean_survival)
     assert np.array_equal(a.ci_half, b.ci_half)
+
+
+@pytest.mark.parametrize("asset", [0, 5], ids=["returns", "raises"])
+def test_serial_lattice_releases_the_network(asset):
+    net = toy_network()
+    ref = weakref.ref(net)
+    with pytest.raises(ValueError, match="not in network") if asset else nullcontext():
+        cf.phase_scan(net, asset, [0.6], [0.0, 0.5], [0.0], replicates=1)
+    del net
+    gc.collect()
+    assert ref() is None
 
 
 # --- CSV writers ---------------------------------------------------------

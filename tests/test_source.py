@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cascadefin"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cascadefin"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -24,6 +25,13 @@ def _imported(tree) -> dict:
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def _read(tree) -> set:
+    """The names a module reads, bare or as an attribute; a definition is no read."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | \
+        {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def _all(tree) -> list:
@@ -56,3 +64,12 @@ def test_init_exports_every_name_it_imports():
     assert len(exported) == len(set(exported))
     missing = sorted(set(_imported(tree)) - set(exported))
     assert missing == [], f"__init__.py imports but leaves out of __all__: {missing}"
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a name only tests call is a second statement of a rule, not a public one
+    users = [m for m in MODULES if m.name != "__init__.py"] + \
+        sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    read = set().union(*(_read(_tree(f)) for f in users))
+    unused = sorted(set(_all(_tree(SRC / "__init__.py"))) - read)
+    assert unused == [], f"exported but used only by tests: {unused}"
