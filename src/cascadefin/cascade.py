@@ -15,7 +15,8 @@ its total: its total when its row was last summed, times the smallest price
 factor of each later shock or fire sale, less a rounding margin. A barrier
 pass sums only the rows of banks whose bound lies below their threshold; every
 other bank provably survives the round. Fates, draws and prices are those of
-summing every row (see evaluate_round).
+summing every row (see evaluate_round). Round 0's bounds are the rows'
+contiguous sums at prices 1: a gathered row's bits, as holdings are C-contiguous.
 
 Randomness: PCG64 streams derived from (seed, spawn key) via SeedSequence, so
 per-cell streams in sweeps are independent of execution order. eta = 0 draws
@@ -106,10 +107,11 @@ class RoundState:
     only meaningful where alive is True.
 
     bound holds each bank's certified lower bound on its current total, 0.0
-    until its row is first summed; evaluate_round skips the banks it proves
-    solvent. It stays a lower bound only while every price change goes through
-    apply_shock or apply_fire_sales. Code that changes price_index any other
-    way must zero bound first, or banks that can fail are skipped.
+    until set (run_cascade sets the row totals at prices 1 before round 0);
+    evaluate_round skips the banks it proves solvent. It stays a lower bound
+    only while every price change goes through apply_shock or
+    apply_fire_sales. Code that changes price_index any other way must zero
+    bound first, or banks that can fail are skipped.
     """
 
     alive: BoolA
@@ -140,18 +142,18 @@ def apply_shock(state: RoundState, params: CascadeParams) -> list:
             continue
         factor[m] = p
     state.market_value *= factor
-    _scale_prices(state, factor)
+    _scale_prices(state, factor, factor.min())
     return skipped
 
 
-def _scale_prices(state: RoundState, factor: FloatA) -> None:
+def _scale_prices(state: RoundState, factor: FloatA, low: float) -> None:
     """Multiply each asset's price index by its factor (in [0, 1]) and every
-    bound by the smallest factor, less the margin proved in evaluate_round."""
+    bound by the smallest factor, low, less the margin proved in evaluate_round."""
     prices = state.price_index * factor
-    if ((prices < BOUND_FLOOR) & (state.price_index > 0.0)).any():
+    if prices.min() < BOUND_FLOOR and ((prices < BOUND_FLOOR) & (state.price_index > 0.0)).any():
         state.bound[:] = 0.0
     else:
-        state.bound *= factor.min() * (1.0 - max(1e-12, 4.0 * factor.size * EPS))
+        state.bound *= low * (1.0 - max(1e-12, 4.0 * factor.size * EPS))
     state.price_index[:] = prices
 
 
@@ -192,16 +194,20 @@ def evaluate_round(state: RoundState, params: CascadeParams,
 
     The draws are taken for every alive bank, screened or not, so screening
     does not move the rng stream, and a row's sum does not depend on which
-    other rows are gathered with it.
+    other rows are gathered with it. Round 0 starts from bounds that are the
+    rows' contiguous sums at prices 1, the same totals bit for bit only
+    because holdings are C-contiguous (Fortran order sums in another order).
     """
-    alive_idx = np.flatnonzero(state.alive)
+    alive_idx = state.alive.nonzero()[0]
     threshold = state.liabilities[alive_idx]
     if params.eta != 0.0:
-        threshold = (1.0 - rng.random(alive_idx.size) * params.eta) * threshold
+        r = rng.random(alive_idx.size)    # (1 - r eta) L, built in place
+        r *= params.eta
+        threshold *= np.subtract(1.0, r, out=r)
     # positions, among the alive banks, of those no bound clears
-    unsure = np.flatnonzero(state.bound[alive_idx] < np.maximum(threshold, BOUND_FLOOR))
+    unsure = (state.bound[alive_idx] < np.maximum(threshold, BOUND_FLOOR)).nonzero()[0]
     rows = alive_idx[unsure]
-    positions = state.holdings_base[rows]
+    positions = state.holdings_base.take(rows, axis=0)
     positions *= state.price_index    # in place: no second N x M temporary
     totals = positions.sum(axis=1)
     state.bound[rows] = totals
@@ -221,16 +227,25 @@ def apply_fire_sales(state: RoundState, failures: IntA, params: CascadeParams) -
     failures = np.asarray(failures)
     if failures.size == 0:
         raise ValueError("apply_fire_sales requires a non-empty failure set")
-    deduction = params.alpha * (state.holdings_base[failures] * state.price_index).sum(axis=0)
+    sold = state.holdings_base.take(failures, axis=0)
+    sold *= state.price_index
+    deduction = params.alpha * sold.sum(axis=0)
     a = state.market_value
-    # a dead asset cannot be dumped: its holders' positions are already 0
-    if np.any(deduction[a == 0.0] != 0.0):
-        raise ValueError("fire sale on a zero-value asset")
     remaining = a - deduction
-    factor = np.ones_like(a)
-    np.divide(remaining, a, out=factor, where=a > 0.0)
-    clamped = np.flatnonzero(factor < 0.0).tolist()
-    _scale_prices(state, np.maximum(factor, 0.0))
+    if a.min() > 0.0:
+        factor = remaining / a
+    else:
+        # a dead asset cannot be dumped: its holders' positions are already 0
+        if np.any(deduction[a == 0.0] != 0.0):
+            raise ValueError("fire sale on a zero-value asset")
+        factor = np.ones_like(a)
+        np.divide(remaining, a, out=factor, where=a > 0.0)
+    low = factor.min()
+    clamped = []
+    if low < 0.0:
+        clamped = (factor < 0.0).nonzero()[0].tolist()
+        np.maximum(factor, 0.0, out=factor)
+    _scale_prices(state, factor, max(low, 0.0))
     np.maximum(remaining, 0.0, out=a)
     return clamped
 
@@ -282,9 +297,12 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
                        liabilities=network.total_liabilities)
     failed_round = np.full(n, SURVIVED, dtype=np.int64)
 
+    # round 0 sums only the banks below their row's total (see evaluate_round)
+    np.sum(network.holdings, axis=1, out=state.bound)
     failures0 = evaluate_round(state, params, rng)  # round 0: pre-shock pass
     failed_round[failures0] = 0
-    failures_per_round = [int(failures0.size)]
+    failures_per_round = [failures0.size]
+    n_alive = n - failures0.size
 
     shock_skipped = apply_shock(state, params)
     trajectory = [state.price_index.copy()]
@@ -292,15 +310,16 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
 
     rounds = 0
     non_converged = False
-    while state.alive.any():
+    while n_alive:
         if params.max_rounds is not None and rounds >= params.max_rounds:
             non_converged = True
             break
         failures = evaluate_round(state, params, rng)
         rounds += 1
-        failures_per_round.append(int(failures.size))
+        failures_per_round.append(failures.size)
         if failures.size == 0:
             break
+        n_alive -= failures.size
         failed_round[failures] = rounds
         clamp_events.extend([rounds, m] for m in apply_fire_sales(state, failures, params))
         trajectory.append(state.price_index.copy())

@@ -71,7 +71,7 @@ class BankAssetNetwork:
     market_value: FloatA = None
 
     def __post_init__(self):
-        self.holdings = np.asarray(self.holdings, dtype=np.float64)
+        self.holdings = np.ascontiguousarray(self.holdings, dtype=np.float64)
         self.total_assets = np.asarray(self.total_assets, dtype=np.float64)
         self.total_liabilities = np.asarray(self.total_liabilities, dtype=np.float64)
         if self.holdings.ndim != 2 or len(self.bank_ids) != len(self.holdings):

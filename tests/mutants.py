@@ -1,0 +1,172 @@
+"""One-line mutants of the cascade engine, each with the tests that kill it
+or the reason no result can change.
+
+    python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
+
+Each live mutant replaces one line of a copy of the repository made under
+--workdir (a temporary directory, removed afterwards, by default) and runs its killing tests
+there with `pytest -x`; it counts as killed when pytest fails. With
+--all-tests every mutant, equivalent ones included, runs the whole `tests/`
+directory instead. Pytest does not collect this file (its name does not start
+with `test_`); it is run by hand. The killing tests take about half a minute for
+the whole list, --all-tests about a minute per mutant.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CASCADE = "src/cascadefin/cascade.py"
+NETWORK = "src/cascadefin/network.py"
+BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str        # must occur exactly once in the file
+    new: str
+    kills: tuple = ()   # test ids expected to fail; empty for an equivalent mutant
+    proof: str = ""     # why an equivalent mutant changes no result
+
+
+MUTANTS = (
+    # evaluate_round
+    Mutant("barrier-no-floor", CASCADE,
+           "< np.maximum(threshold, BOUND_FLOOR)).nonzero()", "< threshold).nonzero()",
+           (BARRIER_PROPERTY,)),
+    Mutant("barrier-screen-le", CASCADE,
+           "< np.maximum(threshold, BOUND_FLOOR)).nonzero()",
+           "<= np.maximum(threshold, BOUND_FLOOR)).nonzero()",
+           proof="a bank whose bound equals its threshold is summed as well; summing a row "
+                 "gives the total the full pass compares, so fates, draws and prices stay"),
+    Mutant("barrier-fail-le", CASCADE,
+           "failures = rows[totals < threshold[unsure]]",
+           "failures = rows[totals <= threshold[unsure]]",
+           ("tests/test_cascade.py::test_fortran_ordered_holdings_run_bit_for_bit",
+            BARRIER_PROPERTY)),
+    Mutant("barrier-no-bound-update", CASCADE,
+           "    state.bound[rows] = totals\n", "",
+           ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
+    Mutant("barrier-no-eta", CASCADE, "        r *= params.eta\n", "",
+           ("tests/test_cascade.py::test_evaluate_round_records_draws_for_alive_banks",
+            "tests/test_cascade.py::test_barrier_monte_carlo_matches_closed_form")),
+    Mutant("barrier-threshold-plus", CASCADE,
+           "np.subtract(1.0, r, out=r)", "np.add(1.0, r, out=r)",
+           ("tests/test_cascade.py::test_barrier_monte_carlo_matches_closed_form",)),
+    Mutant("barrier-keeps-failed-alive", CASCADE,
+           "    state.alive[failures] = False\n    return failures", "    return failures",
+           ("tests/test_cascade.py::test_evaluate_round_eta_zero_needs_no_rng",)),
+    # round-0 seeding and contiguity
+    Mutant("round0-no-seed", CASCADE,
+           "    np.sum(network.holdings, axis=1, out=state.bound)\n", "",
+           ("tests/test_cascade.py::test_round_zero_sums_only_banks_below_their_row_total",)),
+    Mutant("network-not-contiguous", NETWORK,
+           "np.ascontiguousarray(self.holdings, dtype=np.float64)",
+           "np.asarray(self.holdings, dtype=np.float64)",
+           ("tests/test_cascade.py::test_fortran_ordered_holdings_run_bit_for_bit",
+            "tests/test_properties.py::test_contiguous_row_sums_match_gathered_rows")),
+    Mutant("loop-alive-count-kept", CASCADE, "        n_alive -= failures.size\n", "",
+           ("tests/test_cascade.py::test_toy_cascade_frozen_trace",)),
+    # apply_fire_sales
+    Mutant("sale-no-alpha", CASCADE, "params.alpha * sold.sum(axis=0)", "sold.sum(axis=0)",
+           ("tests/test_cascade.py::test_fire_sale_worked_example",)),
+    Mutant("sale-fast-path-ge", CASCADE, "if a.min() > 0.0:", "if a.min() >= 0.0:",
+           ("tests/test_cascade.py::test_fire_sale_on_zero_value_asset_raises",
+            "tests/test_cascade.py::test_fire_sale_leaves_a_worthless_asset_nobody_sells")),
+    Mutant("sale-no-dead-asset-check", CASCADE,
+           'raise ValueError("fire sale on a zero-value asset")', "pass",
+           ("tests/test_cascade.py::test_fire_sale_on_zero_value_asset_raises",)),
+    Mutant("sale-divide-where-ge", CASCADE, "where=a > 0.0)", "where=a >= 0.0)",
+           ("tests/test_cascade.py::test_fire_sale_leaves_a_worthless_asset_nobody_sells",)),
+    Mutant("sale-clamp-test-le", CASCADE, "    if low < 0.0:", "    if low <= 0.0:",
+           proof="at low == 0 no factor is negative: the clamp list is empty, the maximum "
+                 "leaves every factor as it is (none is -0.0: a - d is never -0.0 when "
+                 "a > 0, and a factor is 1 where a <= 0) and low stays 0.0"),
+    Mutant("sale-low-not-floored", CASCADE, "max(low, 0.0)", "low",
+           proof="a negative factor needs a > 0 and a deduction > 0, so a positive price; "
+                 "the clamp takes it to 0, below BOUND_FLOOR, and _scale_prices zeroes "
+                 "every bound without reading low"),
+    Mutant("sale-no-clamp", CASCADE, "        np.maximum(factor, 0.0, out=factor)\n", "",
+           ("tests/test_cascade.py::test_fire_sale_clamps_oversold_asset",)),
+    Mutant("sale-market-not-clamped", CASCADE,
+           "np.maximum(remaining, 0.0, out=a)", "a[:] = remaining",
+           ("tests/test_cascade.py::test_fire_sale_clamps_oversold_asset",)),
+    # _scale_prices
+    Mutant("scale-fast-test-le", CASCADE,
+           "if prices.min() < BOUND_FLOOR and", "if prices.min() <= BOUND_FLOOR and",
+           proof="when the smallest price equals BOUND_FLOOR no price lies below it, so "
+                 "the full test that follows finds nothing either"),
+    Mutant("scale-no-margin", CASCADE,
+           "state.bound *= low * (1.0 - max(1e-12, 4.0 * factor.size * EPS))",
+           "state.bound *= low",
+           ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
+    Mutant("scale-no-floor-reset", CASCADE,
+           "if prices.min() < BOUND_FLOOR and ((prices < BOUND_FLOOR) & "
+           "(state.price_index > 0.0)).any():", "if False:", (BARRIER_PROPERTY,)),
+)
+
+
+def source(tree: str, mutant: Mutant) -> str:
+    """The text of the mutant's file in tree; its line must occur exactly once."""
+    with open(os.path.join(tree, mutant.path)) as fh:
+        text = fh.read()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} "
+                         f"times in {mutant.path}")
+    return text
+
+
+def run_tests(tree: str, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workdir", default=None)
+    ap.add_argument("--only", nargs="*", default=None, help="mutant names to run")
+    ap.add_argument("--all-tests", action="store_true",
+                    help="run the whole tests/ directory for every mutant")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="cascadefin-mutants-") as tmp:
+        tree = os.path.join(args.workdir or tmp, "tree")
+        shutil.rmtree(tree, ignore_errors=True)
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "_work", "_out"))
+        return run_all(tree, args)
+
+
+def run_all(tree: str, args) -> int:
+    chosen = [m for m in MUTANTS if args.only is None or m.name in args.only]
+    originals = [source(tree, m) for m in chosen]   # every listed line still exists
+    unexpected = 0
+    for mutant, original in zip(chosen, originals):
+        if not (mutant.kills or args.all_tests):
+            print(f"equivalent  {mutant.name}: {mutant.proof}")
+            continue
+        path = os.path.join(tree, mutant.path)
+        with open(path, "w") as fh:
+            fh.write(original.replace(mutant.old, mutant.new))
+        try:
+            killed = run_tests(tree, ["tests"] if args.all_tests else mutant.kills) != 0
+        finally:
+            with open(path, "w") as fh:
+                fh.write(original)
+        unexpected += killed != bool(mutant.kills)
+        print(f"{'killed' if killed else 'survived':10s}  {mutant.name}"
+              + ("" if killed == bool(mutant.kills) else "  UNEXPECTED"))
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

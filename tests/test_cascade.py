@@ -5,6 +5,8 @@ reference simulator (tests/reference.py) was written before the engine, so
 several tests cross-check the two implementations on the same RNG streams.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ import cascadefin as cf
 from cascadefin.cascade import DOMAIN_CELL
 
 from helpers import make_network, random_instance, toy_network
-from reference import brute_force_cascade, failure_probability
+from reference import brute_force_cascade, failure_probability, full_barrier_round
 
 
 def state_for(totals, liabilities):
@@ -168,12 +170,17 @@ def test_evaluate_round_simultaneous_at_fixed_prices():
 
 
 class RowCounter(np.ndarray):
-    """A holdings matrix that records how many rows each integer index gathers."""
+    """A holdings matrix that records how many rows each integer index or
+    take gathers."""
 
     def __getitem__(self, idx):
         if isinstance(idx, np.ndarray) and idx.dtype.kind == "i":
             self.gathered.append(idx.size)
         return np.asarray(self)[idx]
+
+    def take(self, idx, axis=None):
+        self.gathered.append(np.size(idx))
+        return np.asarray(self).take(idx, axis=axis)
 
 
 def screening_run(market_value):
@@ -209,6 +216,42 @@ def test_barrier_pass_skips_banks_their_bound_proves_solvent():
     assert barrier() == ([], [1])
     assert 37.5 - 1e-9 < state.bound[0] < 37.5
     assert state.bound[2] == 100.0
+
+
+def test_round_zero_sums_only_banks_below_their_row_total():
+    # round 0 runs at prices 1, so each bound starts as its row's total: only
+    # bank 1, whose 90 lies below its 95, is summed, and it fails
+    net = make_network([[100.0, 0.0], [50.0, 40.0], [10.0, 10.0]], [50.0, 95.0, 10.0])
+    net.holdings = net.holdings.view(RowCounter)
+    net.holdings.gathered = []
+    result = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
+    assert result.failed_round.tolist() == [cf.SURVIVED, 0, cf.SURVIVED]
+    assert net.holdings.gathered == [1, 0]
+
+
+def test_fortran_ordered_holdings_run_bit_for_bit():
+    # a Fortran-ordered matrix sums its rows in another order than a gathered
+    # C-ordered row; the network stores holdings C-contiguous, so the round-0
+    # bounds carry the bits the full pass sums. Every even bank's liabilities
+    # lie one ulp above its total, so one ulp up in a bound would save it
+    gen = cf.stream(11)
+    holdings = gen.uniform(0.0, 1.0, (60, 13)) * 10.0 ** gen.integers(-6, 7, (60, 13))
+    totals = holdings.sum(axis=1)
+    liabilities = np.where(np.arange(60) % 2 == 0, np.nextafter(totals, np.inf), 0.9 * totals)
+    nets = [make_network(h, liabilities) for h in (holdings, np.asfortranarray(holdings))]
+    assert all(net.holdings.flags.c_contiguous for net in nets)
+    for eta, preshock in ((0.0, 30), (0.2, 0)):
+        params = cf.CascadeParams.single(0, 0.5, 0.3, eta)
+        runs = [cf.run_cascade(net, params, rng=cf.stream(5)) for net in nets]
+        with mock.patch.object(cf.cascade, "evaluate_round", full_barrier_round):
+            runs.append(cf.run_cascade(nets[0], params, rng=cf.stream(5)))
+        assert runs[0].failures_per_round[0] == preshock
+        for run in runs[1:]:
+            assert run.failed_round.tobytes() == runs[0].failed_round.tobytes()
+            assert run.failures_per_round == runs[0].failures_per_round
+            assert run.price_trajectory.tobytes() == runs[0].price_trajectory.tobytes()
+            assert run.market_value.tobytes() == runs[0].market_value.tobytes()
+            assert run.diagnostics == runs[0].diagnostics
 
 
 def test_clamped_fire_sale_forces_a_full_pass():
@@ -267,6 +310,26 @@ def test_fire_sale_clamps_oversold_asset():
     assert clamped == [0]
     assert state.price_index[0] == 0.0
     assert state.market_value[0] == 0.0
+
+
+def test_fire_sale_leaves_a_worthless_asset_nobody_sells():
+    # asset 0 is worth nothing and the failed bank holds none of it: selling
+    # asset 1 goes through, leaves asset 0 as it was, and prices asset 1 as
+    # in a market where every asset has value
+    def sale(market_value):
+        state = cf.RoundState(alive=np.array([False, True]), price_index=np.ones(2),
+                              market_value=np.array(market_value),
+                              holdings_base=np.array([[0.0, 30.0], [0.0, 50.0]]),
+                              liabilities=np.array([40.0, 40.0]))
+        params = cf.CascadeParams.single(1, 1.0, 0.3, 0.0)
+        assert cf.apply_fire_sales(state, np.array([0]), params) == []
+        return state
+
+    dead, live = sale([0.0, 80.0]), sale([5.0, 80.0])
+    assert (dead.price_index[0], dead.market_value[0]) == (1.0, 0.0)
+    assert dead.price_index[1] < 1.0
+    assert dead.price_index[1].tobytes() == live.price_index[1].tobytes()
+    assert dead.market_value[1].tobytes() == live.market_value[1].tobytes()
 
 
 def test_fire_sale_on_zero_value_asset_raises():

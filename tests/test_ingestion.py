@@ -420,6 +420,18 @@ def test_synthetic_non_13_asset_count():
     assert net.n_assets == 4
 
 
+def test_preshock_failures_are_never_labels():
+    # leverage up to 1.5 leaves banks insolvent before the shock: they fail in
+    # round 0, and only a bank the shock or a sale fails is labelled
+    params = cf.CascadeParams.single(0, 0.5, 0.3, 0.0)
+    net, labels = cf.generate_synthetic(cf.SyntheticConfig(
+        n_banks=300, leverage_low=0.9, leverage_high=1.5, label_cascade=params), 3)
+    insolvent = net.total_assets < net.total_liabilities
+    labelled = net.mask(labels)
+    assert (int(insolvent.sum()), int(labelled.sum())) == (253, 38)
+    assert not (insolvent & labelled).any()
+
+
 def test_synthetic_label_cascade():
     # alpha stays 0 here: dense default books amplify fire sales so hard that
     # any feedback collapses the whole market and leaves no negatives

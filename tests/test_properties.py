@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascadefin as cf
@@ -75,10 +75,16 @@ def barrier_instances(draw):
     row sums exactly in any order and a total can equal its liabilities;
     leverage is 1, just below 1, or 0 (a bank without liabilities); alpha
     near 1 sells off nearly a whole market, so price factors come close to 0;
-    markets shrunk below the holdings' sum make sales clamp; p may be 0."""
+    markets shrunk below the holdings' sum make sales clamp; p may be 0. In
+    half the instances the magnitudes are tiny: the holdings may be scaled by
+    2^-903 (rows on both sides of BOUND_FLOOR) or 2^-1071 (subnormal, on the
+    2^-1074 grid), and p may put a price near BOUND_FLOOR or make it
+    subnormal."""
     n = draw(st.integers(1, 10))
     m = draw(st.integers(1, 4))
-    eighths = st.integers(0, 800).map(lambda k: k / 8.0)
+    tiny = draw(st.booleans())
+    scale = draw(st.sampled_from([1.0, 2.0 ** -903, 2.0 ** -1071])) if tiny else 1.0
+    eighths = st.integers(0, 800).map(lambda k: k / 8.0 * scale)
     holdings = np.array(draw(st.lists(st.lists(eighths, min_size=m, max_size=m),
                                       min_size=n, max_size=n)))
     leverage = np.array(draw(st.lists(
@@ -86,9 +92,10 @@ def barrier_instances(draw):
         min_size=n, max_size=n)))
     shrink = np.array(draw(st.lists(st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
                                     min_size=m, max_size=m)))
-    shocks = draw(st.dictionaries(
-        st.integers(0, m - 1), st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.8, 1.0)),
-        min_size=1, max_size=m))
+    p = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.8, 1.0))
+    if tiny:
+        p = st.one_of(p, st.sampled_from([2.0 ** -899, 2.0 ** -901, 2.0 ** -1060]))
+    shocks = draw(st.dictionaries(st.integers(0, m - 1), p, min_size=1, max_size=m))
     alpha = draw(st.one_of(st.sampled_from([1.0, 1.0 - 1e-9, 0.5]), st.floats(0.9, 1.0)))
     eta = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -96,8 +103,21 @@ def barrier_instances(draw):
             shocks, alpha, eta, seed)
 
 
-@ENGINE
+# twice the examples: only the instances at normal magnitudes, about half,
+# are also checked against the reference
+@settings(ENGINE, max_examples=2 * ENGINE.max_examples)
 @given(barrier_instances())
+# rows below BOUND_FLOOR: screening against the bare threshold fails bank 0
+# in no round, where the full pass fails it in round 3
+@example((np.array([[1.5e-323], [1.9e-322], [1.037334851695199e-148],
+                    [3.175857602419202e-148]]),
+          np.array([1e-323, 1.3e-322, 7.403902696465467e-149, 1.279592562817586e-148]),
+          None, {0: 0.5}, 0.3, 0.5, 7))
+# a price taken below BOUND_FLOOR rounds with an absolute error: after the
+# sale's factor fl(1/3), bank 0 holds 5/16 of its former total, not 1/3, so
+# a bound scaled by 1/3 would save it in round 2
+@example((np.array([[2.0 ** 172], [2.0 ** 173]]), np.array([0.32 * 2.0 ** -898, 1.0]),
+          None, {0: 2.0 ** -1070}, 1.0, 0.0, 0))
 def test_screening_changes_nothing_at_the_barrier(instance):
     holdings, liabilities, market, shocks, alpha, eta, seed = instance
     net = make_network(holdings, liabilities, market_value=market)
@@ -113,12 +133,36 @@ def test_screening_changes_nothing_at_the_barrier(instance):
     assert res.price_trajectory.tobytes() == full.price_trajectory.tobytes()
     assert res.market_value.tobytes() == full.market_value.tobytes()
     assert res.diagnostics == full.diagnostics
+    # the reference scales each holding round by round, which rounds apart
+    # from holdings * price index once products underflow: it is an oracle at
+    # normal magnitudes only
+    if holdings[holdings > 0].min(initial=1.0) < 0.125 or \
+            any(0.0 < p < 0.5 for p in shocks.values()):
+        return
     ref = brute_force_cascade(holdings.tolist(), liabilities.tolist(), shocks,
-                              alpha, eta, rng=cf.stream(seed), market=market.tolist())
+                              alpha, eta, rng=cf.stream(seed), market=net.market_value.tolist())
     assert res.failed_round.tolist() == ref["failed_round"]
     assert res.rounds_executed == ref["rounds"]
     assert res.failures_per_round == ref["failures_per_round"]
     assert np.allclose(res.price_index, ref["price_index"], rtol=0.0, atol=1e-12)
+
+
+@ENGINE
+@given(st.integers(1, 40), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+@example(13, 30, True, 0)
+def test_contiguous_row_sums_match_gathered_rows(m, n, fortran, seed):
+    # round 0 takes every bound from one sum over the network's rows; summed
+    # C-contiguous, a row gives the bits of the same row gathered and
+    # multiplied by prices 1, whichever rows are gathered with it
+    gen = cf.stream(seed)
+    holdings = gen.uniform(0.0, 1.0, (n, m)) * 10.0 ** gen.integers(-6, 7, (n, m))
+    net = make_network(np.asfortranarray(holdings) if fortran else holdings, np.zeros(n))
+    bound = np.empty(n)
+    np.sum(net.holdings, axis=1, out=bound)
+    rows = np.sort(gen.permutation(n)[:gen.integers(1, n + 1)])
+    positions = net.holdings.take(rows, axis=0)
+    positions *= np.ones(m)
+    assert positions.sum(axis=1).tobytes() == bound[rows].tobytes()
 
 
 @ENGINE
