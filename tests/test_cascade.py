@@ -170,13 +170,7 @@ def test_evaluate_round_simultaneous_at_fixed_prices():
 
 
 class RowCounter(np.ndarray):
-    """A holdings matrix that records how many rows each integer index or
-    take gathers."""
-
-    def __getitem__(self, idx):
-        if isinstance(idx, np.ndarray) and idx.dtype.kind == "i":
-            self.gathered.append(idx.size)
-        return np.asarray(self)[idx]
+    """A holdings matrix that records how many rows each take gathers."""
 
     def take(self, idx, axis=None):
         self.gathered.append(np.size(idx))
