@@ -19,7 +19,7 @@ network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=N), SEED)
 
 truth_params = cf.CascadeParams.single(TRUTH["asset"], TRUTH["p"],
                                        TRUTH["alpha"], TRUTH["eta"])
-labels = cf.labels_from_cascade(network, truth_params)
+labels = cf.labels_from_cascade(network, truth_params, cf.stream(0))
 print(f"{N} banks; ground truth from (p={TRUTH['p']}, alpha={TRUTH['alpha']}): "
       f"{len(labels)} failed banks")
 

@@ -12,7 +12,7 @@ net = cf.BankAssetNetwork(("A", "B"), holdings=[[100.0], [100.0]],
                           total_assets=[100.0, 100.0], total_liabilities=[70.0, 55.0])
 
 params = cf.CascadeParams.single(asset=0, p=0.6, alpha=1.0, eta=0.0)
-result = cf.run_cascade(net, params)
+result = cf.run_cascade(net, params, cf.stream(0))  # eta = 0 draws nothing
 
 print("two-bank walkthrough")
 print(f"  shock: asset 0 keeps p = {params.shocked_assets[0]} of its value")
@@ -32,14 +32,14 @@ print("500-bank synthetic market")
 seed = 42
 network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=500), seed)
 
-params = cf.CascadeParams.single(asset=0, p=0.55, alpha=0.08, eta=0.26, seed=seed)
-result = cf.run_cascade(network, params, rng=cf.stream(seed))
+params = cf.CascadeParams.single(asset=0, p=0.55, alpha=0.08, eta=0.26)
+result = cf.run_cascade(network, params, cf.stream(seed))
 
 print(f"  seed {seed}, shock p={params.shocked_assets[0]} on asset 0, "
       f"alpha={params.alpha}, eta={params.eta}")
 print(f"  rounds executed: {result.rounds_executed}")
 print(f"  failures per round: {result.failures_per_round}")
-print(f"  survival fraction: {result.survival_fraction_all:.3f}")
+print(f"  survival fraction: {np.mean(result.failed_round == cf.SURVIVED):.3f}")
 worst = int(np.argmin(result.price_index))
 print(f"  hardest-hit asset: {cf.ASSET_NAMES[worst]} "
       f"at price index {result.price_index[worst]:.3f}")

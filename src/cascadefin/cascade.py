@@ -18,9 +18,10 @@ other bank provably survives the round. Fates, draws and prices are those of
 summing every row (see evaluate_round). Round 0's bounds are the rows'
 contiguous sums at prices 1: a gathered row's bits, as holdings are C-contiguous.
 
-Randomness: PCG64 streams derived from (seed, spawn key) via SeedSequence, so
-per-cell streams in sweeps are independent of execution order. eta = 0 draws
-nothing and is fully deterministic regardless of seed.
+Randomness: the caller passes each run its generator; stream derives PCG64
+generators from (seed, spawn key) via SeedSequence, so per-cell streams in
+sweeps are independent of execution order. eta = 0 draws nothing, so such a
+run has the same result on any generator.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CascadeParams:
-    """The (p, eta, alpha) triple plus shock selection and seed.
+    """The (p, eta, alpha) triple plus shock selection.
 
     shocked_assets maps asset index -> post-shock value multiplier p. The
     single-asset shock of the model description is the common case; use
@@ -68,7 +69,6 @@ class CascadeParams:
     alpha: float
     eta: float
     shocked_assets: Mapping[int, float]
-    seed: int = 0
     max_rounds: int = None  # None runs to the fixpoint (at most n_banks + 1 rounds)
 
     def __post_init__(self):
@@ -83,18 +83,8 @@ class CascadeParams:
 
     @classmethod
     def single(cls, asset: int, p: float, alpha: float, eta: float,
-               seed: int = 0, max_rounds: int = None) -> "CascadeParams":
-        return cls(alpha=alpha, eta=eta, shocked_assets={asset: p},
-                   seed=seed, max_rounds=max_rounds)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "shocked_assets": {str(k): v for k, v in self.shocked_assets.items()},
-            "seed": self.seed,
-            "max_rounds": self.max_rounds,
-        }
+               max_rounds: int = None) -> "CascadeParams":
+        return cls(alpha=alpha, eta=eta, shocked_assets={asset: p}, max_rounds=max_rounds)
 
 
 @dataclass
@@ -254,43 +244,26 @@ def apply_fire_sales(state: RoundState, failures: IntA, params: CascadeParams) -
 class CascadeResult:
     """Outcome of one run: fates, prices, and bookkeeping for the analyses."""
 
-    params: CascadeParams
     failed_round: IntA            # SURVIVED (-1) or the failing round, 0 = pre-shock
     rounds_executed: int
     failures_per_round: list      # index = round number, entry 0 = pre-shock failures
     price_index: FloatA
     market_value: FloatA
     price_trajectory: FloatA      # (boundaries, M); row 0 = just after the shock
-    survival_fraction_all: float
-    survival_fraction_labeled: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "seed": self.params.seed,
-            "rounds": self.rounds_executed,
-            "fates": [None if r == SURVIVED else int(r) for r in self.failed_round],
-            "price_index": [float(v) for v in self.price_index],
-            "survival_fraction_all": self.survival_fraction_all,
-            "survival_fraction_labeled": self.survival_fraction_labeled,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def run_cascade(network: BankAssetNetwork, params: CascadeParams,
-                labels=None, rng: np.random.Generator = None) -> CascadeResult:
-    """Run one cascade to its fixpoint.
+                rng: np.random.Generator) -> CascadeResult:
+    """Run one cascade to its fixpoint, drawing barrier noise from rng.
 
     Order of events: a pre-shock barrier pass tags already-insolvent banks as
     failed at round 0 (no fire sale follows, prices are still 1); the shock
     lands; then evaluation and fire-sale rounds alternate until a round fails
-    nobody or nobody is left. Deterministic for a fixed seed; labels, when
-    given, restrict one extra survival fraction to the labeled subset.
+    nobody or nobody is left. The result depends only on the network, params
+    and the state of rng, and not on rng at all when eta = 0.
     """
     n = network.n_banks
-    if rng is None:
-        rng = stream(params.seed)
     state = RoundState(alive=np.ones(n, dtype=bool), price_index=np.ones(network.n_assets),
                        market_value=network.market_value.copy(),
                        holdings_base=network.holdings,
@@ -327,13 +300,6 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
     if rounds > n + 1:
         raise RuntimeError(f"{rounds} rounds on {n} banks: termination bound violated")
 
-    survival_all = float(state.alive.sum() / n)
-    survival_labeled = None
-    if labels is not None:
-        labeled = network.mask(labels)
-        if labeled.any():
-            survival_labeled = float(state.alive[labeled].mean())
-
     diagnostics = {
         "preshock_failed": int(failures0.size),
         "clamp_events": clamp_events,
@@ -341,14 +307,11 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
         "non_converged": non_converged,
     }
     return CascadeResult(
-        params=params,
         failed_round=failed_round,
         rounds_executed=rounds,
         failures_per_round=failures_per_round,
         price_index=state.price_index,
         market_value=state.market_value,
         price_trajectory=np.stack(trajectory),
-        survival_fraction_all=survival_all,
-        survival_fraction_labeled=survival_labeled,
         diagnostics=diagnostics,
     )

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cascade import PARAM_UPPER, RNG_ALGORITHM, CascadeParams, run_cascade
+from .cascade import PARAM_UPPER, RNG_ALGORITHM, SURVIVED, CascadeParams, run_cascade, stream
 from .evaluation import (
     DEFAULT_REGION_THRESHOLD,
     DEFAULT_REPLICATES,
@@ -135,7 +135,8 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
         if label:
             kwargs["label_cascade"] = CascadeParams.single(
                 label["label_asset"], label["label_p"], label["label_alpha"],
-                label["label_eta"], seed=label.get("label_seed", 0))
+                label["label_eta"])
+            kwargs["label_seed"] = label.get("label_seed", 0)
         config = SyntheticConfig(**kwargs)
     except ValueError as e:
         raise UsageError(f"--synthetic: {e}") from None
@@ -306,9 +307,23 @@ def cmd_run(args) -> int:
     seed, network, labels, _ = _resolve(args, [eta])
     for m in shocks:
         _check_asset(network, m, "--shock")
-    params = CascadeParams(alpha=alpha, eta=eta, shocked_assets=shocks, seed=seed)
-    result = run_cascade(network, params, labels=labels)
-    text = json.dumps(result.to_json_dict(), indent=2) + "\n"
+    params = CascadeParams(alpha=alpha, eta=eta, shocked_assets=shocks)
+    result = run_cascade(network, params, stream(seed))
+    survived = result.failed_round == SURVIVED
+    doc = {
+        "params": {"alpha": alpha, "eta": eta,
+                   "shocked_assets": {str(m): p_m for m, p_m in params.shocked_assets.items()}},
+        "seed": seed,
+        "rounds": result.rounds_executed,
+        "fates": [None if r == SURVIVED else int(r) for r in result.failed_round],
+        "price_index": [float(v) for v in result.price_index],
+        "survival_fraction_all": float(survived.mean()),
+        # _resolve refuses labels that name no bank of the network
+        "survival_fraction_labeled":
+            None if labels is None else float(survived[network.mask(labels)].mean()),
+        "diagnostics": result.diagnostics,
+    }
+    text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

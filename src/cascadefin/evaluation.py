@@ -99,11 +99,9 @@ def _cell(i):
     lat = _LATTICE
     params = lat.cells[i]
     if params.eta == 0.0:
-        fate = run_cascade(lat.network, params,
-                           rng=stream(lat.seed, DOMAIN_CELL, i, 0)).failed_round
+        fate = run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, 0)).failed_round
         return lat.reduce(itertools.repeat(fate, lat.replicates), lat)
-    fates = (run_cascade(lat.network, params,
-                         rng=stream(lat.seed, DOMAIN_CELL, i, rep)).failed_round
+    fates = (run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, rep)).failed_round
              for rep in range(lat.replicates))
     return lat.reduce(fates, lat)
 

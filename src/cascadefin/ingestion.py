@@ -384,7 +384,7 @@ class SyntheticConfig:
     normalized to sum to 1 (they average only over holders, so they do not),
     when n_assets is 13, and uniform otherwise. label_cascade, when given,
     produces ground-truth labels by running that reference cascade on the
-    generated network.
+    generated network, on the stream of label_seed.
     """
 
     n_banks: int
@@ -396,6 +396,7 @@ class SyntheticConfig:
     leverage_high: float = 0.98
     sparsity: float = 0.0
     label_cascade: CascadeParams = None
+    label_seed: int = 0
 
     def __post_init__(self):
         if self.n_banks < 1 or self.n_assets < 1:
@@ -444,12 +445,14 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     )
     labels = None
     if config.label_cascade is not None:
-        labels = labels_from_cascade(network, config.label_cascade)
+        labels = labels_from_cascade(network, config.label_cascade,
+                                     stream(config.label_seed))
     return network, labels
 
 
-def labels_from_cascade(network: BankAssetNetwork, params: CascadeParams) -> frozenset:
-    """Ground-truth labels: the ids of the banks a reference cascade fails
-    (round >= 1)."""
-    result = run_cascade(network, params)
+def labels_from_cascade(network: BankAssetNetwork, params: CascadeParams,
+                        rng: np.random.Generator) -> frozenset:
+    """Ground-truth labels: the ids of the banks a reference cascade, drawing
+    from rng, fails (round >= 1)."""
+    result = run_cascade(network, params, rng)
     return frozenset(network.bank_ids[i] for i in np.flatnonzero(result.failed_round >= 1))

@@ -1,5 +1,5 @@
-"""One-line mutants of the cascade engine, each with the tests that kill it
-or the reason no result can change.
+"""One-line mutants of the cascade engine and the analyses' comparisons, each
+with the tests that kill it or the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -25,7 +25,9 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASCADE = "src/cascadefin/cascade.py"
 NETWORK = "src/cascadefin/network.py"
+EVALUATION = "src/cascadefin/evaluation.py"
 BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
+ROC_ORACLE = "tests/test_properties.py::test_roc_grid_matches_bank_by_bank_count"
 
 
 class Mutant(NamedTuple):
@@ -111,6 +113,38 @@ MUTANTS = (
     Mutant("scale-no-floor-reset", CASCADE,
            "if prices.min() < BOUND_FLOOR and ((prices < BOUND_FLOOR) & "
            "(state.price_index > 0.0)).any():", "if False:", (BARRIER_PROPERTY,)),
+    # evaluation: roc votes
+    Mutant("roc-vote-tie-fails", EVALUATION,
+           "failed_votes * 2 > lat.replicates", "failed_votes * 2 >= lat.replicates",
+           (ROC_ORACLE,)),
+    Mutant("roc-first-step-tie-lost", EVALUATION,
+           "first_votes * 2 >= failed_votes", "first_votes * 2 > failed_votes", (ROC_ORACLE,)),
+    Mutant("roc-preshock-votes-failed", EVALUATION,
+           "failed_votes += fate >= 1", "failed_votes += fate >= 0",
+           ("tests/test_evaluation.py::test_roc_counts_preshock_failures_in_no_split",)),
+    Mutant("roc-every-round-first", EVALUATION,
+           "first_votes += fate == 1", "first_votes += fate >= 1",
+           ("tests/test_evaluation.py::test_roc_splits_partition_full",)),
+    Mutant("roc-preshock-votes-first", EVALUATION,
+           "first_votes += fate == 1", "first_votes += fate <= 1", (ROC_ORACLE,)),
+    # evaluation: survival and phase regions
+    Mutant("survival-no-agree-shortcut", EVALUATION,
+           "if of_all.min() == of_all.max():", "if False:",
+           ("tests/test_evaluation.py::test_eta_zero_phase_cell_is_exact",)),
+    Mutant("survival-ci-needs-3", EVALUATION,
+           "if lat.replicates >= 2 else None", "if lat.replicates > 2 else None",
+           ("tests/test_cli.py::test_output_bytes_are_pinned",)),
+    Mutant("survival-ci-at-1", EVALUATION,
+           "if lat.replicates >= 2 else None", "if lat.replicates >= 1 else None",
+           proof="one replicate agrees with itself, so the shortcut gives the half-width "
+                 "0.0 and no NaN; survival_curves drops every half-width and phase_scan "
+                 "keeps them only when replicates >= 2"),
+    Mutant("phase-region-at-threshold", EVALUATION,
+           "np.where(mean < threshold,", "np.where(mean <= threshold,",
+           ("tests/test_evaluation.py::test_phase_scan_one_dimensional",)),
+    # evaluation: lattice dispatch
+    Mutant("lattice-one-cell-pooled", EVALUATION, "n_cells <= 1:", "n_cells < 1:",
+           ("tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice",)),
 )
 
 

@@ -205,7 +205,7 @@ def brute_force_roc(network, labels, asset, alphas, etas, ps, seed, replicates):
     out = []
     cells = itertools.product(alphas, etas, ps)
     for i, (alpha, eta, p) in enumerate(cells):
-        params = CascadeParams.single(asset, p, alpha, eta, seed=seed)
+        params = CascadeParams.single(asset, p, alpha, eta)
         fates = [run_cascade(network, params, rng=stream(seed, DOMAIN_CELL, i, r)).failed_round
                  for r in range(replicates)]
         counts = {"full": [0, 0], "first_step": [0, 0], "consecutive_steps": [0, 0]}

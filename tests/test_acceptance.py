@@ -55,7 +55,7 @@ def _engine_matches_brute(holdings, liab, alpha, p, eta, key):
 def _survivors(net, p, alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = cf.run_cascade(net, cf.CascadeParams.single(0, p, alpha, 0.0))
+        res = cf.run_cascade(net, cf.CascadeParams.single(0, p, alpha, 0.0), cf.stream(0))
     return frozenset(np.flatnonzero(res.failed_round == cf.SURVIVED).tolist())
 
 
@@ -113,7 +113,7 @@ def criterion_2():
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = cf.run_cascade(net, cf.CascadeParams.single(0, p, 0.0, 0.0))
+                res = cf.run_cascade(net, cf.CascadeParams.single(0, p, 0.0, 0.0), cf.stream(0))
             closed = (net.total_assets - (1.0 - p) * holdings[:, 0]) \
                 < net.total_liabilities
             failed = res.failed_round != cf.SURVIVED    # pre-shock failures included
@@ -206,7 +206,8 @@ def criterion_6():
     """ROC sanity on a 5000-bank market over a 10x10x10 lattice."""
     t0 = time.perf_counter()
     net = dense_5000()
-    labels = cf.labels_from_cascade(net, cf.CascadeParams.single(0, 0.3, 0.0, 0.0))
+    labels = cf.labels_from_cascade(net, cf.CascadeParams.single(0, 0.3, 0.0, 0.0),
+                                    cf.stream(0))
     n_pos = len(labels)
     assert 0 < n_pos < net.n_banks, "label cascade must split the population"
     grid = (np.round(np.arange(0.1, 1.01, 0.1), 12),     # p

@@ -93,7 +93,7 @@ def test_params_validation():
 
 
 def test_params_single_and_sorted_shocks():
-    params = cf.CascadeParams.single(3, 0.6, 0.1, 0.2, seed=9)
+    params = cf.CascadeParams.single(3, 0.6, 0.1, 0.2)
     assert params.shocked_assets == {3: 0.6}
     multi = cf.CascadeParams(alpha=0.0, eta=0.0, shocked_assets={1: 0.5, 0: 0.7})
     assert list(multi.shocked_assets) == [0, 1]
@@ -218,7 +218,7 @@ def test_round_zero_sums_only_banks_below_their_row_total():
     net = make_network([[100.0, 0.0], [50.0, 40.0], [10.0, 10.0]], [50.0, 95.0, 10.0])
     net.holdings = net.holdings.view(RowCounter)
     net.holdings.gathered = []
-    result = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
+    result = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0), cf.stream(0))
     assert result.failed_round.tolist() == [cf.SURVIVED, 0, cf.SURVIVED]
     assert net.holdings.gathered == [1, 0]
 
@@ -345,14 +345,14 @@ def test_fire_sale_on_zero_value_asset_raises():
 def test_toy_cascade_frozen_trace():
     # p=0.6, alpha=1, eta=0: A fails round 1 (60 < 70), the sale halves the
     # price twice more, B follows round 2; final index 0.15, market 30
-    result = cf.run_cascade(toy_network(), cf.CascadeParams.single(0, 0.6, 1.0, 0.0))
+    result = cf.run_cascade(toy_network(), cf.CascadeParams.single(0, 0.6, 1.0, 0.0),
+                            cf.stream(0))
     assert result.failed_round.tolist() == [1, 2]
     assert result.rounds_executed == 2
     assert result.failures_per_round == [0, 1, 1]
     assert result.price_index[0] == pytest.approx(0.15, rel=1e-12)
     assert result.market_value[0] == pytest.approx(30.0, rel=1e-12)
     assert np.allclose(result.price_trajectory, [[0.6], [0.3], [0.15]], rtol=1e-12)
-    assert result.survival_fraction_all == 0.0
     assert not result.diagnostics["non_converged"]
 
 
@@ -366,7 +366,7 @@ def test_toy_cascade_brute_force_agreement():
 
 def test_preshock_insolvency_tagged_round_zero():
     net = make_network([[100.0], [100.0]], [120.0, 50.0])
-    result = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
+    result = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 1.0, 0.0), cf.stream(0))
     assert result.failed_round.tolist() == [0, -1]
     assert result.diagnostics["preshock_failed"] == 1
     # prices were still 1 when the shock landed: no round-0 fire sale
@@ -376,55 +376,29 @@ def test_preshock_insolvency_tagged_round_zero():
 
 def test_eta_zero_is_seed_independent():
     net = make_network(*random_instance(cf.stream(77)))
-    params = lambda s: cf.CascadeParams.single(0, 0.5, 0.8, 0.0, seed=s)
-    a = cf.run_cascade(net, params(1))
-    b = cf.run_cascade(net, params(999))
+    params = cf.CascadeParams.single(0, 0.5, 0.8, 0.0)
+    a = cf.run_cascade(net, params, cf.stream(1))
+    b = cf.run_cascade(net, params, cf.stream(999))
     assert np.array_equal(a.failed_round, b.failed_round)
     assert np.array_equal(a.price_index, b.price_index)
 
 
 def test_fixed_seed_is_deterministic_at_positive_eta():
     net = make_network(*random_instance(cf.stream(78)))
-    params = cf.CascadeParams.single(0, 0.4, 0.6, 0.26, seed=42)
-    a = cf.run_cascade(net, params)
-    b = cf.run_cascade(net, params)
+    params = cf.CascadeParams.single(0, 0.4, 0.6, 0.26)
+    a = cf.run_cascade(net, params, cf.stream(42))
+    b = cf.run_cascade(net, params, cf.stream(42))
     assert np.array_equal(a.failed_round, b.failed_round)
     assert np.array_equal(a.price_trajectory, b.price_trajectory)
 
 
 def test_max_rounds_flags_non_convergence():
     result = cf.run_cascade(toy_network(),
-                            cf.CascadeParams.single(0, 0.6, 1.0, 0.0, max_rounds=1))
+                            cf.CascadeParams.single(0, 0.6, 1.0, 0.0, max_rounds=1),
+                            cf.stream(0))
     assert result.diagnostics["non_converged"]
     assert result.rounds_executed == 1
     assert result.failed_round.tolist() == [1, -1]
-
-
-def test_survival_fractions_with_labels():
-    net = toy_network()
-    result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.6, 1.0, 0.0),
-                            labels=["B", "ghost"])
-    assert result.survival_fraction_all == 0.0
-    assert result.survival_fraction_labeled == 0.0
-    gentle = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0),
-                            labels=["B"])
-    assert gentle.survival_fraction_labeled == 1.0
-    no_labels = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
-    assert no_labels.survival_fraction_labeled is None
-    disjoint = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0),
-                              labels=["ghost"])
-    assert disjoint.survival_fraction_labeled is None
-
-
-def test_json_dict_layout():
-    result = cf.run_cascade(toy_network(), cf.CascadeParams.single(0, 0.6, 1.0, 0.0))
-    d = result.to_json_dict()
-    assert list(d) == ["params", "seed", "rounds", "fates", "price_index",
-                       "survival_fraction_all", "survival_fraction_labeled",
-                       "diagnostics"]
-    assert d["fates"] == [1, 2]
-    survivor = cf.run_cascade(toy_network(), cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
-    assert survivor.to_json_dict()["fates"] == [None, None]
 
 
 def test_matches_brute_force_on_random_instances():
@@ -436,7 +410,7 @@ def test_matches_brute_force_on_random_instances():
         eta = float(g.choice([0.0, 0.2, 0.5]))
         p = float(g.choice([0.0, 0.4, 0.8, 1.0]))
         asset = int(g.integers(0, holdings.shape[1]))
-        params = cf.CascadeParams.single(asset, p, alpha, eta, seed=trial)
+        params = cf.CascadeParams.single(asset, p, alpha, eta)
         result = cf.run_cascade(make_network(holdings, liabilities), params,
                                 rng=cf.stream(trial, DOMAIN_CELL))
         bf = brute_force_cascade(holdings.tolist(), liabilities.tolist(),
@@ -457,8 +431,8 @@ def test_price_index_never_increases():
         holdings, liabilities = random_instance(g, n_hi=20, m_hi=4)
         params = cf.CascadeParams.single(0, float(g.uniform(0, 1)),
                                          float(g.uniform(0, 1)),
-                                         float(g.choice([0.0, 0.26])), seed=trial)
-        result = cf.run_cascade(make_network(holdings, liabilities), params)
+                                         float(g.choice([0.0, 0.26])))
+        result = cf.run_cascade(make_network(holdings, liabilities), params, cf.stream(trial))
         trajectory = result.price_trajectory
         assert np.all(np.diff(trajectory, axis=0) <= 1e-15)
         assert np.all(trajectory >= 0.0)

@@ -109,17 +109,30 @@ def test_ingest_rejects_a_column_nobody_reports(tmp_path, capsys):
 
 # --- run -----------------------------------------------------------------
 
-def test_run_prints_cascade_json(toy_csv, capsys):
+def test_run_prints_cascade_json(toy_csv, tmp_path, capsys):
     assert run_cli("run", "--input", toy_csv, "--p", "0.6", "--alpha", "1") == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert doc["fates"] == [1, 2]
     assert doc["rounds"] == 2
     assert doc["price_index"][0] == pytest.approx(0.15, rel=1e-12)
     assert doc["survival_fraction_all"] == 0.0
-    assert doc["params"]["shocked_assets"] == {"0": 0.6}
+    assert doc["survival_fraction_labeled"] is None
+    assert doc["params"] == {"alpha": 1.0, "eta": 0.0, "shocked_assets": {"0": 0.6}}
+    assert text.count('"seed"') == 1 and doc["seed"] == 0
     assert list(doc) == ["params", "seed", "rounds", "fates", "price_index",
                          "survival_fraction_all", "survival_fraction_labeled",
                          "diagnostics"]
+    # labeled survival counts the labeled banks of the network only
+    labels = tmp_path / "labels.csv"
+    labels.write_text("bank_id\nB\nghost\n")
+    assert run_cli("run", "--input", toy_csv, "--p", "0.6", "--alpha", "1",
+                   "--labels", str(labels)) == 0
+    assert json.loads(capsys.readouterr().out)["survival_fraction_labeled"] == 0.0
+    assert run_cli("run", "--input", toy_csv, "--labels", str(labels)) == 0
+    gentle = json.loads(capsys.readouterr().out)
+    assert gentle["fates"] == [None, None]
+    assert (gentle["survival_fraction_all"], gentle["survival_fraction_labeled"]) == (1.0, 1.0)
 
 
 def test_run_out_file_matches_stdout(toy_csv, tmp_path, capsys):
@@ -578,7 +591,7 @@ LABELS = "<a label file naming A, C and E>"
 @pytest.mark.parametrize("argv, name, digest", [
     (["run", "--labels", LABELS, "--p", "0.4", "--alpha", "0.8", "--eta", "0.2",
       "--seed", "3"], "result.json",
-     "87022ea8f3ac566419e4651ee5d2a156a454eeb0c342c8d2170d593ccbfd78fc"),
+     "118d99ad23a75df2412a25bd82e8c979a7eda892bb388669adce249363bdebc8"),
     (["sweep", "--labels", LABELS, "--p", "0.4:1:0.3", "--alpha", "0:0.5:0.25",
       "--eta", "0"], "survival.csv",
      "5d0b96b8b60f09f40c8f5a4deaeb54a6554dc7ac5901b737fc86820b8a7b1857"),
@@ -610,7 +623,7 @@ def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
     (["sweep", "--synthetic", "n=300,label_asset=0,label_p=0.5,label_alpha=0.1,label_eta=0",
       "--p", "0:1:0.25", "--alpha", "0:0.2:0.1", "--eta", "0.1", "--seed", "4"],
      {"survival.csv": "36e974e6ee92c384f19393d28d49dc2a0aae1c78be52584815c1e856a2ef810f",
-      "manifest.json": "45121a7ff2108af0acf5d157abc3ca83b44238bdf0a38f9db1e577db55299e53"}),
+      "manifest.json": "9c26dbb86c8e64e9b816dd5ca75b720fbd7ad975433b5dbe33f9b589386f47f6"}),
 ], ids=["sweep-eta-0.1-labeled"])
 def test_synthetic_output_bytes_are_pinned(argv, digests, tmp_path, capsys):
     # at eta > 0 every cell's stream key (seed, cell index, replicate) reaches

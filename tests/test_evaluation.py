@@ -73,7 +73,7 @@ def test_survival_curves_jobs_do_not_change_results():
 # --- ROC grids -----------------------------------------------------------
 
 def oracle_labels(net, params):
-    result = cf.run_cascade(net, params)
+    result = cf.run_cascade(net, params, cf.stream(0))
     failed = frozenset(net.bank_ids[i]
                        for i in np.flatnonzero(result.failed_round >= 1))
     # a label set without both classes would make every ROC check vacuous
@@ -186,6 +186,9 @@ def test_phase_scan_one_dimensional():
     assert diagram.region.tolist() == ["I", "II"]
     assert diagram.max_step_drop == pytest.approx(0.5)
     assert diagram.ci_half is None
+    # a mean equal to the threshold is region I
+    at = cf.phase_scan(toy_network(), 0, [0.6], [0.0, 1.0], [0.0], replicates=1, threshold=0.5)
+    assert at.region.tolist() == ["I", "II"]
 
 
 def test_phase_scan_ci_zero_when_deterministic():
@@ -198,9 +201,10 @@ def test_phase_scan_ci_matches_direct_formula():
     reps = 6
     # cell 0 of a two-cell alpha axis
     diagram = cf.phase_scan(net, 0, [0.5], [0.4, 0.8], [0.26], replicates=reps, seed=9)
+    params = cf.CascadeParams.single(0, 0.5, 0.4, 0.26)
     fractions = np.array([
-        cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, 0.4, 0.26, seed=9),
-                       rng=cf.stream(9, DOMAIN_CELL, 0, rep)).survival_fraction_all
+        np.mean(cf.run_cascade(net, params, cf.stream(9, DOMAIN_CELL, 0, rep)).failed_round
+                == cf.SURVIVED)
         for rep in range(reps)
     ])
     assert diagram.mean_survival[0] == pytest.approx(fractions.mean(), rel=1e-15)
@@ -271,9 +275,9 @@ def counting_run_cascade(monkeypatch):
     calls = []
     real = cf.evaluation.run_cascade
 
-    def counted(network, params, **kw):
+    def counted(network, params, rng):
         calls.append(params.eta)
-        return real(network, params, **kw)
+        return real(network, params, rng)
 
     monkeypatch.setattr(cf.evaluation, "run_cascade", counted)
     return calls
@@ -298,8 +302,8 @@ def test_eta_zero_phase_cell_is_exact():
     alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     diagram = cf.phase_scan(net, 0, [0.5], alphas, [0.0], replicates=7, seed=5)
     for i, alpha in enumerate(alphas):
-        result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, alpha, 0.0, seed=5))
-        assert diagram.mean_survival[i] == result.survival_fraction_all
+        result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, alpha, 0.0), cf.stream(5))
+        assert diagram.mean_survival[i] == np.mean(result.failed_round == cf.SURVIVED)
         assert diagram.ci_half[i] == 0.0
 
 
@@ -308,5 +312,8 @@ def test_pool_is_never_larger_than_the_lattice(monkeypatch):
     net = toy_network()
     serial = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2)
     pooled = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2, jobs=8)
+    assert sizes == [2]
+    # a one-cell lattice runs in process whatever the jobs
+    cf.survival_curves(net, None, 0, [0.6], [1.0], [0.0], jobs=8)
     assert sizes == [2]
     assert np.array_equal(serial.mean_survival, pooled.mean_survival)

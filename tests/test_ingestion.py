@@ -437,10 +437,19 @@ def test_synthetic_label_cascade():
     # any feedback collapses the whole market and leaves no negatives
     params = cf.CascadeParams.single(0, 0.3, 0.0, 0.0)
     net, labels = dense_synthetic(400, seed=9, label_cascade=params)
-    result = cf.run_cascade(net, params)
+    result = cf.run_cascade(net, params, cf.stream(0))
     expect = {net.bank_ids[i] for i in np.flatnonzero(result.failed_round >= 1)}
     assert isinstance(labels, frozenset) and labels == expect
     assert 0 < len(labels) < 400
+    # at eta > 0 the labels are the failures of the label_seed stream, label_seed 0
+    # when absent
+    noisy = cf.CascadeParams.single(0, 0.5, 0.0, 0.3)
+    by_seed = {seed: dense_synthetic(400, seed=9, label_cascade=noisy, label_seed=seed)
+               for seed in (0, 1, 2)}
+    for seed, (net, labels) in by_seed.items():
+        assert labels == cf.labels_from_cascade(net, noisy, cf.stream(seed))
+    assert dense_synthetic(400, seed=9, label_cascade=noisy)[1] == by_seed[0][1]
+    assert len({by_seed[seed][1] for seed in (0, 1, 2)}) == 3
 
 
 def test_synthetic_config_validation():

@@ -175,7 +175,7 @@ def test_survivor_sets_nest_at_eta_zero(instance, p1, p2, alpha1, alpha2):
     def survivors(p, alpha):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = cf.run_cascade(net, cf.CascadeParams.single(0, p, alpha, 0.0))
+            res = cf.run_cascade(net, cf.CascadeParams.single(0, p, alpha, 0.0), cf.stream(0))
         return set(np.flatnonzero(res.failed_round == cf.SURVIVED).tolist())
 
     p_lo, p_hi = sorted((p1, p2))

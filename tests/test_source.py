@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
+from setuptools.config.pyprojecttoml import read_configuration
+
+import cascadefin as cf
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cascadefin"
@@ -73,3 +77,12 @@ def test_every_public_name_is_used_outside_tests():
     read = set().union(*(_read(_tree(f)) for f in users))
     unused = sorted(set(_all(_tree(SRC / "__init__.py"))) - read)
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_the_version_lives_in_the_package_only():
+    # pyproject.toml takes its version from cascadefin.__version__, so a bump
+    # there is the only one a release needs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # setuptools calls [tool.setuptools] beta
+        project = read_configuration(ROOT / "pyproject.toml")["project"]
+    assert project["version"] == cf.__version__
