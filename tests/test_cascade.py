@@ -5,12 +5,14 @@ reference simulator (tests/reference.py) was written before the engine, so
 several tests cross-check the two implementations on the same RNG streams.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import cascadefin as cf
+from cascadefin import cli
 from cascadefin.cascade import DOMAIN_CELL
 
 from helpers import make_network, random_instance, toy_network
@@ -399,6 +401,46 @@ def test_max_rounds_flags_non_convergence():
     assert result.diagnostics["non_converged"]
     assert result.rounds_executed == 1
     assert result.failed_round.tolist() == [1, -1]
+
+
+# --- run's JSON: survival fractions and layout, built around run_cascade ----
+
+def run_json(tmp_path, capsys, *argv):
+    # three banks on one asset: p=0.6, alpha=1 fails A in round 1 and B in
+    # round 2; C's slack outlives both fire sales
+    path = tmp_path / "trio.csv"
+    path.write_text("bank_id,total_assets,total_liabilities,asset_00\n"
+                    "A,100.0,70.0,100.0\n"
+                    "B,100.0,55.0,100.0\n"
+                    "C,100.0,8.0,100.0\n")
+    code = cli.main(["run", "--input", str(path), "--p", "0.6", "--alpha", "1", *argv])
+    return code, json.loads(capsys.readouterr().out or "null")
+
+
+def test_survival_fractions_with_labels(tmp_path, capsys):
+    def labeled(*ids):
+        path = tmp_path / "labels.csv"
+        path.write_text("bank_id\n" + "".join(f"{i}\n" for i in ids))
+        return run_json(tmp_path, capsys, "--labels", str(path))
+
+    code, doc = labeled("B", "C")
+    assert code == 0
+    assert doc["survival_fraction_all"] == pytest.approx(1 / 3, rel=1e-15)
+    assert doc["survival_fraction_labeled"] == 0.5
+    # a repeated id counts its bank once; an id naming no bank is not counted
+    assert labeled("C", "C", "ghost")[1]["survival_fraction_labeled"] == 1.0
+    # a label set naming no bank of the network is refused, not written as null
+    assert labeled("ghost")[0] == 2
+
+
+def test_json_dict_layout(tmp_path, capsys):
+    code, doc = run_json(tmp_path, capsys)
+    assert code == 0
+    assert doc["fates"] == [1, 2, None]
+    assert doc["rounds"] == 3
+    assert doc["price_index"] == [pytest.approx(0.6 * (2 / 3) * (2 / 3), rel=1e-12)]
+    assert list(doc["diagnostics"]) == ["preshock_failed", "clamp_events",
+                                        "shock_skipped_assets", "non_converged"]
 
 
 def test_matches_brute_force_on_random_instances():
