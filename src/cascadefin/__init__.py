@@ -8,7 +8,7 @@ Library layout:
   cli        -- the `cascadefin` command-line tool
 """
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 from .cascade import (
     RNG_ALGORITHM,

@@ -1,10 +1,11 @@
 """Command-line front end: ingest, run, sweep, roc, phase.
 
-Every analysis command writes its CSVs plus a manifest.json that pins the
-resolved configuration (input hashes or synthetic spec, grids, seed, RNG
-algorithm, tool version) so the outputs can be reproduced bit-exactly.
---jobs only changes how many workers compute lattice cells, never the bytes
-written.
+Every analysis command writes its CSV plus a manifest.json whose config is
+the parsed command line: every flag with its default filled in and --seed as
+resolved, without --out and --jobs, plus the SHA-256 of the --input and
+--labels files. Passing the flags back reproduces every output byte, the
+manifest included. --jobs only changes how many workers compute lattice
+cells, never the bytes written.
 
 Exit codes: 0 success, 1 runtime error, 2 usage or schema error.
 """
@@ -70,12 +71,15 @@ def _parse_values(text: str, name: str) -> list:
             raise UsageError(f"--{name}: non-numeric range bound in {text!r}") from None
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise UsageError(f"--{name}: need finite lo <= hi and step > 0 in {text!r}")
-        # count the values before np.arange allocates them
-        if (hi - lo) / step + 0.5 > MAX_CELLS:
+        # the last k with lo + k*step at most hi once rounded to 12 decimals,
+        # counted before np.arange allocates the values
+        last = (hi - lo + 5e-13) / step
+        if last >= MAX_CELLS:
             raise UsageError(f"--{name}: {text!r} has more than {MAX_CELLS} values")
-        values = np.round(np.arange(lo, hi + step / 2, step), 12).tolist()
-        if not values:
-            raise UsageError(f"--{name}: empty range {text!r}")
+        values = np.round(lo + step * np.arange(int(last) + 1), 12)
+        if (np.diff(values) <= 0).any():
+            raise UsageError(f"--{name}: {text!r} repeats values once rounded to 12 decimals")
+        values = values.tolist()
     for v in values:
         if not 0.0 <= v <= PARAM_UPPER[name]:
             raise UsageError(f"--{name}: {v!r} is outside [0, {PARAM_UPPER[name]:g}]")
@@ -154,16 +158,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _resolve_seed(args, etas) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.seed
-    if any(e > 0 for e in etas):
-        raise UsageError("--seed is required when eta > 0 (no silent default)")
-    return 0
-
-
 def _grids(args) -> list:
     """The --p, --alpha and --eta grids, refused when their lattice has more
     than MAX_CELLS cells."""
@@ -180,20 +174,23 @@ def _check_asset(network, asset, flag="--asset"):
 
 
 def _resolve(args, etas):
-    """Seed, network and labels of a run-like command, with --asset checked,
-    and the manifest config that pins them; returns (seed, network, labels,
-    config).
+    """Network and labels of a run-like command, with --asset checked and
+    args.seed resolved.
 
     Labels come from --labels or a --synthetic label cascade; phase takes
     neither. Labels must name a bank of the network, and roc also needs a
     bank they leave out.
     """
-    seed = _resolve_seed(args, etas)
+    if args.seed is None:
+        if any(e > 0 for e in etas):
+            raise UsageError("--seed is required when eta > 0 (no silent default)")
+        args.seed = 0
+    elif args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if bool(args.input) == bool(args.synthetic):
         raise UsageError("exactly one of --input or --synthetic is required")
     if args.input:
         network, labels = load_completed_network(args.input), None
-        config = {"input": args.input, "input_sha256": _sha256(args.input)}
     else:
         synthetic = _parse_synthetic(args.synthetic)
         if synthetic.label_cascade is not None and "labels" not in args:
@@ -203,15 +200,11 @@ def _resolve(args, etas):
             raise UsageError("--labels and the --synthetic label_* keys both give labels; "
                              "drop one")
         try:
-            network, labels = generate_synthetic(synthetic, seed)
+            network, labels = generate_synthetic(synthetic, args.seed)
         except ValueError as e:
             raise UsageError(f"--synthetic: the spec gives no valid network: {e}") from None
-        config = {"synthetic": args.synthetic, "synthetic_seed": seed}
     if getattr(args, "labels", None):
         labels = load_labels(args.labels)
-        config.update(labels=args.labels, labels_sha256=_sha256(args.labels))
-    elif labels is not None:
-        config["labels"] = "synthetic-reference-cascade"
     _check_asset(network, args.asset)
     if labels is not None:
         n_pos = int(network.mask(labels).sum())
@@ -221,8 +214,7 @@ def _resolve(args, etas):
                              f"negative")
         if n_pos == 0:
             raise UsageError(f"the labels name none of the network's {network.n_banks} banks")
-    config["asset"] = args.asset
-    return seed, network, labels, config
+    return network, labels
 
 
 def _jobs(text: str) -> int:
@@ -248,12 +240,18 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_outputs(args, name, write, result, config) -> str:
+def _write_outputs(args, name, write, result) -> str:
     """Write result to the CSV name in the output directory, then the
     manifest.json that pins it; returns the CSV's path."""
     out = _out_dir(args)
     path = os.path.join(out, name)
     write(result, path)
+    # the flags that decide the bytes; --out and --jobs never do
+    config = {flag: value for flag, value in vars(args).items()
+              if flag not in ("command", "func", "out", "jobs")}
+    for flag in ("input", "labels"):
+        if config.get(flag):
+            config[f"{flag}_sha256"] = _sha256(config[flag])
     manifest = {
         "tool": {
             "name": "cascadefin",
@@ -304,16 +302,16 @@ def cmd_run(args) -> int:
         if m in shocks:
             raise UsageError(f"--shock {extra}: asset {m} is already shocked")
         shocks[m] = p_m
-    seed, network, labels, _ = _resolve(args, [eta])
+    network, labels = _resolve(args, [eta])
     for m in shocks:
         _check_asset(network, m, "--shock")
     params = CascadeParams(alpha=alpha, eta=eta, shocked_assets=shocks)
-    result = run_cascade(network, params, stream(seed))
+    result = run_cascade(network, params, stream(args.seed))
     survived = result.failed_round == SURVIVED
     doc = {
         "params": {"alpha": alpha, "eta": eta,
                    "shocked_assets": {str(m): p_m for m, p_m in params.shocked_assets.items()}},
-        "seed": seed,
+        "seed": args.seed,
         "rounds": result.rounds_executed,
         "fates": [None if r == SURVIVED else int(r) for r in result.failed_round],
         "price_index": [float(v) for v in result.price_index],
@@ -336,11 +334,10 @@ def cmd_sweep(args) -> int:
     ps, alphas, etas = _grids(args)
     if len(etas) != 1:
         raise UsageError("sweep varies p and alpha; --eta must be a scalar")
-    seed, network, labels, config = _resolve(args, etas)
+    network, labels = _resolve(args, etas)
     records = survival_curves(network, labels, args.asset, ps, alphas, etas,
-                              seed=seed, jobs=args.jobs)
-    config.update(p_grid=ps, alpha_grid=alphas, eta=etas[0], seed=seed)
-    path = _write_outputs(args, "survival.csv", write_survival_csv, records, config)
+                              seed=args.seed, jobs=args.jobs)
+    path = _write_outputs(args, "survival.csv", write_survival_csv, records)
     print(f"wrote {len(records)} rows -> {path}")
     return 0
 
@@ -348,14 +345,12 @@ def cmd_sweep(args) -> int:
 def cmd_roc(args) -> int:
     ps, alphas, etas = _grids(args)
     _check_replicates(args)
-    seed, network, labels, config = _resolve(args, etas)
+    network, labels = _resolve(args, etas)
     if labels is None:
         raise UsageError("roc requires --labels (or a --synthetic label cascade)")
-    points = roc_grid(network, labels, args.asset, ps, alphas, etas, seed=seed,
+    points = roc_grid(network, labels, args.asset, ps, alphas, etas, seed=args.seed,
                       replicates=args.replicates, jobs=args.jobs)
-    config.update(alpha_grid=alphas, eta_grid=etas, p_grid=ps, seed=seed,
-                  replicates=args.replicates)
-    path = _write_outputs(args, "roc.csv", write_roc_csv, points, config)
+    path = _write_outputs(args, "roc.csv", write_roc_csv, points)
     print(f"wrote {len(points)} ROC points -> {path}")
     return 0
 
@@ -367,14 +362,10 @@ def cmd_phase(args) -> int:
     _check_replicates(args)
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError(f"--threshold must be in [0, 1], got {args.threshold}")
-    seed, network, _, config = _resolve(args, grids[2])
-    diagram = phase_scan(network, args.asset, *grids, args.replicates, seed=seed,
+    network, _ = _resolve(args, grids[2])
+    diagram = phase_scan(network, args.asset, *grids, args.replicates, seed=args.seed,
                          threshold=args.threshold, jobs=args.jobs)
-    config.update(axes={name: values.tolist() for name, values
-                        in zip(diagram.axis_names, diagram.axis_values)},
-                  fixed=diagram.fixed, seed=seed, replicates=args.replicates,
-                  threshold=args.threshold)
-    path = _write_outputs(args, "phase.csv", write_phase_csv, diagram, config)
+    path = _write_outputs(args, "phase.csv", write_phase_csv, diagram)
     drop = "" if diagram.max_step_drop is None \
         else f", max step drop {diagram.max_step_drop:.3f}"
     print(f"scanned {diagram.mean_survival.size} cells x {args.replicates} replicates"

@@ -60,7 +60,6 @@ class PhaseDiagram:
     mean_survival: FloatA       # shaped like the axes
     ci_half: FloatA             # None when replicates < 2
     region: np.ndarray          # 'I' / 'II' per cell
-    fixed: dict
     max_step_drop: float = None  # only for 1-D scans
 
 
@@ -133,12 +132,12 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
 
 
 def _reduce_survival(fates, lat):
-    """(mean survival of all banks, its 95 % CI half-width or None, mean
-    survival of the labeled banks or None) over the replicates.
+    """(mean survival of all banks, its 95 % CI half-width, mean survival of
+    the labeled banks or None) over the replicates.
 
-    When every replicate agrees, as in any eta = 0 cell, the mean is that
-    value and the half-width exactly 0.0; the floating-point mean and std of
-    R equal values can be off by an ulp.
+    When every replicate agrees, as in any eta = 0 cell or a single
+    replicate, the mean is that value and the half-width exactly 0.0; the
+    floating-point mean and std of R equal values can be off by an ulp.
     """
     labeled = lat.positives is not None and lat.positives.any()
     of_all, of_labeled = [], []
@@ -152,8 +151,8 @@ def _reduce_survival(fates, lat):
         mean, std = of_all[0], 0.0
     else:
         mean, std = of_all.mean(), of_all.std(ddof=1)
-    ci = float(1.96 * std / np.sqrt(lat.replicates)) if lat.replicates >= 2 else None
-    return float(mean), ci, float(np.mean(of_labeled)) if labeled else None
+    return (float(mean), float(1.96 * std / np.sqrt(lat.replicates)),
+            float(np.mean(of_labeled)) if labeled else None)
 
 
 def _reduce_roc(fates, lat):
@@ -251,8 +250,7 @@ def phase_scan(network, shocked_asset, ps, alphas, etas,
     drop = float(np.max(np.abs(np.diff(mean)))) if len(axes) == 1 else None
     names = ("p", "alpha", "eta")
     return PhaseDiagram(tuple(names[k] for k in axes),
-                        tuple(np.asarray(grids[k]) for k in axes), mean, ci, region,
-                        {names[k]: g[0] for k, g in enumerate(grids) if len(g) == 1}, drop)
+                        tuple(np.asarray(grids[k]) for k in axes), mean, ci, region, drop)
 
 
 # ---------------------------------------------------------------------------

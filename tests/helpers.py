@@ -1,6 +1,9 @@
 """Shared builders for the test suite: small fixed networks, seeded random
-instances, and the two large synthetic fixtures the acceptance suite runs on."""
+instances, the two large synthetic fixtures the acceptance suite runs on, and
+the replay of a manifest's command line."""
 
+import json
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -105,3 +108,22 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(cf.evaluation, "ProcessPoolExecutor", SerialPool)
     return sizes
+
+
+def manifest_argv(out) -> list:
+    """The command line that out/manifest.json records: its command, then
+    --flag=value for every flag in its config that has a value."""
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    return [manifest["command"], *(f"--{flag}={value}" for flag, value
+                                   in manifest["config"].items()
+                                   if value is not None and not flag.endswith("_sha256"))]
+
+
+def assert_same_files(out, replayed):
+    """Both directories hold the same file names with the same bytes."""
+    assert sorted(os.listdir(replayed)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        with open(os.path.join(out, name), "rb") as a, \
+                open(os.path.join(replayed, name), "rb") as b:
+            assert a.read() == b.read(), name

@@ -1,5 +1,6 @@
-"""One-line mutants of the cascade engine and the analyses' comparisons, each
-with the tests that kill it or the reason no result can change.
+"""One-line mutants of the cascade engine, the analyses' comparisons and the
+command line's range and manifest rules, each with the tests that kill it or
+the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -26,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASCADE = "src/cascadefin/cascade.py"
 NETWORK = "src/cascadefin/network.py"
 EVALUATION = "src/cascadefin/evaluation.py"
+CLI = "src/cascadefin/cli.py"
 BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
 ROC_ORACLE = "tests/test_properties.py::test_roc_grid_matches_bank_by_bank_count"
 
@@ -132,19 +134,37 @@ MUTANTS = (
            "if of_all.min() == of_all.max():", "if False:",
            ("tests/test_evaluation.py::test_eta_zero_phase_cell_is_exact",)),
     Mutant("survival-ci-needs-3", EVALUATION,
-           "if lat.replicates >= 2 else None", "if lat.replicates > 2 else None",
-           ("tests/test_cli.py::test_output_bytes_are_pinned",)),
+           "    if replicates >= 2:", "    if replicates > 2:",
+           ("tests/test_cli.py::test_output_bytes_are_pinned[phase-1d-eta-0]",)),
     Mutant("survival-ci-at-1", EVALUATION,
-           "if lat.replicates >= 2 else None", "if lat.replicates >= 1 else None",
-           proof="one replicate agrees with itself, so the shortcut gives the half-width "
-                 "0.0 and no NaN; survival_curves drops every half-width and phase_scan "
-                 "keeps them only when replicates >= 2"),
+           "    if replicates >= 2:", "    if replicates >= 1:",
+           ("tests/test_evaluation.py::test_phase_scan_one_dimensional",
+            "tests/test_cli.py::test_phase_one_axis_output")),
     Mutant("phase-region-at-threshold", EVALUATION,
            "np.where(mean < threshold,", "np.where(mean <= threshold,",
            ("tests/test_evaluation.py::test_phase_scan_one_dimensional",)),
     # evaluation: lattice dispatch
     Mutant("lattice-one-cell-pooled", EVALUATION, "n_cells <= 1:", "n_cells < 1:",
            ("tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice",)),
+    # cli: ranges
+    Mutant("range-half-step-past-hi", CLI,
+           "last = (hi - lo + 5e-13) / step", "last = (hi - lo) / step + 0.5",
+           ("tests/test_cli.py::test_range_holds_lo_plus_k_steps_up_to_hi",)),
+    Mutant("range-no-rounding-allowance", CLI,
+           "last = (hi - lo + 5e-13) / step", "last = (hi - lo) / step",
+           ("tests/test_cli.py::test_range_holds_lo_plus_k_steps_up_to_hi",)),
+    Mutant("range-not-counted", CLI, "if last >= MAX_CELLS:", "if False:",
+           ("tests/test_cli.py::test_range_counted_before_allocating",)),
+    Mutant("range-repeats-kept", CLI,
+           "if (np.diff(values) <= 0).any():", "if (np.diff(values) < 0).any():",
+           ("tests/test_cli.py::test_bad_input_exits_2_before_loading[range-repeats-values]",)),
+    # cli: the manifest leaves out the flags that never change bytes
+    Mutant("manifest-records-out", CLI,
+           'not in ("command", "func", "out", "jobs")', 'not in ("command", "func", "jobs")',
+           ("tests/test_cli.py::test_sweep_bytes_stable_across_runs_and_jobs",)),
+    Mutant("manifest-records-jobs", CLI,
+           'not in ("command", "func", "out", "jobs")', 'not in ("command", "func", "out")',
+           ("tests/test_cli.py::test_sweep_bytes_stable_across_runs_and_jobs",)),
 )
 
 

@@ -4,7 +4,8 @@ Every command line either succeeds (exit 0) or is refused as a usage or
 schema error (exit 2); exit 1 is left to faults of the environment, such as a
 missing file. numpy RuntimeWarnings are raised as errors here, so a bad input
 that only a warning betrays shows up as an exit 1. An exit 0 writes only
-finite numbers.
+finite numbers, and a sweep, roc or phase that exits 0 writes a manifest
+whose command line alone rewrites every file byte for byte.
 
 Bank and asset counts stay small: a large count is a valid request whose only
 cost is memory.
@@ -21,6 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadefin import cli
+
+from helpers import assert_same_files, manifest_argv
 
 BOUNDARY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -46,7 +49,7 @@ NUMBER = mostly(
     BAD_NUMBER)
 CELL = mostly(NUMBER, st.just(""))
 BAD_GRID = st.sampled_from(["-1", "2", "nan", "inf", "x", "", "0:inf:1", "0.2:0.1:0.1",
-                            "0:1:0", "0:1"])
+                            "0:1:0", "0:1", "0.5:0.5000000000005:1e-13"])
 COUNT = (st.integers(1, 40).map(str), st.sampled_from(["0", "-2", "", "x", "1.5", "1e3"]))
 # each command-line slot as (valid, bad): valid values reach the edges of
 # their domain, bad values lie outside it
@@ -160,10 +163,14 @@ def synthetic_argv(draw):
 @example(["run", "--synthetic", "n=50,sigma=-3"])
 @example(["run", "--synthetic", "n=50,concentration=1e-300", "--p", "0.5"])
 @example(["phase", "--synthetic", "n=50,concentration=1e-300", "--eta", "0"])
+@example(["sweep", "--synthetic", "n=20", "--p", "0.5:0.5000000000005:1e-13"])
 def test_synthetic_command_lines_exit_0_or_2(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        run_checked([*argv, "--out", out], out)
+        if run_checked([*argv, "--out", out], out) == 0 and argv[0] != "run":
+            replayed = os.path.join(tmp, "replayed")
+            assert run_checked([*manifest_argv(out), "--out", replayed], replayed) == 0
+            assert_same_files(out, replayed)
 
 
 @st.composite

@@ -11,7 +11,7 @@ import pytest
 
 from cascadefin import cli
 
-from helpers import serial_pool
+from helpers import assert_same_files, manifest_argv, serial_pool
 
 
 def run_cli(*argv):
@@ -256,6 +256,12 @@ def test_roc_with_label_file(trio_csv, tmp_path, capsys):
     assert lines[0] == "alpha,eta,p,split,fpr,tpr,tp_count"
     assert len(lines) == 1 + 2 * 3
     assert "1.0,0.0,0.6,full,0.0,1.0,2" in lines
+    # the manifest alone replays the run, byte for byte
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["labels_sha256"] == hashlib.sha256(labels.read_bytes()).hexdigest()
+    replayed = tmp_path / "replayed"
+    assert run_cli(*manifest_argv(out), "--out", str(replayed)) == 0
+    assert_same_files(out, replayed)
 
 
 def test_roc_from_synthetic_label_cascade(tmp_path, capsys):
@@ -264,8 +270,8 @@ def test_roc_from_synthetic_label_cascade(tmp_path, capsys):
                    "n=150,label_asset=0,label_p=0.4,label_alpha=0,label_eta=0",
                    "--p", "0.4:0.8:0.4", "--alpha", "0:0.2:0.2",
                    "--eta", "0", "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["labels"] == "synthetic-reference-cascade"
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["labels"] is None and "label_asset=0" in config["synthetic"]
     assert len((out / "roc.csv").read_text().splitlines()) == 1 + 4 * 3
 
 
@@ -435,7 +441,10 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
     (["run", "--synthetic", "n=10,sigma"], "--synthetic: expected key=value, got 'sigma'"),
     (["run", "--synthetic", "n=10,sigma=abc"], "--synthetic: bad value for sigma: 'abc'"),
     (["run", "--input", MISSING, "--p", "0:x:0.5"], "--p: non-numeric range bound in '0:x:0.5'"),
-    (["run", "--input", MISSING, "--p", "1:1:1e-17"], "--p: empty range '1:1:1e-17'"),
+    (["run", "--input", MISSING, "--p", "1:1:1e-17"],
+     "--p: '1:1:1e-17' repeats values once rounded to 12 decimals"),
+    (["sweep", "--input", MISSING, "--p", "0.5:0.5000000000005:1e-13"],
+     "--p: '0.5:0.5000000000005:1e-13' repeats values once rounded to 12 decimals"),
     (["phase", "--input", MISSING, "--eta", "0", "--jobs", "x"],
      "argument --jobs: expected an integer, got 'x'"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
@@ -446,7 +455,8 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
         "lev-high-inf", "sigma-negative", "sigma-overflow", "median-overflow",
         "phase-label-cascade", "run-config", "run-header-only",
         "ingest-header-only", "two-label-sources", "synthetic-key-without-value",
-        "synthetic-bad-value", "range-non-numeric", "range-empty", "jobs-non-numeric"])
+        "synthetic-bad-value", "range-non-numeric", "range-one-point-repeats",
+        "range-repeats-values", "jobs-non-numeric"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
@@ -566,13 +576,27 @@ def test_jobs_clamped_to_core_count(toy_csv, tmp_path, monkeypatch):
 def test_range_counted_before_allocating(monkeypatch, capsys):
     real_arange = cli.np.arange
 
-    def bounded_arange(lo, hi, step):
-        assert (hi - lo) / step <= cli.MAX_CELLS + 1, "allocated an oversized axis"
-        return real_arange(lo, hi, step)
+    def bounded_arange(n):
+        assert n <= cli.MAX_CELLS, "allocated an oversized axis"
+        return real_arange(n)
 
     monkeypatch.setattr(cli.np, "arange", bounded_arange)
     assert run_cli("phase", "--input", MISSING, "--eta", "0", "--alpha", "0:1:1e-12") == 2
     assert "--alpha: '0:1:1e-12' has more than 1000000 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, values", [
+    ("0:0.5:0.3", [0.0, 0.3]),
+    ("0.1:0.2:0.15", [0.1]),
+    ("0:1:0.6", [0.0, 0.6]),
+    ("0.5:0.5:0.1", [0.5]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),    # 0.3 / 0.1 is 2.9999999999999996
+    ("0.05:0.45:0.2", [0.05, 0.25, 0.45]),
+    ("0.1:1:0.15", [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0]),
+    ("0:1:0.02", [k / 50 for k in range(51)]),
+])
+def test_range_holds_lo_plus_k_steps_up_to_hi(text, values):
+    assert cli._parse_values(text, "p") == values
 
 
 # --- pinned output bytes ---------------------------------------------------
@@ -623,7 +647,7 @@ def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
     (["sweep", "--synthetic", "n=300,label_asset=0,label_p=0.5,label_alpha=0.1,label_eta=0",
       "--p", "0:1:0.25", "--alpha", "0:0.2:0.1", "--eta", "0.1", "--seed", "4"],
      {"survival.csv": "36e974e6ee92c384f19393d28d49dc2a0aae1c78be52584815c1e856a2ef810f",
-      "manifest.json": "9c26dbb86c8e64e9b816dd5ca75b720fbd7ad975433b5dbe33f9b589386f47f6"}),
+      "manifest.json": "d0a8af039d1222c81d6cc5114f8ddb092fa6d86c7977ee9be1b19114bc559e3d"}),
 ], ids=["sweep-eta-0.1-labeled"])
 def test_synthetic_output_bytes_are_pinned(argv, digests, tmp_path, capsys):
     # at eta > 0 every cell's stream key (seed, cell index, replicate) reaches

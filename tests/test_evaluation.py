@@ -219,7 +219,6 @@ def test_phase_scan_two_dimensional():
     assert diagram.mean_survival[0, 0] == 1.0   # no shock, no sale
     assert diagram.mean_survival[1, 1] == 0.0   # the toy collapse
     assert diagram.max_step_drop is None
-    assert diagram.fixed == {"eta": 0.0}
 
 
 def test_phase_scan_jobs_do_not_change_results():
