@@ -26,13 +26,22 @@ run has the same result on any generator.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
+# numpy starts OpenBLAS's worker threads as it loads, but the package calls no
+# BLAS routine, so one thread spares the idle ones' CPU and changes no byte.
+# __init__ imports this module first, so this runs before the package's first
+# numpy import; a caller's own setting, or a numpy loaded earlier, stands.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .network import BankAssetNetwork, BoolA, FloatA, IntA
+import numpy as np  # noqa: E402
+
+from .network import BankAssetNetwork, BoolA, FloatA, IntA  # noqa: E402
 
 RNG_ALGORITHM = "PCG64"
 

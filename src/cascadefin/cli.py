@@ -234,6 +234,24 @@ def _check_replicates(args):
         raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
 
 
+def _check_out(args):
+    """Before any input is loaded, refuse an --out the command cannot write:
+    run writes one file into an existing directory, the other commands write
+    into a directory they make where it is missing."""
+    if not args.out:
+        return
+    path = os.path.abspath(args.out)
+    if args.command == "run":
+        if os.path.isdir(path):
+            raise UsageError(f"--out {args.out!r} is a directory; run writes one file")
+        path = os.path.dirname(path)
+    else:
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise UsageError(f"--out {args.out!r}: {path!r} is not a directory")
+
+
 def _out_dir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -446,6 +464,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_out(args)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

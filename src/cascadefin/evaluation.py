@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,6 +122,9 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
             return [_cell(i) for i in range(n_cells)]
         finally:
             _init_worker(None)  # else the module keeps the caller's network alive
+    # imported here, as multiprocessing costs every command that starts no pool
+    from concurrent.futures import ProcessPoolExecutor
+
     # the pool forks every worker up front, so never more than there are cells
     workers = min(jobs, n_cells)
     chunk = max(1, n_cells // (workers * 8))

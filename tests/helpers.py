@@ -88,8 +88,9 @@ def bimodal_dense_2000(seed=7):
 
 
 def serial_pool(monkeypatch):
-    """Replace the lattice's ProcessPoolExecutor with an in-process stand-in
-    that starts no worker; returns the max_workers of each pool asked for."""
+    """Replace the ProcessPoolExecutor the lattice imports when it starts a
+    pool with an in-process stand-in that starts no worker; returns the
+    max_workers of each pool asked for."""
     sizes = []
 
     class SerialPool:
@@ -106,7 +107,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cf.evaluation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return sizes
 
 

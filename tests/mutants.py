@@ -1,6 +1,6 @@
-"""One-line mutants of the cascade engine, the analyses' comparisons and the
-command line's range and manifest rules, each with the tests that kill it or
-the reason no result can change.
+"""One-line mutants of the cascade engine, the analyses' comparisons, the
+command line's range and manifest rules and the package's start-up rules,
+each with the tests that kill it or the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -28,6 +28,7 @@ CASCADE = "src/cascadefin/cascade.py"
 NETWORK = "src/cascadefin/network.py"
 EVALUATION = "src/cascadefin/evaluation.py"
 CLI = "src/cascadefin/cli.py"
+STARTUP = "tests/test_startup.py::test_import_loads_no_pool_and_pins_one_blas_thread"
 BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
 ROC_ORACLE = "tests/test_properties.py::test_roc_grid_matches_bank_by_bank_count"
 
@@ -165,6 +166,15 @@ MUTANTS = (
     Mutant("manifest-records-jobs", CLI,
            'not in ("command", "func", "out", "jobs")', 'not in ("command", "func", "out")',
            ("tests/test_cli.py::test_sweep_bytes_stable_across_runs_and_jobs",)),
+    # start-up: one BLAS thread, and no pool modules until a pool starts
+    Mutant("startup-blas-threads", CASCADE,
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "pass", (STARTUP,)),
+    Mutant("startup-pin-after-numpy", CASCADE,
+           'if "numpy" not in sys.modules:', "if True:",
+           ("tests/test_startup.py::test_a_process_that_loaded_numpy_first_is_left_alone",)),
+    Mutant("startup-eager-pool", EVALUATION,
+           "import warnings\n",
+           "import warnings\nfrom concurrent.futures import ProcessPoolExecutor\n", (STARTUP,)),
 )
 
 

@@ -385,6 +385,8 @@ def test_phase_bytes_stable_across_runs_and_jobs(tmp_path, capsys):
 
 MISSING = "/nonexistent/net.csv"   # any check that ran later would exit 1 on it
 HEADER_ONLY = "<a CSV with a header and no data row>"
+A_FILE = "<an existing regular file>"
+A_DIR = "<an existing directory>"
 NOT_FINITE = "--synthetic: concentration, median, sigma and leverage must be finite"
 OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-finite value"
 
@@ -447,6 +449,16 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
      "--p: '0.5:0.5000000000005:1e-13' repeats values once rounded to 12 decimals"),
     (["phase", "--input", MISSING, "--eta", "0", "--jobs", "x"],
      "argument --jobs: expected an integer, got 'x'"),
+    (["sweep", "--synthetic", "n=20", "--p", "0.5", "--alpha", "0", "--out", A_FILE],
+     f"usage error: --out '{A_FILE}': '{A_FILE}' is not a directory"),
+    (["phase", "--input", MISSING, "--eta", "0", "--out", f"{A_FILE}/sub"],
+     f"usage error: --out '{A_FILE}/sub': '{A_FILE}' is not a directory"),
+    (["ingest", "--input", MISSING, "--out", A_FILE],
+     f"usage error: --out '{A_FILE}': '{A_FILE}' is not a directory"),
+    (["run", "--synthetic", "n=20", "--p", "0.5", "--out", A_DIR],
+     f"usage error: --out '{A_DIR}' is a directory; run writes one file"),
+    (["run", "--input", MISSING, "--out", f"{A_DIR}/missing/result.json"],
+     f"usage error: --out '{A_DIR}/missing/result.json': '{A_DIR}/missing' is not a directory"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
@@ -456,13 +468,22 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
         "phase-label-cascade", "run-config", "run-header-only",
         "ingest-header-only", "two-label-sources", "synthetic-key-without-value",
         "synthetic-bad-value", "range-non-numeric", "range-one-point-repeats",
-        "range-repeats-values", "jobs-non-numeric"])
+        "range-repeats-values", "jobs-non-numeric", "sweep-out-file", "phase-out-under-file",
+        "ingest-out-file", "run-out-dir", "run-out-in-missing-dir"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
-    argv = [str(header_only) if arg == HEADER_ONLY else arg for arg in argv]
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    paths = {HEADER_ONLY: str(header_only), A_FILE: str(tmp_path / "a_file"),
+             A_DIR: str(tmp_path / "a_dir")}
+    for placeholder, path in paths.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+        message = message.replace(placeholder, path)
+    before = sorted(tmp_path.rglob("*"))
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before   # nothing created
 
 
 # a spreadsheet's plain "CSV" export writes Latin-1; the text reader decodes a

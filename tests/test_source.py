@@ -62,6 +62,21 @@ def test_no_unused_imports(module):
     assert unused == {}, f"{module.name}: imported but never used: {unused}"
 
 
+# numpy's routines that hand their work to BLAS
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_blas_backed_routine(module):
+    # a BLAS routine sums in its own order, which can flip a fate at the
+    # barrier; with none, the one OpenBLAS thread cascade.py pins costs nothing
+    uses = sorted({node.lineno for node in ast.walk(_tree(module))
+                   if isinstance(getattr(node, "op", None), ast.MatMult)
+                   or getattr(node, "id", getattr(node, "attr", None)) in BLAS_NAMES
+                   or isinstance(node, ast.alias) and BLAS_NAMES & set(node.name.split("."))})
+    assert uses == [], f"{module.name}: a BLAS-backed routine on lines {uses}"
+
+
 def test_init_exports_every_name_it_imports():
     tree = _tree(SRC / "__init__.py")
     exported = _all(tree)
