@@ -25,9 +25,8 @@ def main():
     args = ap.parse_args()
 
     network, labels = cf.generate_synthetic(
-        cf.SyntheticConfig(
-            n_banks=args.n,
-            label_cascade=cf.CascadeParams.single(0, args.p, 0.0, 0.0)),
+        cf.SyntheticConfig(n=args.n, label_asset=0, label_p=args.p, label_alpha=0.0,
+                           label_eta=0.0),
         args.seed)
 
     n_failed = len(labels)

@@ -15,7 +15,7 @@ N = 1500
 SEED = 13
 TRUTH = dict(asset=0, p=0.45, alpha=0.05, eta=0.0)
 
-network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=N), SEED)
+network, _ = cf.generate_synthetic(cf.SyntheticConfig(n=N), SEED)
 
 truth_params = cf.CascadeParams.single(TRUTH["asset"], TRUTH["p"],
                                        TRUTH["alpha"], TRUTH["eta"])

@@ -30,7 +30,7 @@ for bank, fate in zip(net.bank_ids, result.failed_round):
 print()
 print("500-bank synthetic market")
 seed = 42
-network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=500), seed)
+network, _ = cf.generate_synthetic(cf.SyntheticConfig(n=500), seed)
 
 params = cf.CascadeParams.single(asset=0, p=0.55, alpha=0.08, eta=0.26)
 result = cf.run_cascade(network, params, cf.stream(seed))

@@ -22,7 +22,7 @@ def main():
                     default=[0.0, 0.05, 0.10, 0.15])
     args = ap.parse_args()
 
-    network, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=args.n), args.seed)
+    network, _ = cf.generate_synthetic(cf.SyntheticConfig(n=args.n), args.seed)
 
     ps = np.round(np.arange(1.0, -0.001, -0.1), 12).tolist()
     records = cf.survival_curves(network, None, 0, ps, args.alphas, [args.eta],

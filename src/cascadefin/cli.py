@@ -5,7 +5,8 @@ the parsed command line: every flag with its default filled in and --seed as
 resolved, without --out and --jobs, plus the SHA-256 of the --input and
 --labels files. Passing the flags back reproduces every output byte, the
 manifest included. --jobs only changes how many workers compute lattice
-cells, never the bytes written.
+cells, never the bytes written. The keys of a --synthetic spec are the fields
+of SyntheticConfig, which checks their values; this module reads the spec.
 
 Exit codes: 0 success, 1 runtime error, 2 usage or schema error.
 """
@@ -18,6 +19,8 @@ import json
 import math
 import os
 import sys
+import typing
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -86,27 +89,12 @@ def _parse_values(text: str, name: str) -> list:
     return values
 
 
-_SYNTH_KEYS = {
-    "n": ("n_banks", int),
-    "assets": ("n_assets", int),
-    "concentration": ("concentration", float),
-    "median": ("size_median", float),
-    "sigma": ("size_sigma", float),
-    "lev_low": ("leverage_low", float),
-    "lev_high": ("leverage_high", float),
-    "sparsity": ("sparsity", float),
-}
-_SYNTH_LABEL_KEYS = {"label_asset", "label_p", "label_alpha", "label_eta", "label_seed"}
-
-
 def _parse_synthetic(spec: str) -> SyntheticConfig:
-    """Parse 'n=5000,assets=13,...' into a SyntheticConfig.
-
-    label_asset/label_p/label_alpha/label_eta[/label_seed] add a reference
-    cascade whose failures become the generated ground-truth labels.
-    """
+    """Parse 'n=5000,assets=13,...' into a SyntheticConfig, whose fields are
+    the spec's keys: each value is read as its field's type, and the config
+    checks the values."""
+    types = typing.get_type_hints(SyntheticConfig)
     kwargs = {}
-    label = {}
     for item in spec.split(","):
         item = item.strip()
         if not item:
@@ -114,40 +102,20 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
         if "=" not in item:
             raise UsageError(f"--synthetic: expected key=value, got {item!r}")
         key, value = (s.strip() for s in item.split("=", 1))
-        if key in _SYNTH_KEYS:
-            field, conv = _SYNTH_KEYS[key]
-            try:
-                kwargs[field] = conv(value)
-            except ValueError:
-                raise UsageError(f"--synthetic: bad value for {key}: {value!r}") from None
-        elif key in _SYNTH_LABEL_KEYS:
-            try:
-                label[key] = int(value) if key in ("label_asset", "label_seed") else float(value)
-            except ValueError:
-                raise UsageError(f"--synthetic: bad value for {key}: {value!r}") from None
-        else:
+        if key not in types:
             raise UsageError(f"--synthetic: unknown key {key!r}")
-    if "n_banks" not in kwargs:
+        if key in kwargs:
+            raise UsageError(f"--synthetic: key {key!r} given twice")
+        try:
+            kwargs[key] = types[key](value)
+        except ValueError:
+            raise UsageError(f"--synthetic: bad value for {key}: {value!r}") from None
+    if "n" not in kwargs:
         raise UsageError("--synthetic: key n=<bank count> is required")
-    if label:
-        needed = {"label_asset", "label_p", "label_alpha", "label_eta"}
-        if not needed <= set(label):
-            raise UsageError(f"--synthetic: label cascade needs {sorted(needed)}")
-        if label.get("label_seed", 0) < 0:
-            raise UsageError("--synthetic: label_seed must be non-negative")
     try:
-        if label:
-            kwargs["label_cascade"] = CascadeParams.single(
-                label["label_asset"], label["label_p"], label["label_alpha"],
-                label["label_eta"])
-            kwargs["label_seed"] = label.get("label_seed", 0)
-        config = SyntheticConfig(**kwargs)
+        return SyntheticConfig(**kwargs)
     except ValueError as e:
         raise UsageError(f"--synthetic: {e}") from None
-    if label and not 0 <= label["label_asset"] < config.n_assets:
-        raise UsageError(f"--synthetic: label_asset {label['label_asset']} out of range "
-                         f"({config.n_assets} assets)")
-    return config
 
 
 def _sha256(path) -> str:
@@ -193,10 +161,10 @@ def _resolve(args, etas):
         network, labels = load_completed_network(args.input), None
     else:
         synthetic = _parse_synthetic(args.synthetic)
-        if synthetic.label_cascade is not None and "labels" not in args:
+        if synthetic.label_asset is not None and "labels" not in args:
             raise UsageError(f"--synthetic: {args.command} takes no labels; drop the "
                              "label_* keys")
-        if synthetic.label_cascade is not None and args.labels:
+        if synthetic.label_asset is not None and args.labels:
             raise UsageError("--labels and the --synthetic label_* keys both give labels; "
                              "drop one")
         try:
@@ -393,10 +361,12 @@ def cmd_phase(args) -> int:
 
 def _add_network_flags(sp):
     sp.add_argument("--input", help="completed balance-sheet CSV")
+    # each SyntheticConfig field is a key, shown with its default or, where it
+    # has none, its type
+    keys = [f"{f.name}={f.type.upper()}" if f.default in (MISSING, None)
+            else f"{f.name}={f.default:g}" for f in fields(SyntheticConfig)]
     sp.add_argument("--synthetic", metavar="SPEC",
-                    help="generate data instead: n=5000[,assets=13,median=1e5,"
-                         "sigma=1.2,lev_low=0.85,lev_high=0.98,sparsity=0,"
-                         "concentration=8,label_asset=0,label_p=0.6,...]")
+                    help=f"generate data instead: {keys[0]}[,{','.join(keys[1:])}]")
     sp.add_argument("--asset", type=int, default=0, help="shocked asset index (default 0)")
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed; required when eta > 0, else 0")

@@ -10,8 +10,9 @@ rows where the asset is present.
 
 The synthetic generator substitutes for proprietary data at desk scale:
 log-normal bank sizes, Dirichlet-style portfolio weights around the
-population averages, uniform leverage. Labels for classifier self-tests are
-only ever produced by running a reference cascade, never invented.
+population averages, uniform leverage. Its SyntheticConfig is the command
+line's --synthetic spec, one field per key. Labels for classifier self-tests
+are only ever produced by running a reference cascade, never invented.
 """
 
 from __future__ import annotations
@@ -378,54 +379,78 @@ def load_labels(path) -> frozenset:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the synthetic network generator.
+    """Knobs for the synthetic network generator; each field is a key of the
+    command line's --synthetic spec, and __post_init__ checks them all.
 
     The target portfolio weights are the 13-entry population averages,
     normalized to sum to 1 (they average only over holders, so they do not),
-    when n_assets is 13, and uniform otherwise. label_cascade, when given,
-    produces ground-truth labels by running that reference cascade on the
-    generated network, on the stream of label_seed.
+    when assets is 13, and uniform otherwise. label_asset, label_p,
+    label_alpha and label_eta, given together, produce ground-truth labels by
+    running that single-asset reference cascade on the generated network, on
+    the stream of label_seed (0 when absent).
     """
 
-    n_banks: int
-    n_assets: int = 13
+    n: int
+    assets: int = 13
     concentration: float = 8.0
-    size_median: float = 1e5
-    size_sigma: float = 1.2
-    leverage_low: float = 0.85
-    leverage_high: float = 0.98
+    median: float = 1e5
+    sigma: float = 1.2
+    lev_low: float = 0.85
+    lev_high: float = 0.98
     sparsity: float = 0.0
-    label_cascade: CascadeParams = None
-    label_seed: int = 0
+    label_asset: int = None
+    label_p: float = None
+    label_alpha: float = None
+    label_eta: float = None
+    label_seed: int = None
 
     def __post_init__(self):
-        if self.n_banks < 1 or self.n_assets < 1:
+        labels = (self.label_asset, self.label_p, self.label_alpha, self.label_eta)
+        # label_seed alone asks for a label cascade too, so it needs the other four
+        labelled = self.label_seed is not None or any(v is not None for v in labels)
+        if labelled:
+            if any(v is None for v in labels):
+                raise ValueError("label cascade needs "
+                                 "['label_alpha', 'label_asset', 'label_eta', 'label_p']")
+            if self.label_seed is not None and self.label_seed < 0:
+                raise ValueError("label_seed must be non-negative")
+            try:
+                CascadeParams.single(self.label_asset, self.label_p, self.label_alpha,
+                                     self.label_eta)
+            except ValueError as e:
+                # CascadeParams' message starts with the parameter's name
+                raise ValueError(f"label_{e}") from None
+        if self.n < 1 or self.assets < 1:
             raise ValueError("need at least one bank and one asset")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
-        if not 0.0 <= self.leverage_low <= self.leverage_high:
+        if not 0.0 <= self.lev_low <= self.lev_high:
             raise ValueError("need 0 <= leverage_low <= leverage_high")
-        if not (self.concentration > 0 and self.size_median > 0):
+        if not (self.concentration > 0 and self.median > 0):
             raise ValueError("concentration and median must be positive")
-        if self.size_sigma < 0:
+        if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if not all(map(math.isfinite, (self.concentration, self.size_median, self.size_sigma,
-                                       self.leverage_low, self.leverage_high))):
+        if not all(map(math.isfinite, (self.concentration, self.median, self.sigma,
+                                       self.lev_low, self.lev_high))):
             raise ValueError("concentration, median, sigma and leverage must be finite")
+        # last, once assets is known to be a count
+        if labelled and not 0 <= self.label_asset < self.assets:
+            raise ValueError(f"label_asset {self.label_asset} out of range "
+                             f"({self.assets} assets)")
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int):
     """Generate (network, labels-or-None), deterministic for a fixed seed."""
     rng = stream(seed, DOMAIN_SYNTHETIC)
-    n, m = config.n_banks, config.n_assets
+    n, m = config.n, config.assets
     target = (DEFAULT_MEAN_WEIGHTS / DEFAULT_MEAN_WEIGHTS.sum()
               if m == DEFAULT_MEAN_WEIGHTS.size else np.full(m, 1.0 / m))
 
     # an overflowing spec makes inf, or inf * 0 = NaN, which BankAssetNetwork
     # refuses as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        sizes = config.size_median * np.exp(config.size_sigma * rng.standard_normal(n))
-        leverage = rng.uniform(config.leverage_low, config.leverage_high, n)
+        sizes = config.median * np.exp(config.sigma * rng.standard_normal(n))
+        leverage = rng.uniform(config.lev_low, config.lev_high, n)
         raw = rng.standard_gamma(config.concentration * target, size=(n, m))
         if config.sparsity > 0.0:
             raw[rng.random((n, m)) < config.sparsity] = 0.0
@@ -444,9 +469,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         total_liabilities=total_liabilities,
     )
     labels = None
-    if config.label_cascade is not None:
-        labels = labels_from_cascade(network, config.label_cascade,
-                                     stream(config.label_seed))
+    if config.label_asset is not None:
+        params = CascadeParams.single(config.label_asset, config.label_p, config.label_alpha,
+                                      config.label_eta)
+        labels = labels_from_cascade(network, params, stream(config.label_seed or 0))
     return network, labels
 
 

@@ -46,7 +46,7 @@ def random_instance(gen, n_lo=2, n_hi=40, m_lo=1, m_hi=6,
 
 def dense_synthetic(n_banks, seed, **kwargs):
     """Default-config synthetic network."""
-    return cf.generate_synthetic(cf.SyntheticConfig(n_banks=n_banks, **kwargs), seed)
+    return cf.generate_synthetic(cf.SyntheticConfig(n=n_banks, **kwargs), seed)
 
 
 class _FixtureNetwork(cf.BankAssetNetwork):

@@ -1,6 +1,7 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
-command line's range and manifest rules and the package's start-up rules,
-each with the tests that kill it or the reason no result can change.
+command line's range, manifest and --synthetic rules and the package's
+start-up rules, each with the tests that kill it or the reason no result can
+change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -28,9 +29,14 @@ CASCADE = "src/cascadefin/cascade.py"
 NETWORK = "src/cascadefin/network.py"
 EVALUATION = "src/cascadefin/evaluation.py"
 CLI = "src/cascadefin/cli.py"
+INGESTION = "src/cascadefin/ingestion.py"
 STARTUP = "tests/test_startup.py::test_import_loads_no_pool_and_pins_one_blas_thread"
 BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
 ROC_ORACLE = "tests/test_properties.py::test_roc_grid_matches_bank_by_bank_count"
+CONFIG_CHECKS = "tests/test_ingestion.py::test_synthetic_config_validation"
+BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_2_before_loading"
+LABEL_DOMAIN = "tests/test_cli.py::test_label_cascade_out_of_domain_exits_2"
+SPEC_ERRORS = "tests/test_cli.py::test_synthetic_spec_errors"
 
 
 class Mutant(NamedTuple):
@@ -166,6 +172,63 @@ MUTANTS = (
     Mutant("manifest-records-jobs", CLI,
            'not in ("command", "func", "out", "jobs")', 'not in ("command", "func", "out")',
            ("tests/test_cli.py::test_sweep_bytes_stable_across_runs_and_jobs",)),
+    # cli: the --synthetic spec's syntax
+    Mutant("spec-no-equals-check", CLI,
+           'if "=" not in item:', "if False:", (f"{BAD_INPUT}[synthetic-key-without-value]",)),
+    Mutant("spec-unknown-key-kept", CLI, "if key not in types:", "if False:", (SPEC_ERRORS,)),
+    Mutant("spec-repeated-key-kept", CLI, "if key in kwargs:", "if False:",
+           (f"{BAD_INPUT}[synthetic-key-twice]", f"{BAD_INPUT}[synthetic-label-key-twice]")),
+    Mutant("spec-every-value-float", CLI,
+           "kwargs[key] = types[key](value)", "kwargs[key] = float(value)",
+           ("tests/test_cli.py::test_synthetic_spec_round_trips_every_field",)),
+    Mutant("spec-bad-value-uncaught", CLI,
+           "        except ValueError:\n            raise UsageError(f\"--synthetic: bad value",
+           "        except TypeError:\n            raise UsageError(f\"--synthetic: bad value",
+           (f"{BAD_INPUT}[synthetic-bad-value]",)),
+    Mutant("spec-n-optional", CLI, 'if "n" not in kwargs:', "if False:", (SPEC_ERRORS,)),
+    Mutant("spec-config-error-uncaught", CLI,
+           "        return SyntheticConfig(**kwargs)\n    except ValueError as e:",
+           "        return SyntheticConfig(**kwargs)\n    except TypeError as e:",
+           (f"{BAD_INPUT}[concentration-0]",)),
+    # ingestion: SyntheticConfig's checks of the spec
+    Mutant("config-seed-alone-unlabelled", INGESTION,
+           "labelled = self.label_seed is not None or any(", "labelled = any(",
+           (CONFIG_CHECKS, f"{BAD_INPUT}[label-seed-0-alone]")),
+    Mutant("config-partial-labels", INGESTION,
+           "            if any(v is None for v in labels):", "            if False:",
+           (CONFIG_CHECKS, SPEC_ERRORS)),
+    Mutant("config-negative-label-seed", INGESTION,
+           "if self.label_seed is not None and self.label_seed < 0:", "if False:",
+           (CONFIG_CHECKS, LABEL_DOMAIN)),
+    Mutant("config-label-domain-late", INGESTION,
+           '                raise ValueError(f"label_{e}") from None', "                pass",
+           (CONFIG_CHECKS, LABEL_DOMAIN)),
+    Mutant("config-label-domain-unnamed", INGESTION,
+           'raise ValueError(f"label_{e}") from None', "raise", (CONFIG_CHECKS, LABEL_DOMAIN)),
+    Mutant("config-no-assets", INGESTION,
+           "if self.n < 1 or self.assets < 1:", "if self.n < 1:", (CONFIG_CHECKS,)),
+    Mutant("config-no-banks", INGESTION,
+           "if self.n < 1 or self.assets < 1:", "if self.assets < 1:", (CONFIG_CHECKS,)),
+    Mutant("config-sparsity-1", INGESTION,
+           "if not 0.0 <= self.sparsity < 1.0:", "if not 0.0 <= self.sparsity <= 1.0:",
+           (CONFIG_CHECKS,)),
+    Mutant("config-leverage-unordered", INGESTION,
+           "if not 0.0 <= self.lev_low <= self.lev_high:", "if not 0.0 <= self.lev_low:",
+           (CONFIG_CHECKS,)),
+    Mutant("config-median-unchecked", INGESTION,
+           "if not (self.concentration > 0 and self.median > 0):",
+           "if not self.concentration > 0:", (CONFIG_CHECKS,)),
+    Mutant("config-sigma-unchecked", INGESTION,
+           'raise ValueError("sigma must be non-negative")', "pass", (CONFIG_CHECKS,)),
+    Mutant("config-infinite-kept", INGESTION,
+           'raise ValueError("concentration, median, sigma and leverage must be finite")',
+           "pass", (f"{BAD_INPUT}[sigma-inf]",)),
+    Mutant("config-label-asset-at-count", INGESTION,
+           "not 0 <= self.label_asset < self.assets:",
+           "not 0 <= self.label_asset <= self.assets:", (CONFIG_CHECKS,)),
+    Mutant("config-label-asset-negative", INGESTION,
+           "not 0 <= self.label_asset < self.assets:", "not self.label_asset < self.assets:",
+           (CONFIG_CHECKS,)),
     # start-up: one BLAS thread, and no pool modules until a pool starts
     Mutant("startup-blas-threads", CASCADE,
            'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "pass", (STARTUP,)),

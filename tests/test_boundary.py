@@ -164,6 +164,8 @@ def synthetic_argv(draw):
 @example(["run", "--synthetic", "n=50,concentration=1e-300", "--p", "0.5"])
 @example(["phase", "--synthetic", "n=50,concentration=1e-300", "--eta", "0"])
 @example(["sweep", "--synthetic", "n=20", "--p", "0.5:0.5000000000005:1e-13"])
+@example(["run", "--synthetic", "n=3,n=2", "--p", "0.5"])
+@example(["run", "--synthetic", "n=5,label_seed=0"])
 def test_synthetic_command_lines_exit_0_or_2(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")

@@ -6,10 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from cascadefin import cli
+from cascadefin import SyntheticConfig, cli
 
 from helpers import assert_same_files, manifest_argv, serial_pool
 
@@ -339,6 +340,19 @@ def test_labels_naming_no_bank_exit_2(command, source, banks, trio_csv, tmp_path
     assert not out.exists()
 
 
+def test_synthetic_spec_round_trips_every_field():
+    # every field set away from its default and written back as a spec parses
+    # to an equal config of the same types: each key is read as its field's type
+    config = SyntheticConfig(n=7, assets=3, concentration=2.5, median=10.0, sigma=0.5,
+                             lev_low=0.5, lev_high=0.75, sparsity=0.25, label_asset=2,
+                             label_p=0.5, label_alpha=0.125, label_eta=0.25, label_seed=3)
+    values = {f.name: getattr(config, f.name) for f in fields(SyntheticConfig)}
+    assert all(values[f.name] != f.default for f in fields(SyntheticConfig))
+    parsed = cli._parse_synthetic(",".join(f"{k}={v!r}" for k, v in values.items()))
+    assert parsed == config
+    assert [type(getattr(parsed, k)) for k in values] == list(map(type, values.values()))
+
+
 def test_synthetic_spec_errors(capsys):
     assert run_cli("run", "--synthetic", "assets=13") == 2          # n missing
     assert run_cli("run", "--synthetic", "n=10,flavor=mild") == 2   # unknown key
@@ -389,6 +403,8 @@ A_FILE = "<an existing regular file>"
 A_DIR = "<an existing directory>"
 NOT_FINITE = "--synthetic: concentration, median, sigma and leverage must be finite"
 OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-finite value"
+LABELS_NEEDED = ("--synthetic: label cascade needs ['label_alpha', 'label_asset', 'label_eta', "
+                 "'label_p']")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -459,6 +475,11 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
      f"usage error: --out '{A_DIR}' is a directory; run writes one file"),
     (["run", "--input", MISSING, "--out", f"{A_DIR}/missing/result.json"],
      f"usage error: --out '{A_DIR}/missing/result.json': '{A_DIR}/missing' is not a directory"),
+    (["run", "--synthetic", "n=3,n=2", "--p", "0.5"], "--synthetic: key 'n' given twice"),
+    (["run", "--synthetic", "n=50,label_asset=0,label_p=0.3,label_alpha=0,label_eta=0,"
+      "label_p=0.9", "--p", "0.5"], "--synthetic: key 'label_p' given twice"),
+    (["run", "--synthetic", "n=5,label_seed=0"], LABELS_NEEDED),
+    (["run", "--synthetic", "n=5,label_seed=2"], LABELS_NEEDED),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
@@ -469,7 +490,8 @@ OVERFLOW = "--synthetic: the spec gives no valid network: holdings has a non-fin
         "ingest-header-only", "two-label-sources", "synthetic-key-without-value",
         "synthetic-bad-value", "range-non-numeric", "range-one-point-repeats",
         "range-repeats-values", "jobs-non-numeric", "sweep-out-file", "phase-out-under-file",
-        "ingest-out-file", "run-out-dir", "run-out-in-missing-dir"])
+        "ingest-out-file", "run-out-dir", "run-out-in-missing-dir", "synthetic-key-twice",
+        "synthetic-label-key-twice", "label-seed-0-alone", "label-seed-2-alone"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
@@ -576,12 +598,15 @@ def test_shock_asset_out_of_range_exits_2(toy_csv, capsys):
 
 
 def test_label_cascade_out_of_domain_exits_2(capsys):
-    spec = "n=10,label_asset={},label_p={},label_alpha=0,label_eta=0"
-    assert run_cli("run", "--synthetic", spec.format(99, 0.5)) == 2
-    assert "label_asset 99 out of range (13 assets)" in capsys.readouterr().err
-    assert run_cli("run", "--synthetic", spec.format(0, 1.5)) == 2
-    assert "p must be in [0, 1]" in capsys.readouterr().err
-    assert run_cli("run", "--synthetic", spec.format(0, 0.5) + ",label_seed=-1") == 2
+    # each message names the --synthetic key, not the flag of the same name
+    spec = "n=10,label_asset={},label_p={},label_alpha={},label_eta={}"
+    for values, message in [((99, 0.5, 0, 0), "label_asset 99 out of range (13 assets)"),
+                            ((0, 1.5, 0, 0), "label_p must be in [0, 1], got 1.5"),
+                            ((0, 0.5, 2, 0), "label_alpha must be in [0, 1], got 2.0"),
+                            ((0, 0.5, 0, 0.9), "label_eta must be in [0, 0.5], got 0.9")]:
+        assert run_cli("run", "--synthetic", spec.format(*values), "--seed", "1") == 2
+        assert f"usage error: --synthetic: {message}" in capsys.readouterr().err
+    assert run_cli("run", "--synthetic", spec.format(0, 0.5, 0, 0) + ",label_seed=-1") == 2
     assert "label_seed must be non-negative" in capsys.readouterr().err
 
 

@@ -3,6 +3,7 @@
 import codecs
 import csv
 import io
+import re
 import tracemalloc
 import warnings
 
@@ -392,7 +393,7 @@ def test_synthetic_respects_mean_weights():
     # uniform targets (any asset count but 13), high concentration, large n:
     # the empirical mean weight per asset lands within 0.01 of the target
     target = np.full(4, 1.0 / 4)
-    net, _ = dense_synthetic(4000, seed=6, n_assets=4, concentration=40.0)
+    net, _ = dense_synthetic(4000, seed=6, assets=4, concentration=40.0)
     got = (net.holdings / net.total_assets[:, None]).mean(axis=0)
     assert np.max(np.abs(got - target)) < 0.01
 
@@ -401,7 +402,7 @@ def test_synthetic_default_weights_renormalized_silently():
     # the defaults are known not to sum to 1; normalizing them is silent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        net, _ = cf.generate_synthetic(cf.SyntheticConfig(n_banks=2000), 13)
+        net, _ = cf.generate_synthetic(cf.SyntheticConfig(n=2000), 13)
     target = cf.DEFAULT_MEAN_WEIGHTS / cf.DEFAULT_MEAN_WEIGHTS.sum()
     got = (net.holdings / net.total_assets[:, None]).mean(axis=0)
     # heavier tails at concentration 8, so a looser band than the uniform case
@@ -416,52 +417,75 @@ def test_synthetic_sparsity_leaves_no_empty_banks():
 
 
 def test_synthetic_non_13_asset_count():
-    net, _ = dense_synthetic(30, seed=8, n_assets=4)
+    net, _ = dense_synthetic(30, seed=8, assets=4)
     assert net.n_assets == 4
 
 
 def test_preshock_failures_are_never_labels():
     # leverage up to 1.5 leaves banks insolvent before the shock: they fail in
     # round 0, and only a bank the shock or a sale fails is labelled
-    params = cf.CascadeParams.single(0, 0.5, 0.3, 0.0)
     net, labels = cf.generate_synthetic(cf.SyntheticConfig(
-        n_banks=300, leverage_low=0.9, leverage_high=1.5, label_cascade=params), 3)
+        n=300, lev_low=0.9, lev_high=1.5, label_asset=0, label_p=0.5, label_alpha=0.3,
+        label_eta=0.0), 3)
     insolvent = net.total_assets < net.total_liabilities
     labelled = net.mask(labels)
     assert (int(insolvent.sum()), int(labelled.sum())) == (253, 38)
     assert not (insolvent & labelled).any()
 
 
+LABEL_KEYS = {"label_asset": 0, "label_p": 0.3, "label_alpha": 0.0, "label_eta": 0.0}
+
+
 def test_synthetic_label_cascade():
     # alpha stays 0 here: dense default books amplify fire sales so hard that
     # any feedback collapses the whole market and leaves no negatives
     params = cf.CascadeParams.single(0, 0.3, 0.0, 0.0)
-    net, labels = dense_synthetic(400, seed=9, label_cascade=params)
+    net, labels = dense_synthetic(400, seed=9, **LABEL_KEYS)
     result = cf.run_cascade(net, params, cf.stream(0))
     expect = {net.bank_ids[i] for i in np.flatnonzero(result.failed_round >= 1)}
     assert isinstance(labels, frozenset) and labels == expect
     assert 0 < len(labels) < 400
     # at eta > 0 the labels are the failures of the label_seed stream, label_seed 0
     # when absent
-    noisy = cf.CascadeParams.single(0, 0.5, 0.0, 0.3)
-    by_seed = {seed: dense_synthetic(400, seed=9, label_cascade=noisy, label_seed=seed)
+    noisy = {**LABEL_KEYS, "label_p": 0.5, "label_eta": 0.3}
+    by_seed = {seed: dense_synthetic(400, seed=9, label_seed=seed, **noisy)
                for seed in (0, 1, 2)}
+    noisy_params = cf.CascadeParams.single(0, 0.5, 0.0, 0.3)
     for seed, (net, labels) in by_seed.items():
-        assert labels == cf.labels_from_cascade(net, noisy, cf.stream(seed))
-    assert dense_synthetic(400, seed=9, label_cascade=noisy)[1] == by_seed[0][1]
+        assert labels == cf.labels_from_cascade(net, noisy_params, cf.stream(seed))
+    assert dense_synthetic(400, seed=9, **noisy)[1] == by_seed[0][1]
     assert len({by_seed[seed][1] for seed in (0, 1, 2)}) == 3
 
 
 def test_synthetic_config_validation():
+    for bad in ({"n": 0}, {"n": 5, "assets": 0}):
+        with pytest.raises(ValueError, match="need at least one bank and one asset"):
+            cf.SyntheticConfig(**bad)
     with pytest.raises(ValueError):
-        cf.SyntheticConfig(n_banks=0)
+        cf.SyntheticConfig(n=5, sparsity=1.0)
     with pytest.raises(ValueError):
-        cf.SyntheticConfig(n_banks=5, sparsity=1.0)
-    with pytest.raises(ValueError):
-        cf.SyntheticConfig(n_banks=5, leverage_low=0.9, leverage_high=0.8)
-    for bad in ({"concentration": 0.0}, {"concentration": -1.0}, {"size_median": -5.0},
-                {"size_median": float("nan")}):
+        cf.SyntheticConfig(n=5, lev_low=0.9, lev_high=0.8)
+    for bad in ({"concentration": 0.0}, {"concentration": -1.0}, {"median": -5.0},
+                {"median": float("nan")}):
         with pytest.raises(ValueError, match="must be positive"):
-            cf.SyntheticConfig(n_banks=5, **bad)
+            cf.SyntheticConfig(n=5, **bad)
     with pytest.raises(ValueError, match="sigma must be non-negative"):
-        cf.SyntheticConfig(n_banks=5, size_sigma=-3.0)
+        cf.SyntheticConfig(n=5, sigma=-3.0)
+    # the label keys: all four or none, label_seed only with them
+    needs = re.escape("label cascade needs ['label_alpha', 'label_asset', 'label_eta', "
+                      "'label_p']")
+    for key in LABEL_KEYS:
+        with pytest.raises(ValueError, match=needs):
+            cf.SyntheticConfig(n=5, **{k: v for k, v in LABEL_KEYS.items() if k != key})
+    for seed in (0, 2):
+        with pytest.raises(ValueError, match=needs):
+            cf.SyntheticConfig(n=5, label_seed=seed)
+    cf.SyntheticConfig(n=5, label_seed=0, **LABEL_KEYS)
+    with pytest.raises(ValueError, match=re.escape("label_asset 4 out of range (4 assets)")):
+        cf.SyntheticConfig(n=5, assets=4, **{**LABEL_KEYS, "label_asset": 4})
+    with pytest.raises(ValueError, match=re.escape("label_asset -1 out of range (13 assets)")):
+        cf.SyntheticConfig(n=5, **{**LABEL_KEYS, "label_asset": -1})
+    with pytest.raises(ValueError, match="label_seed must be non-negative"):
+        cf.SyntheticConfig(n=5, label_seed=-1, **LABEL_KEYS)
+    with pytest.raises(ValueError, match=re.escape("label_p must be in [0, 1], got 1.5")):
+        cf.SyntheticConfig(n=5, **{**LABEL_KEYS, "label_p": 1.5})

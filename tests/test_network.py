@@ -92,9 +92,8 @@ def test_network_from_sheets_refuses_an_empty_table():
 def test_failed_banks_have_lower_equity_ratio():
     # the classic separation: cascade failures concentrate among thin-equity
     # banks, so a two-sample KS test rejects identical distributions
-    net, labels = dense_synthetic(
-        800, seed=91,
-        label_cascade=cf.CascadeParams.single(0, 0.3, 0.0, 0.0))
+    net, labels = dense_synthetic(800, seed=91, label_asset=0, label_p=0.3, label_alpha=0.0,
+                                  label_eta=0.0)
     assert 30 < len(labels) < 770
     ratio = (net.total_assets - net.total_liabilities) / net.total_assets
     failed_mask = np.array([b in labels for b in net.bank_ids])
