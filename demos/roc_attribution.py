@@ -26,8 +26,8 @@ print(f"{N} banks; ground truth from (p={TRUTH['p']}, alpha={TRUTH['alpha']}): "
 ps = np.round(np.arange(0.25, 0.66, 0.05), 12)
 points = cf.roc_grid(network, labels, 0, ps, (0.0, 0.05, 0.1), (0.0,), seed=SEED)
 
-split = {pt.split: pt.true_positives for pt in points
-         if (pt.alpha, pt.p) == (TRUTH["alpha"], TRUTH["p"])}
+at_truth = (points["alpha"] == TRUTH["alpha"]) & (points["p"] == TRUTH["p"])
+split = dict(zip(points["split"][at_truth].tolist(), points["tp_count"][at_truth].tolist()))
 print(f"attribution at the true parameters: "
       f"{split['first_step']} first-step failures, "
       f"{split['consecutive_steps']} fire-sale-driven failures")
@@ -35,18 +35,15 @@ print(f"attribution at the true parameters: "
 print()
 print("ROC points, full split (model failed = any failure round >= 1)")
 print("alpha  p     FPR    TPR")
-best = None
-for pt in points:
-    if pt.split != "full":
-        continue
-    marker = ""
-    if best is None or pt.tpr - pt.fpr > best.tpr - best.fpr:
-        best = pt
-    if (pt.alpha, pt.p) == (TRUTH["alpha"], TRUTH["p"]):
-        marker = "  <- true cell"
-    print(f"{pt.alpha:4.2f}  {pt.p:4.2f}  {pt.fpr:5.3f}  {pt.tpr:5.3f}{marker}")
+full = points["split"] == "full"
+alpha, p, fpr, tpr = (points[k][full].tolist() for k in ("alpha", "p", "fpr", "tpr"))
+for i in range(len(p)):
+    marker = "  <- true cell" if (alpha[i], p[i]) == (TRUTH["alpha"], TRUTH["p"]) else ""
+    print(f"{alpha[i]:4.2f}  {p[i]:4.2f}  {fpr[i]:5.3f}  {tpr[i]:5.3f}{marker}")
+# the first cell with the largest TPR - FPR
+best = max(range(len(p)), key=lambda i: tpr[i] - fpr[i])
 
 print()
-print(f"best corner: alpha={best.alpha}, p={best.p} "
-      f"at (FPR={best.fpr:.3f}, TPR={best.tpr:.3f})")
+print(f"best corner: alpha={alpha[best]}, p={p[best]} "
+      f"at (FPR={fpr[best]:.3f}, TPR={tpr[best]:.3f})")
 print("the true cell scores (0, 1) exactly: the simulator is its own oracle")

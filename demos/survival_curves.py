@@ -25,21 +25,16 @@ def main():
     network, _ = cf.generate_synthetic(cf.SyntheticConfig(n=args.n), args.seed)
 
     ps = np.round(np.arange(1.0, -0.001, -0.1), 12).tolist()
-    records = cf.survival_curves(network, None, 0, ps, args.alphas, [args.eta],
-                                 seed=args.seed)
-
-    by_alpha = {}
-    for rec in records:
-        by_alpha.setdefault(rec.alpha, []).append(rec)
+    curves = cf.survival_curves(network, None, 0, ps, args.alphas, [args.eta],
+                                seed=args.seed)
+    # cells run alpha-major, so each alpha is one row of p values
+    survival = curves["survival_all"].reshape(len(args.alphas), len(ps)).T.tolist()
 
     header = "p     " + "".join(f"alpha={a:<8.2f}" for a in args.alphas)
     print(f"survival fraction over {args.n} banks, shock on asset 0")
     print(header)
-    for k, p in enumerate(ps):
-        row = f"{p:4.1f}  "
-        for a in args.alphas:
-            row += f"{by_alpha[a][k].survival_all:<14.3f}"
-        print(row)
+    for p, row in zip(ps, survival):
+        print(f"{p:4.1f}  " + "".join(f"{s:<14.3f}" for s in row))
 
     print()
     print("columns to the right collapse earlier: fire sales turn a shock")

@@ -24,14 +24,10 @@ from .cascade import (
 )
 from .evaluation import (
     PhaseDiagram,
-    RocPoint,
-    SweepRecord,
     phase_scan,
     roc_grid,
     survival_curves,
-    write_phase_csv,
-    write_roc_csv,
-    write_survival_csv,
+    write_csv,
 )
 from .ingestion import (
     RawTable,
@@ -51,11 +47,10 @@ from .network import ASSET_NAMES, DEFAULT_MEAN_WEIGHTS, BankAssetNetwork
 
 __all__ = [
     "ASSET_NAMES", "BankAssetNetwork", "CascadeParams", "CascadeResult",
-    "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RocPoint",
-    "RoundState", "SURVIVED", "SchemaError", "SweepRecord", "SyntheticConfig",
-    "apply_fire_sales", "apply_shock", "complete_dataset", "compute_average_weights",
-    "evaluate_round", "generate_synthetic", "labels_from_cascade", "load_completed_network",
-    "load_labels", "load_raw_csv", "network_from_sheets", "phase_scan", "roc_grid",
-    "run_cascade", "save_completed_csv", "stream", "survival_curves", "write_phase_csv",
-    "write_roc_csv", "write_survival_csv",
+    "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RoundState",
+    "SURVIVED", "SchemaError", "SyntheticConfig", "apply_fire_sales", "apply_shock",
+    "complete_dataset", "compute_average_weights", "evaluate_round", "generate_synthetic",
+    "labels_from_cascade", "load_completed_network", "load_labels", "load_raw_csv",
+    "network_from_sheets", "phase_scan", "roc_grid", "run_cascade", "save_completed_csv",
+    "stream", "survival_curves", "write_csv",
 ]

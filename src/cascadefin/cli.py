@@ -32,9 +32,7 @@ from .evaluation import (
     phase_scan,
     roc_grid,
     survival_curves,
-    write_phase_csv,
-    write_roc_csv,
-    write_survival_csv,
+    write_csv,
 )
 from .ingestion import (
     SchemaError,
@@ -46,6 +44,9 @@ from .ingestion import (
     load_raw_csv,
     save_completed_csv,
 )
+
+
+write_roc_csv = write_phase_csv = write_csv  # bench/tracer.py times the writes by these names
 
 
 class UsageError(Exception):
@@ -321,10 +322,10 @@ def cmd_sweep(args) -> int:
     if len(etas) != 1:
         raise UsageError("sweep varies p and alpha; --eta must be a scalar")
     network, labels = _resolve(args, etas)
-    records = survival_curves(network, labels, args.asset, ps, alphas, etas,
-                              seed=args.seed, jobs=args.jobs)
-    path = _write_outputs(args, "survival.csv", write_survival_csv, records)
-    print(f"wrote {len(records)} rows -> {path}")
+    curves = survival_curves(network, labels, args.asset, ps, alphas, etas,
+                             seed=args.seed, jobs=args.jobs)
+    path = _write_outputs(args, "survival.csv", write_csv, curves)
+    print(f"wrote {len(curves['p'])} rows -> {path}")
     return 0
 
 
@@ -337,7 +338,7 @@ def cmd_roc(args) -> int:
     points = roc_grid(network, labels, args.asset, ps, alphas, etas, seed=args.seed,
                       replicates=args.replicates, jobs=args.jobs)
     path = _write_outputs(args, "roc.csv", write_roc_csv, points)
-    print(f"wrote {len(points)} ROC points -> {path}")
+    print(f"wrote {len(points['p'])} ROC points -> {path}")
     return 0
 
 
@@ -351,7 +352,7 @@ def cmd_phase(args) -> int:
     network, _ = _resolve(args, grids[2])
     diagram = phase_scan(network, args.asset, *grids, args.replicates, seed=args.seed,
                          threshold=args.threshold, jobs=args.jobs)
-    path = _write_outputs(args, "phase.csv", write_phase_csv, diagram)
+    path = _write_outputs(args, "phase.csv", write_phase_csv, diagram.columns())
     drop = "" if diagram.max_step_drop is None \
         else f", max step drop {diagram.max_step_drop:.3f}"
     print(f"scanned {diagram.mean_survival.size} cells x {args.replicates} replicates"

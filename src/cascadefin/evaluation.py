@@ -32,26 +32,6 @@ REGION_COLLAPSED = "II"
 DEFAULT_REGION_THRESHOLD = 0.05
 DEFAULT_REPLICATES = 300
 
-@dataclass(frozen=True)
-class RocPoint:
-    alpha: float
-    eta: float
-    p: float
-    tpr: float
-    fpr: float
-    true_positives: int
-    split: str
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    p: float
-    alpha: float
-    eta: float
-    survival_all: float
-    survival_labeled: float  # None when no labeled bank is in the network
-
-
 @dataclass
 class PhaseDiagram:
     axis_names: tuple
@@ -60,6 +40,14 @@ class PhaseDiagram:
     ci_half: FloatA             # None when replicates < 2
     region: np.ndarray          # 'I' / 'II' per cell
     max_step_drop: float = None  # only for 1-D scans
+
+    def columns(self) -> dict:
+        """write_csv's columns: one row per cell, the first axis slowest."""
+        axes = np.meshgrid(*self.axis_values, indexing="ij")
+        return {**{name: a.ravel() for name, a in zip(self.axis_names, axes)},
+                "mean_survival": self.mean_survival.ravel(),
+                "ci_half": None if self.ci_half is None else self.ci_half.ravel(),
+                "region": self.region.ravel()}
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +172,13 @@ def _alpha_eta_p(ps, alphas, etas) -> list:
 
 
 def survival_curves(network, labels, shocked_asset, ps, alphas, etas,
-                    *, seed=0, jobs=1):
+                    *, seed=0, jobs=1) -> dict:
     """Survival fraction (all banks, labeled banks) per (p, alpha, eta) cell.
 
     One cascade per cell; cells run in roc_grid's order, alpha-major, then
     eta, then p, so each (alpha, eta) pair forms one curve over the p grid.
+    Returns write_csv's columns, one row per cell; survival_labeled is None
+    when no labeled bank is in the network.
     """
     positives = network.mask(labels)
     if labels is not None and not positives.any():
@@ -196,33 +186,37 @@ def survival_curves(network, labels, shocked_asset, ps, alphas, etas,
     cells = _alpha_eta_p(ps, alphas, etas)
     out = _run_lattice(network, shocked_asset, cells, 1, seed, _reduce_survival, jobs,
                        positives)
-    return [SweepRecord(*cell, mean, labeled) for cell, (mean, _, labeled) in zip(cells, out)]
+    p, alpha, eta = np.array(cells).T
+    mean, _, labeled = zip(*out)
+    return {"p": p, "alpha": alpha, "eta": eta, "survival_all": np.array(mean),
+            "survival_labeled": np.array(labeled) if positives.any() else None}
 
 
 def roc_grid(network, labels, shocked_asset, ps, alphas, etas,
-             *, seed=0, replicates=1, jobs=1):
+             *, seed=0, replicates=1, jobs=1) -> dict:
     """ROC points over the (p, alpha, eta) lattice, three splits per cell.
 
     Cells run alpha-major, then eta, then p. Positives are the labeled banks
-    present in the network; negatives are the rest. A bank counts as
-    model-failed when its fate round is >= 1, so pre-shock insolvencies never
-    contribute to any split. The first-step and consecutive-steps splits
-    partition the full split's true positives.
+    present in the network; negatives are the rest, and there must be one of
+    each. A bank counts as model-failed when its fate round is >= 1, so
+    pre-shock insolvencies never contribute to any split. The first-step and
+    consecutive-steps splits partition the full split's true positives.
+    Returns write_csv's columns, one row per cell and split.
     """
     positives = network.mask(labels)
     n_pos = int(positives.sum())
     n_neg = network.n_banks - n_pos
     if n_pos == 0 or n_neg == 0:
-        warnings.warn("ROC undefined: need at least one positive and one negative bank; "
-                      "no points emitted")
-        return []
+        raise ValueError(f"ROC undefined: need at least one positive and one negative bank, "
+                         f"got {n_pos} and {n_neg}")
     cells = _alpha_eta_p(ps, alphas, etas)
     out = _run_lattice(network, shocked_asset, cells, replicates, seed, _reduce_roc, jobs,
                        positives)
     splits = (SPLIT_FULL, SPLIT_FIRST, SPLIT_CONSECUTIVE)
-    return [RocPoint(alpha, eta, p, tp / n_pos, fp / n_neg, tp, split)
-            for (p, alpha, eta), counts in zip(cells, out)
-            for split, (tp, fp) in zip(splits, counts)]
+    p, alpha, eta = (np.repeat(col, len(splits)) for col in np.array(cells).T)
+    tp, fp = np.array(out).reshape(-1, 2).T
+    return {"alpha": alpha, "eta": eta, "p": p, "split": np.tile(splits, len(cells)),
+            "fpr": fp / n_neg, "tpr": tp / n_pos, "tp_count": tp}
 
 
 def phase_scan(network, shocked_asset, ps, alphas, etas,
@@ -256,39 +250,19 @@ def phase_scan(network, shocked_asset, ps, alphas, etas,
 
 
 # ---------------------------------------------------------------------------
-# plot-ready CSV output; repr() keeps every float round-trippable and stable
+# plot-ready CSV output
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
+def write_csv(columns, path):
+    """Write a dict of equal-length columns as CSV, its keys as the header.
 
-
-def _write_rows(path, header, rows):
-    """Write the header and rows of text fields as plain comma joins; no
-    field of these files ever needs quoting."""
+    A float column writes the repr of each value, which round-trips and never
+    varies; any other column writes str of each value, and a None column
+    blank cells. No cell of these tables ever needs quoting.
+    """
+    cells = [itertools.repeat("") if col is None
+             else map(repr if col.dtype.kind == "f" else str, col.tolist())
+             for col in columns.values()]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def write_roc_csv(points, path):
-    _write_rows(path, ["alpha", "eta", "p", "split", "fpr", "tpr", "tp_count"],
-                ([_fmt(pt.alpha), _fmt(pt.eta), _fmt(pt.p), pt.split, _fmt(pt.fpr),
-                  _fmt(pt.tpr), str(pt.true_positives)] for pt in points))
-
-
-def write_survival_csv(records, path):
-    _write_rows(path, ["p", "alpha", "eta", "survival_all", "survival_labeled"],
-                ([_fmt(rec.p), _fmt(rec.alpha), _fmt(rec.eta), _fmt(rec.survival_all),
-                  _fmt(rec.survival_labeled)] for rec in records))
-
-
-def write_phase_csv(diagram: PhaseDiagram, path):
-    d = diagram
-    _write_rows(path, [*d.axis_names, "mean_survival", "ci_half", "region"],
-                ([*(_fmt(d.axis_values[k][i]) for k, i in enumerate(idx)),
-                  _fmt(d.mean_survival[idx]), _fmt(None if d.ci_half is None else d.ci_half[idx]),
-                  str(d.region[idx])] for idx in np.ndindex(d.mean_survival.shape)))
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

@@ -425,7 +425,7 @@ class SyntheticConfig:
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
         if not 0.0 <= self.lev_low <= self.lev_high:
-            raise ValueError("need 0 <= leverage_low <= leverage_high")
+            raise ValueError("need 0 <= lev_low <= lev_high")
         if not (self.concentration > 0 and self.median > 0):
             raise ValueError("concentration and median must be positive")
         if self.sigma < 0:

@@ -128,3 +128,11 @@ def assert_same_files(out, replayed):
         with open(os.path.join(out, name), "rb") as a, \
                 open(os.path.join(replayed, name), "rb") as b:
             assert a.read() == b.read(), name
+
+
+def rows(columns, *keys) -> list:
+    """The rows of an analysis' columns as tuples of plain Python values, of
+    the named columns or all of them; a None column is None in every row."""
+    n = max(len(col) for col in columns.values() if col is not None)
+    return list(zip(*([None] * n if columns[k] is None else columns[k].tolist()
+                      for k in keys or columns)))

@@ -150,6 +150,12 @@ MUTANTS = (
     Mutant("phase-region-at-threshold", EVALUATION,
            "np.where(mean < threshold,", "np.where(mean <= threshold,",
            ("tests/test_evaluation.py::test_phase_scan_one_dimensional",)),
+    # evaluation: lattice order of the output columns
+    Mutant("phase-columns-xy", EVALUATION, 'indexing="ij"', 'indexing="xy"',
+           ("tests/test_cli.py::test_output_bytes_are_pinned[phase-2d]",)),
+    Mutant("roc-cell-columns-tiled", EVALUATION,
+           "np.repeat(col, len(splits))", "np.tile(col, len(splits))",
+           ("tests/test_cli.py::test_output_bytes_are_pinned[roc]",)),
     # evaluation: lattice dispatch
     Mutant("lattice-one-cell-pooled", EVALUATION, "n_cells <= 1:", "n_cells < 1:",
            ("tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice",)),

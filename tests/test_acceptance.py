@@ -23,7 +23,7 @@ import cascadefin as cf
 from cascadefin import cli
 
 from helpers import bimodal_dense_2000, dense_synthetic, make_network, \
-    random_instance, toy_network
+    random_instance, rows, toy_network
 from reference import brute_force_cascade, failure_probability
 
 SEED = 20260822
@@ -215,16 +215,17 @@ def criterion_6():
             np.round(np.arange(0.0, 0.46, 0.05), 12))    # eta
     assert math.prod(map(len, grid)) == 1000
     points = cf.roc_grid(net, labels, 0, *grid, seed=SEED)
-    oracle = [pt for pt in points if pt.split == "full"
-              and pt.alpha == 0.0 and pt.eta == 0.0 and pt.p == 0.3]
+    oracle = [(fpr, tpr) for split, alpha, eta, p, fpr, tpr
+              in rows(points, "split", "alpha", "eta", "p", "fpr", "tpr")
+              if split == "full" and alpha == 0.0 and eta == 0.0 and p == 0.3]
     assert len(oracle) == 1
-    assert (oracle[0].fpr, oracle[0].tpr) == (0.0, 1.0), \
-        f"oracle labels gave ({oracle[0].fpr}, {oracle[0].tpr})"
+    assert oracle[0] == (0.0, 1.0), f"oracle labels gave {oracle[0]}"
 
     shuffled = frozenset(net.bank_ids[j] for j in
                          cf.stream(SEED, 6).permutation(net.n_banks)[:n_pos])
     noise = cf.roc_grid(net, shuffled, 0, *grid, seed=SEED)
-    gaps = np.array([abs(pt.tpr - pt.fpr) for pt in noise if pt.split == "full"])
+    gaps = np.array([abs(tpr - fpr) for split, tpr, fpr in rows(noise, "split", "tpr", "fpr")
+                     if split == "full"])
     assert gaps.size == 1000
     assert gaps.mean() < 0.05, f"permuted labels: mean |TPR-FPR| {gaps.mean():.4f}"
     elapsed = time.perf_counter() - t0

@@ -50,6 +50,8 @@ def test_traced_phase_run_decomposes(tmp_path):
                         "--jobs", "1"], tmp_path)
     assert m["cascade.calls"] == cells * replicates
     assert_lattice_decomposes(m)
+    # cli calls the writer through the name the tracer wraps
+    assert m["evaluation.write_s"] > 0
 
 
 def test_traced_roc_run_decomposes(tmp_path):
@@ -63,6 +65,8 @@ def test_traced_roc_run_decomposes(tmp_path):
                        tmp_path)
     assert m["cascade.calls"] == cells * replicates
     assert_lattice_decomposes(m)
+    # cli calls the writer through the name the tracer wraps
+    assert m["evaluation.write_s"] > 0
 
 
 def test_traced_eta_zero_phase_runs_each_cell_once(tmp_path):

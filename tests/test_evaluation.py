@@ -1,4 +1,4 @@
-"""Survival curves, ROC grids and their splits, phase scans, CSV writers."""
+"""Survival curves, ROC grids and their splits, phase scans, the CSV writer."""
 
 import gc
 import weakref
@@ -10,7 +10,7 @@ import pytest
 import cascadefin as cf
 from cascadefin.cascade import DOMAIN_CELL
 
-from helpers import dense_synthetic, make_network, serial_pool, toy_network
+from helpers import dense_synthetic, make_network, rows, serial_pool, toy_network
 
 
 def three_bank_network():
@@ -23,37 +23,38 @@ def three_bank_network():
 # --- survival curves -----------------------------------------------------
 
 def test_survival_curon_toy_grid():
-    records = cf.survival_curves(toy_network(), ["B"], 0,
-                                 [1.0, 0.6], [0.0, 1.0], [0.0], seed=1)
+    curves = cf.survival_curves(toy_network(), ["B"], 0,
+                                [1.0, 0.6], [0.0, 1.0], [0.0], seed=1)
+    assert list(curves) == ["p", "alpha", "eta", "survival_all", "survival_labeled"]
     # alpha-major enumeration: each alpha value is one curve over p
-    assert [(r.p, r.alpha) for r in records] == [(1.0, 0.0), (0.6, 0.0),
-                                                (1.0, 1.0), (0.6, 1.0)]
-    assert records[0].survival_all == 1.0
-    assert records[0].survival_labeled == 1.0
-    assert records[3].survival_all == 0.0
-    assert records[3].survival_labeled == 0.0
-    assert all(r.eta == 0.0 for r in records)
+    assert rows(curves, "p", "alpha") == [(1.0, 0.0), (0.6, 0.0), (1.0, 1.0), (0.6, 1.0)]
+    assert curves["survival_all"][0] == 1.0
+    assert curves["survival_labeled"][0] == 1.0
+    assert curves["survival_all"][3] == 0.0
+    assert curves["survival_labeled"][3] == 0.0
+    assert (curves["eta"] == 0.0).all()
 
 
 def test_survival_curves_run_in_roc_grid_cell_order():
     net = three_bank_network()
     grids = ([1.0, 0.6], [0.0, 1.0], [0.0, 0.1])
-    records = cf.survival_curves(net, ["A"], 0, *grids, seed=2)
+    curves = cf.survival_curves(net, ["A"], 0, *grids, seed=2)
     points = cf.roc_grid(net, ["A"], 0, *grids, seed=2)
-    assert [(r.p, r.alpha, r.eta) for r in records] == \
-        [(pt.p, pt.alpha, pt.eta) for pt in points if pt.split == "full"]
-    assert [(r.alpha, r.eta) for r in records[:4]] == [(0.0, 0.0)] * 2 + [(0.0, 0.1)] * 2
+    assert rows(curves, "p", "alpha", "eta") == \
+        [(p, alpha, eta) for p, alpha, eta, split in rows(points, "p", "alpha", "eta", "split")
+         if split == "full"]
+    assert rows(curves, "alpha", "eta")[:4] == [(0.0, 0.0)] * 2 + [(0.0, 0.1)] * 2
 
 
 def test_survival_curves_without_labels():
-    records = cf.survival_curves(toy_network(), None, 0, [0.6], [1.0], [0.0])
-    assert records[0].survival_labeled is None
+    curves = cf.survival_curves(toy_network(), None, 0, [0.6], [1.0], [0.0])
+    assert curves["survival_labeled"] is None
 
 
 def test_survival_curves_disjoint_labels_warn():
     with pytest.warns(UserWarning, match="disjoint"):
-        records = cf.survival_curves(toy_network(), ["ghost"], 0, [0.6], [1.0], [0.0])
-    assert records[0].survival_labeled is None
+        curves = cf.survival_curves(toy_network(), ["ghost"], 0, [0.6], [1.0], [0.0])
+    assert curves["survival_labeled"] is None
 
 
 def test_survival_curves_empty_grid_rejected():
@@ -67,7 +68,7 @@ def test_survival_curves_jobs_do_not_change_results():
     serial = cf.survival_curves(net, None, 0, [0.8, 0.5], [0.0, 0.4], [0.26], **kw)
     parallel = cf.survival_curves(net, None, 0, [0.8, 0.5], [0.0, 0.4], [0.26],
                                   jobs=2, **kw)
-    assert serial == parallel
+    assert rows(serial) == rows(parallel)
 
 
 # --- ROC grids -----------------------------------------------------------
@@ -87,13 +88,12 @@ def test_roc_oracle_cell_hits_top_left():
     labels = oracle_labels(net, cell)
     assert labels == {"A", "B"}
     points = cf.roc_grid(net, labels, 0, (0.6, 1.0), (0.0, 1.0), (0.0,), seed=0)
-    by_cell = {(pt.alpha, pt.p, pt.split): pt for pt in points}
-    top = by_cell[(1.0, 0.6, "full")]
-    assert (top.fpr, top.tpr) == (0.0, 1.0)
-    assert top.true_positives == 2
+    assert list(points) == ["alpha", "eta", "p", "split", "fpr", "tpr", "tp_count"]
+    by_cell = {(alpha, p, split): (fpr, tpr, tp) for alpha, p, split, fpr, tpr, tp
+               in rows(points, "alpha", "p", "split", "fpr", "tpr", "tp_count")}
+    assert by_cell[(1.0, 0.6, "full")] == (0.0, 1.0, 2)
     # the no-shock no-sale cell classifies nobody as failed
-    idle = by_cell[(0.0, 1.0, "full")]
-    assert (idle.fpr, idle.tpr) == (0.0, 0.0)
+    assert by_cell[(0.0, 1.0, "full")][:2] == (0.0, 0.0)
 
 
 def test_roc_splits_partition_full():
@@ -101,23 +101,22 @@ def test_roc_splits_partition_full():
     labels = ["A", "B"]
     points = cf.roc_grid(net, labels, 0, (0.6, 1.0), (0.0, 1.0), (0.0,), seed=0)
     cells = {}
-    for pt in points:
-        cells.setdefault((pt.alpha, pt.eta, pt.p), {})[pt.split] = pt
+    for *cell, split, tp in rows(points, "alpha", "eta", "p", "split", "tp_count"):
+        cells.setdefault(tuple(cell), {})[split] = tp
     assert len(cells) == 4
     for splits in cells.values():
-        assert splits["full"].true_positives == (splits["first_step"].true_positives
-                                                 + splits["consecutive_steps"].true_positives)
+        assert splits["full"] == splits["first_step"] + splits["consecutive_steps"]
     sharp = cells[(1.0, 0.0, 0.6)]
-    assert sharp["first_step"].true_positives == 1      # A, round 1
-    assert sharp["consecutive_steps"].true_positives == 1  # B, round 2
+    assert sharp["first_step"] == 1      # A, round 1
+    assert sharp["consecutive_steps"] == 1  # B, round 2
 
 
 def test_roc_needs_both_classes():
     net = three_bank_network()
-    with pytest.warns(UserWarning, match="at least one positive"):
-        assert cf.roc_grid(net, [], 0, (1.0,), (0.0,), (0.0,)) == []
-    with pytest.warns(UserWarning, match="at least one positive"):
-        assert cf.roc_grid(net, ["A", "B", "C"], 0, (1.0,), (0.0,), (0.0,)) == []
+    with pytest.raises(ValueError, match="at least one positive"):
+        cf.roc_grid(net, [], 0, (1.0,), (0.0,), (0.0,))
+    with pytest.raises(ValueError, match="at least one positive"):
+        cf.roc_grid(net, ["A", "B", "C"], 0, (1.0,), (0.0,), (0.0,))
 
 
 def test_roc_replicates_are_deterministic_and_collapse_at_eta_zero():
@@ -126,11 +125,11 @@ def test_roc_replicates_are_deterministic_and_collapse_at_eta_zero():
     grid = ((0.4, 0.8), (0.0, 0.2), (0.0,))
     single = cf.roc_grid(net, labels, 0, *grid, seed=5, replicates=1)
     voted = cf.roc_grid(net, labels, 0, *grid, seed=5, replicates=3)
-    assert single == voted
+    assert rows(single) == rows(voted)
     noisy_grid = ((0.4,), (0.2,), (0.26,))
     a = cf.roc_grid(net, labels, 0, *noisy_grid, seed=5, replicates=4)
     b = cf.roc_grid(net, labels, 0, *noisy_grid, seed=5, replicates=4)
-    assert a == b
+    assert rows(a) == rows(b)
 
 
 def test_roc_invariant_under_bank_reordering():
@@ -140,16 +139,15 @@ def test_roc_invariant_under_bank_reordering():
                            ids=tuple(reversed(net.bank_ids)))
     a = cf.roc_grid(net, ["A", "B"], 0, (0.6,), (1.0,), (0.0,), seed=0)
     b = cf.roc_grid(flipped, ["A", "B"], 0, (0.6,), (1.0,), (0.0,), seed=0)
-    assert [(pt.split, pt.tpr, pt.fpr) for pt in a] == \
-        [(pt.split, pt.tpr, pt.fpr) for pt in b]
+    assert rows(a, "split", "tpr", "fpr") == rows(b, "split", "tpr", "fpr")
 
 
 def test_roc_jobs_do_not_change_results():
     net, _ = dense_synthetic(60, seed=33)
     labels = oracle_labels(net, cf.CascadeParams.single(0, 0.4, 0.0, 0.0))
     grid = ((0.4, 0.9), (0.0, 0.3), (0.0, 0.2))
-    assert cf.roc_grid(net, labels, 0, *grid, seed=6) == \
-        cf.roc_grid(net, labels, 0, *grid, seed=6, jobs=2)
+    assert rows(cf.roc_grid(net, labels, 0, *grid, seed=6)) == \
+        rows(cf.roc_grid(net, labels, 0, *grid, seed=6, jobs=2))
 
 
 def test_roc_counts_preshock_failures_in_no_split():
@@ -159,7 +157,7 @@ def test_roc_counts_preshock_failures_in_no_split():
     for replicates in (1, 3):
         points = cf.roc_grid(net, ["dead_pos", "hit"], 0, (0.6,), (0.0,), (0.0, 0.1),
                              seed=3, replicates=replicates)
-        counts = [(pt.eta, pt.split, pt.true_positives, pt.fpr) for pt in points]
+        counts = rows(points, "eta", "split", "tp_count", "fpr")
         assert counts == [(eta, split, tp, 0.0) for eta in (0.0, 0.1)
                           for split, tp in (("full", 1), ("first_step", 1),
                                             ("consecutive_steps", 0))]
@@ -243,29 +241,27 @@ def test_serial_lattice_releases_the_network(asset):
 
 # --- CSV writers ---------------------------------------------------------
 
-def test_write_survival_csv(tmp_path):
-    records = [cf.SweepRecord(1.0, 0.5, 0.0, 0.75, None)]
-    path = tmp_path / "survival.csv"
-    cf.write_survival_csv(records, path)
-    assert path.read_text() == ("p,alpha,eta,survival_all,survival_labeled\n"
-                                "1.0,0.5,0.0,0.75,\n")
-
-
-def test_write_roc_csv(tmp_path):
-    points = [cf.RocPoint(0.5, 0.0, 0.25, 1.0, 0.0, 7, "full")]
-    path = tmp_path / "roc.csv"
-    cf.write_roc_csv(points, path)
-    assert path.read_text() == ("alpha,eta,p,split,fpr,tpr,tp_count\n"
-                                "0.5,0.0,0.25,full,0.0,1.0,7\n")
-
-
-def test_write_phase_csv(tmp_path):
-    diagram = cf.phase_scan(toy_network(), 0, [0.6], [0.0, 1.0], [0.0], replicates=1)
-    path = tmp_path / "phase.csv"
-    cf.write_phase_csv(diagram, path)
-    assert path.read_text() == ("alpha,mean_survival,ci_half,region\n"
-                                "0.0,0.5,,I\n"
-                                "1.0,0.0,,II\n")
+@pytest.mark.parametrize("columns, text", [
+    ({"p": np.array([1.0, 0.1 + 0.2]), "survival_all": np.array([0.75, 0.0]),
+      "survival_labeled": None},
+     "p,survival_all,survival_labeled\n"
+     "1.0,0.75,\n"
+     "0.30000000000000004,0.0,\n"),
+    ({"alpha": np.array([0.5]), "split": np.array(["full"]), "tpr": np.array([1.0]),
+      "tp_count": np.array([7])},
+     "alpha,split,tpr,tp_count\n"
+     "0.5,full,1.0,7\n"),
+    (cf.phase_scan(toy_network(), 0, [0.6], [0.0, 1.0], [0.0], replicates=1).columns(),
+     "alpha,mean_survival,ci_half,region\n"
+     "0.0,0.5,,I\n"
+     "1.0,0.0,,II\n"),
+], ids=["survival", "roc", "phase-1d"])
+def test_write_csv(columns, text, tmp_path):
+    # a float writes its repr, which round-trips; an int or str its str; a
+    # None column blank cells
+    path = tmp_path / "table.csv"
+    cf.write_csv(columns, path)
+    assert path.read_text() == text
 
 
 # --- eta = 0 cells run once ------------------------------------------------

@@ -463,7 +463,7 @@ def test_synthetic_config_validation():
             cf.SyntheticConfig(**bad)
     with pytest.raises(ValueError):
         cf.SyntheticConfig(n=5, sparsity=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= lev_low <= lev_high"):
         cf.SyntheticConfig(n=5, lev_low=0.9, lev_high=0.8)
     for bad in ({"concentration": 0.0}, {"concentration": -1.0}, {"median": -5.0},
                 {"median": float("nan")}):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cascadefin as cf
 
-from helpers import make_network, random_instance
+from helpers import make_network, random_instance, rows
 from reference import brute_force_cascade, brute_force_roc, complete_rows, full_barrier_round
 
 # derandomized, so every run of the suite checks the same examples
@@ -204,20 +204,21 @@ etas = st.lists(st.sampled_from([0.0, 0.1, 0.26]), min_size=1, max_size=2)
 @given(small_markets(), grids, grids, etas)
 def test_survival_curves_same_at_jobs_2(market, ps, alphas, eta_grid):
     net, labels, seed = market
-    serial = cf.survival_curves(net, labels, 0, ps, alphas, eta_grid, seed=seed)
+    serial = rows(cf.survival_curves(net, labels, 0, ps, alphas, eta_grid, seed=seed))
     assert len(serial) == len(ps) * len(alphas) * len(eta_grid)
-    assert cf.survival_curves(net, labels, 0, ps, alphas, eta_grid, seed=seed, jobs=2) == serial
+    assert rows(cf.survival_curves(net, labels, 0, ps, alphas, eta_grid, seed=seed,
+                                   jobs=2)) == serial
 
 
 @LATTICE
 @given(small_markets(), grids, grids, etas, st.integers(1, 3))
 def test_roc_grid_same_at_jobs_2(market, ps, alphas, eta_grid, replicates):
     net, labels, seed = market
-    serial = cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
-                         replicates=replicates)
+    serial = rows(cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
+                              replicates=replicates))
     assert len(serial) == 3 * len(ps) * len(alphas) * len(eta_grid)
-    assert cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
-                       replicates=replicates, jobs=2) == serial
+    assert rows(cf.roc_grid(net, labels, 0, ps, alphas, eta_grid, seed=seed,
+                            replicates=replicates, jobs=2)) == serial
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -231,9 +232,9 @@ def test_roc_grid_matches_bank_by_bank_count(market, ps, alphas, eta_grid, repli
                              replicates=replicates)
         expect = brute_force_roc(net, labels, 0, alphas, eta_grid, ps, seed, replicates)
     n_pos = len(labels)
-    assert [(pt.alpha, pt.eta, pt.p, pt.split, pt.true_positives) for pt in points] == \
+    assert rows(points, "alpha", "eta", "p", "split", "tp_count") == \
         [cell[:5] for cell in expect]
-    assert [(pt.tpr, pt.fpr) for pt in points] == \
+    assert rows(points, "tpr", "fpr") == \
         [(tp / n_pos, fp / (net.n_banks - n_pos)) for *_, tp, fp in expect]
 
 
