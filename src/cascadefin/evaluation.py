@@ -260,7 +260,8 @@ def write_csv(columns, path):
     varies; any other column writes str of each value, and a None column
     blank cells. No cell of these tables ever needs quoting.
     """
-    cells = [itertools.repeat("") if col is None
+    n_rows = max((len(col) for col in columns.values() if col is not None), default=0)
+    cells = [itertools.repeat("", n_rows) if col is None
              else map(repr if col.dtype.kind == "f" else str, col.tolist())
              for col in columns.values()]
     with open(path, "w", newline="") as fh:

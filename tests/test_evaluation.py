@@ -255,7 +255,8 @@ def test_serial_lattice_releases_the_network(asset):
      "alpha,mean_survival,ci_half,region\n"
      "0.0,0.5,,I\n"
      "1.0,0.0,,II\n"),
-], ids=["survival", "roc", "phase-1d"])
+    ({"ci_half": None}, "ci_half\n"),
+], ids=["survival", "roc", "phase-1d", "all-none"])
 def test_write_csv(columns, text, tmp_path):
     # a float writes its repr, which round-trips; an int or str its str; a
     # None column blank cells
