@@ -18,10 +18,11 @@ other bank provably survives the round. Fates, draws and prices are those of
 summing every row (see evaluate_round). Round 0's bounds are the rows'
 contiguous sums at prices 1: a gathered row's bits, as holdings are C-contiguous.
 
-Randomness: the caller passes each run its generator; stream derives PCG64
-generators from (seed, spawn key) via SeedSequence, so per-cell streams in
-sweeps are independent of execution order. eta = 0 draws nothing, so such a
-run has the same result on any generator.
+Randomness: the caller passes each run with eta > 0 its generator; stream
+derives PCG64 generators from (seed, spawn key) via SeedSequence, so per-cell
+streams in sweeps are independent of execution order. eta = 0 draws nothing,
+so such a run takes None and has the same result as on any generator; the
+package's eta = 0 paths pass None, as building a stream loads numpy.random.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _scale_prices(state: RoundState, factor: FloatA, low: float) -> None:
 
 
 def evaluate_round(state: RoundState, params: CascadeParams,
-                   rng: np.random.Generator) -> IntA:
+                   rng: np.random.Generator | None) -> IntA:
     """One simultaneous barrier evaluation over the alive banks.
 
     Draws fresh r_i ~ Uniform[0, eta] for every alive bank in ascending bank
@@ -263,15 +264,18 @@ class CascadeResult:
 
 
 def run_cascade(network: BankAssetNetwork, params: CascadeParams,
-                rng: np.random.Generator) -> CascadeResult:
+                rng: np.random.Generator | None) -> CascadeResult:
     """Run one cascade to its fixpoint, drawing barrier noise from rng.
 
     Order of events: a pre-shock barrier pass tags already-insolvent banks as
     failed at round 0 (no fire sale follows, prices are still 1); the shock
     lands; then evaluation and fire-sale rounds alternate until a round fails
     nobody or nobody is left. The result depends only on the network, params
-    and the state of rng, and not on rng at all when eta = 0.
+    and the state of rng, and not on rng at all when eta = 0, where rng may
+    be None; eta > 0 without a generator raises ValueError.
     """
+    if rng is None and params.eta != 0.0:
+        raise ValueError(f"eta = {params.eta} draws barrier noise; pass a generator")
     n = network.n_banks
     state = RoundState(alive=np.ones(n, dtype=bool), price_index=np.ones(network.n_assets),
                        market_value=network.market_value.copy(),

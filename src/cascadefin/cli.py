@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 runtime error, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -120,6 +119,9 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
 
 
 def _sha256(path) -> str:
+    # imported here, as hashlib maps OpenSSL and only a manifest hashes
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
@@ -258,6 +260,8 @@ def _write_outputs(args, name, write, result) -> str:
 
 def cmd_ingest(args) -> int:
     raw = load_raw_csv(args.input)
+    # counted first: completion fills raw's blanks in place
+    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))
     network, report = complete_dataset(raw)
     out = _out_dir(args)
     completed = os.path.join(out, "completed.csv")
@@ -266,7 +270,6 @@ def cmd_ingest(args) -> int:
     with open(report_path, "w") as fh:
         json.dump({"rows": network.n_banks, "repairs": report}, fh, indent=2)
         fh.write("\n")
-    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))
     print(f"ingested {network.n_banks} banks ({blanks} blank cells completed, "
           f"{len(report)} repaired rows) -> {completed}")
     return 0
@@ -293,7 +296,8 @@ def cmd_run(args) -> int:
     for m in shocks:
         _check_asset(network, m, "--shock")
     params = CascadeParams(alpha=alpha, eta=eta, shocked_assets=shocks)
-    result = run_cascade(network, params, stream(args.seed))
+    # eta = 0 draws nothing, so it takes no generator and never loads numpy.random
+    result = run_cascade(network, params, stream(args.seed) if eta > 0 else None)
     survived = result.failed_round == SURVIVED
     doc = {
         "params": {"alpha": alpha, "eta": eta,

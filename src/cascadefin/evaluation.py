@@ -75,17 +75,18 @@ def _init_worker(lattice):
 def _cell(i):
     """Run cell i's replicates one at a time through the lattice's reducer.
 
-    An eta = 0 cell runs one cascade, on replicate 0's stream, and feeds that
-    fate vector to the reducer once per replicate. This is exact: at eta = 0
-    the barrier is a step, so evaluate_round draws no random number, and
-    neither apply_shock nor apply_fire_sales ever touches the rng. Every
-    replicate of such a cell therefore has the same fates, and the reducer
-    sees the same R vectors, in the same order, as a per-replicate loop.
+    An eta = 0 cell runs one cascade, with no generator, and feeds that fate
+    vector to the reducer once per replicate. This is exact: at eta = 0 the
+    barrier is a step, so evaluate_round draws no random number, and neither
+    apply_shock nor apply_fire_sales ever touches the rng. Every replicate of
+    such a cell therefore has the same fates, and the reducer sees the same R
+    vectors, in the same order, as a per-replicate loop. A lattice of eta = 0
+    cells builds no stream, so it never loads numpy.random.
     """
     lat = _LATTICE
     params = lat.cells[i]
     if params.eta == 0.0:
-        fate = run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, 0)).failed_round
+        fate = run_cascade(lat.network, params, None).failed_round
         return lat.reduce(itertools.repeat(fate, lat.replicates), lat)
     fates = (run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, rep)).failed_round
              for rep in range(lat.replicates))

@@ -21,7 +21,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,7 +219,9 @@ def _row_sums(values, mask) -> FloatA:
 
 
 def complete_dataset(raw: RawTable):
-    """Complete every row; returns (network, repair report in row order).
+    """Complete every row of raw in place; returns (network, repair report in
+    row order). The call consumes raw: the network's holdings are
+    raw.holdings, blanks filled, so ingest holds one N x M table.
 
     A row's residual R = B - sum(known) is split across its missing assets in
     proportion to their average weights, or evenly when those sum to 0
@@ -229,24 +231,24 @@ def complete_dataset(raw: RawTable):
     holdings above B are scaled to it and the blanks get 0
     (negative_residual_rescaled). Each repair is a {row_id, action, residual}.
 
-    The average weights see the whole table; the rows are then completed
-    COMPLETE_ROWS at a time into one output, and no row's result depends on
-    which rows share its block.
+    The average weights see the whole table before any row changes; the rows
+    are then completed COMPLETE_ROWS at a time, and no row's result depends
+    on which rows share its block. A row that cannot be completed raises,
+    leaving raw's earlier blocks completed.
     """
     avg = compute_average_weights(raw)
-    holdings = np.empty_like(raw.holdings)
     report = []
     for lo in range(0, len(raw.bank_ids), COMPLETE_ROWS):
         rows = slice(lo, lo + COMPLETE_ROWS)
-        report += _complete_rows(raw.bank_ids[rows], raw.total_assets[rows], raw.holdings[rows],
-                                 avg, holdings[rows])
-    return network_from_sheets(replace(raw, holdings=holdings)), report
+        report += _complete_rows(raw.bank_ids[rows], raw.total_assets[rows],
+                                 raw.holdings[rows], avg)
+    return network_from_sheets(raw), report
 
 
-def _complete_rows(bank_ids, b, values, avg, out) -> list:
-    """complete_dataset on the rows of one block, written to out; returns
-    their repairs, or raises the error of their first row that cannot be
-    completed."""
+def _complete_rows(bank_ids, b, values, avg) -> list:
+    """complete_dataset on the rows of one block, written over values;
+    returns their repairs, or raises the error of their first row that
+    cannot be completed."""
     missing = np.isnan(values)
     has_missing = missing.any(axis=1)
     with np.errstate(over="ignore"):
@@ -265,12 +267,12 @@ def _complete_rows(bank_ids, b, values, avg, out) -> list:
         weight_sum = _row_sums(np.broadcast_to(avg, fill.shape), fill)[:, None]
         share = np.where(weight_sum > 0, r * avg / weight_sum, r / fill.sum(axis=1)[:, None])
         scale = np.where(rescaled | negative, b / known_sum, 1.0)[:, None]
-        out[:] = np.where(fill, share, values * scale)
+        values[:] = np.where(fill, share, values * scale)
 
     undefined = fill & ~np.isfinite(avg)
     overflow = np.isinf(known_sum)
     # the rows BankAssetNetwork would refuse
-    broken = ~np.isfinite(out).all(axis=1) | off_total(out, b)
+    broken = ~np.isfinite(values).all(axis=1) | off_total(values, b)
     failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken
     if failing.any():
         i = int(np.argmax(failing))

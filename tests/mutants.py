@@ -1,7 +1,7 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
-command line's range, manifest and --synthetic rules and the package's
-start-up rules, each with the tests that kill it or the reason no result can
-change.
+command line's range, manifest and --synthetic rules, ingest's in-place
+completion and the package's start-up rules, each with the tests that kill it
+or the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -31,6 +31,8 @@ EVALUATION = "src/cascadefin/evaluation.py"
 CLI = "src/cascadefin/cli.py"
 INGESTION = "src/cascadefin/ingestion.py"
 STARTUP = "tests/test_startup.py::test_import_loads_no_pool_and_pins_one_blas_thread"
+LAZY_IMPORTS = "tests/test_startup.py::test_import_loads_neither_openssl_nor_numpy_random"
+RANDOM_ON_DEMAND = "tests/test_startup.py::test_numpy_random_loads_only_for_barrier_noise"
 BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
 ROC_ORACLE = "tests/test_properties.py::test_roc_grid_matches_bank_by_bank_count"
 CONFIG_CHECKS = "tests/test_ingestion.py::test_synthetic_config_validation"
@@ -244,6 +246,31 @@ MUTANTS = (
     Mutant("startup-eager-pool", EVALUATION,
            "import warnings\n",
            "import warnings\nfrom concurrent.futures import ProcessPoolExecutor\n", (STARTUP,)),
+    # start-up: OpenSSL only for a manifest, numpy.random only for barrier noise
+    Mutant("startup-eager-hashlib", CLI,
+           "import argparse\n", "import argparse\nimport hashlib\n", (LAZY_IMPORTS,)),
+    Mutant("cell-eta-0-streams", EVALUATION,
+           "run_cascade(lat.network, params, None)",
+           "run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, 0))",
+           (f"{RANDOM_ON_DEMAND}[eta-0]",)),
+    Mutant("run-eta-0-streams", CLI,
+           "stream(args.seed) if eta > 0 else None", "stream(args.seed)",
+           (f"{RANDOM_ON_DEMAND}[eta-0]",)),
+    Mutant("cascade-no-generator-unchecked", CASCADE,
+           "if rng is None and params.eta != 0.0:", "if False:",
+           ("tests/test_cascade.py::test_positive_eta_without_a_generator_raises",)),
+    # ingest: one table, completed in place, its blanks counted first
+    Mutant("complete-into-a-copy", INGESTION,
+           "    return network_from_sheets(raw), report",
+           "    return network_from_sheets(RawTable(raw.bank_ids, raw.total_assets, "
+           "raw.total_liabilities, raw.holdings.copy(), raw.line_numbers)), report",
+           ("tests/test_ingestion.py::test_completion_fills_the_raw_table_in_place",)),
+    Mutant("ingest-blanks-counted-late", CLI,
+           "    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))\n"
+           "    network, report = complete_dataset(raw)\n",
+           "    network, report = complete_dataset(raw)\n"
+           "    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))\n",
+           ("tests/test_cli.py::test_ingest_prints_the_blank_cells_of_its_input",)),
 )
 
 

@@ -270,18 +270,19 @@ def criterion_8():
                       np.where(mask, np.nan, net.holdings), np.arange(net.n_banks) + 2)
     blanks = int(mask.sum())
     assert blanks > 0
-    completed, _ = cf.complete_dataset(raw)
-    totals = np.array([row.sum() for row in completed.holdings])
-    assert np.all(np.abs(totals - net.total_assets)
-                  <= 1e-9 * np.maximum(net.total_assets, 1.0)), \
-        "completion must restore every row sum to its reported total"
-
+    # read before completion, which fills raw's blanks in place
     averages = cf.compute_average_weights(raw)
     for m in range(net.n_assets):
         contrib = np.array([net.holdings[i, m] / net.total_assets[i]
                             for i in range(net.n_banks) if not mask[i, m]])
         assert contrib.size > 0
         assert averages[m] == np.mean(contrib), f"asset {m} mean not exact"
+
+    completed, _ = cf.complete_dataset(raw)
+    totals = np.array([row.sum() for row in completed.holdings])
+    assert np.all(np.abs(totals - net.total_assets)
+                  <= 1e-9 * np.maximum(net.total_assets, 1.0)), \
+        "completion must restore every row sum to its reported total"
 
     with tempfile.TemporaryDirectory() as td:
         first = os.path.join(td, "completed.csv")

@@ -383,6 +383,18 @@ def test_eta_zero_is_seed_independent():
     b = cf.run_cascade(net, params, cf.stream(999))
     assert np.array_equal(a.failed_round, b.failed_round)
     assert np.array_equal(a.price_index, b.price_index)
+    # eta = 0 draws nothing, so it runs without a generator
+    c = cf.run_cascade(net, params, None)
+    assert np.array_equal(a.failed_round, c.failed_round)
+    assert np.array_equal(a.price_trajectory, c.price_trajectory)
+
+
+def test_positive_eta_without_a_generator_raises():
+    # a check of its own, before any round: evaluate_round would otherwise
+    # fail on None.random with an AttributeError
+    params = cf.CascadeParams.single(0, 0.5, 0.8, 0.26)
+    with pytest.raises(ValueError, match="pass a generator"):
+        cf.run_cascade(toy_network(), params, None)
 
 
 def test_fixed_seed_is_deterministic_at_positive_eta():

@@ -79,6 +79,23 @@ def test_ingest_completes_and_is_idempotent(tmp_path, capsys):
     assert report2["repairs"] == []
 
 
+def test_ingest_prints_the_blank_cells_of_its_input(tmp_path, capsys):
+    # completion fills the table's blanks in place, so they are counted first
+    raw = tmp_path / "raw.csv"
+    raw.write_text("bank_id,total_assets,total_liabilities,asset_00,asset_01,asset_02\n"
+                   "donor,100.0,60.0,60.0,10.0,30.0\n"
+                   "gappy,100.0,50.0,40.0,,\n"
+                   "holey,100.0,50.0,,20.0,\n"
+                   "off,100.0,50.0,10.0,10.0,10.0\n")
+    out = tmp_path / "out"
+    assert run_cli("ingest", "--input", str(raw), "--out", str(out)) == 0
+    assert capsys.readouterr().out == (f"ingested 4 banks (4 blank cells completed, 1 repaired "
+                                       f"rows) -> {out / 'completed.csv'}\n")
+    assert run_cli("ingest", "--input", str(out / "completed.csv"),
+                   "--out", str(tmp_path / "again")) == 0
+    assert "(0 blank cells completed, 0 repaired rows)" in capsys.readouterr().out
+
+
 def test_duplicate_bank_id_is_a_schema_error(tmp_path, capsys):
     raw = tmp_path / "dup.csv"
     raw.write_text(TRIO_CSV + "B,100.0,50.0,100.0\n")
@@ -673,7 +690,11 @@ LABELS = "<a label file naming A, C and E>"
     (["phase", "--p", "0.4:1:0.3", "--alpha", "0:0.8:0.4", "--eta", "0.1",
       "--replicates", "3", "--seed", "5"], "phase.csv",
      "7585fdcc060c4775bafe5e256423820cc519442321be23ce4ed3f21168cde0c9"),
-], ids=["run", "sweep", "roc", "phase-1d-eta-0", "phase-2d"])
+    # eta = 0 runs its cascade without a generator, on the bytes it wrote with one
+    (["run", "--labels", LABELS, "--p", "0.4", "--alpha", "0.8", "--eta", "0",
+      "--shock", "1:0.7"], "result.json",
+     "d50cd2e55f3688c4857ca409146c193e5f068ba1abfa042e329d88aacb307832"),
+], ids=["run", "sweep", "roc", "phase-1d-eta-0", "phase-2d", "run-eta-0"])
 def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
     # reruns agreeing with each other would miss a change that moves every
     # run's bytes alike; these digests would not

@@ -279,16 +279,27 @@ def _raw_text(n_banks, seed):
     return "\n".join(lines) + "\n"
 
 
+def test_completion_fills_the_raw_table_in_place(tmp_path):
+    # ingest holds one N x M table: the network's holdings are the raw
+    # table's, blanks filled
+    raw = cf.load_raw_csv(write(tmp_path / "raw.csv", _raw_text(60, seed=4)))
+    assert np.isnan(raw.holdings).any()
+    net, _ = cf.complete_dataset(raw)
+    assert np.shares_memory(net.holdings, raw.holdings)
+    assert raw.holdings.tobytes() == net.holdings.tobytes()
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
 def test_complete_and_save_do_not_depend_on_the_block_size(block_rows, tmp_path, monkeypatch):
-    raw = cf.load_raw_csv(write(tmp_path / "raw.csv", _raw_text(60, seed=4)))
-    net, report = cf.complete_dataset(raw)
+    path = write(tmp_path / "raw.csv", _raw_text(60, seed=4))
+    net, report = cf.complete_dataset(cf.load_raw_csv(path))
     cf.save_completed_csv(net, tmp_path / "default.csv")
     assert {r["action"] for r in report} == {"rescaled_inconsistent_row",
                                              "negative_residual_rescaled"}
     monkeypatch.setattr(ingestion, "COMPLETE_ROWS", block_rows)
     monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
-    blocked, blocked_report = cf.complete_dataset(raw)
+    # completion consumes its table, so the file is read again
+    blocked, blocked_report = cf.complete_dataset(cf.load_raw_csv(path))
     assert blocked.holdings.tobytes() == net.holdings.tobytes()
     assert blocked_report == report
     cf.save_completed_csv(blocked, tmp_path / "blocked.csv")
@@ -309,10 +320,11 @@ def test_save_quotes_bank_ids_as_csv_writer_does(tmp_path):
 
 
 def test_ingest_layers_peak_in_bounded_memory(tmp_path):
-    # on 10k rows each layer peaks at about 2.8 (parse), 3.0 (complete) and
+    # on 10k rows each layer peaks at about 2.8 (parse), 1.9 (complete) and
     # 0.25 (write) times the holdings' bytes; one that builds a whole-table
-    # temporary, such as a concatenation of parsed blocks or a stack of all
-    # columns, reads above 4.7, 5.0 and 1.4
+    # temporary, such as a concatenation of parsed blocks, a completed copy
+    # beside the raw table or a stack of all columns, reads above 4.7, 2.9
+    # and 1.4
     def peak(layer, *args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -329,7 +341,7 @@ def test_ingest_layers_peak_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     nbytes = raw.holdings.nbytes
     assert parse < 3.8 * nbytes
-    assert complete < 4.0 * nbytes
+    assert complete < 2.9 * nbytes
     assert save < 0.7 * nbytes
 
 

@@ -1,12 +1,16 @@
 """What a command costs before it computes anything: the package pins
-OpenBLAS to one thread, and the process-pool modules load only when --jobs
-above 1 starts a pool. Each check runs a fresh interpreter, since the test
-process has loaded numpy and the pool long before."""
+OpenBLAS to one thread, the process-pool modules load only when --jobs above
+1 starts a pool, OpenSSL (hashlib's _hashlib) only when a manifest is hashed,
+and numpy.random only when a cascade with eta > 0 or a synthetic network
+needs a stream. Each check runs a fresh interpreter, since the test process
+has loaded numpy, the pool, hashlib and numpy.random long before."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -20,8 +24,22 @@ print(json.dumps({{
     "pool_modules": sorted(m for m in sys.modules
                            if m.split(".")[0] in ("concurrent", "multiprocessing")),
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "lazy_modules": sorted(m for m in sys.modules if m in {lazy!r}),
     "os_threads": len(os.listdir(task)) if os.path.isdir(task) else None,
 }}))
+"""
+
+
+# OpenSSL, which hashlib maps (~3.5 MB of RSS), and numpy's generators
+LAZY = ("_hashlib", "numpy.random")
+
+# the lazily loaded modules a process holds once cli.main(argv) returns
+AFTER_COMMAND = """
+import json, sys
+from cascadefin import cli
+code = cli.main({argv!r})
+print(json.dumps({{"code": code, "lazy_modules": sorted(m for m in sys.modules
+                                                         if m in {lazy!r})}}))
 """
 
 
@@ -31,11 +49,23 @@ def environ(**exported) -> dict:
 
 
 def startup(before="", **exported) -> dict:
-    proc = subprocess.run([sys.executable, "-c", REPORT.format(before=before)],
+    proc = subprocess.run([sys.executable, "-c", REPORT.format(before=before, lazy=LAZY)],
                           env=environ(**exported), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def lazy_after(*argv) -> list:
+    """The LAZY modules loaded by a command run through cli.main in a fresh
+    interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", AFTER_COMMAND.format(argv=list(argv),
+                                                                      lazy=LAZY)],
+                          env=environ(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout.splitlines()[-1])
+    assert state["code"] == 0
+    return state["lazy_modules"]
 
 
 def test_import_loads_no_pool_and_pins_one_blas_thread():
@@ -65,3 +95,39 @@ def test_the_blas_thread_count_changes_no_byte(tmp_path):
         assert proc.returncode == 0, proc.stderr
     for name in ("phase.csv", "manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_import_loads_neither_openssl_nor_numpy_random():
+    assert startup()["lazy_modules"] == []
+
+
+def test_ingest_never_loads_openssl(tmp_path):
+    # ingest writes no manifest, so nothing it does hashes
+    raw = tmp_path / "raw.csv"
+    raw.write_text("bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+                   "a,100.0,60.0,60.0,40.0\n"
+                   "b,100.0,50.0,30.0,\n")
+    assert "_hashlib" not in lazy_after("ingest", "--input", str(raw),
+                                        "--out", str(tmp_path / "out"))
+
+
+TOY = ("bank_id,total_assets,total_liabilities,asset_00\n"
+       "A,100.0,70.0,100.0\n"
+       "B,100.0,55.0,100.0\n"
+       "C,100.0,8.0,100.0\n")
+
+
+@pytest.mark.parametrize("eta, loaded", [("0", []), ("0.2", ["numpy.random"])],
+                         ids=["eta-0", "eta-0.2"])
+def test_numpy_random_loads_only_for_barrier_noise(eta, loaded, tmp_path):
+    # an eta = 0 cascade draws nothing, so it gets no generator; the phase
+    # run hashes its manifest, which loads OpenSSL either way
+    toy = tmp_path / "toy.csv"
+    toy.write_text(TOY)
+    flags = ["--input", str(toy), "--p", "0.6", "--alpha", "0:1:0.5", "--eta", eta,
+             "--replicates", "2", "--seed", "1"]
+    assert lazy_after("phase", *flags, "--out", str(tmp_path / "phase")) \
+        == sorted(["_hashlib", *loaded])
+    run = ["run", "--input", str(toy), "--p", "0.6", "--alpha", "0.5", "--eta", eta, "--seed",
+           "1", "--out", str(tmp_path / "run.json")]
+    assert [m for m in lazy_after(*run) if m == "numpy.random"] == loaded
