@@ -41,6 +41,7 @@ from .ingestion import (
     load_completed_network,
     load_labels,
     load_raw_csv,
+    number,
     save_completed_csv,
 )
 
@@ -61,7 +62,7 @@ def _parse_values(text: str, name: str) -> list:
     """A scalar or an inclusive lo:hi:step range, every value in the domain of name."""
     if ":" not in text:
         try:
-            values = [float(text)]
+            values = [number(text, float)]
         except ValueError:
             raise UsageError(f"--{name}: expected a number or lo:hi:step, got {text!r}") from None
     else:
@@ -69,7 +70,7 @@ def _parse_values(text: str, name: str) -> list:
         if len(parts) != 3:
             raise UsageError(f"--{name}: ranges are lo:hi:step, got {text!r}")
         try:
-            lo, hi, step = (float(v) for v in parts)
+            lo, hi, step = (number(v, float) for v in parts)
         except ValueError:
             raise UsageError(f"--{name}: non-numeric range bound in {text!r}") from None
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
@@ -91,8 +92,8 @@ def _parse_values(text: str, name: str) -> list:
 
 def _parse_synthetic(spec: str) -> SyntheticConfig:
     """Parse 'n=5000,assets=13,...' into a SyntheticConfig, whose fields are
-    the spec's keys: each value is read as its field's type, and the config
-    checks the values."""
+    the spec's keys: each value is read as its field's type, int or float, and
+    the config checks the values."""
     types = typing.get_type_hints(SyntheticConfig)
     kwargs = {}
     for item in spec.split(","):
@@ -107,7 +108,7 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
         if key in kwargs:
             raise UsageError(f"--synthetic: key {key!r} given twice")
         try:
-            kwargs[key] = types[key](value)
+            kwargs[key] = number(value, types[key])
         except ValueError:
             raise UsageError(f"--synthetic: bad value for {key}: {value!r}") from None
     if "n" not in kwargs:
@@ -156,8 +157,6 @@ def _resolve(args, etas):
         if any(e > 0 for e in etas):
             raise UsageError("--seed is required when eta > 0 (no silent default)")
         args.seed = 0
-    elif args.seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if bool(args.input) == bool(args.synthetic):
         raise UsageError("exactly one of --input or --synthetic is required")
     if args.input:
@@ -188,21 +187,18 @@ def _resolve(args, etas):
     return network, labels
 
 
-def _jobs(text: str) -> int:
-    """--jobs: at least 1, and at most the core count, since extra workers
-    only add forks."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _check_replicates(args):
-    if args.replicates < 1:
-        raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
+def _flag(kind, lo=-math.inf, hi=math.inf):
+    """A numeric flag's argparse type: text read by number as kind, in [lo, hi], not NaN."""
+    def read(text):
+        try:
+            value = number(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return read
 
 
 def _check_out(args):
@@ -284,7 +280,7 @@ def cmd_run(args) -> int:
     for extra in args.shock or []:
         try:
             m, p_m = extra.split(":")
-            m, p_m = int(m), float(p_m)
+            m, p_m = number(m, int), number(p_m, float)
         except ValueError:
             raise UsageError(f"--shock: expected asset:p, got {extra!r}") from None
         if not 0.0 <= p_m <= PARAM_UPPER["p"]:
@@ -335,7 +331,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_roc(args) -> int:
     ps, alphas, etas = _grids(args)
-    _check_replicates(args)
     network, labels = _resolve(args, etas)
     if labels is None:
         raise UsageError("roc requires --labels (or a --synthetic label cascade)")
@@ -350,9 +345,6 @@ def cmd_phase(args) -> int:
     grids = _grids(args)
     if not 1 <= sum(len(g) > 1 for g in grids) <= 2:
         raise UsageError("phase needs one or two of --p/--alpha/--eta as ranges")
-    _check_replicates(args)
-    if not 0.0 <= args.threshold <= 1.0:
-        raise UsageError(f"--threshold must be in [0, 1], got {args.threshold}")
     network, _ = _resolve(args, grids[2])
     diagram = phase_scan(network, args.asset, *grids, args.replicates, seed=args.seed,
                          threshold=args.threshold, jobs=args.jobs)
@@ -372,8 +364,8 @@ def _add_network_flags(sp):
             else f"{f.name}={f.default:g}" for f in fields(SyntheticConfig)]
     sp.add_argument("--synthetic", metavar="SPEC",
                     help=f"generate data instead: {keys[0]}[,{','.join(keys[1:])}]")
-    sp.add_argument("--asset", type=int, default=0, help="shocked asset index (default 0)")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--asset", type=_flag(int), default=0, help="shocked asset index (default 0)")
+    sp.add_argument("--seed", type=_flag(int, 0), default=None,
                     help="master seed; required when eta > 0, else 0")
     sp.add_argument("--out", help="output directory (file for run)")
 
@@ -411,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default="0:1:0.02")
     sp.add_argument("--alpha", default="0:1:0.02")
     sp.add_argument("--eta", default="0:0.5:0.02")
-    sp.add_argument("--replicates", type=int, default=1,
+    sp.add_argument("--replicates", type=_flag(int, 1), default=1,
                     help="classifications averaged per cell (majority vote)")
     sp.set_defaults(func=cmd_roc)
 
@@ -420,16 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default="0.6")
     sp.add_argument("--alpha", default="0:1:0.02")
     sp.add_argument("--eta", default="0.26")
-    sp.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
-    sp.add_argument("--threshold", type=float, default=DEFAULT_REGION_THRESHOLD,
+    sp.add_argument("--replicates", type=_flag(int, 1), default=DEFAULT_REPLICATES)
+    sp.add_argument("--threshold", type=_flag(float, 0, 1), default=DEFAULT_REGION_THRESHOLD,
                     help="region II when mean survival falls below this")
     sp.set_defaults(func=cmd_phase)
 
     for name in ("run", "sweep", "roc"):
         sub.choices[name].add_argument("--labels", help="CSV of failed bank_ids (ground truth)")
     for name in ("sweep", "roc", "phase"):
-        sub.choices[name].add_argument("--jobs", type=_jobs, default=1, help="worker processes, "
-                                       "at most the core count; never changes the output bytes")
+        sub.choices[name].add_argument("--jobs", type=_flag(int, 1), default=1, help=(
+            "worker processes, at most the core count; never changes the output bytes"))
     return ap
 
 

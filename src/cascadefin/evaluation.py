@@ -13,6 +13,7 @@ execution order and of --jobs.
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -105,7 +106,9 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
                                  for p, alpha, eta in cells],
                        int(replicates), int(seed), reduce, positives)
     n_cells = len(cells)
-    if jobs is None or jobs <= 1 or n_cells <= 1:
+    # the pool forks every worker up front, so never more than there are cells or cores
+    workers = min(jobs or 1, n_cells, os.cpu_count() or 1)
+    if workers <= 1:
         _init_worker(lattice)
         try:
             return [_cell(i) for i in range(n_cells)]
@@ -114,8 +117,6 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
     # imported here, as multiprocessing costs every command that starts no pool
     from concurrent.futures import ProcessPoolExecutor
 
-    # the pool forks every worker up front, so never more than there are cells
-    workers = min(jobs, n_cells)
     chunk = max(1, n_cells // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(lattice,)) as pool:

@@ -75,6 +75,18 @@ def _check_header(header: list[str]) -> int:
     return n_assets
 
 
+def _plain(text: str) -> bool:
+    """Plain ASCII without `_`: float() and int() also read 1_000 and other scripts' digits."""
+    return text.isascii() and "_" not in text
+
+
+def number(text: str, kind):
+    """text read as kind, int or float, by the grammar of a CSV cell, or ValueError."""
+    if not _plain(text):
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
 def _row_error(line: int, rec: list, header: list, first: int) -> SchemaError:
     """The first problem of a bad data row, checking its columns in order;
     first is the line where the row's bank_id first appears."""
@@ -92,9 +104,7 @@ def _row_error(line: int, rec: list, header: list, first: int) -> SchemaError:
         if k >= 3 and not text:
             continue
         try:
-            if not text.isascii() or "_" in text:
-                raise ValueError   # float() also reads other scripts' digits and 1_000
-            value = float(text)
+            value = number(text, float)
         except ValueError:
             return SchemaError(f"row {line}: column {header[k]!r} has non-numeric value {text!r}")
         if not math.isfinite(value):
@@ -117,8 +127,8 @@ def _parse_block(block, header, first_line: dict) -> FloatA:
             if len(rec) != len(header) or not bank_id or first != line:
                 raise ValueError
             cells = [c.strip() for c in rec[3:]]
-            numbers = "".join((rec[1], rec[2], *cells))
-            if not numbers.isascii() or "_" in numbers or "\r" in bank_id or "\n" in bank_id:
+            # number's rule, tested once per row on its joined text: the parse's speed
+            if not _plain("".join((rec[1], rec[2], *cells))) or "\r" in bank_id or "\n" in bank_id:
                 raise ValueError
             values.append([float(rec[1]), float(rec[2]),
                            *(float(c) if c else math.nan for c in cells)])

@@ -1,7 +1,8 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
-command line's range, manifest and --synthetic rules, ingest's in-place
-completion and the package's start-up rules, each with the tests that kill it
-or the reason no result can change.
+command line's range, manifest and --synthetic rules, the number reader at
+every door, the CSV parse's row checks, ingest's in-place completion and the
+package's start-up rules, each with the tests that kill it or the reason no
+result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -39,6 +40,11 @@ CONFIG_CHECKS = "tests/test_ingestion.py::test_synthetic_config_validation"
 BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_2_before_loading"
 LABEL_DOMAIN = "tests/test_cli.py::test_label_cascade_out_of_domain_exits_2"
 SPEC_ERRORS = "tests/test_cli.py::test_synthetic_spec_errors"
+BAD_FILE = "tests/test_cli.py::test_bad_file_exits_2"
+DOORS = "tests/test_cli.py::test_every_door_reads_numbers_as_a_csv_cell_does"
+READER_GUARD = "tests/test_cli.py::test_every_numeric_flag_and_spec_key_is_read_by_the_reader"
+BAD_CELLS = "tests/test_ingestion.py::test_load_raw_csv_rejects_bad_cells"
+POOL_CELLS = "tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice"
 
 
 class Mutant(NamedTuple):
@@ -81,6 +87,9 @@ MUTANTS = (
     Mutant("round0-no-seed", CASCADE,
            "    np.sum(network.holdings, axis=1, out=state.bound)\n", "",
            ("tests/test_cascade.py::test_round_zero_sums_only_banks_below_their_row_total",)),
+    Mutant("network-duplicates-unsorted", NETWORK,
+           "itertools.pairwise(sorted(self.bank_ids))", "itertools.pairwise(self.bank_ids)",
+           ("tests/test_network.py::test_network_rejects_duplicate_ids",)),
     Mutant("network-not-contiguous", NETWORK,
            "np.ascontiguousarray(self.holdings, dtype=np.float64)",
            "np.asarray(self.holdings, dtype=np.float64)",
@@ -159,8 +168,15 @@ MUTANTS = (
            "np.repeat(col, len(splits))", "np.tile(col, len(splits))",
            ("tests/test_cli.py::test_output_bytes_are_pinned[roc]",)),
     # evaluation: lattice dispatch
-    Mutant("lattice-one-cell-pooled", EVALUATION, "n_cells <= 1:", "n_cells < 1:",
-           ("tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice",)),
+    Mutant("lattice-one-worker-pooled", EVALUATION, "if workers <= 1:", "if workers < 1:",
+           (POOL_CELLS,)),
+    Mutant("lattice-pool-past-cells", EVALUATION,
+           "min(jobs or 1, n_cells, os.cpu_count() or 1)", "min(jobs or 1, os.cpu_count() or 1)",
+           (POOL_CELLS,)),
+    Mutant("lattice-pool-past-cores", EVALUATION,
+           "min(jobs or 1, n_cells, os.cpu_count() or 1)", "min(jobs or 1, n_cells)",
+           ("tests/test_evaluation.py::test_pool_is_never_larger_than_the_host",
+            "tests/test_cli.py::test_jobs_clamped_to_core_count")),
     # cli: ranges
     Mutant("range-half-step-past-hi", CLI,
            "last = (hi - lo + 5e-13) / step", "last = (hi - lo) / step + 0.5",
@@ -187,7 +203,7 @@ MUTANTS = (
     Mutant("spec-repeated-key-kept", CLI, "if key in kwargs:", "if False:",
            (f"{BAD_INPUT}[synthetic-key-twice]", f"{BAD_INPUT}[synthetic-label-key-twice]")),
     Mutant("spec-every-value-float", CLI,
-           "kwargs[key] = types[key](value)", "kwargs[key] = float(value)",
+           "kwargs[key] = number(value, types[key])", "kwargs[key] = number(value, float)",
            ("tests/test_cli.py::test_synthetic_spec_round_trips_every_field",)),
     Mutant("spec-bad-value-uncaught", CLI,
            "        except ValueError:\n            raise UsageError(f\"--synthetic: bad value",
@@ -198,6 +214,55 @@ MUTANTS = (
            "        return SyntheticConfig(**kwargs)\n    except ValueError as e:",
            "        return SyntheticConfig(**kwargs)\n    except TypeError as e:",
            (f"{BAD_INPUT}[concentration-0]",)),
+    # the number reader, bypassed at each door of the command line
+    Mutant("reader-p-scalar", CLI, "values = [number(text, float)]", "values = [float(text)]",
+           (f"{DOORS}[p]",)),
+    Mutant("reader-range-bound", CLI, "(number(v, float) for v in parts)",
+           "(float(v) for v in parts)", (f"{DOORS}[range-bound]",)),
+    Mutant("reader-shock-asset", CLI, "number(m, int)", "int(m)", (f"{DOORS}[shock-asset]",)),
+    Mutant("reader-shock-p", CLI, "number(p_m, float)", "float(p_m)", (f"{DOORS}[shock-p]",)),
+    Mutant("reader-spec-value", CLI, "number(value, types[key])", "types[key](value)",
+           (f"{DOORS}[synthetic-int]", f"{DOORS}[synthetic-float]")),
+    Mutant("reader-flag-type", CLI, "value = number(text, kind)", "value = kind(text)",
+           (READER_GUARD, f"{DOORS}[seed]")),
+    Mutant("reader-asset-flag", CLI, "type=_flag(int), default=0", "type=int, default=0",
+           (f"{DOORS}[asset]", READER_GUARD)),
+    Mutant("reader-seed-flag", CLI, "type=_flag(int, 0), default=None", "type=int, default=None",
+           (f"{DOORS}[seed]", f"{BAD_INPUT}[seed-negative]")),
+    Mutant("reader-roc-replicates-flag", CLI, '"--replicates", type=_flag(int, 1), default=1,',
+           '"--replicates", type=int, default=1,',
+           (READER_GUARD, f"{BAD_INPUT}[roc-replicates-0]")),
+    Mutant("reader-phase-replicates-flag", CLI,
+           '"--replicates", type=_flag(int, 1), default=DEFAULT_REPLICATES',
+           '"--replicates", type=int, default=DEFAULT_REPLICATES',
+           (f"{DOORS}[replicates]", f"{BAD_INPUT}[phase-replicates-0]")),
+    Mutant("reader-threshold-flag", CLI, "type=_flag(float, 0, 1)", "type=float",
+           (f"{DOORS}[threshold]", f"{BAD_INPUT}[phase-threshold-7]")),
+    Mutant("reader-jobs-flag", CLI, '"--jobs", type=_flag(int, 1)', '"--jobs", type=int',
+           (f"{DOORS}[jobs]", f"{BAD_INPUT}[jobs-non-numeric]")),
+    Mutant("flag-range-lets-nan", CLI, "if not lo <= value <= hi:",
+           "if value < lo or value > hi:", (f"{BAD_INPUT}[phase-threshold-nan]",)),
+    # ingestion: the CSV parse's row checks and its number reader
+    Mutant("reader-csv-cell", INGESTION, "value = number(text, float)", "value = float(text)",
+           (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
+    Mutant("reader-joined-row", INGESTION,
+           'if not _plain("".join((rec[1], rec[2], *cells))) or ', "if ",
+           (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
+    Mutant("reader-underscore-plain", INGESTION, 'return text.isascii() and "_" not in text',
+           "return text.isascii()", (f"{BAD_FILE}[ingest-underscore]",)),
+    Mutant("parse-duplicate-kept", INGESTION, "or not bank_id or first != line:",
+           "or not bank_id:",
+           ("tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_id",)),
+    Mutant("parse-field-count-unchecked", INGESTION,
+           "if len(rec) != len(header) or not bank_id or first", "if not bank_id or first",
+           (BAD_CELLS,)),
+    Mutant("parse-negative-kept", INGESTION, " | (array < 0).any(axis=1)", "", (BAD_CELLS,)),
+    Mutant("row-negative-totals-unchecked", INGESTION,
+           "if k == 2 and (value < 0 or float(rec[1]) < 0):", "if False:",
+           (f"{BAD_FILE}[ingest-negative-liabilities]",
+            f"{BAD_FILE}[ingest-negative-total-assets]")),
+    Mutant("row-negative-assets-unchecked", INGESTION, "(value < 0 or float(rec[1]) < 0)",
+           "value < 0", (f"{BAD_FILE}[ingest-negative-total-assets]",)),
     # ingestion: SyntheticConfig's checks of the spec
     Mutant("config-seed-alone-unlabelled", INGESTION,
            "labelled = self.label_seed is not None or any(", "labelled = any(",

@@ -50,7 +50,8 @@ NUMBER = mostly(
 CELL = mostly(NUMBER, st.just(""))
 BAD_GRID = st.sampled_from(["-1", "2", "nan", "inf", "x", "", "0:inf:1", "0.2:0.1:0.1",
                             "0:1:0", "0:1", "0.5:0.5000000000005:1e-13"])
-COUNT = (st.integers(1, 40).map(str), st.sampled_from(["0", "-2", "", "x", "1.5", "1e3"]))
+COUNT = (st.integers(1, 40).map(str),
+         st.sampled_from(["0", "-2", "", "x", "1.5", "1e3", "1_0", "\u0663", "\uff11"]))
 # each command-line slot as (valid, bad): valid values reach the edges of
 # their domain, bad values lie outside it
 SYNTHETIC_KEYS = {
@@ -166,6 +167,18 @@ def synthetic_argv(draw):
 @example(["sweep", "--synthetic", "n=20", "--p", "0.5:0.5000000000005:1e-13"])
 @example(["run", "--synthetic", "n=3,n=2", "--p", "0.5"])
 @example(["run", "--synthetic", "n=5,label_seed=0"])
+# a number the CSV reader refuses, at each door of the command line
+@example(["run", "--synthetic", "n=5", "--p", "\uff11"])
+@example(["phase", "--synthetic", "n=5", "--alpha", "0:0.2:0.1_0", "--eta", "0"])
+@example(["run", "--synthetic", "n=5", "--shock", "1_0:0.5"])
+@example(["run", "--synthetic", "n=5", "--shock", "1:0.5_0"])
+@example(["run", "--synthetic", "n=5", "--asset", "1_0"])
+@example(["run", "--synthetic", "n=5", "--seed", "1_0"])
+@example(["phase", "--synthetic", "n=5", "--eta", "0", "--replicates", "\u0663"])
+@example(["phase", "--synthetic", "n=5", "--eta", "0", "--threshold", "0.0_5"])
+@example(["phase", "--synthetic", "n=5", "--eta", "0", "--jobs", "\u0662"])
+@example(["run", "--synthetic", "n=1_0"])
+@example(["run", "--synthetic", "n=5,lev_high=\uff11"])
 def test_synthetic_command_lines_exit_0_or_2(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")

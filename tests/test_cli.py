@@ -1,16 +1,19 @@
 """End-to-end command-line checks, in process via cli.main except where a
 check needs a fresh interpreter."""
 
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import typing
 from dataclasses import fields
 
 import pytest
 
-from cascadefin import SyntheticConfig, cli
+from cascadefin import SyntheticConfig, cli, ingestion
 
 from helpers import assert_same_files, manifest_argv, serial_pool
 
@@ -426,12 +429,14 @@ LABELS_NEEDED = ("--synthetic: label cascade needs ['label_alpha', 'label_asset'
 
 @pytest.mark.parametrize("argv, message", [
     (["roc", "--input", MISSING, "--labels", MISSING, "--p", "0.5", "--alpha", "0",
-      "--eta", "0", "--replicates", "0"], "--replicates must be >= 1"),
+      "--eta", "0", "--replicates", "0"], "argument --replicates: must be >= 1, got 0"),
     (["phase", "--input", MISSING, "--replicates", "0", "--eta", "0"],
-     "--replicates must be >= 1"),
+     "argument --replicates: must be >= 1, got 0"),
     (["phase", "--input", MISSING, "--threshold", "7", "--eta", "0"],
-     "--threshold must be in [0, 1]"),
-    (["run", "--input", MISSING, "--seed", "-1"], "--seed must be a non-negative integer"),
+     "argument --threshold: must be in [0, 1], got 7.0"),
+    (["phase", "--input", MISSING, "--threshold", "nan", "--eta", "0"],
+     "argument --threshold: must be in [0, 1], got nan"),
+    (["run", "--input", MISSING, "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["run", "--input", MISSING, "--alpha", "2"], "--alpha: 2.0 is outside [0, 1]"),
     (["run", "--input", MISSING, "--eta", "0.7", "--seed", "1"],
      "--eta: 0.7 is outside [0, 0.5]"),
@@ -481,7 +486,7 @@ LABELS_NEEDED = ("--synthetic: label cascade needs ['label_alpha', 'label_asset'
     (["sweep", "--input", MISSING, "--p", "0.5:0.5000000000005:1e-13"],
      "--p: '0.5:0.5000000000005:1e-13' repeats values once rounded to 12 decimals"),
     (["phase", "--input", MISSING, "--eta", "0", "--jobs", "x"],
-     "argument --jobs: expected an integer, got 'x'"),
+     "argument --jobs: expected int, got 'x'"),
     (["sweep", "--synthetic", "n=20", "--p", "0.5", "--alpha", "0", "--out", A_FILE],
      f"usage error: --out '{A_FILE}': '{A_FILE}' is not a directory"),
     (["phase", "--input", MISSING, "--eta", "0", "--out", f"{A_FILE}/sub"],
@@ -497,7 +502,8 @@ LABELS_NEEDED = ("--synthetic: label cascade needs ['label_alpha', 'label_asset'
       "label_p=0.9", "--p", "0.5"], "--synthetic: key 'label_p' given twice"),
     (["run", "--synthetic", "n=5,label_seed=0"], LABELS_NEEDED),
     (["run", "--synthetic", "n=5,label_seed=2"], LABELS_NEEDED),
-], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "seed-negative",
+], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "phase-threshold-nan",
+        "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
         "jobs-negative", "roc-grid-too-large", "sweep-grid-too-large", "range-infinite",
         "concentration-0", "concentration-negative", "median-negative", "run-jobs",
@@ -565,6 +571,10 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
      "schema error: row 2: column 'asset_00' has non-numeric value '\u0663'"),
     (["ingest", "--input"], (ONE_ASSET + "a,1_000,5,1000\n").encode(),
      "schema error: row 2: column 'total_assets' has non-numeric value '1_000'"),
+    (["ingest", "--input"], (ONE_ASSET + "a,-10,5,0\n").encode(),
+     "schema error: row 2: negative totals"),
+    (["ingest", "--input"], (ONE_ASSET + "a,10,-5,10\n").encode(),
+     "schema error: row 2: negative totals"),
     (["ingest", "--input"], WEIGHT_OVERFLOW,
      "schema error: bank c: asset 0 missing but its average weight overflows to inf"),
     (["ingest", "--input"], ZERO_ROW_WEIGHT_OVERFLOW,
@@ -576,7 +586,8 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
         "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
         "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
-        "ingest-underscore", "ingest-average-weight-overflows",
+        "ingest-underscore", "ingest-negative-total-assets", "ingest-negative-liabilities",
+        "ingest-average-weight-overflows",
         "ingest-zero-row-fills-from-inf-weight", "ingest-no-asset-columns", "run-empty-file"])
 def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
@@ -660,6 +671,90 @@ def test_range_counted_before_allocating(monkeypatch, capsys):
 ])
 def test_range_holds_lo_plus_k_steps_up_to_hi(text, values):
     assert cli._parse_values(text, "p") == values
+
+
+# --- one number grammar at every door ---------------------------------------
+
+# each form with its value as a float door and as an int door read it, None
+# where the reader refuses it; a float door reads what a CSV cell reads
+FORMS = {"1_0": (None, None), "\u0663": (None, None), "\uff11": (None, None),
+         "+1": (1.0, 1), " 1 ": (1.0, 1), "1e3": (1000.0, None), "0x1": (None, None),
+         "inf": (math.inf, None)}
+RUN = ["run", "--synthetic", "n=5"]
+PHASE = ["phase", "--synthetic", "n=5", "--alpha", "0:1:0.5", "--eta", "0"]
+
+
+def _csv_cell(form, tmp):
+    path = tmp / "cell.csv"
+    path.write_text(f"bank_id,total_assets,total_liabilities,asset_00\na,1,0.5,{form}\n",
+                    encoding="utf-8")
+    return ["ingest", "--input", str(path), "--out", str(tmp / "out")]
+
+
+# each door: (the kind it reads, its command line for a form, the values it
+# takes, the message that refuses a form it cannot read)
+DOORS = {
+    "csv-cell": (float, _csv_cell, (0.0, sys.float_info.max),
+                 "column 'asset_00' has non-numeric value"),
+    "p": (float, lambda f, tmp: [*RUN, "--p", f], (0.0, 1.0), "--p: expected a number"),
+    "range-bound": (float, lambda f, tmp: ["phase", "--synthetic", "n=5", "--alpha",
+                                           f"0:{f}:0.5", "--eta", "0", "--out", str(tmp)],
+                    (0.0, 1.0), "--alpha: non-numeric range bound"),
+    "shock-asset": (int, lambda f, tmp: [*RUN, "--shock", f"{f}:0.5"], (1, 12),
+                    "--shock: expected asset:p"),
+    "shock-p": (float, lambda f, tmp: [*RUN, "--shock", f"1:{f}"], (0.0, 1.0),
+                "--shock: expected asset:p"),
+    "asset": (int, lambda f, tmp: [*RUN, "--asset", f], (0, 12),
+              "argument --asset: expected int"),
+    "seed": (int, lambda f, tmp: [*RUN, "--seed", f], (0, math.inf),
+             "argument --seed: expected int"),
+    "replicates": (int, lambda f, tmp: [*PHASE, "--replicates", f, "--out", str(tmp)],
+                   (1, math.inf), "argument --replicates: expected int"),
+    "threshold": (float, lambda f, tmp: [*PHASE, "--threshold", f, "--out", str(tmp)],
+                  (0.0, 1.0), "argument --threshold: expected float"),
+    "jobs": (int, lambda f, tmp: [*PHASE, "--jobs", f, "--out", str(tmp)], (1, math.inf),
+             "argument --jobs: expected int"),
+    "synthetic-int": (int, lambda f, tmp: ["run", "--synthetic", f"n={f}"], (1, math.inf),
+                      "--synthetic: bad value for n"),
+    "synthetic-float": (float, lambda f, tmp: ["run", "--synthetic", f"n=5,lev_high={f}"],
+                        (0.85, sys.float_info.max), "--synthetic: bad value for lev_high"),
+}
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_reads_numbers_as_a_csv_cell_does(door, tmp_path, capsys):
+    # a form the reader refuses exits 2 naming the door's flag, key or column;
+    # one it reads is refused only when its value lies outside the door's domain
+    kind, argv_for, (lo, hi), refusal = DOORS[door]
+    seen, expected = {}, {}
+    for form, values in FORMS.items():
+        value = values[kind is int]
+        code = run_cli(*argv_for(form, tmp_path))
+        seen[form] = (code, refusal in capsys.readouterr().err)
+        expected[form] = (0 if value is not None and lo <= value <= hi else 2, value is None)
+    assert seen == expected
+
+
+def test_every_numeric_flag_and_spec_key_is_read_by_the_reader(monkeypatch):
+    # a bare int or float type reads 1_0 as 10 and \u0663 as 3
+    read = []
+    monkeypatch.setattr(cli, "number", lambda text, kind: read.append(text) or
+                        ingestion.number(text, kind))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    typed = [a for sp in subparsers.choices.values() for a in sp._actions if a.type is not None]
+    assert {a.dest for a in typed} == {"asset", "seed", "replicates", "threshold", "jobs"}
+    for action in typed:
+        read.clear()
+        assert action.type("1") == 1 and read == ["1"], action.dest
+        for form in ("1_0", "\u0663", "\uff11"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                action.type(form)
+    # a spec value is read as its field's type, so each must be a number's
+    # kind: a bool field would read "False" as True
+    types = typing.get_type_hints(SyntheticConfig)
+    assert {f.name: types[f.name] for f in fields(SyntheticConfig)
+            if types[f.name] not in (int, float)} == {}
 
 
 # --- pinned output bytes ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Survival curves, ROC grids and their splits, phase scans, the CSV writer."""
 
 import gc
+import os
 import weakref
 from contextlib import nullcontext
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import cascadefin as cf
+from cascadefin import evaluation
 from cascadefin.cascade import DOMAIN_CELL
 
 from helpers import dense_synthetic, make_network, rows, serial_pool, toy_network
@@ -305,6 +307,7 @@ def test_eta_zero_phase_cell_is_exact():
 
 def test_pool_is_never_larger_than_the_lattice(monkeypatch):
     sizes = serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     net = toy_network()
     serial = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2)
     pooled = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2, jobs=8)
@@ -313,3 +316,17 @@ def test_pool_is_never_larger_than_the_lattice(monkeypatch):
     cf.survival_curves(net, None, 0, [0.6], [1.0], [0.0], jobs=8)
     assert sizes == [2]
     assert np.array_equal(serial.mean_survival, pooled.mean_survival)
+
+
+@pytest.mark.parametrize("cores, jobs, pools", [(2, 64, [2]), (1, 2, []), (None, 2, [])],
+                         ids=["2-cores", "1-core", "unknown-cores"])
+def test_pool_is_never_larger_than_the_host(cores, jobs, pools, monkeypatch):
+    # extra workers only add forks, so a host of one core, or of a count os
+    # cannot tell, runs the lattice in process
+    sizes = serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    cells = [(0.6, alpha, 0.0) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    out = evaluation._run_lattice(toy_network(), 0, cells, 2, 0, evaluation._reduce_survival,
+                                  jobs)
+    assert sizes == pools
+    assert len(out) == len(cells)

@@ -60,8 +60,10 @@ def test_network_needs_one_holdings_row_per_bank_id(ids, holdings):
 
 
 def test_network_rejects_duplicate_ids():
-    with pytest.raises(ValueError, match="duplicate"):
-        make_network([[1.0], [1.0]], [0.5, 0.5], ids=("same", "same"))
+    # a duplicate is found whether or not it follows its first
+    for ids in (("same", "same"), ("b", "a", "b")):
+        with pytest.raises(ValueError, match="duplicate"):
+            make_network([[1.0]] * len(ids), [0.5] * len(ids), ids=ids)
 
 
 @pytest.mark.parametrize("holdings, liabilities, name", [
