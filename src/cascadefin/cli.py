@@ -256,8 +256,8 @@ def _write_outputs(args, name, write, result) -> str:
 
 def cmd_ingest(args) -> int:
     raw = load_raw_csv(args.input)
-    # counted first: completion fills raw's blanks in place
-    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))
+    # counted first, a column at a time: completion fills raw's blanks in place
+    blanks = sum(int(np.count_nonzero(np.isnan(column))) for column in raw.holdings.T)
     network, report = complete_dataset(raw)
     out = _out_dir(args)
     completed = os.path.join(out, "completed.csv")

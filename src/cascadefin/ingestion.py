@@ -49,7 +49,7 @@ def expected_columns(n_assets: int) -> list[str]:
 @dataclass(frozen=True)
 class RawTable:
     """A balance-sheet CSV as arrays: holdings is N x M with NaN for each blank
-    cell, line_numbers the file line of each row."""
+    cell, line_numbers the file line each row starts on."""
 
     bank_ids: tuple
     total_assets: FloatA
@@ -87,9 +87,19 @@ def number(text: str, kind):
     return kind(text)
 
 
-def _row_error(line: int, rec: list, header: list, first: int) -> SchemaError:
+def _duplicate_error(ids, lines):
+    """The SchemaError of the first row whose bank_id an earlier row has, or
+    None; a walk made only once the file is known to be bad."""
+    first = {}
+    for bank_id, line in zip(ids, lines):
+        if first.setdefault(bank_id, line) != line:
+            return SchemaError(f"row {line}: duplicate bank_id {bank_id!r}, "
+                               f"first on row {first[bank_id]}")
+
+
+def _row_error(line: int, rec: list, header: list, ids, lines) -> SchemaError:
     """The first problem of a bad data row, checking its columns in order;
-    first is the line where the row's bank_id first appears."""
+    ids and lines are the earlier rows', among which no bank_id repeats."""
     if len(rec) != len(header):
         return SchemaError(f"row {line}: expected {len(header)} fields, found {len(rec)}")
     bank_id = rec[0].strip()
@@ -97,8 +107,8 @@ def _row_error(line: int, rec: list, header: list, first: int) -> SchemaError:
         return SchemaError(f"row {line}: empty bank_id")
     if "\r" in bank_id or "\n" in bank_id:
         return SchemaError(f"row {line}: bank_id contains a line break")
-    if first != line:
-        return SchemaError(f"row {line}: duplicate bank_id {bank_id!r}, first on row {first}")
+    if error := _duplicate_error([*ids, bank_id], [*lines, line]):
+        return error
     for k in range(1, len(rec)):
         text = rec[k] if k < 3 else rec[k].strip()
         if k >= 3 and not text:
@@ -115,16 +125,15 @@ def _row_error(line: int, rec: list, header: list, first: int) -> SchemaError:
             return SchemaError(f"row {line}: negative holding {header[k]}")
 
 
-def _parse_block(block, header, first_line: dict) -> FloatA:
-    """The numbers of a block of (line, record) data rows: one row each of the
-    two totals and the holdings, NaN for a blank holding. Raises the
-    SchemaError of the block's first bad row."""
+def _parse_block(block, header) -> FloatA:
+    """The numbers of a block of (line, record) data rows up to its first bad
+    row: one row each of the two totals and the holdings, NaN for a blank
+    holding. Repeated bank_ids are left to the caller."""
     values, blanks = [], []
-    for line, rec in block:
+    for _, rec in block:
         bank_id = rec[0].strip()
-        first = first_line.setdefault(bank_id, line)
         try:
-            if len(rec) != len(header) or not bank_id or first != line:
+            if len(rec) != len(header) or not bank_id:
                 raise ValueError
             cells = [c.strip() for c in rec[3:]]
             # number's rule, tested once per row on its joined text: the parse's speed
@@ -138,10 +147,17 @@ def _parse_block(block, header, first_line: dict) -> FloatA:
     array = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 1)
     # NaN from a blank cell is fine; a non-finite number written in a cell is not
     bad = (np.count_nonzero(~np.isfinite(array), axis=1) != blanks) | (array < 0).any(axis=1)
-    if bad.any() or len(values) < len(block):
-        line, rec = block[int(np.argmax(bad)) if bad.any() else len(values)]
-        raise _row_error(line, rec, header, first_line[rec[0].strip()])
-    return array
+    return array[:int(np.argmax(bad))] if bad.any() else array
+
+
+def _records(reader):
+    """(first file line, record) of each non-blank record left in a csv.reader;
+    a quoted cell can span lines, so the record count is not the line."""
+    end = reader.line_num
+    for rec in reader:
+        start, end = end + 1, reader.line_num
+        if rec and not (len(rec) == 1 and rec[0].strip() == ""):
+            yield start, rec
 
 
 def _not_utf8(path) -> SchemaError:
@@ -184,22 +200,28 @@ def load_raw_csv(path) -> RawTable:
             total_assets, total_liabilities = np.empty(size), np.empty(size)
             holdings = np.empty((size, n_assets))
             line_numbers = np.empty(size, dtype=np.int64)
-            records = ((line, rec) for line, rec in enumerate(reader, start=2)
-                       if rec and not (len(rec) == 1 and rec[0].strip() == ""))
-            first_line, n = {}, 0
+            records, ids, n = _records(reader), [], 0
             while block := list(itertools.islice(records, BLOCK_ROWS)):
-                values = _parse_block(block, header, first_line)
-                rows = slice(n, n + len(block))
+                values = _parse_block(block, header)
+                rows = slice(n, n + len(values))
                 total_assets[rows], total_liabilities[rows] = values[:, 0], values[:, 1]
                 holdings[rows] = values[:, 2:]
-                line_numbers[rows] = [line for line, _ in block]
-                n += len(block)
+                line_numbers[rows] = [line for line, _ in block[:len(values)]]
+                ids += (rec[0].strip() for _, rec in block[:len(values)])
+                n += len(values)
+                if len(values) < len(block):
+                    line, rec = block[len(values)]
+                    # a duplicate on an earlier row comes before this row's error
+                    raise (_duplicate_error(ids, line_numbers[:n])
+                           or _row_error(line, rec, header, ids, line_numbers[:n]))
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     if not n:
         raise SchemaError("no data rows in input")
-    # first_line holds every bank_id once, in row order
-    return RawTable(tuple(first_line), total_assets[:n], total_liabilities[:n], holdings[:n],
+    # sorted, as BankAssetNetwork does: a dict of each id's line holds an int per row
+    if any(a == b for a, b in itertools.pairwise(sorted(ids))):
+        raise _duplicate_error(ids, line_numbers[:n])
+    return RawTable(tuple(ids), total_assets[:n], total_liabilities[:n], holdings[:n],
                     line_numbers[:n])
 
 
@@ -207,10 +229,14 @@ def compute_average_weights(raw: RawTable) -> FloatA:
     """Per asset m, the mean of B_{i,m}/B_i over the rows that report m and
     have B_i > 0; NaN where no row does. A holding far above a tiny B_i
     makes the weight inf, which completion refuses to fill from."""
-    reported = (raw.total_assets > 0)[:, None] & ~np.isnan(raw.holdings)
-    with np.errstate(over="ignore"):
-        return np.array([np.mean(raw.holdings[rows, m] / raw.total_assets[rows]) if rows.any()
-                         else np.nan for m, rows in enumerate(reported.T)])
+    positive = raw.total_assets > 0
+    weights = np.full(raw.holdings.shape[1], np.nan)
+    for m, column in enumerate(raw.holdings.T):   # a column at a time: no N x M mask
+        if (rows := positive & ~np.isnan(column)).any():
+            quotient = column[rows]
+            with np.errstate(over="ignore"):
+                weights[m] = np.mean(np.divide(quotient, raw.total_assets[rows], out=quotient))
+    return weights
 
 
 def _row_sums(values, mask) -> FloatA:
@@ -222,7 +248,7 @@ def _row_sums(values, mask) -> FloatA:
     packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
     counts = np.count_nonzero(mask, axis=1)
     sums = np.zeros(len(counts))
-    for k in np.unique(counts):
+    for k in np.flatnonzero(np.bincount(counts)):   # np.unique(counts) loads numpy.ma
         rows = counts == k
         sums[rows] = packed[rows, :k].sum(axis=1)
     return sums
@@ -327,9 +353,8 @@ def network_from_sheets(raw: RawTable) -> BankAssetNetwork:
 def load_completed_network(path) -> BankAssetNetwork:
     """Load a CSV that must have no blanks (i.e. already completed)."""
     raw = load_raw_csv(path)
-    blank = np.argwhere(np.isnan(raw.holdings))
-    if blank.size:
-        i, m = blank[0]
+    if np.isnan(raw.holdings.min()):   # NaN when a cell is: no N x M temporary
+        i, m = np.argwhere(np.isnan(raw.holdings))[0]
         raise SchemaError(f"row {raw.line_numbers[i]}: blank asset_{m:02d}; run ingest first")
     off = off_total(raw.holdings, raw.total_assets)
     if off.any():
@@ -370,18 +395,13 @@ def save_completed_csv(network: BankAssetNetwork, path):
 def load_labels(path) -> frozenset:
     """The bank ids of a one-column bank_id CSV (header optional, duplicates
     dropped with a warning)."""
-    ids = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            for pos, rec in enumerate(csv.reader(fh)):
-                if not rec or not rec[0].strip():
-                    continue
-                value = rec[0].strip()
-                if pos == 0 and value.lower() == "bank_id":
-                    continue
-                ids.append(value)
+            ids = [value for rec in csv.reader(fh) if rec and (value := rec[0].strip())]
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
+    if ids and ids[0].lower() == "bank_id":   # the header is the first non-blank record
+        del ids[0]
     unique = frozenset(ids)
     dupes = len(ids) - len(unique)
     if dupes:

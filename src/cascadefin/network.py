@@ -53,8 +53,10 @@ def off_total(holdings: FloatA, total_assets: FloatA) -> BoolA:
     """The rows whose holdings sum misses total_assets by more than SUM_RTOL
     of the total (of 1, for totals below 1); a sum that overflows misses it."""
     with np.errstate(over="ignore"):
-        sums = holdings.sum(axis=1)
-    return np.abs(sums - total_assets) > SUM_RTOL * np.maximum(total_assets, 1.0)
+        miss = holdings.sum(axis=1)
+    np.abs(np.subtract(miss, total_assets, out=miss), out=miss)   # in place, as is tol
+    tol = np.maximum(total_assets, 1.0)
+    return miss > np.multiply(tol, SUM_RTOL, out=tol)
 
 
 @dataclass
@@ -83,13 +85,15 @@ class BankAssetNetwork:
         if self.market_value is None:
             with np.errstate(over="ignore"):   # the finite check below refuses inf
                 self.market_value = self.holdings.sum(axis=0)
+        # reductions, not N x M boolean temporaries: min and max carry a NaN through
         for name in ("holdings", "total_assets", "total_liabilities", "market_value"):
-            if not np.isfinite(getattr(self, name)).all():
+            values = getattr(self, name)
+            if values.size and not np.isfinite([values.min(), values.max()]).all():
                 raise ValueError(f"{name} has a non-finite value")
-        if np.any(self.holdings < 0):
+        if self.holdings.size and self.holdings.min() < 0:
             bad = self.bank_ids[int(np.argwhere(np.any(self.holdings < 0, axis=1))[0, 0])]
             raise ValueError(f"bank {bad}: negative holding")
-        if np.any(self.total_liabilities < 0):
+        if self.total_liabilities.size and self.total_liabilities.min() < 0:
             raise ValueError("negative liabilities")
         off = off_total(self.holdings, self.total_assets)
         if off.any():

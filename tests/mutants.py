@@ -1,8 +1,9 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
 command line's range, manifest and --synthetic rules, the number reader at
-every door, the CSV parse's row checks, ingest's in-place completion and the
-package's start-up rules, each with the tests that kill it or the reason no
-result can change.
+every door, the CSV parse's row checks and duplicate ids, the network's sum
+tolerance, ingest's in-place completion and row sums, the label file's header
+and the package's start-up rules, each with the tests that kill it or the
+reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -45,6 +46,8 @@ DOORS = "tests/test_cli.py::test_every_door_reads_numbers_as_a_csv_cell_does"
 READER_GUARD = "tests/test_cli.py::test_every_numeric_flag_and_spec_key_is_read_by_the_reader"
 BAD_CELLS = "tests/test_ingestion.py::test_load_raw_csv_rejects_bad_cells"
 POOL_CELLS = "tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice"
+DUPLICATE = "tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_id"
+DUPLICATE_ORDER = "tests/test_ingestion.py::test_load_raw_csv_orders_a_duplicate_among_row_errors"
 
 
 class Mutant(NamedTuple):
@@ -90,6 +93,12 @@ MUTANTS = (
     Mutant("network-duplicates-unsorted", NETWORK,
            "itertools.pairwise(sorted(self.bank_ids))", "itertools.pairwise(self.bank_ids)",
            ("tests/test_network.py::test_network_rejects_duplicate_ids",)),
+    Mutant("network-sum-tolerance-unscaled", NETWORK,
+           "return miss > np.multiply(tol, SUM_RTOL, out=tol)", "return miss > tol",
+           ("tests/test_network.py::test_network_validates_holdings_sum",)),
+    Mutant("network-sum-tolerance-no-floor", NETWORK,
+           "tol = np.maximum(total_assets, 1.0)", "tol = total_assets.copy()",
+           ("tests/test_network.py::test_network_sum_tolerance_is_absolute_below_a_total_of_1",)),
     Mutant("network-not-contiguous", NETWORK,
            "np.ascontiguousarray(self.holdings, dtype=np.float64)",
            "np.asarray(self.holdings, dtype=np.float64)",
@@ -250,12 +259,23 @@ MUTANTS = (
            (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
     Mutant("reader-underscore-plain", INGESTION, 'return text.isascii() and "_" not in text',
            "return text.isascii()", (f"{BAD_FILE}[ingest-underscore]",)),
-    Mutant("parse-duplicate-kept", INGESTION, "or not bank_id or first != line:",
-           "or not bank_id:",
-           ("tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_id",)),
+    Mutant("parse-duplicate-kept", INGESTION,
+           "if any(a == b for a, b in itertools.pairwise(sorted(ids))):", "if False:",
+           (DUPLICATE, f"{DUPLICATE_ORDER}[first-repeat-3]")),
+    Mutant("parse-earlier-duplicate-late", INGESTION,
+           "raise (_duplicate_error(ids, line_numbers[:n])", "raise (None",
+           (f"{DUPLICATE_ORDER}[before-a-later-bad-row-3]",)),
+    Mutant("row-duplicate-unchecked", INGESTION,
+           "if error := _duplicate_error([*ids, bank_id], [*lines, line]):", "if False:",
+           (f"{DUPLICATE_ORDER}[before-its-cells-3]",)),
+    Mutant("duplicate-names-a-later-row", INGESTION,
+           "for bank_id, line in zip(ids, lines):",
+           "for bank_id, line in zip(ids[::-1], lines[::-1]):", (DUPLICATE,)),
+    Mutant("records-last-line", INGESTION,
+           "start, end = end + 1, reader.line_num", "start = end = reader.line_num",
+           ("tests/test_ingestion.py::test_load_raw_csv_numbers_a_row_by_its_first_file_line",)),
     Mutant("parse-field-count-unchecked", INGESTION,
-           "if len(rec) != len(header) or not bank_id or first", "if not bank_id or first",
-           (BAD_CELLS,)),
+           "if len(rec) != len(header) or not bank_id:", "if not bank_id:", (BAD_CELLS,)),
     Mutant("parse-negative-kept", INGESTION, " | (array < 0).any(axis=1)", "", (BAD_CELLS,)),
     Mutant("row-negative-totals-unchecked", INGESTION,
            "if k == 2 and (value < 0 or float(rec[1]) < 0):", "if False:",
@@ -331,11 +351,18 @@ MUTANTS = (
            "raw.total_liabilities, raw.holdings.copy(), raw.line_numbers)), report",
            ("tests/test_ingestion.py::test_completion_fills_the_raw_table_in_place",)),
     Mutant("ingest-blanks-counted-late", CLI,
-           "    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))\n"
-           "    network, report = complete_dataset(raw)\n",
-           "    network, report = complete_dataset(raw)\n"
-           "    blanks = int(np.count_nonzero(np.isnan(raw.holdings)))\n",
+           "    blanks = sum(int(np.count_nonzero(np.isnan(column))) "
+           "for column in raw.holdings.T)\n    network, report = complete_dataset(raw)\n",
+           "    network, report = complete_dataset(raw)\n    blanks = sum("
+           "int(np.count_nonzero(np.isnan(column))) for column in raw.holdings.T)\n",
            ("tests/test_cli.py::test_ingest_prints_the_blank_cells_of_its_input",)),
+    Mutant("row-sums-loop-counts", INGESTION,
+           "for k in np.flatnonzero(np.bincount(counts)):", "for k in np.bincount(counts):",
+           ("tests/test_properties.py::test_completion_matches_row_by_row_reference",)),
+    # labels: the optional header is the first non-blank record
+    Mutant("labels-header-kept", INGESTION,
+           'if ids and ids[0].lower() == "bank_id":', "if False:",
+           ("tests/test_ingestion.py::test_labels_header_is_the_first_non_blank_record",)),
 )
 
 

@@ -128,6 +128,36 @@ def test_load_raw_csv_rejects_duplicate_bank_id(tmp_path, monkeypatch):
         cf.load_raw_csv(path)
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+@pytest.mark.parametrize("rows, message", [
+    ("a,10,5,10\nb,10,5,10\na,10,5,10\nc,10\n", "row 4: duplicate bank_id 'a', first on row 2"),
+    ("a,10,5,10\nb,10,5,10\na,10\n", "row 4: expected 4 fields, found 2"),
+    ("a,10,5,10\nb,10,5,10\na,10,5,x\n", "row 4: duplicate bank_id 'a', first on row 2"),
+    ("a,10,5,10\nb,10,5,10\nb,10,5,10\na,10,5,10\n",
+     "row 4: duplicate bank_id 'b', first on row 3"),
+], ids=["before-a-later-bad-row", "after-its-field-count", "before-its-cells", "first-repeat"])
+def test_load_raw_csv_orders_a_duplicate_among_row_errors(tmp_path, monkeypatch, block_rows,
+                                                          rows, message):
+    # the first bad row's error, in _row_error's order of checks, where an
+    # earlier row repeating a bank_id is a bad row too
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    path = write(tmp_path / "dup.csv", "bank_id,total_assets,total_liabilities,asset_00\n" + rows)
+    with pytest.raises(cf.SchemaError, match=f"^{message}$"):
+        cf.load_raw_csv(path)
+
+
+def test_load_raw_csv_numbers_a_row_by_its_first_file_line(tmp_path):
+    # a quoted cell can span lines, so a row's line is not its record count
+    head = "bank_id,total_assets,total_liabilities,asset_00\n"
+    spanning = 'a,"100.0\n",50.0,100.0\n'
+    path = write(tmp_path / "bad.csv", head + spanning + "b,100.0,50.0,x\n")
+    with pytest.raises(cf.SchemaError,
+                       match=r"^row 4: column 'asset_00' has non-numeric value 'x'$"):
+        cf.load_raw_csv(path)
+    raw = cf.load_raw_csv(write(tmp_path / "good.csv", head + spanning + "\nb,100.0,50.0,100.0\n"))
+    assert raw.line_numbers.tolist() == [2, 5]
+
+
 @pytest.mark.parametrize("layout", ["crlf", "cr", "blank-lines", "no-final-newline"])
 def test_load_raw_csv_reads_every_line_layout(layout, tmp_path):
     # the columns are sized by the file's line breaks before it is parsed
@@ -320,11 +350,12 @@ def test_save_quotes_bank_ids_as_csv_writer_does(tmp_path):
 
 
 def test_ingest_layers_peak_in_bounded_memory(tmp_path):
-    # on 10k rows each layer peaks at about 2.8 (parse), 1.9 (complete) and
-    # 0.25 (write) times the holdings' bytes; one that builds a whole-table
+    # on 10k rows each layer peaks at about 2.48 (parse, the table included),
+    # 0.18 (average weights), 0.97 (complete), 0.16 (network checks) and 0.25
+    # (write) times the holdings' bytes; one that builds a whole-table
     # temporary, such as a concatenation of parsed blocks, a completed copy
-    # beside the raw table or a stack of all columns, reads above 4.7, 2.9
-    # and 1.4
+    # beside the raw table, an N x M boolean mask or a stack of all columns,
+    # reads above 3.6, 0.3, 1.9, 0.29 and 1.4
     def peak(layer, *args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -335,13 +366,18 @@ def test_ingest_layers_peak_in_bounded_memory(tmp_path):
     tracemalloc.start()
     try:
         raw, parse = peak(cf.load_raw_csv, path)
+        _, weights = peak(cf.compute_average_weights, raw)
         (net, _), complete = peak(cf.complete_dataset, raw)
+        _, checks = peak(cf.BankAssetNetwork, net.bank_ids, net.holdings, net.total_assets,
+                         net.total_liabilities)
         _, save = peak(cf.save_completed_csv, net, tmp_path / "completed.csv")
     finally:
         tracemalloc.stop()
     nbytes = raw.holdings.nbytes
-    assert parse < 3.8 * nbytes
-    assert complete < 2.9 * nbytes
+    assert parse < 3.3 * nbytes
+    assert weights < 0.25 * nbytes
+    assert complete < 1.4 * nbytes
+    assert checks < 0.25 * nbytes
     assert save < 0.7 * nbytes
 
 
@@ -372,6 +408,12 @@ def test_labels_dedupe_warns(tmp_path):
 def test_labels_header_optional(tmp_path):
     path = write(tmp_path / "plain.csv", "b1\nb2\n")
     assert cf.load_labels(path) == frozenset({"b1", "b2"})
+
+
+@pytest.mark.parametrize("text", ["\nbank_id\nB00001\n", "\n , \n Bank_ID \nB00001\n"],
+                         ids=["after-a-blank-line", "after-blank-records"])
+def test_labels_header_is_the_first_non_blank_record(text, tmp_path):
+    assert cf.load_labels(write(tmp_path / "labels.csv", text)) == frozenset({"B00001"})
 
 
 @pytest.mark.parametrize("text", ["bank_id\nb1\nb2\n", "b1\nb2\n"], ids=["header", "plain"])

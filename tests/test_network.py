@@ -50,6 +50,13 @@ def test_network_sum_tolerance_is_relative():
     assert net.n_banks == 1
 
 
+def test_network_sum_tolerance_is_absolute_below_a_total_of_1():
+    # SUM_RTOL of 1, not of the total, for totals below 1
+    net = cf.BankAssetNetwork(("b0",), np.array([[0.5 * SUM_RTOL]]), np.array([0.0]),
+                              np.array([0.0]))
+    assert net.n_banks == 1
+
+
 @pytest.mark.parametrize("ids, holdings", [
     (("b0",), [3.0]),
     (("b0", "b1"), [[1.0, 2.0]]),

@@ -1,9 +1,10 @@
 """What a command costs before it computes anything: the package pins
 OpenBLAS to one thread, the process-pool modules load only when --jobs above
 1 starts a pool, OpenSSL (hashlib's _hashlib) only when a manifest is hashed,
-and numpy.random only when a cascade with eta > 0 or a synthetic network
-needs a stream. Each check runs a fresh interpreter, since the test process
-has loaded numpy, the pool, hashlib and numpy.random long before."""
+numpy.random only when a cascade with eta > 0 or a synthetic network needs a
+stream, and numpy.ma never. Each check runs a fresh interpreter, since the
+test process has loaded numpy, the pool, hashlib and numpy.random long
+before."""
 
 import json
 import os
@@ -30,8 +31,9 @@ print(json.dumps({{
 """
 
 
-# OpenSSL, which hashlib maps (~3.5 MB of RSS), and numpy's generators
-LAZY = ("_hashlib", "numpy.random")
+# OpenSSL, which hashlib maps (~3.5 MB of RSS), numpy's generators, and
+# numpy.ma, which np.unique imports on first use (~1.7 MB)
+LAZY = ("_hashlib", "numpy.random", "numpy.ma")
 
 # the lazily loaded modules a process holds once cli.main(argv) returns
 AFTER_COMMAND = """
@@ -101,13 +103,24 @@ def test_import_loads_neither_openssl_nor_numpy_random():
     assert startup()["lazy_modules"] == []
 
 
+RAW = ("bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+       "a,100.0,60.0,60.0,40.0\n"
+       "b,100.0,50.0,30.0,\n")
+
+
 def test_ingest_never_loads_openssl(tmp_path):
     # ingest writes no manifest, so nothing it does hashes
     raw = tmp_path / "raw.csv"
-    raw.write_text("bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
-                   "a,100.0,60.0,60.0,40.0\n"
-                   "b,100.0,50.0,30.0,\n")
+    raw.write_text(RAW)
     assert "_hashlib" not in lazy_after("ingest", "--input", str(raw),
+                                        "--out", str(tmp_path / "out"))
+
+
+def test_ingest_never_loads_numpy_ma(tmp_path):
+    # completion groups rows by their count of known cells, without np.unique
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW)
+    assert "numpy.ma" not in lazy_after("ingest", "--input", str(raw),
                                         "--out", str(tmp_path / "out"))
 
 
