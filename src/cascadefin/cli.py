@@ -120,10 +120,23 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
 
 
 def _sha256(path) -> str:
-    # imported here, as hashlib maps OpenSSL and only a manifest hashes
-    import hashlib
+    # Plain SHA-256, whichever module computes it. hashlib maps OpenSSL
+    # (~3.5 MB of RSS), which an eta = 0 scan loads for nothing else, so the
+    # interpreter's built-in module is used, as random.py picks its SHA-512;
+    # once numpy.random has loaded hashlib, mapping the built-in module
+    # beside OpenSSL would only add RSS.
+    if "hashlib" in sys.modules:
+        from hashlib import sha256
+    else:
+        try:
+            from _sha2 import sha256      # CPython 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256    # CPython 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
             digest.update(block)
@@ -421,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.choices[name].add_argument("--labels", help="CSV of failed bank_ids (ground truth)")
     for name in ("sweep", "roc", "phase"):
         sub.choices[name].add_argument("--jobs", type=_flag(int, 1), default=1, help=(
-            "worker processes, at most the core count; never changes the output bytes"))
+            "worker processes, at most the CPUs it may run on; never changes the output bytes"))
     return ap
 
 

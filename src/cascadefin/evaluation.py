@@ -94,6 +94,14 @@ def _cell(i):
     return lat.reduce(fates, lat)
 
 
+def _cores() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the host's core count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
                  positives=None) -> list:
     """The reduced result of each (p, alpha, eta) cell of a single shock on
@@ -106,8 +114,9 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
                                  for p, alpha, eta in cells],
                        int(replicates), int(seed), reduce, positives)
     n_cells = len(cells)
-    # the pool forks every worker up front, so never more than there are cells or cores
-    workers = min(jobs or 1, n_cells, os.cpu_count() or 1)
+    # the pool forks every worker up front, so never more than there are
+    # cells or CPUs to run them on
+    workers = min(jobs or 1, n_cells, _cores())
     if workers <= 1:
         _init_worker(lattice)
         try:

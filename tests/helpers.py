@@ -111,6 +111,18 @@ def serial_pool(monkeypatch):
     return sizes
 
 
+def host_cores(monkeypatch, cores, affinity=True):
+    """Make os report a host of cores CPUs (None: a count os cannot tell),
+    all of which the process may run on; without affinity, a platform that
+    has no os.sched_getaffinity."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+
 def manifest_argv(out) -> list:
     """The command line that out/manifest.json records: its command, then
     --flag=value for every flag in its config that has a value."""

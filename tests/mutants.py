@@ -1,9 +1,10 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
-command line's range, manifest and --synthetic rules, the number reader at
-every door, the CSV parse's row checks and duplicate ids, the network's sum
-tolerance, ingest's in-place completion and row sums, the label file's header
-and the package's start-up rules, each with the tests that kill it or the
-reason no result can change.
+lattice's pool size, the command line's range, manifest, --out and
+--synthetic rules, the number reader at every door, the CSV parse's row checks
+and duplicate ids, the network's sum tolerance, ingest's in-place completion
+and row sums, the label file's header and duplicate count, the manifest
+digest's choice of module and the package's start-up rules, each with the
+tests that kill it or the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -48,6 +49,8 @@ BAD_CELLS = "tests/test_ingestion.py::test_load_raw_csv_rejects_bad_cells"
 POOL_CELLS = "tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice"
 DUPLICATE = "tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_id"
 DUPLICATE_ORDER = "tests/test_ingestion.py::test_load_raw_csv_orders_a_duplicate_among_row_errors"
+REUSED_DIGEST = "tests/test_startup.py::test_a_process_that_loaded_openssl_hashes_with_it"
+DIGEST = "tests/test_cli.py::test_manifest_digest_is_plain_sha256"
 
 
 class Mutant(NamedTuple):
@@ -180,12 +183,14 @@ MUTANTS = (
     Mutant("lattice-one-worker-pooled", EVALUATION, "if workers <= 1:", "if workers < 1:",
            (POOL_CELLS,)),
     Mutant("lattice-pool-past-cells", EVALUATION,
-           "min(jobs or 1, n_cells, os.cpu_count() or 1)", "min(jobs or 1, os.cpu_count() or 1)",
-           (POOL_CELLS,)),
+           "min(jobs or 1, n_cells, _cores())", "min(jobs or 1, _cores())", (POOL_CELLS,)),
     Mutant("lattice-pool-past-cores", EVALUATION,
-           "min(jobs or 1, n_cells, os.cpu_count() or 1)", "min(jobs or 1, n_cells)",
+           "min(jobs or 1, n_cells, _cores())", "min(jobs or 1, n_cells)",
            ("tests/test_evaluation.py::test_pool_is_never_larger_than_the_host",
             "tests/test_cli.py::test_jobs_clamped_to_core_count")),
+    Mutant("lattice-pool-past-affinity", EVALUATION,
+           "return len(os.sched_getaffinity(0))", "return os.cpu_count() or 1",
+           ("tests/test_evaluation.py::test_pool_fits_the_cpus_the_process_may_run_on",)),
     # cli: ranges
     Mutant("range-half-step-past-hi", CLI,
            "last = (hi - lo + 5e-13) / step", "last = (hi - lo) / step + 0.5",
@@ -205,6 +210,16 @@ MUTANTS = (
     Mutant("manifest-records-jobs", CLI,
            'not in ("command", "func", "out", "jobs")', 'not in ("command", "func", "out")',
            ("tests/test_cli.py::test_sweep_bytes_stable_across_runs_and_jobs",)),
+    # cli: --out is refused before any input loads
+    Mutant("out-run-directory-kept", CLI,
+           'raise UsageError(f"--out {args.out!r} is a directory; run writes one file")', "pass",
+           (f"{BAD_INPUT}[run-out-dir]",)),
+    Mutant("out-run-file-as-directory", CLI,
+           "        path = os.path.dirname(path)\n    else:", "        pass\n    else:",
+           (f"{BAD_INPUT}[run-out-in-missing-dir]",
+            "tests/test_cli.py::test_run_out_file_matches_stdout")),
+    Mutant("out-not-a-directory-kept", CLI, "    if not os.path.isdir(path):", "    if False:",
+           (f"{BAD_INPUT}[sweep-out-file]", f"{BAD_INPUT}[ingest-out-file]")),
     # cli: the --synthetic spec's syntax
     Mutant("spec-no-equals-check", CLI,
            'if "=" not in item:', "if False:", (f"{BAD_INPUT}[synthetic-key-without-value]",)),
@@ -331,13 +346,19 @@ MUTANTS = (
     Mutant("startup-eager-pool", EVALUATION,
            "import warnings\n",
            "import warnings\nfrom concurrent.futures import ProcessPoolExecutor\n", (STARTUP,)),
-    # start-up: OpenSSL only for a manifest, numpy.random only for barrier noise
+    # start-up: numpy.random only for barrier noise, OpenSSL only with it
     Mutant("startup-eager-hashlib", CLI,
            "import argparse\n", "import argparse\nimport hashlib\n", (LAZY_IMPORTS,)),
     Mutant("cell-eta-0-streams", EVALUATION,
            "run_cascade(lat.network, params, None)",
            "run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, 0))",
            (f"{RANDOM_ON_DEMAND}[eta-0]",)),
+    Mutant("digest-always-hashlib", CLI, 'if "hashlib" in sys.modules:', "if True:",
+           (f"{RANDOM_ON_DEMAND}[eta-0]", DIGEST)),
+    Mutant("digest-always-built-in", CLI, 'if "hashlib" in sys.modules:', "if False:",
+           (REUSED_DIGEST, DIGEST)),
+    Mutant("digest-choice-inverted", CLI, 'if "hashlib" in sys.modules:',
+           'if "hashlib" not in sys.modules:', (f"{RANDOM_ON_DEMAND}[eta-0]", REUSED_DIGEST)),
     Mutant("run-eta-0-streams", CLI,
            "stream(args.seed) if eta > 0 else None", "stream(args.seed)",
            (f"{RANDOM_ON_DEMAND}[eta-0]",)),
@@ -363,6 +384,12 @@ MUTANTS = (
     Mutant("labels-header-kept", INGESTION,
            'if ids and ids[0].lower() == "bank_id":', "if False:",
            ("tests/test_ingestion.py::test_labels_header_is_the_first_non_blank_record",)),
+    # labels: the duplicate warning counts the extra copies
+    Mutant("labels-duplicates-unwarned", INGESTION, "    if dupes:", "    if False:",
+           ("tests/test_ingestion.py::test_labels_dedupe_warns",)),
+    Mutant("labels-counts-repeated-ids", INGESTION, "dupes = len(ids) - len(unique)",
+           "dupes = sum(ids.count(i) > 1 for i in unique)",
+           ("tests/test_ingestion.py::test_labels_dedupe_warns",)),
 )
 
 

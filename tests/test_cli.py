@@ -15,7 +15,7 @@ import pytest
 
 from cascadefin import SyntheticConfig, cli, ingestion
 
-from helpers import assert_same_files, manifest_argv, serial_pool
+from helpers import assert_same_files, host_cores, manifest_argv, serial_pool
 
 
 def run_cli(*argv):
@@ -236,6 +236,29 @@ def test_sweep_writes_csv_and_manifest(toy_csv, tmp_path, capsys):
     assert manifest["config"]["input_sha256"]
     digest = hashlib.sha256((out / "survival.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["survival.csv"] == digest
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 1_000_003])
+@pytest.mark.parametrize("module", ["hashlib-loaded", "built-in", "hashlib-fallback"])
+def test_manifest_digest_is_plain_sha256(module, size, tmp_path, monkeypatch):
+    # _sha256 reads 65,536-byte blocks; hashlib is used when it is loaded
+    # already or when the interpreter has no built-in SHA-256 module
+    data = (bytes(range(251)) * (size // 251 + 1))[:size]
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    expected = hashlib.sha256(data).hexdigest()
+    calls = []
+    if module == "hashlib-loaded":
+        real = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda: calls.append(1) or real())
+    else:
+        monkeypatch.delitem(sys.modules, "hashlib")
+    if module == "hashlib-fallback":
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+    assert cli._sha256(path) == expected
+    assert calls == ([1] if module == "hashlib-loaded" else [])
+    assert ("hashlib" in sys.modules) == (module != "built-in")
 
 
 def test_sweep_eta_must_be_scalar(toy_csv, capsys):
@@ -640,7 +663,7 @@ def test_label_cascade_out_of_domain_exits_2(capsys):
 
 def test_jobs_clamped_to_core_count(toy_csv, tmp_path, monkeypatch):
     sizes = serial_pool(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    host_cores(monkeypatch, 2)
     assert run_cli("phase", "--input", toy_csv, "--p", "0.6", "--alpha", "0:1:0.25",
                    "--eta", "0", "--replicates", "2", "--jobs", "64",
                    "--out", str(tmp_path)) == 0

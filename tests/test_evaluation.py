@@ -12,7 +12,7 @@ import cascadefin as cf
 from cascadefin import evaluation
 from cascadefin.cascade import DOMAIN_CELL
 
-from helpers import dense_synthetic, make_network, rows, serial_pool, toy_network
+from helpers import dense_synthetic, host_cores, make_network, rows, serial_pool, toy_network
 
 
 def three_bank_network():
@@ -307,7 +307,7 @@ def test_eta_zero_phase_cell_is_exact():
 
 def test_pool_is_never_larger_than_the_lattice(monkeypatch):
     sizes = serial_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    host_cores(monkeypatch, 8)
     net = toy_network()
     serial = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2)
     pooled = cf.phase_scan(net, 0, [0.6], [0.0, 1.0], [0.0], replicates=2, jobs=8)
@@ -318,15 +318,35 @@ def test_pool_is_never_larger_than_the_lattice(monkeypatch):
     assert np.array_equal(serial.mean_survival, pooled.mean_survival)
 
 
-@pytest.mark.parametrize("cores, jobs, pools", [(2, 64, [2]), (1, 2, []), (None, 2, [])],
-                         ids=["2-cores", "1-core", "unknown-cores"])
-def test_pool_is_never_larger_than_the_host(cores, jobs, pools, monkeypatch):
+@pytest.mark.parametrize("cores, affinity, jobs, pools",
+                         [(2, True, 64, [2]), (1, True, 2, []), (None, False, 2, []),
+                          (2, False, 64, [2])],
+                         ids=["2-cores", "1-core", "unknown-cores", "2-cores-no-affinity"])
+def test_pool_is_never_larger_than_the_host(cores, affinity, jobs, pools, monkeypatch):
     # extra workers only add forks, so a host of one core, or of a count os
     # cannot tell, runs the lattice in process
     sizes = serial_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    host_cores(monkeypatch, cores, affinity)
     cells = [(0.6, alpha, 0.0) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)]
     out = evaluation._run_lattice(toy_network(), 0, cells, 2, 0, evaluation._reduce_survival,
                                   jobs)
     assert sizes == pools
     assert len(out) == len(cells)
+
+
+def test_pool_fits_the_cpus_the_process_may_run_on(monkeypatch):
+    # under `taskset -c 0` on an 8-core host two workers would share one core
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool on one CPU")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    net = three_bank_network()
+    grids = ([1.0, 0.6], [0.0, 1.0], [0.0, 0.1])
+    one = cf.roc_grid(net, ["A"], 0, *grids, seed=2, jobs=1)
+    two = cf.roc_grid(net, ["A"], 0, *grids, seed=2, jobs=2)
+    assert one.keys() == two.keys()
+    for key in one:
+        assert np.array_equal(one[key], two[key])

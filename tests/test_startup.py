@@ -1,10 +1,11 @@
 """What a command costs before it computes anything: the package pins
 OpenBLAS to one thread, the process-pool modules load only when --jobs above
-1 starts a pool, OpenSSL (hashlib's _hashlib) only when a manifest is hashed,
-numpy.random only when a cascade with eta > 0 or a synthetic network needs a
-stream, and numpy.ma never. Each check runs a fresh interpreter, since the
-test process has loaded numpy, the pool, hashlib and numpy.random long
-before."""
+1 starts a pool, numpy.random only when a cascade with eta > 0 or a synthetic
+network needs a stream, OpenSSL (hashlib's _hashlib) only with numpy.random,
+whose secrets import loads it, and numpy.ma never. A manifest hashes with the
+interpreter's built-in SHA-256 unless hashlib is loaded already. Each check
+runs a fresh interpreter, since the test process has loaded numpy, the pool,
+hashlib and numpy.random long before."""
 
 import json
 import os
@@ -31,17 +32,21 @@ print(json.dumps({{
 """
 
 
-# OpenSSL, which hashlib maps (~3.5 MB of RSS), numpy's generators, and
-# numpy.ma, which np.unique imports on first use (~1.7 MB)
+# OpenSSL, which hashlib maps (~3.5 MB of RSS) and no eta = 0 sweep or phase
+# needs, numpy's generators, and numpy.ma, which np.unique imports on first use
+# (~1.7 MB)
 LAZY = ("_hashlib", "numpy.random", "numpy.ma")
 
-# the lazily loaded modules a process holds once cli.main(argv) returns
+# the interpreter's own SHA-256: _sha2 from CPython 3.12, _sha256 before
+BUILTIN_SHA256 = ("_sha2", "_sha256")
+
+# the watched modules a process holds once cli.main(argv) returns
 AFTER_COMMAND = """
 import json, sys
 from cascadefin import cli
 code = cli.main({argv!r})
-print(json.dumps({{"code": code, "lazy_modules": sorted(m for m in sys.modules
-                                                         if m in {lazy!r})}}))
+print(json.dumps({{"code": code, "modules": sorted(m for m in sys.modules
+                                                    if m in {watch!r})}}))
 """
 
 
@@ -58,16 +63,16 @@ def startup(before="", **exported) -> dict:
     return json.loads(proc.stdout)
 
 
-def lazy_after(*argv) -> list:
-    """The LAZY modules loaded by a command run through cli.main in a fresh
+def lazy_after(*argv, watch=LAZY) -> list:
+    """The watch modules loaded by a command run through cli.main in a fresh
     interpreter, which must exit 0."""
     proc = subprocess.run([sys.executable, "-c", AFTER_COMMAND.format(argv=list(argv),
-                                                                      lazy=LAZY)],
+                                                                      watch=watch)],
                           env=environ(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     state = json.loads(proc.stdout.splitlines()[-1])
     assert state["code"] == 0
-    return state["lazy_modules"]
+    return state["modules"]
 
 
 def test_import_loads_no_pool_and_pins_one_blas_thread():
@@ -130,17 +135,28 @@ TOY = ("bank_id,total_assets,total_liabilities,asset_00\n"
        "C,100.0,8.0,100.0\n")
 
 
-@pytest.mark.parametrize("eta, loaded", [("0", []), ("0.2", ["numpy.random"])],
+@pytest.mark.parametrize("eta, loaded", [("0", []), ("0.2", ["_hashlib", "numpy.random"])],
                          ids=["eta-0", "eta-0.2"])
 def test_numpy_random_loads_only_for_barrier_noise(eta, loaded, tmp_path):
-    # an eta = 0 cascade draws nothing, so it gets no generator; the phase
-    # run hashes its manifest, which loads OpenSSL either way
+    # an eta = 0 cascade draws nothing, so it gets no generator, and the
+    # phase and sweep runs hash their input and manifest without OpenSSL; at
+    # eta > 0 numpy.random's secrets import loads OpenSSL
     toy = tmp_path / "toy.csv"
     toy.write_text(TOY)
-    flags = ["--input", str(toy), "--p", "0.6", "--alpha", "0:1:0.5", "--eta", eta,
-             "--replicates", "2", "--seed", "1"]
-    assert lazy_after("phase", *flags, "--out", str(tmp_path / "phase")) \
-        == sorted(["_hashlib", *loaded])
+    grid = ["--input", str(toy), "--p", "0.6", "--alpha", "0:1:0.5", "--eta", eta, "--seed", "1"]
+    assert lazy_after("phase", *grid, "--replicates", "2", "--out", str(tmp_path / "phase")) \
+        == loaded
+    assert lazy_after("sweep", *grid, "--out", str(tmp_path / "sweep")) == loaded
     run = ["run", "--input", str(toy), "--p", "0.6", "--alpha", "0.5", "--eta", eta, "--seed",
            "1", "--out", str(tmp_path / "run.json")]
-    assert [m for m in lazy_after(*run) if m == "numpy.random"] == loaded
+    assert lazy_after(*run) == loaded
+
+
+def test_a_process_that_loaded_openssl_hashes_with_it(tmp_path):
+    # numpy.random has loaded hashlib at eta > 0; the built-in module mapped
+    # beside OpenSSL would cost RSS for nothing
+    toy = tmp_path / "toy.csv"
+    toy.write_text(TOY)
+    argv = ["phase", "--input", str(toy), "--p", "0.6", "--alpha", "0:1:0.5", "--eta", "0.2",
+            "--replicates", "2", "--seed", "1", "--out", str(tmp_path / "phase")]
+    assert lazy_after(*argv, watch=("_hashlib", *BUILTIN_SHA256)) == ["_hashlib"]
