@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -52,8 +54,8 @@ class PhaseDiagram:
 
 
 # ---------------------------------------------------------------------------
-# the lattice driver: one _Lattice is shipped to each worker once, cell tasks
-# are plain indices, results come back in lattice order
+# the lattice driver: forked workers inherit the one _Lattice, cell tasks are
+# plain indices, results come back in lattice order
 
 @dataclass
 class _Lattice:
@@ -114,22 +116,96 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
                                  for p, alpha, eta in cells],
                        int(replicates), int(seed), reduce, positives)
     n_cells = len(cells)
-    # the pool forks every worker up front, so never more than there are
-    # cells or CPUs to run them on
+    # each worker is a fork, so never more than there are cells or CPUs to
+    # run them on
     workers = min(jobs or 1, n_cells, _cores())
-    if workers <= 1:
-        _init_worker(lattice)
-        try:
+    _init_worker(lattice)
+    try:
+        if workers <= 1 or not hasattr(os, "fork"):
             return [_cell(i) for i in range(n_cells)]
-        finally:
-            _init_worker(None)  # else the module keeps the caller's network alive
-    # imported here, as multiprocessing costs every command that starts no pool
-    from concurrent.futures import ProcessPoolExecutor
+        return _forked(n_cells, workers)
+    finally:
+        _init_worker(None)  # else the module keeps the caller's network alive
 
-    chunk = max(1, n_cells // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(lattice,)) as pool:
-        return list(pool.map(_cell, range(n_cells), chunksize=chunk))
+
+def _flush_std_streams():
+    for fh in (sys.stdout, sys.stderr):
+        if fh is not None:
+            fh.flush()
+
+
+def _forked(n_cells, workers) -> list:
+    """The results of the lattice's cells in lattice order, run by forked
+    workers that inherit _LATTICE; worker w runs cells w, w + workers, ...
+
+    A worker's exception is raised here; when several raise, the one of the
+    earliest cell, as a serial run would. A worker that exits without a
+    result raises RuntimeError. No worker outlives the call.
+    """
+    out = [None] * n_cells
+    pending = []    # (pid, read end of its pipe, its cells) of each unreaped worker
+    failures = []   # (cell, exception) of each worker that raised
+    try:
+        for w in range(workers):
+            share = range(w, n_cells, workers)
+            read_fd, write_fd = os.pipe()
+            _flush_std_streams()  # else a worker inherits, and prints, unflushed text
+            pid = os.fork()
+            if pid == 0:
+                _work(share, write_fd)
+            os.close(write_fd)
+            pending.append((pid, open(read_fd, "rb"), share))
+        while pending:
+            pid, pipe, share = pending[0]
+            data = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pending.pop(0)
+            if code or not data:
+                raise RuntimeError(f"lattice worker {pid} exited with code {code} "
+                                   f"before returning its cells")
+            ok, result = pickle.loads(data)
+            if not ok:
+                failures.append(result)
+                continue
+            for i, cell_result in zip(share, result):
+                out[i] = cell_result
+    finally:
+        if pending:
+            # imported here: its enums cost every command ~30 KB of RSS, and
+            # only a failed call has workers left to stop
+            import signal
+        for pid, pipe, _ in pending:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return out
+
+
+def _work(share, write_fd):
+    """A forked worker's whole life: pickle (True, results) of its share of
+    cells, or (False, (cell, exception)) of the first one that raises, into
+    its pipe, then exit without returning to the caller's code."""
+    code = 1
+    try:
+        results = []
+        payload = True, results
+        for i in share:
+            try:
+                results.append(_cell(i))
+            except Exception as e:
+                payload = False, (i, e)
+                break
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = 0
+    finally:
+        try:
+            _flush_std_streams()   # os._exit flushes nothing, so warnings would be lost
+        finally:
+            os._exit(code)
 
 
 def _reduce_survival(fates, lat):

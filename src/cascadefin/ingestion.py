@@ -489,9 +489,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         dead_rows = raw.sum(axis=1) == 0.0
         if np.any(dead_rows):
             raw[dead_rows, int(np.argmax(target))] = 1.0
-        weights = raw / raw.sum(axis=1, keepdims=True)
-
-        holdings = sizes[:, None] * weights
+        # the weights, then the holdings, in the gamma draws' own buffer
+        raw /= raw.sum(axis=1, keepdims=True)
+        holdings = np.multiply(raw, sizes[:, None], out=raw)
         total_assets = holdings.sum(axis=1)
         total_liabilities = leverage * total_assets
     network = BankAssetNetwork(

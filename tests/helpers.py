@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 import cascadefin as cf
+from cascadefin import evaluation
 
 
 def make_network(holdings, liabilities, ids=None, market_value=None):
@@ -88,26 +89,15 @@ def bimodal_dense_2000(seed=7):
 
 
 def serial_pool(monkeypatch):
-    """Replace the ProcessPoolExecutor the lattice imports when it starts a
-    pool with an in-process stand-in that starts no worker; returns the
-    max_workers of each pool asked for."""
+    """Replace the lattice's fork driver with an in-process stand-in that
+    forks no worker; returns the worker count of each call."""
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    def serial(n_cells, workers):
+        sizes.append(workers)
+        return [evaluation._cell(i) for i in range(n_cells)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(evaluation, "_forked", serial)
     return sizes
 
 

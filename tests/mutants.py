@@ -1,20 +1,25 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
-lattice's pool size, the command line's range, manifest, --out and
---synthetic rules, the number reader at every door, the CSV parse's row checks
-and duplicate ids, the network's sum tolerance, ingest's in-place completion
-and row sums, the label file's header and duplicate count, the manifest
-digest's choice of module and the package's start-up rules, each with the
-tests that kill it or the reason no result can change.
+lattice's worker count and fork driver, the command line's range, manifest,
+--out and --synthetic rules, the number reader at every door, the CSV parse's
+row checks and duplicate ids, the network's sum tolerance, ingest's in-place
+completion and row sums, synthetic generation's in-place holdings, the label
+file's header and duplicate count, the manifest digest's choice of module and
+the package's start-up rules, each with the tests that kill it or the reason
+no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
 Each live mutant replaces one line of a copy of the repository made under
 --workdir (a temporary directory, removed afterwards, by default) and runs its killing tests
-there with `pytest -x`; it counts as killed when pytest fails. With
+there with `pytest -x`; it counts as killed when pytest exits 1 (a test
+failed), survived when it exits 0, and any other exit (a kill id that names no
+test, an import error) prints UNEXPECTED. With
 --all-tests every mutant, equivalent ones included, runs the whole `tests/`
 directory instead. Pytest does not collect this file (its name does not start
 with `test_`); it is run by hand. The killing tests take about half a minute for
-the whole list, --all-tests about a minute per mutant.
+the whole list, --all-tests about a minute per mutant;
+tests/test_mutants.py checks, without running any mutant, that every listed
+line and kill id exists.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ DOORS = "tests/test_cli.py::test_every_door_reads_numbers_as_a_csv_cell_does"
 READER_GUARD = "tests/test_cli.py::test_every_numeric_flag_and_spec_key_is_read_by_the_reader"
 BAD_CELLS = "tests/test_ingestion.py::test_load_raw_csv_rejects_bad_cells"
 POOL_CELLS = "tests/test_evaluation.py::test_pool_is_never_larger_than_the_lattice"
+WORKER_TEXT = "tests/test_evaluation.py::test_worker_and_caller_text_reach_stderr_once"
+LOST_WORKER = "tests/test_evaluation.py::test_a_worker_lost_without_a_result_raises"
 DUPLICATE = "tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_id"
 DUPLICATE_ORDER = "tests/test_ingestion.py::test_load_raw_csv_orders_a_duplicate_among_row_errors"
 REUSED_DIGEST = "tests/test_startup.py::test_a_process_that_loaded_openssl_hashes_with_it"
@@ -180,8 +187,10 @@ MUTANTS = (
            "np.repeat(col, len(splits))", "np.tile(col, len(splits))",
            ("tests/test_cli.py::test_output_bytes_are_pinned[roc]",)),
     # evaluation: lattice dispatch
-    Mutant("lattice-one-worker-pooled", EVALUATION, "if workers <= 1:", "if workers < 1:",
+    Mutant("lattice-one-worker-pooled", EVALUATION, "if workers <= 1 or", "if workers < 1 or",
            (POOL_CELLS,)),
+    Mutant("lattice-forks-without-fork", EVALUATION, ' or not hasattr(os, "fork"):', ":",
+           ("tests/test_evaluation.py::test_lattice_runs_in_process_without_fork",)),
     Mutant("lattice-pool-past-cells", EVALUATION,
            "min(jobs or 1, n_cells, _cores())", "min(jobs or 1, _cores())", (POOL_CELLS,)),
     Mutant("lattice-pool-past-cores", EVALUATION,
@@ -191,6 +200,24 @@ MUTANTS = (
     Mutant("lattice-pool-past-affinity", EVALUATION,
            "return len(os.sched_getaffinity(0))", "return os.cpu_count() or 1",
            ("tests/test_evaluation.py::test_pool_fits_the_cpus_the_process_may_run_on",)),
+    # evaluation: the fork driver
+    Mutant("lattice-partition-uninterleaved", EVALUATION,
+           "range(w, n_cells, workers)", "range(w, n_cells, 1)",
+           ("tests/test_evaluation.py::test_forked_workers_interleave_the_cells",)),
+    Mutant("lattice-workers-left-running", EVALUATION,
+           "for pid, pipe, _ in pending:", "for pid, pipe, _ in ():", (LOST_WORKER,)),
+    Mutant("lattice-empty-pipe-unpickled", EVALUATION, "if code or not data:", "if code:",
+           (f"{LOST_WORKER}[0]",)),
+    Mutant("lattice-first-worker-failure", EVALUATION,
+           "raise min(failures, key=lambda failure: failure[0])[1]", "raise failures[0][1]",
+           ("tests/test_evaluation.py::test_forked_worker_exception_is_the_serial_one"
+            "[two-workers-raise]",)),
+    Mutant("lattice-caller-unflushed", EVALUATION,
+           "_flush_std_streams()  # else a worker inherits", "pass  # else a worker inherits",
+           (WORKER_TEXT,)),
+    Mutant("lattice-worker-unflushed", EVALUATION,
+           "_flush_std_streams()   # os._exit flushes", "pass   # os._exit flushes",
+           (WORKER_TEXT,)),
     # cli: ranges
     Mutant("range-half-step-past-hi", CLI,
            "last = (hi - lo + 5e-13) / step", "last = (hi - lo) / step + 0.5",
@@ -337,7 +364,7 @@ MUTANTS = (
     Mutant("config-label-asset-negative", INGESTION,
            "not 0 <= self.label_asset < self.assets:", "not self.label_asset < self.assets:",
            (CONFIG_CHECKS,)),
-    # start-up: one BLAS thread, and no pool modules until a pool starts
+    # start-up: one BLAS thread, and no process-pool module ever
     Mutant("startup-blas-threads", CASCADE,
            'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "pass", (STARTUP,)),
     Mutant("startup-pin-after-numpy", CASCADE,
@@ -345,7 +372,9 @@ MUTANTS = (
            ("tests/test_startup.py::test_a_process_that_loaded_numpy_first_is_left_alone",)),
     Mutant("startup-eager-pool", EVALUATION,
            "import warnings\n",
-           "import warnings\nfrom concurrent.futures import ProcessPoolExecutor\n", (STARTUP,)),
+           "import warnings\nfrom concurrent.futures import ProcessPoolExecutor\n",
+           (STARTUP, "tests/test_source.py::test_no_process_pool_import[evaluation.py]",
+            "tests/test_startup.py::test_a_forked_lattice_loads_no_pool_module")),
     # start-up: numpy.random only for barrier noise, OpenSSL only with it
     Mutant("startup-eager-hashlib", CLI,
            "import argparse\n", "import argparse\nimport hashlib\n", (LAZY_IMPORTS,)),
@@ -380,6 +409,11 @@ MUTANTS = (
     Mutant("row-sums-loop-counts", INGESTION,
            "for k in np.flatnonzero(np.bincount(counts)):", "for k in np.bincount(counts):",
            ("tests/test_properties.py::test_completion_matches_row_by_row_reference",)),
+    # synthetic generation: the holdings in the gamma draws' own buffer
+    Mutant("synthetic-holdings-temporary", INGESTION,
+           "holdings = np.multiply(raw, sizes[:, None], out=raw)",
+           "holdings = sizes[:, None] * raw",
+           ("tests/test_ingestion.py::test_synthetic_generation_peaks_in_bounded_memory",)),
     # labels: the optional header is the first non-blank record
     Mutant("labels-header-kept", INGESTION,
            'if ids and ids[0].lower() == "bank_id":', "if False:",
@@ -437,13 +471,15 @@ def run_all(tree: str, args) -> int:
         with open(path, "w") as fh:
             fh.write(original.replace(mutant.old, mutant.new))
         try:
-            killed = run_tests(tree, ["tests"] if args.all_tests else mutant.kills) != 0
+            code = run_tests(tree, ["tests"] if args.all_tests else mutant.kills)
         finally:
             with open(path, "w") as fh:
                 fh.write(original)
-        unexpected += killed != bool(mutant.kills)
-        print(f"{'killed' if killed else 'survived':10s}  {mutant.name}"
-              + ("" if killed == bool(mutant.kills) else "  UNEXPECTED"))
+        # pytest exits 1 when a test fails; 2 to 5 mean it never ran them
+        verdict = {0: "survived", 1: "killed"}.get(code, f"exit {code}")
+        expected = code == (1 if mutant.kills else 0)
+        unexpected += not expected
+        print(f"{verdict:10s}  {mutant.name}" + ("" if expected else "  UNEXPECTED"))
     return 1 if unexpected else 0
 
 

@@ -2,6 +2,8 @@
 
 import gc
 import os
+import subprocess
+import sys
 import weakref
 from contextlib import nullcontext
 
@@ -20,6 +22,20 @@ def three_bank_network():
     # out the sales (liabilities 8 stay below its shrinking 13.3 position)
     return make_network([[100.0], [100.0], [100.0]], [70.0, 55.0, 8.0],
                         ids=("A", "B", "C"))
+
+
+FIVE_CELLS = [(0.6, alpha, 0.0) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)]
+
+
+def run_five_cells(jobs):
+    return evaluation._run_lattice(toy_network(), 0, FIVE_CELLS, 2, 0,
+                                   evaluation._reduce_survival, jobs)
+
+
+def assert_no_child_left():
+    # the benchmark counts a worker that outlives its command as a failure
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --- survival curves -----------------------------------------------------
@@ -221,11 +237,13 @@ def test_phase_scan_two_dimensional():
     assert diagram.max_step_drop is None
 
 
-def test_phase_scan_jobs_do_not_change_results():
+def test_phase_scan_jobs_do_not_change_results(monkeypatch):
+    host_cores(monkeypatch, 2)    # real forks, whatever the host
     net, _ = dense_synthetic(50, seed=35)
     kw = dict(replicates=3, seed=2)
     a = cf.phase_scan(net, 0, [0.5], [0.0, 0.5, 1.0], [0.1], **kw)
     b = cf.phase_scan(net, 0, [0.5], [0.0, 0.5, 1.0], [0.1], jobs=2, **kw)
+    assert_no_child_left()
     assert np.array_equal(a.mean_survival, b.mean_survival)
     assert np.array_equal(a.ci_half, b.ci_half)
 
@@ -327,11 +345,9 @@ def test_pool_is_never_larger_than_the_host(cores, affinity, jobs, pools, monkey
     # cannot tell, runs the lattice in process
     sizes = serial_pool(monkeypatch)
     host_cores(monkeypatch, cores, affinity)
-    cells = [(0.6, alpha, 0.0) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    out = evaluation._run_lattice(toy_network(), 0, cells, 2, 0, evaluation._reduce_survival,
-                                  jobs)
+    out = run_five_cells(jobs)
     assert sizes == pools
-    assert len(out) == len(cells)
+    assert len(out) == len(FIVE_CELLS)
 
 
 def test_pool_fits_the_cpus_the_process_may_run_on(monkeypatch):
@@ -339,10 +355,10 @@ def test_pool_fits_the_cpus_the_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("started a pool on one CPU")
+    def no_workers(n_cells, workers):
+        raise AssertionError("forked workers on one CPU")
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(evaluation, "_forked", no_workers)
     net = three_bank_network()
     grids = ([1.0, 0.6], [0.0, 1.0], [0.0, 0.1])
     one = cf.roc_grid(net, ["A"], 0, *grids, seed=2, jobs=1)
@@ -350,3 +366,114 @@ def test_pool_fits_the_cpus_the_process_may_run_on(monkeypatch):
     assert one.keys() == two.keys()
     for key in one:
         assert np.array_equal(one[key], two[key])
+
+
+def test_lattice_runs_in_process_without_fork(monkeypatch):
+    sizes = serial_pool(monkeypatch)
+    host_cores(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    grids = ([0.6], [0.0, 0.5, 1.0], [0.0])
+    one = cf.phase_scan(toy_network(), 0, *grids, replicates=2)
+    two = cf.phase_scan(toy_network(), 0, *grids, replicates=2, jobs=2)
+    assert sizes == []
+    assert np.array_equal(one.mean_survival, two.mean_survival)
+
+
+# --- the fork driver, with real workers ---------------------------------
+
+def test_forked_workers_interleave_the_cells(monkeypatch):
+    host_cores(monkeypatch, 2)
+    monkeypatch.setattr(evaluation, "_cell", lambda i: (os.getpid(), i))
+    out = run_five_cells(2)
+    assert_no_child_left()
+    pids = [pid for pid, _ in out]
+    assert [i for _, i in out] == list(range(5))
+    assert pids == [pids[0], pids[1]] * 2 + [pids[0]]
+    assert len({os.getpid(), *pids}) == 3
+
+
+@pytest.mark.parametrize("failing", [{3, 4}, {1}], ids=["two-workers-raise", "one-raises"])
+def test_forked_worker_exception_is_the_serial_one(failing, monkeypatch):
+    # worker 0 runs cells 0, 2, 4 and worker 1 cells 1, 3: the exception
+    # raised is the earliest cell's, whichever worker reports first
+    real_cell = evaluation._cell
+
+    def cell(i):
+        if i in failing:
+            raise ValueError(f"cell {i} failed")
+        return real_cell(i)
+
+    monkeypatch.setattr(evaluation, "_cell", cell)
+    host_cores(monkeypatch, 2)
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as info:
+            run_five_cells(jobs)
+        raised.append(str(info.value))
+        assert_no_child_left()
+    assert raised == [f"cell {min(failing)} failed"] * 2
+
+
+def test_forked_engine_error_is_the_serial_one(monkeypatch):
+    host_cores(monkeypatch, 2)
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as info:
+            cf.phase_scan(toy_network(), 5, [0.6], [0.0, 0.5], [0.0], replicates=1, jobs=jobs)
+        raised.append(str(info.value))
+        assert_no_child_left()
+    assert raised == ["shocked asset 5 not in network"] * 2
+
+
+@pytest.mark.parametrize("code", [0, 3])
+def test_a_worker_lost_without_a_result_raises(code, monkeypatch):
+    # worker 0 exits on its first cell, so worker 1 may still be running when
+    # the driver raises; it must be stopped and reaped all the same
+    real_cell = evaluation._cell
+
+    def cell(i):
+        if i == 0:
+            os._exit(code)
+        return real_cell(i)
+
+    monkeypatch.setattr(evaluation, "_cell", cell)
+    host_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=f"exited with code {code} before returning"):
+        run_five_cells(2)
+    assert_no_child_left()
+
+
+# a caller that leaves text in its stderr buffer, and a worker that writes to
+# its own, in an interpreter whose stderr is a pipe, as under the benchmark
+HALF_LINES = """
+import os, sys
+import numpy as np
+import cascadefin as cf
+from cascadefin import evaluation
+
+os.sched_getaffinity = lambda pid: {0, 1}
+real_cell = evaluation._cell
+
+def cell(i):
+    if i == 1:
+        sys.stderr.write("cell 1 warned")
+    return real_cell(i)
+
+evaluation._cell = cell
+net = cf.BankAssetNetwork(("A", "B"), np.array([[100.0], [100.0]]), np.array([100.0, 100.0]),
+                          np.array([70.0, 55.0]))
+sys.stderr.write("caller: ")
+cf.phase_scan(net, 0, [0.6], [0.0, 0.5, 1.0], [0.0], replicates=1, jobs=2)
+"""
+
+
+def test_worker_and_caller_text_reach_stderr_once():
+    # neither line is complete, so line buffering flushes neither: the caller
+    # flushes before it forks, else each worker would print its text again,
+    # and a worker before os._exit, else its text would be lost
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", HALF_LINES], env={**env, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "caller: cell 1 warned"

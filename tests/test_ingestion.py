@@ -476,6 +476,21 @@ def test_synthetic_non_13_asset_count():
     assert net.n_assets == 4
 
 
+def test_synthetic_generation_peaks_in_bounded_memory():
+    # on 10k banks without labels the generator peaks at about 2.09 times the
+    # holdings' bytes: the gamma draws, which become the weights and then the
+    # holdings in place, beside numpy's broadcast of their shape parameters; a
+    # weights or a holdings temporary reads above 3
+    cf.generate_synthetic(cf.SyntheticConfig(n=10), 1)   # numpy.random loads outside
+    tracemalloc.start()
+    try:
+        net, _ = cf.generate_synthetic(cf.SyntheticConfig(n=10_000), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * net.holdings.nbytes
+
+
 def test_preshock_failures_are_never_labels():
     # leverage up to 1.5 leaves banks insolvent before the shock: they fail in
     # round 0, and only a bank the shock or a sale fails is labelled

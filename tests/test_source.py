@@ -77,6 +77,20 @@ def test_no_blas_backed_routine(module):
     assert uses == [], f"{module.name}: a BLAS-backed routine on lines {uses}"
 
 
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_process_pool_import(module):
+    # the lattice forks its workers itself: concurrent.futures' process pool
+    # and multiprocessing cost ~2 MB of RSS, and their start method is not
+    # fork everywhere
+    pools = ("concurrent", "multiprocessing")
+    lines = sorted({node.lineno for node in ast.walk(_tree(module))
+                    if isinstance(node, ast.Import)
+                    and any(a.name.split(".")[0] in pools for a in node.names)
+                    or isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] in pools})
+    assert lines == [], f"{module.name}: imports a process-pool module on lines {lines}"
+
+
 def test_init_exports_every_name_it_imports():
     tree = _tree(SRC / "__init__.py")
     exported = _all(tree)

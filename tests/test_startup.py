@@ -1,11 +1,11 @@
 """What a command costs before it computes anything: the package pins
-OpenBLAS to one thread, the process-pool modules load only when --jobs above
-1 starts a pool, numpy.random only when a cascade with eta > 0 or a synthetic
-network needs a stream, OpenSSL (hashlib's _hashlib) only with numpy.random,
-whose secrets import loads it, and numpy.ma never. A manifest hashes with the
-interpreter's built-in SHA-256 unless hashlib is loaded already. Each check
-runs a fresh interpreter, since the test process has loaded numpy, the pool,
-hashlib and numpy.random long before."""
+OpenBLAS to one thread, the process-pool modules never load, as --jobs above
+1 forks its workers directly, numpy.random loads only when a cascade with
+eta > 0 or a synthetic network needs a stream, OpenSSL (hashlib's _hashlib)
+only with numpy.random, whose secrets import loads it, and numpy.ma never. A
+manifest hashes with the interpreter's built-in SHA-256 unless hashlib is
+loaded already. Each check runs a fresh interpreter, since the test process
+has loaded numpy, hashlib and numpy.random long before."""
 
 import json
 import os
@@ -127,6 +127,21 @@ def test_ingest_never_loads_numpy_ma(tmp_path):
     raw.write_text(RAW)
     assert "numpy.ma" not in lazy_after("ingest", "--input", str(raw),
                                         "--out", str(tmp_path / "out"))
+
+
+# any submodule of either loads the package itself
+POOL_PACKAGES = ("concurrent", "multiprocessing")
+
+
+def test_a_forked_lattice_loads_no_pool_module(tmp_path):
+    # the process-pool modules cost ~2 MB of RSS, and a fork needs none of
+    # them; on a host of one CPU this run forks nothing, and test_source.py's
+    # import check stands alone
+    argv = ["roc", "--synthetic", "n=150,label_asset=0,label_p=0.4,label_alpha=0,"
+            "label_eta=0", "--p", "0.5:0.7:0.1", "--alpha", "0:1:0.5",
+            "--eta", "0.1", "--replicates", "2", "--seed", "1", "--jobs", "2",
+            "--out", str(tmp_path / "roc")]
+    assert lazy_after(*argv, watch=POOL_PACKAGES) == []
 
 
 TOY = ("bank_id,total_assets,total_liabilities,asset_00\n"
