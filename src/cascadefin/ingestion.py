@@ -24,9 +24,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .cascade import DOMAIN_SYNTHETIC, CascadeParams, run_cascade, stream
-from .network import DEFAULT_MEAN_WEIGHTS, SUM_RTOL, BankAssetNetwork, FloatA, IntA, off_total
+from .network import (DEFAULT_MEAN_WEIGHTS, SUM_RTOL, BankAssetNetwork, FloatA, IntA,
+                      has_repeat, off_total)
 
 FIXED_COLUMNS = ("bank_id", "total_assets", "total_liabilities")
 # rows parsed or written at a time: bounds the Python objects alive at once
@@ -48,10 +50,11 @@ def expected_columns(n_assets: int) -> list[str]:
 
 @dataclass(frozen=True)
 class RawTable:
-    """A balance-sheet CSV as arrays: holdings is N x M with NaN for each blank
-    cell, line_numbers the file line each row starts on."""
+    """A balance-sheet CSV as arrays: bank_ids is a StringDType column,
+    holdings is N x M with NaN for each blank cell, line_numbers the file
+    line each row starts on."""
 
-    bank_ids: tuple
+    bank_ids: np.ndarray
     total_assets: FloatA
     total_liabilities: FloatA
     holdings: FloatA
@@ -188,7 +191,9 @@ def load_raw_csv(path) -> RawTable:
     raises SchemaError for its first bad row, or for having no data row.
 
     Each block of rows is parsed straight into the table's columns, which
-    _max_rows sizes, so no second copy of the table is made."""
+    _max_rows sizes, so no second copy of the table is made; the bank ids
+    are one of those columns, so no per-row Python object outlives its
+    block."""
     size = _max_rows(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -200,28 +205,32 @@ def load_raw_csv(path) -> RawTable:
             total_assets, total_liabilities = np.empty(size), np.empty(size)
             holdings = np.empty((size, n_assets))
             line_numbers = np.empty(size, dtype=np.int64)
-            records, ids, n = _records(reader), [], 0
+            ids = np.empty(size, dtype=StringDType())
+            records, n = _records(reader), 0
             while block := list(itertools.islice(records, BLOCK_ROWS)):
                 values = _parse_block(block, header)
                 rows = slice(n, n + len(values))
                 total_assets[rows], total_liabilities[rows] = values[:, 0], values[:, 1]
                 holdings[rows] = values[:, 2:]
                 line_numbers[rows] = [line for line, _ in block[:len(values)]]
-                ids += (rec[0].strip() for _, rec in block[:len(values)])
+                ids[rows] = [rec[0].strip() for _, rec in block[:len(values)]]
                 n += len(values)
                 if len(values) < len(block):
                     line, rec = block[len(values)]
                     # a duplicate on an earlier row comes before this row's error
-                    raise (_duplicate_error(ids, line_numbers[:n])
-                           or _row_error(line, rec, header, ids, line_numbers[:n]))
+                    raise (_duplicate_error(ids[:n], line_numbers[:n])
+                           or _row_error(line, rec, header, ids[:n], line_numbers[:n]))
+                # unbound before the next block is read, so one block's records
+                # are alive at a time
+                del block, values
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     if not n:
         raise SchemaError("no data rows in input")
-    # sorted, as BankAssetNetwork does: a dict of each id's line holds an int per row
-    if any(a == b for a, b in itertools.pairwise(sorted(ids))):
-        raise _duplicate_error(ids, line_numbers[:n])
-    return RawTable(tuple(ids), total_assets[:n], total_liabilities[:n], holdings[:n],
+    # on a sorted copy, as BankAssetNetwork tests: a dict of each id's line holds an int per row
+    if has_repeat(ids[:n]):
+        raise _duplicate_error(ids[:n], line_numbers[:n])
+    return RawTable(ids[:n], total_assets[:n], total_liabilities[:n], holdings[:n],
                     line_numbers[:n])
 
 
@@ -339,7 +348,7 @@ def _complete_rows(bank_ids, b, values, avg) -> list:
 def network_from_sheets(raw: RawTable) -> BankAssetNetwork:
     """The network of a RawTable without blanks. An asset column that sums to
     inf raises SchemaError."""
-    if not raw.bank_ids:
+    if not len(raw.bank_ids):
         raise ValueError("empty network")
     with np.errstate(over="ignore"):
         market_value = raw.holdings.sum(axis=0)
@@ -379,9 +388,10 @@ def _csv_field(text: str) -> str:
 
 
 def save_completed_csv(network: BankAssetNetwork, path):
-    """Write a network in the canonical schema, each float as its repr. The
-    columns are stacked BLOCK_ROWS rows at a time."""
-    with open(path, "w", newline="") as fh:
+    """Write a network in the canonical schema, each float as its repr, in
+    UTF-8, which load_raw_csv reads. The columns are stacked BLOCK_ROWS rows
+    at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(expected_columns(network.n_assets)) + "\n")
         for lo in range(0, network.n_banks, BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS)
@@ -495,7 +505,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         total_assets = holdings.sum(axis=1)
         total_liabilities = leverage * total_assets
     network = BankAssetNetwork(
-        bank_ids=tuple(f"B{i:05d}" for i in range(n)),
+        bank_ids=np.fromiter((f"B{i:05d}" for i in range(n)), dtype=StringDType(), count=n),
         holdings=holdings,
         total_assets=total_assets,
         total_liabilities=total_liabilities,

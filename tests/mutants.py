@@ -1,11 +1,12 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
 lattice's worker count and fork driver, the command line's range, manifest,
 --out and --synthetic rules, the number reader at every door, the CSV parse's
-row checks and duplicate ids, the network's sum tolerance, ingest's in-place
-completion and row sums, synthetic generation's in-place holdings, the label
-file's header and duplicate count, the manifest digest's choice of module and
-the package's start-up rules, each with the tests that kill it or the reason
-no result can change.
+row checks, duplicate ids and one block at a time, the CSV writer's encoding,
+the network's id column and sum tolerance, ingest's in-place completion and
+row sums, synthetic generation's in-place weights and holdings and its id
+column, the label file's header and duplicate count, the manifest digest's
+choice of module and the package's start-up rules, each with the tests that
+kill it or the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -100,9 +101,20 @@ MUTANTS = (
     Mutant("round0-no-seed", CASCADE,
            "    np.sum(network.holdings, axis=1, out=state.bound)\n", "",
            ("tests/test_cascade.py::test_round_zero_sums_only_banks_below_their_row_total",)),
-    Mutant("network-duplicates-unsorted", NETWORK,
-           "itertools.pairwise(sorted(self.bank_ids))", "itertools.pairwise(self.bank_ids)",
-           ("tests/test_network.py::test_network_rejects_duplicate_ids",)),
+    Mutant("network-duplicates-unsorted", NETWORK, "ordered = np.sort(ids)", "ordered = ids",
+           ("tests/test_network.py::test_network_rejects_duplicate_ids", DUPLICATE)),
+    Mutant("repeat-test-loads-numpy-strings", NETWORK,
+           "(ordered[1:] == ordered[:-1])", "np.strings.equal(ordered[1:], ordered[:-1])",
+           ("tests/test_startup.py::test_ingest_never_loads_numpy_ma",
+            f"{RANDOM_ON_DEMAND}[eta-0]")),
+    Mutant("network-converts-every-column", NETWORK,
+           "        if not (isinstance(self.bank_ids, np.ndarray)\n"
+           "                and isinstance(self.bank_ids.dtype, StringDType)):\n",
+           "        if True:\n",
+           ("tests/test_network.py::test_network_keeps_a_string_column_it_is_handed",
+            "tests/test_ingestion.py::test_ingest_layers_peak_in_bounded_memory")),
+    Mutant("network-ids-of-any-rank", NETWORK, " or self.bank_ids.ndim != 1", "",
+           ("tests/test_network.py::test_network_needs_one_holdings_row_per_bank_id[2-d-ids]",)),
     Mutant("network-sum-tolerance-unscaled", NETWORK,
            "return miss > np.multiply(tol, SUM_RTOL, out=tol)", "return miss > tol",
            ("tests/test_network.py::test_network_validates_holdings_sum",)),
@@ -301,12 +313,16 @@ MUTANTS = (
            (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
     Mutant("reader-underscore-plain", INGESTION, 'return text.isascii() and "_" not in text',
            "return text.isascii()", (f"{BAD_FILE}[ingest-underscore]",)),
-    Mutant("parse-duplicate-kept", INGESTION,
-           "if any(a == b for a, b in itertools.pairwise(sorted(ids))):", "if False:",
+    Mutant("parse-duplicate-kept", INGESTION, "if has_repeat(ids[:n]):", "if False:",
            (DUPLICATE, f"{DUPLICATE_ORDER}[first-repeat-3]")),
     Mutant("parse-earlier-duplicate-late", INGESTION,
-           "raise (_duplicate_error(ids, line_numbers[:n])", "raise (None",
+           "raise (_duplicate_error(ids[:n], line_numbers[:n])", "raise (None",
            (f"{DUPLICATE_ORDER}[before-a-later-bad-row-3]",)),
+    Mutant("parse-holds-two-blocks", INGESTION, "                del block, values\n", "",
+           ("tests/test_ingestion.py::test_parse_holds_one_block_of_records_at_a_time",)),
+    Mutant("save-locale-encoding", INGESTION, 'newline="", encoding="utf-8") as fh:',
+           'newline="") as fh:',
+           ("tests/test_ingestion.py::test_save_writes_utf_8_whatever_the_locale",)),
     Mutant("row-duplicate-unchecked", INGESTION,
            "if error := _duplicate_error([*ids, bank_id], [*lines, line]):", "if False:",
            (f"{DUPLICATE_ORDER}[before-its-cells-3]",)),
@@ -413,6 +429,13 @@ MUTANTS = (
     Mutant("synthetic-holdings-temporary", INGESTION,
            "holdings = np.multiply(raw, sizes[:, None], out=raw)",
            "holdings = sizes[:, None] * raw",
+           ("tests/test_ingestion.py::test_synthetic_generation_peaks_in_bounded_memory",)),
+    Mutant("synthetic-weights-temporary", INGESTION,
+           "raw /= raw.sum(axis=1, keepdims=True)", "raw = raw / raw.sum(axis=1, keepdims=True)",
+           ("tests/test_ingestion.py::test_synthetic_generation_peaks_in_bounded_memory",)),
+    Mutant("synthetic-ids-tuple", INGESTION,
+           'np.fromiter((f"B{i:05d}" for i in range(n)), dtype=StringDType(), count=n)',
+           'tuple(f"B{i:05d}" for i in range(n))',
            ("tests/test_ingestion.py::test_synthetic_generation_peaks_in_bounded_memory",)),
     # labels: the optional header is the first non-blank record
     Mutant("labels-header-kept", INGESTION,

@@ -3,12 +3,16 @@
 import codecs
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 
 import cascadefin as cf
 from cascadefin import ingestion
@@ -41,7 +45,8 @@ def test_load_raw_csv_blank_means_missing(tmp_path):
                  "b1,100.0,90.0,40.0,\n"
                  "b2,50.0,30.0,,10.0\n")
     raw = cf.load_raw_csv(path)
-    assert raw.bank_ids == ("b1", "b2")
+    assert tuple(raw.bank_ids) == ("b1", "b2")
+    assert isinstance(raw.bank_ids.dtype, StringDType)
     assert raw.total_assets.tolist() == [100.0, 50.0]
     assert raw.total_liabilities.tolist() == [90.0, 30.0]
     assert np.array_equal(raw.holdings, [[40.0, nan], [nan, 10.0]], equal_nan=True)
@@ -54,7 +59,7 @@ def test_load_raw_csv_ignores_a_byte_order_mark(tmp_path):
     plain = cf.load_raw_csv(write(tmp_path / "plain.csv", text))
     (tmp_path / "marked.csv").write_bytes(codecs.BOM_UTF8 + text.encode())
     marked = cf.load_raw_csv(str(tmp_path / "marked.csv"))
-    assert marked.bank_ids == plain.bank_ids == ("b1",)
+    assert tuple(marked.bank_ids) == tuple(plain.bank_ids) == ("b1",)
     assert np.array_equal(marked.holdings, plain.holdings, equal_nan=True)
     assert marked.line_numbers.tolist() == plain.line_numbers.tolist()
 
@@ -109,7 +114,7 @@ def test_load_raw_csv_reports_first_bad_row_across_blocks(tmp_path, monkeypatch,
     head = "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
     good = "".join(f"b{i},10,5,5,{'' if i % 2 else 5}\n" for i in range(5))
     raw = cf.load_raw_csv(write(tmp_path / "good.csv", head + good + "\n"))
-    assert raw.bank_ids == tuple(f"b{i}" for i in range(5))
+    assert tuple(raw.bank_ids) == tuple(f"b{i}" for i in range(5))
     assert raw.line_numbers.tolist() == [2, 3, 4, 5, 6]
     assert np.isnan(raw.holdings[:, 1]).tolist() == [False, True, False, True, False]
     # row 4's negative holding comes before row 5's malformed row and row 6's text
@@ -125,6 +130,17 @@ def test_load_raw_csv_rejects_duplicate_bank_id(tmp_path, monkeypatch):
                  "a,10,5,10\nb,10,5,10\nc,10,5,10\n a ,10,5,10\n")
     with pytest.raises(cf.SchemaError,
                        match=r"^row 5: duplicate bank_id 'a', first on row 2$"):
+        cf.load_raw_csv(path)
+
+
+def test_load_raw_csv_tells_a_trailing_nul_apart(tmp_path):
+    # the parse strips whitespace, and NUL is none: "a" and "a\0" are two ids
+    head = "bank_id,total_assets,total_liabilities,asset_00\n"
+    raw = cf.load_raw_csv(write(tmp_path / "two.csv", head + "a,10,5,10\na\0,10,5,10\n"))
+    assert tuple(raw.bank_ids) == ("a", "a\0")
+    path = write(tmp_path / "dup.csv", head + "a,10,5,10\na\0,10,5,10\nb,10,5,10\na\0,10,5,10\n")
+    with pytest.raises(cf.SchemaError,
+                       match=r"^row 5: duplicate bank_id 'a\\x00', first on row 3$"):
         cf.load_raw_csv(path)
 
 
@@ -170,7 +186,7 @@ def test_load_raw_csv_reads_every_line_layout(layout, tmp_path):
             "no-final-newline": "\n".join(lines)}[layout]
     (tmp_path / "other.csv").write_bytes(text.encode())
     other = cf.load_raw_csv(str(tmp_path / "other.csv"))
-    assert other.bank_ids == plain.bank_ids == ("b1", "b2", "c,3")
+    assert tuple(other.bank_ids) == tuple(plain.bank_ids) == ("b1", "b2", "c,3")
     for name in ("total_assets", "total_liabilities", "holdings"):
         assert getattr(other, name).tobytes() == getattr(plain, name).tobytes()
     assert other.holdings.flags.c_contiguous
@@ -261,7 +277,7 @@ def test_completion_uniform_fill_when_averages_are_zero():
 def test_complete_dataset_collects_repairs():
     net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [60.0, 40.0]),
                                             ("x", 100.0, 50.0, [10.0, 10.0])))
-    assert net.bank_ids == ("d", "x")
+    assert tuple(net.bank_ids) == ("d", "x")
     assert [r["row_id"] for r in report] == ["x"]
 
 
@@ -272,7 +288,7 @@ def test_save_load_round_trip_is_exact(tmp_path, monkeypatch):
     path = tmp_path / "completed.csv"
     cf.save_completed_csv(net, path)
     loaded = cf.load_completed_network(path)
-    assert loaded.bank_ids == net.bank_ids
+    assert tuple(loaded.bank_ids) == tuple(net.bank_ids)
     assert np.array_equal(loaded.holdings, net.holdings)
     assert np.array_equal(loaded.total_assets, net.total_assets)
     assert np.array_equal(loaded.total_liabilities, net.total_liabilities)
@@ -346,16 +362,34 @@ def test_save_quotes_bank_ids_as_csv_writer_does(tmp_path):
     writer.writerow(expected_columns(2))
     writer.writerows([bank_id, "3.0", "1.5", "1.0", "2.0"] for bank_id in ids)
     assert path.read_text() == expect.getvalue()
-    assert cf.load_completed_network(path).bank_ids == ids
+    assert tuple(cf.load_completed_network(path).bank_ids) == ids
+
+
+def test_save_writes_utf_8_whatever_the_locale(tmp_path):
+    # load_raw_csv reads UTF-8, so the writer must not take the locale's
+    # encoding: ASCII here, in the C locale with UTF-8 mode and coercion off
+    ids = ("é", "\U0001F600 x")
+    path = tmp_path / "completed.csv"
+    save = ("import sys, numpy as np, cascadefin as cf\n"
+            f"ids = {ascii(ids)}\n"
+            "net = cf.BankAssetNetwork(ids, np.ones((2, 1)), np.ones(2), np.full(2, 0.5))\n"
+            "cf.save_completed_csv(net, sys.argv[1])\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cf.__file__)),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([sys.executable, "-c", save, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(cf.load_completed_network(path).bank_ids) == ids
 
 
 def test_ingest_layers_peak_in_bounded_memory(tmp_path):
-    # on 10k rows each layer peaks at about 2.48 (parse, the table included),
-    # 0.18 (average weights), 0.97 (complete), 0.16 (network checks) and 0.25
-    # (write) times the holdings' bytes; one that builds a whole-table
-    # temporary, such as a concatenation of parsed blocks, a completed copy
-    # beside the raw table, an N x M boolean mask or a stack of all columns,
-    # reads above 3.6, 0.3, 1.9, 0.29 and 1.4
+    # on 10k rows each layer peaks at about 2.02 (parse, the table included),
+    # 0.18 (average weights), 0.99 (complete), 0.16 (network checks, the
+    # sorted copy of the ids included) and 0.25 (write) times the holdings'
+    # bytes; one that builds a whole-table temporary, such as a concatenation
+    # of parsed blocks, a completed copy beside the raw table, an N x M
+    # boolean mask, a copy of the id column or a stack of all columns, reads
+    # above 3, 0.3, 1.9, 0.29 and 1.4
     def peak(layer, *args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -374,11 +408,27 @@ def test_ingest_layers_peak_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     nbytes = raw.holdings.nbytes
-    assert parse < 3.3 * nbytes
+    assert parse < 2.6 * nbytes
     assert weights < 0.25 * nbytes
     assert complete < 1.4 * nbytes
     assert checks < 0.25 * nbytes
     assert save < 0.7 * nbytes
+
+
+def test_parse_holds_one_block_of_records_at_a_time(tmp_path, monkeypatch):
+    # at 2500 rows a block the records of a block take about 1.4 times the
+    # holdings' bytes of the 10k-row file: the parse peaks at about 5.96
+    # times them, and at 7.39 when the next block is read while the last one
+    # is still bound
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", 2500)
+    path = write(tmp_path / "raw.csv", _raw_text(10_000, seed=5))
+    tracemalloc.start()
+    try:
+        raw = cf.load_raw_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.6 * raw.holdings.nbytes
 
 
 def test_load_completed_rejects_blanks(tmp_path):
@@ -477,10 +527,11 @@ def test_synthetic_non_13_asset_count():
 
 
 def test_synthetic_generation_peaks_in_bounded_memory():
-    # on 10k banks without labels the generator peaks at about 2.09 times the
+    # on 10k banks without labels the generator peaks at about 1.64 times the
     # holdings' bytes: the gamma draws, which become the weights and then the
-    # holdings in place, beside numpy's broadcast of their shape parameters; a
-    # weights or a holdings temporary reads above 3
+    # holdings in place, its four N-vectors, the id column and the sorted copy
+    # the network checks; ids built as a tuple of str read 2.24, a weights
+    # temporary 2.31 and a holdings temporary 2.64
     cf.generate_synthetic(cf.SyntheticConfig(n=10), 1)   # numpy.random loads outside
     tracemalloc.start()
     try:
@@ -488,7 +539,7 @@ def test_synthetic_generation_peaks_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * net.holdings.nbytes
+    assert peak < 1.9 * net.holdings.nbytes
 
 
 def test_preshock_failures_are_never_labels():

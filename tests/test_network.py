@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 from scipy import stats
 
 import cascadefin as cf
@@ -60,7 +61,8 @@ def test_network_sum_tolerance_is_absolute_below_a_total_of_1():
 @pytest.mark.parametrize("ids, holdings", [
     (("b0",), [3.0]),
     (("b0", "b1"), [[1.0, 2.0]]),
-], ids=["1-d-holdings", "more-ids-than-rows"])
+    (np.array([["b0"], ["b1"]], dtype=StringDType()), [[1.0], [2.0]]),
+], ids=["1-d-holdings", "more-ids-than-rows", "2-d-ids"])
 def test_network_needs_one_holdings_row_per_bank_id(ids, holdings):
     with pytest.raises(ValueError, match="bank ids do not match the rows"):
         cf.BankAssetNetwork(ids, np.array(holdings), np.array([3.0]), np.array([1.0]))
@@ -71,6 +73,25 @@ def test_network_rejects_duplicate_ids():
     for ids in (("same", "same"), ("b", "a", "b")):
         with pytest.raises(ValueError, match="duplicate"):
             make_network([[1.0]] * len(ids), [0.5] * len(ids), ids=ids)
+    # a trailing NUL makes another id, and repeats like any other character
+    assert make_network([[1.0]] * 2, [0.5] * 2, ids=("a", "a\x00")).n_banks == 2
+    with pytest.raises(ValueError, match="duplicate"):
+        make_network([[1.0]] * 3, [0.5] * 3, ids=("a\x00", "a", "a\x00"))
+
+
+def test_network_keeps_a_string_column_it_is_handed():
+    # the column ingest parses into is the network's, not a copy of it
+    ids = np.array(["b0", "b1"], dtype=StringDType())
+    net = cf.BankAssetNetwork(ids, np.ones((2, 1)), np.ones(2), np.full(2, 0.5))
+    assert net.bank_ids is ids
+    # a tuple, a list or another dtype becomes the same kind of column
+    for given in (("b0", "b1"), ["b0", "b1"], np.array(["b0", "b1"])):
+        net = cf.BankAssetNetwork(given, np.ones((2, 1)), np.ones(2), np.full(2, 0.5))
+        assert isinstance(net.bank_ids.dtype, StringDType)
+        assert net.bank_ids.shape == (2,)
+        assert [type(b) for b in net.bank_ids] == [str, str]
+        assert tuple(net.bank_ids) == ("b0", "b1")
+
 
 
 @pytest.mark.parametrize("holdings, liabilities, name", [

@@ -1,10 +1,12 @@
 """Property tests: the engine against the reference loop on random instances,
 screened barrier passes against full ones, nested survivor sets, the lattice
 analyses against themselves across --jobs and the ROC reducer against a
-bank-by-bank count, and columnar completion against the row-by-row
-reference."""
+bank-by-bank count, columnar completion against the row-by-row reference,
+and bank ids through a written and re-read CSV."""
 
 import json
+import os
+import tempfile
 import warnings
 from unittest import mock
 
@@ -302,3 +304,27 @@ def test_completion_matches_row_by_row_reference(tab):
     assert json.dumps(got_report) == json.dumps(report)
     sums = net.holdings.sum(axis=1)
     assert np.all(np.abs(sums - totals) <= 1e-9 * np.maximum(totals, 1.0))
+
+
+# an id a CSV keeps as it is: the parse strips whitespace from both ends and
+# refuses a line break, and a NUL is neither; some over 15 UTF-8 bytes, which
+# a StringDType column keeps outside the array
+bank_ids = st.one_of(
+    st.sampled_from(["a", "a\0", "\0a\0b", "a,b", 'say "hi"', '"', "two words",
+                     "\U0001F600 x", "é" * 8, "B" * 16, "long id, \"quoted\"\0"]),
+    st.text(st.characters(blacklist_characters="\r\n"), min_size=1, max_size=24)
+    .filter(lambda text: text == text.strip()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(bank_ids, min_size=1, max_size=6, unique=True))
+@example(["a", "a\0"])
+def test_bank_ids_round_trip_through_a_completed_csv(ids):
+    n = len(ids)
+    net = cf.BankAssetNetwork(ids, np.ones((n, 1)), np.ones(n), np.full(n, 0.5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "completed.csv")
+        cf.save_completed_csv(net, path)
+        for loaded in (cf.load_raw_csv(path), cf.load_completed_network(path)):
+            assert [type(b) for b in loaded.bank_ids] == [str] * n
+            assert list(loaded.bank_ids) == ids

@@ -2,7 +2,8 @@
 OpenBLAS to one thread, the process-pool modules never load, as --jobs above
 1 forks its workers directly, numpy.random loads only when a cascade with
 eta > 0 or a synthetic network needs a stream, OpenSSL (hashlib's _hashlib)
-only with numpy.random, whose secrets import loads it, and numpy.ma never. A
+only with numpy.random, whose secrets import loads it, and numpy.ma,
+numpy.strings and numpy.char never. A
 manifest hashes with the interpreter's built-in SHA-256 unless hashlib is
 loaded already. Each check runs a fresh interpreter, since the test process
 has loaded numpy, hashlib and numpy.random long before."""
@@ -33,9 +34,10 @@ print(json.dumps({{
 
 
 # OpenSSL, which hashlib maps (~3.5 MB of RSS) and no eta = 0 sweep or phase
-# needs, numpy's generators, and numpy.ma, which np.unique imports on first use
-# (~1.7 MB)
-LAZY = ("_hashlib", "numpy.random", "numpy.ma")
+# needs, numpy's generators, numpy.ma, which np.unique imports on first use
+# (~1.7 MB), and numpy's string functions: the bank id column is sorted and
+# compared with np.sort and ==, which need neither
+LAZY = ("_hashlib", "numpy.random", "numpy.ma", "numpy.strings", "numpy.char")
 
 # the interpreter's own SHA-256: _sha2 from CPython 3.12, _sha256 before
 BUILTIN_SHA256 = ("_sha2", "_sha256")
@@ -122,11 +124,12 @@ def test_ingest_never_loads_openssl(tmp_path):
 
 
 def test_ingest_never_loads_numpy_ma(tmp_path):
-    # completion groups rows by their count of known cells, without np.unique
+    # completion groups rows by their count of known cells, without np.unique;
+    # the parse tests its id column for a repeat without numpy's string functions
     raw = tmp_path / "raw.csv"
     raw.write_text(RAW)
-    assert "numpy.ma" not in lazy_after("ingest", "--input", str(raw),
-                                        "--out", str(tmp_path / "out"))
+    assert lazy_after("ingest", "--input", str(raw), "--out", str(tmp_path / "out"),
+                      watch=("numpy.ma", "numpy.strings", "numpy.char")) == []
 
 
 # any submodule of either loads the package itself
