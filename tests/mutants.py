@@ -320,6 +320,10 @@ MUTANTS = (
            (f"{DUPLICATE_ORDER}[before-a-later-bad-row-3]",)),
     Mutant("parse-holds-two-blocks", INGESTION, "                del block, values\n", "",
            ("tests/test_ingestion.py::test_parse_holds_one_block_of_records_at_a_time",)),
+    Mutant("parse-table-copied", INGESTION,
+           "total_liabilities[:n], holdings[:n],",
+           "total_liabilities[:n], np.concatenate([holdings[:n]]),",
+           ("tests/test_ingestion.py::test_ingest_layers_peak_in_bounded_memory",)),
     Mutant("save-locale-encoding", INGESTION, 'newline="", encoding="utf-8") as fh:',
            'newline="") as fh:',
            ("tests/test_ingestion.py::test_save_writes_utf_8_whatever_the_locale",)),
