@@ -18,12 +18,11 @@ import pickle
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .cascade import DOMAIN_CELL, SURVIVED, CascadeParams, run_cascade, stream
-from .network import BankAssetNetwork, BoolA, FloatA
+from .network import FloatA
 
 SPLIT_FULL = "full"
 SPLIT_FIRST = "first_step"
@@ -54,47 +53,8 @@ class PhaseDiagram:
 
 
 # ---------------------------------------------------------------------------
-# the lattice driver: forked workers inherit the one _Lattice, cell tasks are
-# plain indices, results come back in lattice order
-
-@dataclass
-class _Lattice:
-    network: BankAssetNetwork
-    cells: list          # CascadeParams per cell, in lattice order
-    replicates: int
-    seed: int
-    reduce: Callable     # module-level (fate vectors, lattice) -> cell result
-    positives: BoolA = None   # labeled banks present in the network
-
-
-_LATTICE = None
-
-
-def _init_worker(lattice):
-    global _LATTICE
-    _LATTICE = lattice
-
-
-def _cell(i):
-    """Run cell i's replicates one at a time through the lattice's reducer.
-
-    An eta = 0 cell runs one cascade, with no generator, and feeds that fate
-    vector to the reducer once per replicate. This is exact: at eta = 0 the
-    barrier is a step, so evaluate_round draws no random number, and neither
-    apply_shock nor apply_fire_sales ever touches the rng. Every replicate of
-    such a cell therefore has the same fates, and the reducer sees the same R
-    vectors, in the same order, as a per-replicate loop. A lattice of eta = 0
-    cells builds no stream, so it never loads numpy.random.
-    """
-    lat = _LATTICE
-    params = lat.cells[i]
-    if params.eta == 0.0:
-        fate = run_cascade(lat.network, params, None).failed_round
-        return lat.reduce(itertools.repeat(fate, lat.replicates), lat)
-    fates = (run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, rep)).failed_round
-             for rep in range(lat.replicates))
-    return lat.reduce(fates, lat)
-
+# the lattice driver: a cell is a closure that forked workers inherit, cell
+# tasks are plain indices, results come back in lattice order
 
 def _cores() -> int:
     """The CPUs this process may run on: its affinity set where the platform
@@ -107,25 +67,41 @@ def _cores() -> int:
 def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
                  positives=None) -> list:
     """The reduced result of each (p, alpha, eta) cell of a single shock on
-    asset, in the order of cells, computed by up to jobs workers."""
+    asset, in the order of cells, computed by up to jobs workers. reduce
+    takes (fate vectors, replicates, positives), positives being the labeled
+    banks present in the network."""
     if not cells:
         raise ValueError("empty parameter grid")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    lattice = _Lattice(network, [CascadeParams.single(int(asset), p, alpha, eta)
-                                 for p, alpha, eta in cells],
-                       int(replicates), int(seed), reduce, positives)
+    params = [CascadeParams.single(int(asset), p, alpha, eta) for p, alpha, eta in cells]
+    replicates, seed = int(replicates), int(seed)
+
+    def cell(i):
+        """Run cell i's replicates one at a time through reduce.
+
+        An eta = 0 cell runs one cascade, with no generator, and feeds that fate
+        vector to the reducer once per replicate. This is exact: at eta = 0 the
+        barrier is a step, so evaluate_round draws no random number, and neither
+        apply_shock nor apply_fire_sales ever touches the rng. Every replicate of
+        such a cell therefore has the same fates, and the reducer sees the same R
+        vectors, in the same order, as a per-replicate loop. A lattice of eta = 0
+        cells builds no stream, so it never loads numpy.random.
+        """
+        if params[i].eta == 0.0:
+            fate = run_cascade(network, params[i], None).failed_round
+            return reduce(itertools.repeat(fate, replicates), replicates, positives)
+        fates = (run_cascade(network, params[i], stream(seed, DOMAIN_CELL, i, rep)).failed_round
+                 for rep in range(replicates))
+        return reduce(fates, replicates, positives)
+
     n_cells = len(cells)
     # each worker is a fork, so never more than there are cells or CPUs to
     # run them on
     workers = min(jobs or 1, n_cells, _cores())
-    _init_worker(lattice)
-    try:
-        if workers <= 1 or not hasattr(os, "fork"):
-            return [_cell(i) for i in range(n_cells)]
-        return _forked(n_cells, workers)
-    finally:
-        _init_worker(None)  # else the module keeps the caller's network alive
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [cell(i) for i in range(n_cells)]
+    return _forked(cell, n_cells, workers)
 
 
 def _flush_std_streams():
@@ -134,9 +110,9 @@ def _flush_std_streams():
             fh.flush()
 
 
-def _forked(n_cells, workers) -> list:
-    """The results of the lattice's cells in lattice order, run by forked
-    workers that inherit _LATTICE; worker w runs cells w, w + workers, ...
+def _forked(cell, n_cells, workers) -> list:
+    """[cell(i) for i in range(n_cells)], run by forked workers that inherit
+    cell; worker w runs cells w, w + workers, ...
 
     A worker's exception is raised here; when several raise, the one of the
     earliest cell, as a serial run would. A worker that exits without a
@@ -149,10 +125,15 @@ def _forked(n_cells, workers) -> list:
         for w in range(workers):
             share = range(w, n_cells, workers)
             read_fd, write_fd = os.pipe()
-            _flush_std_streams()  # else a worker inherits, and prints, unflushed text
-            pid = os.fork()
+            try:
+                _flush_std_streams()  # else a worker inherits, and prints, unflushed text
+                pid = os.fork()
+            except BaseException:
+                for fd in (read_fd, write_fd):
+                    os.close(fd)
+                raise
             if pid == 0:
-                _work(share, write_fd)
+                _work(cell, share, write_fd)
             os.close(write_fd)
             pending.append((pid, open(read_fd, "rb"), share))
         while pending:
@@ -184,7 +165,7 @@ def _forked(n_cells, workers) -> list:
     return out
 
 
-def _work(share, write_fd):
+def _work(cell, share, write_fd):
     """A forked worker's whole life: pickle (True, results) of its share of
     cells, or (False, (cell, exception)) of the first one that raises, into
     its pipe, then exit without returning to the caller's code."""
@@ -194,7 +175,7 @@ def _work(share, write_fd):
         payload = True, results
         for i in share:
             try:
-                results.append(_cell(i))
+                results.append(cell(i))
             except Exception as e:
                 payload = False, (i, e)
                 break
@@ -208,7 +189,7 @@ def _work(share, write_fd):
             os._exit(code)
 
 
-def _reduce_survival(fates, lat):
+def _reduce_survival(fates, replicates, positives):
     """(mean survival of all banks, its 95 % CI half-width, mean survival of
     the labeled banks or None) over the replicates.
 
@@ -216,23 +197,23 @@ def _reduce_survival(fates, lat):
     replicate, the mean is that value and the half-width exactly 0.0; the
     floating-point mean and std of R equal values can be off by an ulp.
     """
-    labeled = lat.positives is not None and lat.positives.any()
+    labeled = positives is not None and positives.any()
     of_all, of_labeled = [], []
     for fate in fates:
         survived = fate == SURVIVED
         of_all.append(survived.sum() / fate.size)
         if labeled:
-            of_labeled.append(survived[lat.positives].mean())
+            of_labeled.append(survived[positives].mean())
     of_all = np.array(of_all)
     if of_all.min() == of_all.max():
         mean, std = of_all[0], 0.0
     else:
         mean, std = of_all.mean(), of_all.std(ddof=1)
-    return (float(mean), float(1.96 * std / np.sqrt(lat.replicates)),
+    return (float(mean), float(1.96 * std / np.sqrt(replicates)),
             float(np.mean(of_labeled)) if labeled else None)
 
 
-def _reduce_roc(fates, lat):
+def _reduce_roc(fates, replicates, positives):
     """(true, false) positive counts of the full, first-step and
     consecutive-steps splits.
 
@@ -240,15 +221,14 @@ def _reduce_roc(fates, lat):
     the replicates, and attributed to the first step when at least half of its
     failing runs failed in round 1.
     """
-    failed_votes = np.zeros(lat.network.n_banks, dtype=np.int64)
-    first_votes = np.zeros(lat.network.n_banks, dtype=np.int64)
+    failed_votes = np.zeros(positives.size, dtype=np.int64)
+    first_votes = np.zeros(positives.size, dtype=np.int64)
     for fate in fates:
         failed_votes += fate >= 1
         first_votes += fate == 1
-    model_failed = failed_votes * 2 > lat.replicates
+    model_failed = failed_votes * 2 > replicates
     first_step = model_failed & (first_votes * 2 >= failed_votes)
-    pos = lat.positives
-    return [(int((mask & pos).sum()), int((mask & ~pos).sum()))
+    return [(int((mask & positives).sum()), int((mask & ~positives).sum()))
             for mask in (model_failed, first_step, model_failed & ~first_step)]
 
 

@@ -93,9 +93,9 @@ def serial_pool(monkeypatch):
     forks no worker; returns the worker count of each call."""
     sizes = []
 
-    def serial(n_cells, workers):
+    def serial(cell, n_cells, workers):
         sizes.append(workers)
-        return [evaluation._cell(i) for i in range(n_cells)]
+        return [cell(i) for i in range(n_cells)]
 
     monkeypatch.setattr(evaluation, "_forked", serial)
     return sizes

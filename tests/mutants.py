@@ -2,11 +2,12 @@
 lattice's worker count and fork driver, the command line's range, manifest,
 --out and --synthetic rules, the number reader at every door, the CSV parse's
 row checks, duplicate ids and one block at a time, the CSV writer's encoding,
-the network's id column and sum tolerance, ingest's in-place completion and
-row sums, synthetic generation's in-place weights and holdings and its id
-column, the label file's header and duplicate count, the manifest digest's
-choice of module and the package's start-up rules, each with the tests that
-kill it or the reason no result can change.
+the network's id column and sum tolerance, ingest's in-place completion, its
+repair masks, the rows it refuses and its row sums, synthetic generation's
+in-place weights and holdings and its id column, the label file's header and
+duplicate count, the manifest digest's choice of module and the package's
+start-up rules, each with the tests that kill it or the reason no result can
+change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -17,8 +18,9 @@ failed), survived when it exits 0, and any other exit (a kill id that names no
 test, an import error) prints UNEXPECTED. With
 --all-tests every mutant, equivalent ones included, runs the whole `tests/`
 directory instead. Pytest does not collect this file (its name does not start
-with `test_`); it is run by hand. The killing tests take about half a minute for
-the whole list, --all-tests about a minute per mutant;
+with `test_`); it is run by hand. The killing tests take about 15 minutes for
+the whole list on two cores, most of it in the mutants that only a hypothesis
+test kills, as it shrinks each failure; --all-tests about a minute per mutant;
 tests/test_mutants.py checks, without running any mutant, that every listed
 line and kill id exists.
 """
@@ -59,6 +61,9 @@ DUPLICATE = "tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_i
 DUPLICATE_ORDER = "tests/test_ingestion.py::test_load_raw_csv_orders_a_duplicate_among_row_errors"
 REUSED_DIGEST = "tests/test_startup.py::test_a_process_that_loaded_openssl_hashes_with_it"
 DIGEST = "tests/test_cli.py::test_manifest_digest_is_plain_sha256"
+COMPLETION = "tests/test_properties.py::test_completion_matches_row_by_row_reference"
+REFUSED_ROW = "tests/test_ingestion.py::test_completion_refuses_a_row_it_cannot_complete"
+FAILING = "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken"
 
 
 class Mutant(NamedTuple):
@@ -166,7 +171,7 @@ MUTANTS = (
            "(state.price_index > 0.0)).any():", "if False:", (BARRIER_PROPERTY,)),
     # evaluation: roc votes
     Mutant("roc-vote-tie-fails", EVALUATION,
-           "failed_votes * 2 > lat.replicates", "failed_votes * 2 >= lat.replicates",
+           "failed_votes * 2 > replicates", "failed_votes * 2 >= replicates",
            (ROC_ORACLE,)),
     Mutant("roc-first-step-tie-lost", EVALUATION,
            "first_votes * 2 >= failed_votes", "first_votes * 2 > failed_votes", (ROC_ORACLE,)),
@@ -218,6 +223,9 @@ MUTANTS = (
            ("tests/test_evaluation.py::test_forked_workers_interleave_the_cells",)),
     Mutant("lattice-workers-left-running", EVALUATION,
            "for pid, pipe, _ in pending:", "for pid, pipe, _ in ():", (LOST_WORKER,)),
+    Mutant("lattice-failed-fork-leaks-pipe", EVALUATION,
+           "for fd in (read_fd, write_fd):", "for fd in ():",
+           ("tests/test_evaluation.py::test_a_failed_fork_leaks_no_pipe",)),
     Mutant("lattice-empty-pipe-unpickled", EVALUATION, "if code or not data:", "if code:",
            (f"{LOST_WORKER}[0]",)),
     Mutant("lattice-first-worker-failure", EVALUATION,
@@ -399,8 +407,8 @@ MUTANTS = (
     Mutant("startup-eager-hashlib", CLI,
            "import argparse\n", "import argparse\nimport hashlib\n", (LAZY_IMPORTS,)),
     Mutant("cell-eta-0-streams", EVALUATION,
-           "run_cascade(lat.network, params, None)",
-           "run_cascade(lat.network, params, stream(lat.seed, DOMAIN_CELL, i, 0))",
+           "run_cascade(network, params[i], None)",
+           "run_cascade(network, params[i], stream(seed, DOMAIN_CELL, i, 0))",
            (f"{RANDOM_ON_DEMAND}[eta-0]",)),
     Mutant("digest-always-hashlib", CLI, 'if "hashlib" in sys.modules:', "if True:",
            (f"{RANDOM_ON_DEMAND}[eta-0]", DIGEST)),
@@ -428,7 +436,43 @@ MUTANTS = (
            ("tests/test_cli.py::test_ingest_prints_the_blank_cells_of_its_input",)),
     Mutant("row-sums-loop-counts", INGESTION,
            "for k in np.flatnonzero(np.bincount(counts)):", "for k in np.bincount(counts):",
-           ("tests/test_properties.py::test_completion_matches_row_by_row_reference",)),
+           (COMPLETION,)),
+    # ingest: completion's repair masks and the rows it refuses
+    Mutant("complete-off-counts-blank-rows", INGESTION,
+           "off = ~has_missing & (np.abs(residual) > tol)", "off = np.abs(residual) > tol",
+           ("tests/test_ingestion.py::test_completion_worked_example", COMPLETION)),
+    Mutant("complete-zero-row-rescaled", INGESTION,
+           "rescaled = off & (known_sum > 0)", "rescaled = off",
+           ("tests/test_ingestion.py::test_completion_redistributes_zero_row", COMPLETION)),
+    Mutant("complete-zero-row-kept", INGESTION,
+           "zero = off & (known_sum <= 0)", "zero = off & (known_sum < 0)",
+           ("tests/test_ingestion.py::test_completion_redistributes_zero_row", COMPLETION)),
+    Mutant("complete-negative-within-tol", INGESTION,
+           "negative = has_missing & (residual < -tol)", "negative = has_missing & (residual < 0)",
+           (COMPLETION,)),
+    Mutant("complete-negative-past-tol", INGESTION,
+           "negative = has_missing & (residual < -tol)",
+           "negative = has_missing & (residual < tol)",
+           ("tests/test_ingestion.py::test_completion_worked_example", COMPLETION)),
+    Mutant("complete-uniform-without-residual", INGESTION,
+           "uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)",
+           "uniform = has_missing & (weight_sum[:, 0] <= 0)", (COMPLETION,)),
+    Mutant("complete-uniform-with-weights", INGESTION,
+           "uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)",
+           "uniform = has_missing & (r[:, 0] > tol)",
+           ("tests/test_ingestion.py::test_completion_worked_example",)),
+    Mutant("complete-undefined-average-passes", INGESTION, FAILING,
+           "failing = (negative & (known_sum <= 0)) | overflow | broken",
+           ("tests/test_ingestion.py::test_completion_errors_on_undefined_average",)),
+    Mutant("complete-negative-known-sum-passes", INGESTION, FAILING,
+           "failing = undefined.any(axis=1) | overflow | broken",
+           (f"{REFUSED_ROW}[negative-known-sum]",)),
+    Mutant("complete-holdings-overflow-passes", INGESTION, FAILING,
+           "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | broken",
+           (f"{REFUSED_ROW}[holdings-sum-to-inf]",)),
+    Mutant("complete-broken-row-passes", INGESTION, FAILING,
+           "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow",
+           (f"{REFUSED_ROW}[completion-overflows]",)),
     # synthetic generation: the holdings in the gamma draws' own buffer
     Mutant("synthetic-holdings-temporary", INGESTION,
            "holdings = np.multiply(raw, sizes[:, None], out=raw)",

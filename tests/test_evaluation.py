@@ -1,5 +1,6 @@
 """Survival curves, ROC grids and their splits, phase scans, the CSV writer."""
 
+import errno
 import gc
 import os
 import subprocess
@@ -248,15 +249,26 @@ def test_phase_scan_jobs_do_not_change_results(monkeypatch):
     assert np.array_equal(a.ci_half, b.ci_half)
 
 
-@pytest.mark.parametrize("asset", [0, 5], ids=["returns", "raises"])
-def test_serial_lattice_releases_the_network(asset):
+def assert_lattice_releases_the_network(asset, jobs):
     net = toy_network()
     ref = weakref.ref(net)
     with pytest.raises(ValueError, match="not in network") if asset else nullcontext():
-        cf.phase_scan(net, asset, [0.6], [0.0, 0.5], [0.0], replicates=1)
+        cf.phase_scan(net, asset, [0.6], [0.0, 0.5], [0.0], replicates=1, jobs=jobs)
     del net
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("asset", [0, 5], ids=["returns", "raises"])
+def test_serial_lattice_releases_the_network(asset):
+    assert_lattice_releases_the_network(asset, jobs=1)
+
+
+@pytest.mark.parametrize("asset", [0, 5], ids=["returns", "raises"])
+def test_forked_lattice_releases_the_network(asset, monkeypatch):
+    host_cores(monkeypatch, 2)    # real forks, whatever the host
+    assert_lattice_releases_the_network(asset, jobs=2)
+    assert_no_child_left()
 
 
 # --- CSV writers ---------------------------------------------------------
@@ -355,7 +367,7 @@ def test_pool_fits_the_cpus_the_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
-    def no_workers(n_cells, workers):
+    def no_workers(cell, n_cells, workers):
         raise AssertionError("forked workers on one CPU")
 
     monkeypatch.setattr(evaluation, "_forked", no_workers)
@@ -381,10 +393,8 @@ def test_lattice_runs_in_process_without_fork(monkeypatch):
 
 # --- the fork driver, with real workers ---------------------------------
 
-def test_forked_workers_interleave_the_cells(monkeypatch):
-    host_cores(monkeypatch, 2)
-    monkeypatch.setattr(evaluation, "_cell", lambda i: (os.getpid(), i))
-    out = run_five_cells(2)
+def test_forked_workers_interleave_the_cells():
+    out = evaluation._forked(lambda i: (os.getpid(), i), 5, 2)
     assert_no_child_left()
     pids = [pid for pid, _ in out]
     assert [i for _, i in out] == list(range(5))
@@ -393,22 +403,18 @@ def test_forked_workers_interleave_the_cells(monkeypatch):
 
 
 @pytest.mark.parametrize("failing", [{3, 4}, {1}], ids=["two-workers-raise", "one-raises"])
-def test_forked_worker_exception_is_the_serial_one(failing, monkeypatch):
+def test_forked_worker_exception_is_the_serial_one(failing):
     # worker 0 runs cells 0, 2, 4 and worker 1 cells 1, 3: the exception
     # raised is the earliest cell's, whichever worker reports first
-    real_cell = evaluation._cell
-
     def cell(i):
         if i in failing:
             raise ValueError(f"cell {i} failed")
-        return real_cell(i)
+        return i
 
-    monkeypatch.setattr(evaluation, "_cell", cell)
-    host_cores(monkeypatch, 2)
     raised = []
-    for jobs in (1, 2):
+    for run in (lambda: [cell(i) for i in range(5)], lambda: evaluation._forked(cell, 5, 2)):
         with pytest.raises(ValueError) as info:
-            run_five_cells(jobs)
+            run()
         raised.append(str(info.value))
         assert_no_child_left()
     assert raised == [f"cell {min(failing)} failed"] * 2
@@ -426,44 +432,53 @@ def test_forked_engine_error_is_the_serial_one(monkeypatch):
 
 
 @pytest.mark.parametrize("code", [0, 3])
-def test_a_worker_lost_without_a_result_raises(code, monkeypatch):
+def test_a_worker_lost_without_a_result_raises(code):
     # worker 0 exits on its first cell, so worker 1 may still be running when
     # the driver raises; it must be stopped and reaped all the same
-    real_cell = evaluation._cell
-
     def cell(i):
         if i == 0:
             os._exit(code)
-        return real_cell(i)
+        return i
 
-    monkeypatch.setattr(evaluation, "_cell", cell)
-    host_cores(monkeypatch, 2)
     with pytest.raises(RuntimeError, match=f"exited with code {code} before returning"):
-        run_five_cells(2)
+        evaluation._forked(cell, 5, 2)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_a_failed_fork_leaks_no_pipe(monkeypatch):
+    # the second fork fails, as it does at the process limit: the pipe opened
+    # for it is closed, the first worker reaped, and the error raised
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused"):
+        evaluation._forked(lambda i: i, 5, 3)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
     assert_no_child_left()
 
 
 # a caller that leaves text in its stderr buffer, and a worker that writes to
 # its own, in an interpreter whose stderr is a pipe, as under the benchmark
 HALF_LINES = """
-import os, sys
-import numpy as np
-import cascadefin as cf
+import sys
 from cascadefin import evaluation
-
-os.sched_getaffinity = lambda pid: {0, 1}
-real_cell = evaluation._cell
 
 def cell(i):
     if i == 1:
         sys.stderr.write("cell 1 warned")
-    return real_cell(i)
+    return i
 
-evaluation._cell = cell
-net = cf.BankAssetNetwork(("A", "B"), np.array([[100.0], [100.0]]), np.array([100.0, 100.0]),
-                          np.array([70.0, 55.0]))
 sys.stderr.write("caller: ")
-cf.phase_scan(net, 0, [0.6], [0.0, 0.5, 1.0], [0.0], replicates=1, jobs=2)
+evaluation._forked(cell, 3, 2)
 """
 
 

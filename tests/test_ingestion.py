@@ -267,6 +267,22 @@ def test_completion_errors_on_undefined_average():
         cf.complete_dataset(table(("a", 100.0, 50.0, [40.0, None])))
 
 
+@pytest.mark.parametrize("rows, error, message", [
+    ([("a", 0.0, 0.0, [1e308, 1e308])], cf.SchemaError,
+     "bank a: reported holdings sum to inf"),
+    ([("a", 1e300, 0.0, [1e-10, 1e-10])], cf.SchemaError,
+     "bank a: completing the row overflows"),
+    ([("d", 100.0, 50.0, [60.0, 40.0]), ("a", -5.0, 0.0, [-1.0, None])], ValueError,
+     "bank a: negative residual with no known holdings"),
+], ids=["holdings-sum-to-inf", "completion-overflows", "negative-known-sum"])
+def test_completion_refuses_a_row_it_cannot_complete(rows, error, message):
+    # rescaled to its total, the first row would be all zeros and meet its
+    # zero total, the second inf, and the third [-5, 0]; the CSV parse refuses
+    # the third's negative cells, a RawTable from the Python API does not
+    with pytest.raises(error, match=message):
+        cf.complete_dataset(table(*rows))
+
+
 def test_completion_uniform_fill_when_averages_are_zero():
     net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [100.0, 0.0, 0.0]),
                                             ("a", 100.0, 50.0, [40.0, None, None])))

@@ -53,6 +53,14 @@ def test_no_assert_statements(module):
     assert lines == [], f"{module.name}: assert on lines {lines}"
 
 
+def test_no_global_statement():
+    # state a call leaves in a module outlives the call and is shared by every
+    # caller in the process; a lattice cell is a closure its workers inherit
+    lines = [f"{module.name}:{node.lineno}" for module in MODULES
+             for node in ast.walk(_tree(module)) if isinstance(node, ast.Global)]
+    assert lines == [], f"global statement at {lines}"
+
+
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_unused_imports(module):
     # a re-export listed in __all__ counts as a use
