@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -120,21 +121,16 @@ def _parse_synthetic(spec: str) -> SyntheticConfig:
 
 
 def _sha256(path) -> str:
-    # Plain SHA-256, whichever module computes it. hashlib maps OpenSSL
-    # (~3.5 MB of RSS), which an eta = 0 scan loads for nothing else, so the
-    # interpreter's built-in module is used, as random.py picks its SHA-512;
-    # once numpy.random has loaded hashlib, mapping the built-in module
-    # beside OpenSSL would only add RSS.
-    if "hashlib" in sys.modules:
-        from hashlib import sha256
-    else:
+    # Plain SHA-256 from the interpreter's built-in module, as random.py picks
+    # its SHA-512: hashlib maps OpenSSL (~3.4 MB of RSS) in a process where
+    # console() has not blocked it.
+    try:
+        from _sha2 import sha256      # CPython 3.12+
+    except ImportError:
         try:
-            from _sha2 import sha256      # CPython 3.12+
+            from _sha256 import sha256    # CPython 3.10-3.11
         except ImportError:
-            try:
-                from _sha256 import sha256    # CPython 3.10-3.11
-            except ImportError:
-                from hashlib import sha256
+            from hashlib import sha256
 
     digest = sha256()
     with open(path, "rb") as fh:
@@ -457,5 +453,27 @@ def main(argv=None) -> int:
         return 1
 
 
+# the built-in modules hashlib and hmac fall back to where OpenSSL is missing
+BUILTIN_HASHES = ("_md5", "_sha1",
+                  *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+                  "_blake2", "_sha3")
+
+
+def console() -> int:
+    """The `cascadefin` script and `python -m cascadefin.cli`: main() in a
+    process that never maps OpenSSL.
+
+    numpy.random's secrets import loads hmac and hashlib, which map OpenSSL's
+    libcrypto (~3.4 MB of RSS) through _hashlib, yet no command calls an
+    OpenSSL routine. With _hashlib blocked both take their fallback for builds
+    without OpenSSL, the interpreter's built-in hash modules; where one of
+    those is missing, hashlib would log an error for each algorithm it lacks,
+    so OpenSSL is kept. An import of the package or an in-process main()
+    leaves the host process's hashing alone."""
+    if all(importlib.util.find_spec(name) for name in BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

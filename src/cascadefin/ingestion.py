@@ -334,10 +334,10 @@ def _complete_rows(bank_ids, b, values, avg) -> list:
                                   "overflows to inf")
             raise SchemaError(f"bank {bank}: asset {m} missing but its average weight is "
                               "undefined (no row reports it)")
-        if broken[i]:
-            raise SchemaError(f"bank {bank}: completing the row overflows; its holdings "
-                              f"cannot meet total_assets {b[i]}")
-        raise ValueError(f"bank {bank}: negative residual with no known holdings")
+        if negative[i] and known_sum[i] <= 0:
+            raise ValueError(f"bank {bank}: negative residual with no known holdings")
+        raise SchemaError(f"bank {bank}: completing the row overflows; its holdings "
+                          f"cannot meet total_assets {b[i]}")
 
     uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)
     action = np.select([rescaled, zero, negative, uniform], [0, 1, 2, 3], default=-1)

@@ -1,13 +1,13 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
 lattice's worker count and fork driver, the command line's range, manifest,
---out and --synthetic rules, the number reader at every door, the CSV parse's
-row checks, duplicate ids and one block at a time, the CSV writer's encoding,
-the network's id column and sum tolerance, ingest's in-place completion, its
-repair masks, the rows it refuses and its row sums, synthetic generation's
-in-place weights and holdings and its id column, the label file's header and
-duplicate count, the manifest digest's choice of module and the package's
-start-up rules, each with the tests that kill it or the reason no result can
-change.
+--out, --synthetic and network-and-label rules, the number reader at every
+door, the CSV parse's row checks, duplicate ids, table size and one block at a
+time, the CSV writer's encoding, the network's id column and sum tolerance,
+ingest's in-place completion, its repair masks, the rows it refuses and its
+row sums, synthetic generation's in-place weights and holdings and its id
+column, the label file's header and duplicate count, the manifest digest's
+built-in module, the entry's OpenSSL block and the package's start-up rules,
+each with the tests that kill it or the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -18,7 +18,7 @@ failed), survived when it exits 0, and any other exit (a kill id that names no
 test, an import error) prints UNEXPECTED. With
 --all-tests every mutant, equivalent ones included, runs the whole `tests/`
 directory instead. Pytest does not collect this file (its name does not start
-with `test_`); it is run by hand. The killing tests take about 15 minutes for
+with `test_`); it is run by hand. The killing tests take about 50 minutes for
 the whole list on two cores, most of it in the mutants that only a hypothesis
 test kills, as it shrinks each failure; --all-tests about a minute per mutant;
 tests/test_mutants.py checks, without running any mutant, that every listed
@@ -59,7 +59,9 @@ WORKER_TEXT = "tests/test_evaluation.py::test_worker_and_caller_text_reach_stder
 LOST_WORKER = "tests/test_evaluation.py::test_a_worker_lost_without_a_result_raises"
 DUPLICATE = "tests/test_ingestion.py::test_load_raw_csv_rejects_duplicate_bank_id"
 DUPLICATE_ORDER = "tests/test_ingestion.py::test_load_raw_csv_orders_a_duplicate_among_row_errors"
-REUSED_DIGEST = "tests/test_startup.py::test_a_process_that_loaded_openssl_hashes_with_it"
+ENTRY_MAPS = "tests/test_startup.py::test_the_entry_maps_no_openssl"
+ENTRY_FALLBACK = "tests/test_startup.py::test_the_entry_keeps_openssl_without_every_built_in_hash"
+LAYOUTS = "tests/test_ingestion.py::test_load_raw_csv_reads_every_line_layout"
 DIGEST = "tests/test_cli.py::test_manifest_digest_is_plain_sha256"
 COMPLETION = "tests/test_properties.py::test_completion_matches_row_by_row_reference"
 REFUSED_ROW = "tests/test_ingestion.py::test_completion_refuses_a_row_it_cannot_complete"
@@ -285,6 +287,26 @@ MUTANTS = (
            "        return SyntheticConfig(**kwargs)\n    except ValueError as e:",
            "        return SyntheticConfig(**kwargs)\n    except TypeError as e:",
            (f"{BAD_INPUT}[concentration-0]",)),
+    # _resolve's refusals
+    Mutant("resolve-seed-optional", CLI, "if any(e > 0 for e in etas):", "if False:",
+           ("tests/test_cli.py::test_eta_without_seed_is_refused",)),
+    Mutant("resolve-sources-unchecked", CLI, "if bool(args.input) == bool(args.synthetic):",
+           "if False:", ("tests/test_cli.py::test_run_needs_exactly_one_source",)),
+    Mutant("resolve-phase-label-keys", CLI,
+           'if synthetic.label_asset is not None and "labels" not in args:', "if False:",
+           (f"{BAD_INPUT}[phase-label-cascade]",)),
+    Mutant("resolve-two-label-sources", CLI,
+           "if synthetic.label_asset is not None and args.labels:", "if False:",
+           (f"{BAD_INPUT}[two-label-sources]",)),
+    Mutant("resolve-roc-one-class", CLI,
+           'if args.command == "roc" and n_pos in (0, network.n_banks):', "if False:",
+           ("tests/test_cli.py::test_roc_without_a_labeled_bank_exits_2",
+            "tests/test_cli.py::test_roc_label_file_without_both_classes_exits_2")),
+    Mutant("resolve-roc-no-positive", CLI, "n_pos in (0, network.n_banks)",
+           "n_pos == network.n_banks",
+           ("tests/test_cli.py::test_roc_label_file_without_both_classes_exits_2[disjoint]",)),
+    Mutant("resolve-labels-name-no-bank", CLI, "if n_pos == 0:", "if False:",
+           ("tests/test_cli.py::test_labels_naming_no_bank_exit_2",)),
     # the number reader, bypassed at each door of the command line
     Mutant("reader-p-scalar", CLI, "values = [number(text, float)]", "values = [float(text)]",
            (f"{DOORS}[p]",)),
@@ -335,6 +357,11 @@ MUTANTS = (
     Mutant("save-locale-encoding", INGESTION, 'newline="", encoding="utf-8") as fh:',
            'newline="") as fh:',
            ("tests/test_ingestion.py::test_save_writes_utf_8_whatever_the_locale",)),
+    # the parse sizes its columns by the file's CR and LF bytes
+    Mutant("max-rows-without-lf", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
+           'chunk.count(b"\\r")', (f"{LAYOUTS}[lf]",)),
+    Mutant("max-rows-without-cr", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
+           'chunk.count(b"\\n")', (f"{LAYOUTS}[cr]",)),
     Mutant("row-duplicate-unchecked", INGESTION,
            "if error := _duplicate_error([*ids, bank_id], [*lines, line]):", "if False:",
            (f"{DUPLICATE_ORDER}[before-its-cells-3]",)),
@@ -410,15 +437,27 @@ MUTANTS = (
            "run_cascade(network, params[i], None)",
            "run_cascade(network, params[i], stream(seed, DOMAIN_CELL, i, 0))",
            (f"{RANDOM_ON_DEMAND}[eta-0]",)),
-    Mutant("digest-always-hashlib", CLI, 'if "hashlib" in sys.modules:', "if True:",
+    Mutant("digest-hashlib-first", CLI, "    digest = sha256()",
+           "    from hashlib import sha256\n    digest = sha256()",
            (f"{RANDOM_ON_DEMAND}[eta-0]", DIGEST)),
-    Mutant("digest-always-built-in", CLI, 'if "hashlib" in sys.modules:', "if False:",
-           (REUSED_DIGEST, DIGEST)),
-    Mutant("digest-choice-inverted", CLI, 'if "hashlib" in sys.modules:',
-           'if "hashlib" not in sys.modules:', (f"{RANDOM_ON_DEMAND}[eta-0]", REUSED_DIGEST)),
     Mutant("run-eta-0-streams", CLI,
            "stream(args.seed) if eta > 0 else None", "stream(args.seed)",
            (f"{RANDOM_ON_DEMAND}[eta-0]",)),
+    # start-up: the entry blocks OpenSSL where hashlib can do without it, and
+    # nothing else writes sys.modules
+    Mutant("entry-keeps-openssl", CLI, 'sys.modules.setdefault("_hashlib", None)', "pass",
+           (ENTRY_MAPS, f"{RANDOM_ON_DEMAND}[eta-0.2]")),
+    Mutant("entry-blocks-without-fallback", CLI,
+           "if all(importlib.util.find_spec(name) for name in BUILTIN_HASHES):", "if True:",
+           (ENTRY_FALLBACK,)),
+    Mutant("entry-fallback-without-sha3", CLI, '"_blake2", "_sha3")', '"_blake2")',
+           (f"{ENTRY_FALLBACK}[_sha3]",)),
+    Mutant("entry-guard-skips-console", CLI, "    sys.exit(console())", "    sys.exit(main())",
+           ("tests/test_source.py::test_the_script_and_python_m_share_one_entry", ENTRY_MAPS)),
+    Mutant("entry-blocks-at-import", CLI, "import numpy as np\n",
+           'import numpy as np\nsys.modules.setdefault("_hashlib", None)\n',
+           ("tests/test_source.py::test_only_the_entry_writes_sys_modules", LAZY_IMPORTS,
+            "tests/test_startup.py::test_an_in_process_main_leaves_openssl_importable")),
     Mutant("cascade-no-generator-unchecked", CASCADE,
            "if rng is None and params.eta != 0.0:", "if False:",
            ("tests/test_cascade.py::test_positive_eta_without_a_generator_raises",)),
@@ -473,6 +512,10 @@ MUTANTS = (
     Mutant("complete-broken-row-passes", INGESTION, FAILING,
            "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow",
            (f"{REFUSED_ROW}[completion-overflows]",)),
+    Mutant("complete-zero-known-sum-named-broken", INGESTION,
+           "if negative[i] and known_sum[i] <= 0:",
+           "if negative[i] and known_sum[i] <= 0 and not broken[i]:",
+           (f"{REFUSED_ROW}[negative-zero-known-sum]",)),
     # synthetic generation: the holdings in the gamma draws' own buffer
     Mutant("synthetic-holdings-temporary", INGESTION,
            "holdings = np.multiply(raw, sizes[:, None], out=raw)",

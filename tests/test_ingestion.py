@@ -174,13 +174,14 @@ def test_load_raw_csv_numbers_a_row_by_its_first_file_line(tmp_path):
     assert raw.line_numbers.tolist() == [2, 5]
 
 
-@pytest.mark.parametrize("layout", ["crlf", "cr", "blank-lines", "no-final-newline"])
+@pytest.mark.parametrize("layout", ["lf", "crlf", "cr", "blank-lines", "no-final-newline"])
 def test_load_raw_csv_reads_every_line_layout(layout, tmp_path):
     # the columns are sized by the file's line breaks before it is parsed
     lines = ["bank_id,total_assets,total_liabilities,asset_00,asset_01",
              "b1,100.0,90.0,40.0,", "b2,50.0,30.0,,10.0", '"c,3",20.0,10.0,5.0,15.0']
     plain = cf.load_raw_csv(write(tmp_path / "plain.csv", "\n".join(lines) + "\n"))
-    text = {"crlf": "\r\n".join(lines) + "\r\n",
+    text = {"lf": "\n".join(lines) + "\n",
+            "crlf": "\r\n".join(lines) + "\r\n",
             "cr": "\r".join(lines) + "\r",
             "blank-lines": "\n\n".join(lines) + "\n\n",
             "no-final-newline": "\n".join(lines)}[layout]
@@ -274,11 +275,16 @@ def test_completion_errors_on_undefined_average():
      "bank a: completing the row overflows"),
     ([("d", 100.0, 50.0, [60.0, 40.0]), ("a", -5.0, 0.0, [-1.0, None])], ValueError,
      "bank a: negative residual with no known holdings"),
-], ids=["holdings-sum-to-inf", "completion-overflows", "negative-known-sum"])
+    ([("d", 100.0, 50.0, [60.0, 40.0]), ("a", -5.0, 0.0, [0.0, None])], ValueError,
+     "bank a: negative residual with no known holdings"),
+], ids=["holdings-sum-to-inf", "completion-overflows", "negative-known-sum",
+        "negative-zero-known-sum"])
 def test_completion_refuses_a_row_it_cannot_complete(rows, error, message):
     # rescaled to its total, the first row would be all zeros and meet its
-    # zero total, the second inf, and the third [-5, 0]; the CSV parse refuses
-    # the third's negative cells, a RawTable from the Python API does not
+    # zero total, the second inf, the third [-5, 0] and the fourth NaN, as
+    # 0 * (-5 / 0) is, which a broken row shows too: the reference names its
+    # negative residual first. The CSV parse refuses a negative total or
+    # cell, a RawTable from the Python API does not
     with pytest.raises(error, match=message):
         cf.complete_dataset(table(*rows))
 

@@ -116,10 +116,54 @@ def test_every_public_name_is_used_outside_tests():
     assert unused == [], f"exported but used only by tests: {unused}"
 
 
+def _project() -> dict:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # setuptools calls [tool.setuptools] beta
+        return read_configuration(ROOT / "pyproject.toml")["project"]
+
+
 def test_the_version_lives_in_the_package_only():
     # pyproject.toml takes its version from cascadefin.__version__, so a bump
     # there is the only one a release needs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # setuptools calls [tool.setuptools] beta
-        project = read_configuration(ROOT / "pyproject.toml")["project"]
-    assert project["version"] == cf.__version__
+    assert _project()["version"] == cf.__version__
+
+
+def _sys_modules(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "modules" \
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+
+
+# the dict methods that change sys.modules
+MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def test_only_the_entry_writes_sys_modules():
+    # a library import, or a host's in-process cli.main, must not change how
+    # the host process hashes: only cli.console blocks OpenSSL
+    writes = []
+    for module in MODULES:
+        tree = _tree(module)
+        entry = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+                 if module.name == "cli.py" and isinstance(node, ast.FunctionDef)
+                 and node.name == "console"]
+        for node in ast.walk(tree):
+            write = (_sys_modules(node) and not isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Subscript) and _sys_modules(node.value)
+                     and not isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute) and node.attr in MUTATORS
+                     and _sys_modules(node.value))
+            if write and not any(node.lineno in lines for lines in entry):
+                writes.append(f"{module.name}:{node.lineno}")
+    assert writes == [], f"sys.modules written at {writes}"
+
+
+def test_the_script_and_python_m_share_one_entry():
+    # the cascadefin script and `python -m cascadefin.cli` both block OpenSSL
+    module, entry = _project()["scripts"]["cascadefin"].split(":")
+    assert module == "cascadefin.cli"
+    guards = [node for node in _tree(SRC / "cli.py").body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(guards) == 1
+    called = {node.func.id for node in ast.walk(guards[0])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {entry}
