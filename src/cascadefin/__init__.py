@@ -27,7 +27,6 @@ from .evaluation import (
     phase_scan,
     roc_grid,
     survival_curves,
-    write_csv,
 )
 from .ingestion import (
     RawTable,
@@ -42,6 +41,7 @@ from .ingestion import (
     load_raw_csv,
     network_from_sheets,
     save_completed_csv,
+    write_csv,
 )
 from .network import ASSET_NAMES, DEFAULT_MEAN_WEIGHTS, BankAssetNetwork
 

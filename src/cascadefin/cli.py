@@ -32,7 +32,6 @@ from .evaluation import (
     phase_scan,
     roc_grid,
     survival_curves,
-    write_csv,
 )
 from .ingestion import (
     SchemaError,
@@ -44,6 +43,7 @@ from .ingestion import (
     load_raw_csv,
     number,
     save_completed_csv,
+    write_csv,
 )
 
 
@@ -234,6 +234,17 @@ def _out_dir(args) -> str:
     return out
 
 
+def _write_json(doc, path):
+    """Write doc as JSON, indented by 2, with a final newline, to path, or to
+    stdout when there is none: the one JSON writer of every command."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_outputs(args, name, write, result) -> str:
     """Write result to the CSV name in the output directory, then the
     manifest.json that pins it; returns the CSV's path."""
@@ -257,9 +268,7 @@ def _write_outputs(args, name, write, result) -> str:
         "config": config,
         "outputs": {name: _sha256(path)},
     }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(out, "manifest.json"))
     return path
 
 
@@ -271,10 +280,8 @@ def cmd_ingest(args) -> int:
     out = _out_dir(args)
     completed = os.path.join(out, "completed.csv")
     save_completed_csv(network, completed)
-    report_path = os.path.join(out, "repair_report.json")
-    with open(report_path, "w") as fh:
-        json.dump({"rows": network.n_banks, "repairs": report}, fh, indent=2)
-        fh.write("\n")
+    _write_json({"rows": network.n_banks, "repairs": report},
+                os.path.join(out, "repair_report.json"))
     print(f"ingested {network.n_banks} banks ({blanks} blank cells completed, "
           f"{len(report)} repaired rows) -> {completed}")
     return 0
@@ -317,12 +324,7 @@ def cmd_run(args) -> int:
             None if labels is None else float(survived[network.mask(labels)].mean()),
         "diagnostics": result.diagnostics,
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(doc, args.out)
     return 0
 
 

@@ -315,22 +315,3 @@ def phase_scan(network, shocked_asset, ps, alphas, etas,
     return PhaseDiagram(tuple(names[k] for k in axes),
                         tuple(np.asarray(grids[k]) for k in axes), mean, ci, region, drop)
 
-
-# ---------------------------------------------------------------------------
-# plot-ready CSV output
-
-
-def write_csv(columns, path):
-    """Write a dict of equal-length columns as CSV, its keys as the header.
-
-    A float column writes the repr of each value, which round-trips and never
-    varies; any other column writes str of each value, and a None column
-    blank cells. No cell of these tables ever needs quoting.
-    """
-    n_rows = max((len(col) for col in columns.values() if col is not None), default=0)
-    cells = [itertools.repeat("", n_rows) if col is None
-             else map(repr if col.dtype.kind == "f" else str, col.tolist())
-             for col in columns.values()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

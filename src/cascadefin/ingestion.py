@@ -155,12 +155,16 @@ def _parse_block(block, header) -> FloatA:
 
 def _records(reader):
     """(first file line, record) of each non-blank record left in a csv.reader;
-    a quoted cell can span lines, so the record count is not the line."""
+    a quoted cell can span lines, so the record count is not the line. A record
+    the reader refuses (a field over its size limit) raises SchemaError at its line."""
     end = reader.line_num
-    for rec in reader:
-        start, end = end + 1, reader.line_num
-        if rec and not (len(rec) == 1 and rec[0].strip() == ""):
-            yield start, rec
+    try:
+        for rec in reader:
+            start, end = end + 1, reader.line_num
+            if rec and not (len(rec) == 1 and rec[0].strip() == ""):
+                yield start, rec
+    except csv.Error as e:
+        raise SchemaError(f"row {end + 1}: {e}") from None
 
 
 def _not_utf8(path) -> SchemaError:
@@ -225,6 +229,8 @@ def load_raw_csv(path) -> RawTable:
                 del block, values
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
+        except csv.Error as e:   # the header's: _records turns a data row's into SchemaError
+            raise SchemaError(f"row 1: {e}") from None
     if not n:
         raise SchemaError("no data rows in input")
     # on a sorted copy, as BankAssetNetwork tests: a dict of each id's line holds an int per row
@@ -378,28 +384,37 @@ def load_completed_network(path) -> BankAssetNetwork:
 _QUOTE_CHARS = frozenset(',"\r\n')
 
 
-def _csv_field(text: str) -> str:
-    """text as a CSV field: quoted, with its quotes doubled, when it holds a
-    comma, a quote or a line break. csv.writer does the same, except that it
-    leaves a bare CR unquoted, where its own reader then ends the row."""
+def _csv_field(value) -> str:
+    """str of value as a CSV field: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break. csv.writer does the same, except
+    that it leaves a bare CR unquoted, where its own reader then ends the row."""
+    text = str(value)
     if _QUOTE_CHARS.isdisjoint(text):
         return text
     return '"' + text.replace('"', '""') + '"'
 
 
-def save_completed_csv(network: BankAssetNetwork, path):
-    """Write a network in the canonical schema, each float as its repr, in
-    UTF-8, which load_raw_csv reads. The columns are stacked BLOCK_ROWS rows
-    at a time."""
+def write_csv(columns, path):
+    """Write a dict of equal-length columns as CSV in UTF-8, its keys as the
+    header, BLOCK_ROWS rows at a time: the one writer of every table. A float
+    column writes the repr of each value, which round-trips and never varies,
+    any other column str of each value as a CSV field, a None column blanks."""
+    n_rows = max((len(col) for col in columns.values() if col is not None), default=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(expected_columns(network.n_assets)) + "\n")
-        for lo in range(0, network.n_banks, BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
-            columns = np.column_stack([network.total_assets[rows],
-                                       network.total_liabilities[rows], network.holdings[rows]])
-            fh.write("".join(_csv_field(bank_id) + "," + ",".join(map(repr, values)) + "\n"
-                             for bank_id, values in zip(network.bank_ids[rows],
-                                                        columns.tolist())))
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            cells = [itertools.repeat("") if col is None
+                     else map(repr if col.dtype.kind == "f" else _csv_field,
+                              col[lo:lo + BLOCK_ROWS].tolist())
+                     for col in columns.values()]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def save_completed_csv(network: BankAssetNetwork, path):
+    """Write a network in the canonical schema, which load_raw_csv reads."""
+    columns = (network.bank_ids, network.total_assets, network.total_liabilities,
+               *network.holdings.T)
+    write_csv(dict(zip(expected_columns(network.n_assets), columns)), path)
 
 
 def load_labels(path) -> frozenset:
@@ -407,7 +422,7 @@ def load_labels(path) -> frozenset:
     dropped with a warning)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            ids = [value for rec in csv.reader(fh) if rec and (value := rec[0].strip())]
+            ids = [value for _, rec in _records(csv.reader(fh)) if (value := rec[0].strip())]
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     if ids and ids[0].lower() == "bank_id":   # the header is the first non-blank record

@@ -2,12 +2,13 @@
 lattice's worker count and fork driver, the command line's range, manifest,
 --out, --synthetic and network-and-label rules, the number reader at every
 door, the CSV parse's row checks, duplicate ids, table size and one block at a
-time, the CSV writer's encoding, the network's id column and sum tolerance,
-ingest's in-place completion, its repair masks, the rows it refuses and its
-row sums, synthetic generation's in-place weights and holdings and its id
-column, the label file's header and duplicate count, the manifest digest's
-built-in module, the entry's OpenSSL block and the package's start-up rules,
-each with the tests that kill it or the reason no result can change.
+time, the records csv refuses, the CSV writer's encoding, blocks and quoting,
+the network's id column and sum tolerance, ingest's in-place completion, its
+repair masks, the rows it refuses and its row sums, synthetic generation's
+in-place weights and holdings and its id column, the label file's header and
+duplicate count, the manifest digest's built-in module, the entry's OpenSSL
+block and the package's start-up rules, each with the tests that kill it or
+the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -65,6 +66,8 @@ LAYOUTS = "tests/test_ingestion.py::test_load_raw_csv_reads_every_line_layout"
 DIGEST = "tests/test_cli.py::test_manifest_digest_is_plain_sha256"
 COMPLETION = "tests/test_properties.py::test_completion_matches_row_by_row_reference"
 REFUSED_ROW = "tests/test_ingestion.py::test_completion_refuses_a_row_it_cannot_complete"
+WRITER = "tests/test_evaluation.py::test_write_csv"
+CSV_REFUSED = "tests/test_ingestion.py::test_load_raw_csv_names_the_line_of_a_record_csv_refuses"
 FAILING = "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken"
 
 
@@ -357,6 +360,18 @@ MUTANTS = (
     Mutant("save-locale-encoding", INGESTION, 'newline="", encoding="utf-8") as fh:',
            'newline="") as fh:',
            ("tests/test_ingestion.py::test_save_writes_utf_8_whatever_the_locale",)),
+    # the one CSV writer: a block of each column at a time, text quoted
+    Mutant("writer-whole-column", INGESTION, "col[lo:lo + BLOCK_ROWS].tolist())", "col.tolist())",
+           (f"{WRITER}[longer-than-a-block]",
+            "tests/test_evaluation.py::test_write_csv_holds_one_block_of_cells_at_a_time")),
+    Mutant("writer-text-unquoted", INGESTION, 'else _csv_field,', "else str,",
+           (f"{WRITER}[quoted-text]",
+            "tests/test_ingestion.py::test_save_quotes_bank_ids_as_csv_writer_does")),
+    # a record csv.reader refuses is a schema error on the line it starts
+    Mutant("csv-error-uncaught", INGESTION, 'raise SchemaError(f"row {end + 1}: {e}") from None',
+           "raise", (f"{CSV_REFUSED}[unclosed-quote-3]",
+                     "tests/test_ingestion.py::test_labels_name_the_line_of_a_record_csv_refuses",
+                     f"{BAD_FILE}[ingest-unclosed-quote]", f"{BAD_FILE}[labels-oversized-id]")),
     # the parse sizes its columns by the file's CR and LF bytes
     Mutant("max-rows-without-lf", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
            'chunk.count(b"\\r")', (f"{LAYOUTS}[lf]",)),

@@ -562,6 +562,8 @@ LATIN1_LABELS = "bank_id\nB00001\n\nSoci\xe9t\xe9\n".encode("latin-1")
 NOT_UTF8 = "schema error: line 4: byte 0xe9 is not UTF-8"
 ONE_GOOD_ROW = "bank_id,total_assets,total_liabilities,asset_00,asset_01,asset_02\na,10,5,4,6,0\n"
 ONE_ASSET = "bank_id,total_assets,total_liabilities,asset_00\n"
+# csv.reader's refusal of a field over its size limit, on the line its record starts
+FIELD_LIMIT = "schema error: row {}: field larger than field limit (131072)"
 # each row matches its total, but the asset column's sum overflows
 COLUMN_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
                    + "a,1e308,5,1e308,0\nb,1e308,5,1e308,0\n").encode()
@@ -607,12 +609,19 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
     (["ingest", "--input"], b"bank_id,total_assets,total_liabilities\na,10,5\n",
      "schema error: no asset_NN columns found"),
     (["run", "--input"], b"", "schema error: empty file: missing header row"),
+    (["ingest", "--input"], (ONE_ASSET + '"a,10,5,10\n' + "b,10,5,10\n" * 20_000).encode(),
+     FIELD_LIMIT.format(2)),
+    (["phase", "--seed", "1", "--input"],
+     (ONE_ASSET + 'a,10,5,10\n"b,10,5,10\n' + "c\n" * 70_000).encode(), FIELD_LIMIT.format(3)),
+    (["sweep", "--synthetic", "n=20", "--labels"],
+     ('bank_id\nB00001\n"' + "x" * 200_000 + '"\n').encode(), FIELD_LIMIT.format(3)),
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
         "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
         "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
         "ingest-underscore", "ingest-negative-total-assets", "ingest-negative-liabilities",
         "ingest-average-weight-overflows",
-        "ingest-zero-row-fills-from-inf-weight", "ingest-no-asset-columns", "run-empty-file"])
+        "ingest-zero-row-fills-from-inf-weight", "ingest-no-asset-columns", "run-empty-file",
+        "ingest-unclosed-quote", "phase-unclosed-quote", "labels-oversized-id"])
 def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
     path = tmp_path / "bad.csv"

@@ -1,10 +1,11 @@
-"""Survival curves, ROC grids and their splits, phase scans, the CSV writer."""
+"""Survival curves, ROC grids and their splits, phase scans, the tables' CSV writer."""
 
 import errno
 import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from contextlib import nullcontext
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cascadefin as cf
-from cascadefin import evaluation
+from cascadefin import evaluation, ingestion
 from cascadefin.cascade import DOMAIN_CELL
 
 from helpers import dense_synthetic, host_cores, make_network, rows, serial_pool, toy_network
@@ -271,7 +272,7 @@ def test_forked_lattice_releases_the_network(asset, monkeypatch):
     assert_no_child_left()
 
 
-# --- CSV writers ---------------------------------------------------------
+# --- the tables' CSV writer ------------------------------------------------
 
 @pytest.mark.parametrize("columns, text", [
     ({"p": np.array([1.0, 0.1 + 0.2]), "survival_all": np.array([0.75, 0.0]),
@@ -288,13 +289,41 @@ def test_forked_lattice_releases_the_network(asset, monkeypatch):
      "0.0,0.5,,I\n"
      "1.0,0.0,,II\n"),
     ({"ci_half": None}, "ci_half\n"),
-], ids=["survival", "roc", "phase-1d", "all-none"])
-def test_write_csv(columns, text, tmp_path):
-    # a float writes its repr, which round-trips; an int or str its str; a
-    # None column blank cells
-    path = tmp_path / "table.csv"
-    cf.write_csv(columns, path)
-    assert path.read_text() == text
+    ({"p": np.arange(10) / 4, "tp_count": np.arange(10), "ci_half": None},
+     "p,tp_count,ci_half\n" + "".join(f"{k / 4},{k},\n" for k in range(10))),
+    ({"p": np.array([]), "split": np.array([], dtype=str)}, "p,split\n"),
+    ({"split": np.array(["a,b", 'say "hi"', "x\ny", "\u00e9"]), "tpr": np.full(4, 0.5)},
+     'split,tpr\n"a,b",0.5\n"say ""hi""",0.5\n"x\ny",0.5\n\u00e9,0.5\n'),
+], ids=["survival", "roc", "phase-1d", "all-none", "longer-than-a-block", "header-only",
+        "quoted-text"])
+def test_write_csv(columns, text, tmp_path, monkeypatch):
+    # a float writes its repr, which round-trips; an int or str its str,
+    # quoted where it must be; a None column blank cells; all of it in UTF-8
+    # and the same bytes whatever the block size
+    for block_rows in (1, 2, 3, 8192):
+        monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+        path = tmp_path / f"table-{block_rows}.csv"
+        cf.write_csv(columns, path)
+        assert path.read_bytes() == text.encode()
+
+
+def test_write_csv_holds_one_block_of_cells_at_a_time(tmp_path):
+    # on a 30k-row ROC-shaped table the writer peaks at about 0.04 times the
+    # columns' bytes; turning whole columns into Python objects reads 2.31
+    gen = np.random.default_rng(5)
+    n_cells = 10_000
+    columns = {name: np.repeat(gen.random(n_cells), 3) for name in ("alpha", "eta", "p")}
+    columns |= {"split": np.tile(("full", "first_step", "consecutive_steps"), n_cells),
+                "fpr": gen.random(3 * n_cells), "tpr": gen.random(3 * n_cells),
+                "tp_count": gen.integers(0, 5000, 3 * n_cells)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cf.write_csv(columns, tmp_path / "roc.csv")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * sum(col.nbytes for col in columns.values())
 
 
 # --- eta = 0 cells run once ------------------------------------------------
@@ -470,7 +499,7 @@ def test_a_failed_fork_leaks_no_pipe(monkeypatch):
 # its own, in an interpreter whose stderr is a pipe, as under the benchmark
 HALF_LINES = """
 import sys
-from cascadefin import evaluation
+from cascadefin import evaluation, ingestion
 
 def cell(i):
     if i == 1:

@@ -174,6 +174,27 @@ def test_load_raw_csv_numbers_a_row_by_its_first_file_line(tmp_path):
     assert raw.line_numbers.tolist() == [2, 5]
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+@pytest.mark.parametrize("text, message", [
+    ('"a' + "b,10,5,10\n" * 20_000,
+     r"^row 2: field larger than field limit \(131072\)$"),
+    ("a,10,5,10\n\n" + '"b\n' + "x" * 200_000 + '",10,5,10\n',
+     r"^row 4: field larger than field limit \(131072\)$"),
+], ids=["unclosed-quote", "long-quoted-id"])
+def test_load_raw_csv_names_the_line_of_a_record_csv_refuses(tmp_path, monkeypatch,
+                                                              block_rows, text, message):
+    # csv.reader refuses a field over its size limit, and an unclosed quote
+    # runs its field to the end of the file; the error names the line the
+    # record starts on, not the one the reader stopped at
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    path = write(tmp_path / "raw.csv", "bank_id,total_assets,total_liabilities,asset_00\n" + text)
+    with pytest.raises(cf.SchemaError, match=message):
+        cf.load_raw_csv(path)
+    path = write(tmp_path / "header.csv", '"bank_id' + "x" * 200_000 + "\n" + text)
+    with pytest.raises(cf.SchemaError, match=r"^row 1: field larger"):
+        cf.load_raw_csv(path)
+
+
 @pytest.mark.parametrize("layout", ["lf", "crlf", "cr", "blank-lines", "no-final-newline"])
 def test_load_raw_csv_reads_every_line_layout(layout, tmp_path):
     # the columns are sized by the file's line breaks before it is parsed
@@ -487,6 +508,12 @@ def test_labels_header_optional(tmp_path):
                          ids=["after-a-blank-line", "after-blank-records"])
 def test_labels_header_is_the_first_non_blank_record(text, tmp_path):
     assert cf.load_labels(write(tmp_path / "labels.csv", text)) == frozenset({"B00001"})
+
+
+def test_labels_name_the_line_of_a_record_csv_refuses(tmp_path):
+    path = write(tmp_path / "labels.csv", 'bank_id\nb1\n\n"' + "x" * 200_000 + '"\nb2\n')
+    with pytest.raises(cf.SchemaError, match=r"^row 4: field larger than field limit \(131072\)$"):
+        cf.load_labels(path)
 
 
 @pytest.mark.parametrize("text", ["bank_id\nb1\nb2\n", "b1\nb2\n"], ids=["header", "plain"])

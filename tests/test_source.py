@@ -99,6 +99,33 @@ def test_no_process_pool_import(module):
     assert lines == [], f"{module.name}: imports a process-pool module on lines {lines}"
 
 
+# the functions that may open a file for writing: the one CSV writer, the one
+# JSON writer, and a lattice worker, whose file is the pipe its results go back by
+WRITERS = {("ingestion.py", "write_csv"), ("cli.py", "_write_json"), ("evaluation.py", "_work")}
+
+
+def _writes(call) -> bool:
+    """Whether a call of open can write; a mode that is no literal counts."""
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return False
+    return not isinstance(modes[0], ast.Constant) or bool(set(modes[0].value) & set("wax+"))
+
+
+def test_files_are_written_in_two_places():
+    # one CSV writer and one JSON writer state every output's byte rules
+    sites = []
+    for module in MODULES:
+        tree = _tree(module)
+        allowed = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and (module.name, node.name) in WRITERS]
+        sites += [f"{module.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "open" and _writes(node)
+                  and not any(node.lineno in lines for lines in allowed)]
+    assert sites == [], f"a file is opened for writing at {sites}"
+
+
 def test_init_exports_every_name_it_imports():
     tree = _tree(SRC / "__init__.py")
     exported = _all(tree)
