@@ -42,6 +42,7 @@ from .ingestion import (
     load_labels,
     load_raw_csv,
     number,
+    replacing,
     save_completed_csv,
     write_csv,
 )
@@ -236,17 +237,18 @@ def _out_dir(args) -> str:
 
 def _write_json(doc, path):
     """Write doc as JSON, indented by 2, with a final newline, to path, or to
-    stdout when there is none: the one JSON writer of every command."""
+    stdout when there is none: the one JSON writer of every command. The file
+    takes its name only once it is whole (replacing)."""
     text = json.dumps(doc, indent=2) + "\n"
     if path:
-        with open(path, "w") as fh:
+        with replacing(path) as part, open(part, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_outputs(args, name, write, result) -> str:
-    """Write result to the CSV name in the output directory, then the
+    """Write result to the CSV name in the output directory, then, last, the
     manifest.json that pins it; returns the CSV's path."""
     out = _out_dir(args)
     path = os.path.join(out, name)

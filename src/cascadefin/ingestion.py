@@ -17,9 +17,12 @@ are only ever produced by running a reference cascade, never invented.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -27,8 +30,8 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .cascade import DOMAIN_SYNTHETIC, CascadeParams, run_cascade, stream
-from .network import (DEFAULT_MEAN_WEIGHTS, SUM_RTOL, BankAssetNetwork, FloatA, IntA,
-                      has_repeat, off_total)
+from .network import (DEFAULT_MEAN_WEIGHTS, SUM_RTOL, BankAssetNetwork, FloatA, has_repeat,
+                      off_total)
 
 FIXED_COLUMNS = ("bank_id", "total_assets", "total_liabilities")
 # rows parsed or written at a time: bounds the Python objects alive at once
@@ -51,14 +54,13 @@ def expected_columns(n_assets: int) -> list[str]:
 @dataclass(frozen=True)
 class RawTable:
     """A balance-sheet CSV as arrays: bank_ids is a StringDType column,
-    holdings is N x M with NaN for each blank cell, line_numbers the file
-    line each row starts on."""
+    holdings is N x M with NaN for each blank cell. The file line of a row is
+    found by reading the file again (_row_lines), as only an error names it."""
 
     bank_ids: np.ndarray
     total_assets: FloatA
     total_liabilities: FloatA
     holdings: FloatA
-    line_numbers: IntA
 
 
 def _check_header(header: list[str]) -> int:
@@ -90,19 +92,22 @@ def number(text: str, kind):
     return kind(text)
 
 
-def _duplicate_error(ids, lines):
-    """The SchemaError of the first row whose bank_id an earlier row has, or
-    None; a walk made only once the file is known to be bad."""
+def _duplicate_error(path, ids):
+    """The SchemaError of the first data row of the file at path whose bank_id
+    an earlier row has, or None; a walk made only once the file is known to
+    be bad."""
     first = {}
-    for bank_id, line in zip(ids, lines):
-        if first.setdefault(bank_id, line) != line:
+    for i, bank_id in enumerate(ids):
+        if (j := first.setdefault(bank_id, i)) != i:
+            line, first_line = _row_lines(path, i, j)
             return SchemaError(f"row {line}: duplicate bank_id {bank_id!r}, "
-                               f"first on row {first[bank_id]}")
+                               f"first on row {first_line}")
 
 
-def _row_error(line: int, rec: list, header: list, ids, lines) -> SchemaError:
+def _row_error(line: int, rec: list, header: list, ids, path) -> SchemaError:
     """The first problem of a bad data row, checking its columns in order;
-    ids and lines are the earlier rows', among which no bank_id repeats."""
+    ids are the earlier rows' of the file at path, among which no bank_id
+    repeats."""
     if len(rec) != len(header):
         return SchemaError(f"row {line}: expected {len(header)} fields, found {len(rec)}")
     bank_id = rec[0].strip()
@@ -110,7 +115,7 @@ def _row_error(line: int, rec: list, header: list, ids, lines) -> SchemaError:
         return SchemaError(f"row {line}: empty bank_id")
     if "\r" in bank_id or "\n" in bank_id:
         return SchemaError(f"row {line}: bank_id contains a line break")
-    if error := _duplicate_error([*ids, bank_id], [*lines, line]):
+    if error := _duplicate_error(path, [*ids, bank_id]):
         return error
     for k in range(1, len(rec)):
         text = rec[k] if k < 3 else rec[k].strip()
@@ -167,6 +172,18 @@ def _records(reader):
         raise SchemaError(f"row {end + 1}: {e}") from None
 
 
+def _row_lines(path, *rows: int) -> list[int]:
+    """The file lines data rows `rows` of a balance-sheet CSV start on, in one
+    walk of the file read again as load_raw_csv reads it: only the error of a
+    bad file needs a line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)   # the header
+        records = itertools.islice(enumerate(_records(reader)), max(rows) + 1)
+        found = {i: line for i, (line, _) in records if i in rows}
+    return [found[i] for i in rows]
+
+
 def _not_utf8(path) -> SchemaError:
     """The error for a file that is not UTF-8, naming its first bad line; a
     text reader decodes ahead of the row it reads, so its position cannot."""
@@ -208,7 +225,6 @@ def load_raw_csv(path) -> RawTable:
             n_assets = _check_header(header)
             total_assets, total_liabilities = np.empty(size), np.empty(size)
             holdings = np.empty((size, n_assets))
-            line_numbers = np.empty(size, dtype=np.int64)
             ids = np.empty(size, dtype=StringDType())
             records, n = _records(reader), 0
             while block := list(itertools.islice(records, BLOCK_ROWS)):
@@ -216,14 +232,13 @@ def load_raw_csv(path) -> RawTable:
                 rows = slice(n, n + len(values))
                 total_assets[rows], total_liabilities[rows] = values[:, 0], values[:, 1]
                 holdings[rows] = values[:, 2:]
-                line_numbers[rows] = [line for line, _ in block[:len(values)]]
                 ids[rows] = [rec[0].strip() for _, rec in block[:len(values)]]
                 n += len(values)
                 if len(values) < len(block):
                     line, rec = block[len(values)]
                     # a duplicate on an earlier row comes before this row's error
-                    raise (_duplicate_error(ids[:n], line_numbers[:n])
-                           or _row_error(line, rec, header, ids[:n], line_numbers[:n]))
+                    raise (_duplicate_error(path, ids[:n])
+                           or _row_error(line, rec, header, ids[:n], path))
                 # unbound before the next block is read, so one block's records
                 # are alive at a time
                 del block, values
@@ -233,11 +248,10 @@ def load_raw_csv(path) -> RawTable:
             raise SchemaError(f"row 1: {e}") from None
     if not n:
         raise SchemaError("no data rows in input")
-    # on a sorted copy, as BankAssetNetwork tests: a dict of each id's line holds an int per row
+    # on a sorted copy, as BankAssetNetwork tests: a dict of each id's row holds an int per row
     if has_repeat(ids[:n]):
-        raise _duplicate_error(ids[:n], line_numbers[:n])
-    return RawTable(ids[:n], total_assets[:n], total_liabilities[:n], holdings[:n],
-                    line_numbers[:n])
+        raise _duplicate_error(path, ids[:n])
+    return RawTable(ids[:n], total_assets[:n], total_liabilities[:n], holdings[:n])
 
 
 def compute_average_weights(raw: RawTable) -> FloatA:
@@ -370,13 +384,13 @@ def load_completed_network(path) -> BankAssetNetwork:
     raw = load_raw_csv(path)
     if np.isnan(raw.holdings.min()):   # NaN when a cell is: no N x M temporary
         i, m = np.argwhere(np.isnan(raw.holdings))[0]
-        raise SchemaError(f"row {raw.line_numbers[i]}: blank asset_{m:02d}; run ingest first")
+        raise SchemaError(f"row {_row_lines(path, i)[0]}: blank asset_{m:02d}; run ingest first")
     off = off_total(raw.holdings, raw.total_assets)
     if off.any():
         i = int(np.argmax(off))
         with np.errstate(over="ignore"):
             row_sum = raw.holdings[i].sum()
-        raise SchemaError(f"row {raw.line_numbers[i]}: holdings sum {row_sum} "
+        raise SchemaError(f"row {_row_lines(path, i)[0]}: holdings sum {row_sum} "
                           f"does not match total_assets {raw.total_assets[i]}; run ingest first")
     return network_from_sheets(raw)
 
@@ -394,13 +408,44 @@ def _csv_field(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A name to write the file at path under: one beside it, moved onto it
+    once the block ends and removed if the block raises, so a write that fails
+    or is cut off leaves the file as it was, never a shorter file that still
+    parses. The move goes through a symlink to the file it names and keeps that
+    file's mode. What a rename would not leave as it was, anything but a
+    regular file of one name that this process owns (a device such as
+    /dev/null, a FIFO, a hard-linked or another user's file), is written in
+    place under path itself."""
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and st.st_uid == os.geteuid()):
+        yield path
+        return
+    part = f"{target}.{os.getpid()}.part"
+    try:
+        yield part
+        if st is not None:
+            os.chmod(part, stat.S_IMODE(st.st_mode))
+        os.replace(part, target)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
 def write_csv(columns, path):
     """Write a dict of equal-length columns as CSV in UTF-8, its keys as the
     header, BLOCK_ROWS rows at a time: the one writer of every table. A float
     column writes the repr of each value, which round-trips and never varies,
-    any other column str of each value as a CSV field, a None column blanks."""
+    any other column str of each value as a CSV field, a None column blanks.
+    The file takes its name only once it is whole (replacing)."""
     n_rows = max((len(col) for col in columns.values() if col is not None), default=0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as part, open(part, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, n_rows, BLOCK_ROWS):
             cells = [itertools.repeat("") if col is None

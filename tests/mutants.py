@@ -2,13 +2,16 @@
 lattice's worker count and fork driver, the command line's range, manifest,
 --out, --synthetic and network-and-label rules, the number reader at every
 door, the CSV parse's row checks, duplicate ids, table size and one block at a
-time, the records csv refuses, the CSV writer's encoding, blocks and quoting,
-the network's id column and sum tolerance, ingest's in-place completion, its
-repair masks, the rows it refuses and its row sums, synthetic generation's
-in-place weights and holdings and its id column, the label file's header and
-duplicate count, the manifest digest's built-in module, the entry's OpenSSL
-block and the package's start-up rules, each with the tests that kill it or
-the reason no result can change.
+time, the records csv refuses, the second read that finds a bad file's row
+lines, the CSV writer's encoding, blocks and quoting, the writers' whole-file
+rename and the targets it must not replace, the rules that no input comes from
+the environment and that prices change only in _scale_prices, the network's id
+column and sum tolerance, ingest's in-place completion, its repair masks, the
+rows it refuses and its row sums, synthetic generation's in-place weights and
+holdings and its id column, the label file's header and duplicate count, the
+manifest digest's built-in module, the entry's OpenSSL block and the package's
+start-up rules, each with the tests that kill it or the reason no result can
+change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
 
@@ -19,7 +22,7 @@ failed), survived when it exits 0, and any other exit (a kill id that names no
 test, an import error) prints UNEXPECTED. With
 --all-tests every mutant, equivalent ones included, runs the whole `tests/`
 directory instead. Pytest does not collect this file (its name does not start
-with `test_`); it is run by hand. The killing tests take about 50 minutes for
+with `test_`); it is run by hand. The killing tests take about 4 minutes for
 the whole list on two cores, most of it in the mutants that only a hypothesis
 test kills, as it shrinks each failure; --all-tests about a minute per mutant;
 tests/test_mutants.py checks, without running any mutant, that every listed
@@ -68,6 +71,8 @@ COMPLETION = "tests/test_properties.py::test_completion_matches_row_by_row_refer
 REFUSED_ROW = "tests/test_ingestion.py::test_completion_refuses_a_row_it_cannot_complete"
 WRITER = "tests/test_evaluation.py::test_write_csv"
 CSV_REFUSED = "tests/test_ingestion.py::test_load_raw_csv_names_the_line_of_a_record_csv_refuses"
+LINES = "tests/test_ingestion.py::test_error_messages_name_the_same_lines_at_every_block_size"
+THROUGH = "tests/test_cli.py::test_run_out_writes_through_what_it_names"
 FAILING = "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken"
 
 
@@ -93,14 +98,12 @@ MUTANTS = (
     Mutant("barrier-fail-le", CASCADE,
            "failures = rows[totals < threshold[unsure]]",
            "failures = rows[totals <= threshold[unsure]]",
-           ("tests/test_cascade.py::test_fortran_ordered_holdings_run_bit_for_bit",
-            BARRIER_PROPERTY)),
+           (BARRIER_PROPERTY,)),
     Mutant("barrier-no-bound-update", CASCADE,
            "    state.bound[rows] = totals\n", "",
            ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
     Mutant("barrier-no-eta", CASCADE, "        r *= params.eta\n", "",
-           ("tests/test_cascade.py::test_evaluate_round_records_draws_for_alive_banks",
-            "tests/test_cascade.py::test_barrier_monte_carlo_matches_closed_form")),
+           ("tests/test_cascade.py::test_barrier_monte_carlo_matches_closed_form",)),
     Mutant("barrier-threshold-plus", CASCADE,
            "np.subtract(1.0, r, out=r)", "np.add(1.0, r, out=r)",
            ("tests/test_cascade.py::test_barrier_monte_carlo_matches_closed_form",)),
@@ -349,14 +352,20 @@ MUTANTS = (
     Mutant("parse-duplicate-kept", INGESTION, "if has_repeat(ids[:n]):", "if False:",
            (DUPLICATE, f"{DUPLICATE_ORDER}[first-repeat-3]")),
     Mutant("parse-earlier-duplicate-late", INGESTION,
-           "raise (_duplicate_error(ids[:n], line_numbers[:n])", "raise (None",
+           "raise (_duplicate_error(path, ids[:n])", "raise (None",
            (f"{DUPLICATE_ORDER}[before-a-later-bad-row-3]",)),
     Mutant("parse-holds-two-blocks", INGESTION, "                del block, values\n", "",
            ("tests/test_ingestion.py::test_parse_holds_one_block_of_records_at_a_time",)),
     Mutant("parse-table-copied", INGESTION,
-           "total_liabilities[:n], holdings[:n],",
-           "total_liabilities[:n], np.concatenate([holdings[:n]]),",
+           "total_liabilities[:n], holdings[:n])",
+           "total_liabilities[:n], np.concatenate([holdings[:n]]))",
            ("tests/test_ingestion.py::test_ingest_layers_peak_in_bounded_memory",)),
+    # a bad file's row lines, from a second read that skips the header as the parse does
+    Mutant("row-line-reads-the-header", INGESTION, "        next(reader)   # the header\n", "",
+           (f"{LINES}[repeat-early-8192]", f"{LINES}[completed-blank-8192]")),
+    Mutant("row-line-one-row-early", INGESTION, "islice(enumerate(_records(reader)),",
+           "islice(enumerate(_records(reader), 1),",
+           (f"{LINES}[repeat-late-8192]", f"{LINES}[completed-off-total-8192]")),
     Mutant("save-locale-encoding", INGESTION, 'newline="", encoding="utf-8") as fh:',
            'newline="") as fh:',
            ("tests/test_ingestion.py::test_save_writes_utf_8_whatever_the_locale",)),
@@ -367,6 +376,28 @@ MUTANTS = (
     Mutant("writer-text-unquoted", INGESTION, 'else _csv_field,', "else str,",
            (f"{WRITER}[quoted-text]",
             "tests/test_ingestion.py::test_save_quotes_bank_ids_as_csv_writer_does")),
+    # an output takes its name only once it is whole
+    Mutant("writes-in-place", INGESTION, "        yield part\n", "        yield path\n",
+           ("tests/test_cli.py::test_a_write_that_fails_leaves_the_last_run_whole",)),
+    # the rename leaves all but the bytes of what --out names as it was
+    Mutant("replace-over-the-symlink", INGESTION, "target = os.path.realpath(path)",
+           "target = path", (f"{THROUGH}[symlink]",)),
+    Mutant("replace-drops-the-mode", INGESTION, "os.chmod(part, stat.S_IMODE(st.st_mode))",
+           "pass", (f"{THROUGH}[mode]",)),
+    Mutant("replace-over-a-fifo", INGESTION, "stat.S_ISREG(st.st_mode) and st.st_nlink == 1",
+           "st.st_nlink == 1", (f"{THROUGH}[fifo]",)),
+    Mutant("replace-over-a-hard-link", INGESTION, " and st.st_nlink == 1\n", "\n",
+           (f"{THROUGH}[hard-link]",)),
+    Mutant("replace-another-users-file", INGESTION,
+           "\n                               and st.st_uid == os.geteuid()", "",
+           (f"{THROUGH}[other-owner]",)),
+    # every input is a flag; prices change only where the bounds follow them
+    Mutant("out-from-the-environment", CLI, 'out = args.out or "."',
+           'out = args.out or os.environ.get("CASCADEFIN_OUT", ".")',
+           ("tests/test_source.py::test_no_input_comes_from_the_environment",)),
+    Mutant("shock-prices-unscreened", CASCADE, "_scale_prices(state, factor, factor.min())",
+           "state.price_index *= factor",
+           ("tests/test_source.py::test_prices_change_only_in_scale_prices",)),
     # a record csv.reader refuses is a schema error on the line it starts
     Mutant("csv-error-uncaught", INGESTION, 'raise SchemaError(f"row {end + 1}: {e}") from None',
            "raise", (f"{CSV_REFUSED}[unclosed-quote-3]",
@@ -378,11 +409,11 @@ MUTANTS = (
     Mutant("max-rows-without-cr", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
            'chunk.count(b"\\n")', (f"{LAYOUTS}[cr]",)),
     Mutant("row-duplicate-unchecked", INGESTION,
-           "if error := _duplicate_error([*ids, bank_id], [*lines, line]):", "if False:",
+           "if error := _duplicate_error(path, [*ids, bank_id]):", "if False:",
            (f"{DUPLICATE_ORDER}[before-its-cells-3]",)),
     Mutant("duplicate-names-a-later-row", INGESTION,
-           "for bank_id, line in zip(ids, lines):",
-           "for bank_id, line in zip(ids[::-1], lines[::-1]):", (DUPLICATE,)),
+           "for i, bank_id in enumerate(ids):",
+           "for i, bank_id in reversed(list(enumerate(ids))):", (DUPLICATE,)),
     Mutant("records-last-line", INGESTION,
            "start, end = end + 1, reader.line_num", "start = end = reader.line_num",
            ("tests/test_ingestion.py::test_load_raw_csv_numbers_a_row_by_its_first_file_line",)),
@@ -480,7 +511,7 @@ MUTANTS = (
     Mutant("complete-into-a-copy", INGESTION,
            "    return network_from_sheets(raw), report",
            "    return network_from_sheets(RawTable(raw.bank_ids, raw.total_assets, "
-           "raw.total_liabilities, raw.holdings.copy(), raw.line_numbers)), report",
+           "raw.total_liabilities, raw.holdings.copy())), report",
            ("tests/test_ingestion.py::test_completion_fills_the_raw_table_in_place",)),
     Mutant("ingest-blanks-counted-late", CLI,
            "    blanks = sum(int(np.count_nonzero(np.isnan(column))) "
@@ -503,7 +534,7 @@ MUTANTS = (
            ("tests/test_ingestion.py::test_completion_redistributes_zero_row", COMPLETION)),
     Mutant("complete-negative-within-tol", INGESTION,
            "negative = has_missing & (residual < -tol)", "negative = has_missing & (residual < 0)",
-           (COMPLETION,)),
+           ("tests/test_ingestion.py::test_completion_worked_example", COMPLETION)),
     Mutant("complete-negative-past-tol", INGESTION,
            "negative = has_missing & (residual < -tol)",
            "negative = has_missing & (residual < tol)",

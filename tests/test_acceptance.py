@@ -267,7 +267,7 @@ def criterion_8():
     net = dense_synthetic(500, seed=SEED)[0]
     mask = cf.stream(SEED, 8).random(net.holdings.shape) < 0.2
     raw = cf.RawTable(net.bank_ids, net.total_assets, net.total_liabilities,
-                      np.where(mask, np.nan, net.holdings), np.arange(net.n_banks) + 2)
+                      np.where(mask, np.nan, net.holdings))
     blanks = int(mask.sum())
     assert blanks > 0
     # read before completion, which fills raw's blanks in place

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import typing
@@ -165,6 +166,51 @@ def test_run_out_file_matches_stdout(toy_csv, tmp_path, capsys):
     assert out.read_text() == streamed
 
 
+
+@pytest.mark.parametrize("target", ["symlink", "mode", "fifo", "hard-link", "other-owner"])
+def test_run_out_writes_through_what_it_names(target, toy_csv, tmp_path, monkeypatch, capsys):
+    # --out renames a whole file onto a regular file of one name it owns,
+    # through a symlink and keeping the file's mode; what a rename would
+    # replace, a FIFO (as /dev/null is a device), a file with a second name or
+    # another user's file, it writes in place, keeping its inode
+    args = ("run", "--input", toy_csv, "--p", "0.6", "--alpha", "1")
+    assert run_cli(*args) == 0
+    streamed = capsys.readouterr().out.encode()
+    out, real = tmp_path / "result.json", tmp_path / "real.json"
+    if target == "fifo":
+        os.mkfifo(out)
+        # a reader opened first, so the write does not wait for one
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    else:
+        real.write_text("old")
+        real.chmod(0o604)
+        if target == "symlink":
+            out.symlink_to(real)
+        elif target == "hard-link":
+            os.link(real, out)
+        else:
+            real.rename(out)
+    inode = os.stat(out).st_ino
+    if target == "other-owner":
+        uid = os.stat(out).st_uid
+        monkeypatch.setattr(os, "geteuid", lambda: uid + 1)
+    assert run_cli(*args, "--out", str(out)) == 0
+    if target == "fifo":
+        try:
+            assert os.read(reader, 1 << 16) == streamed
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    else:
+        assert out.read_bytes() == streamed
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
+        assert out.is_symlink() == (target == "symlink")
+    if target in ("fifo", "hard-link", "other-owner"):
+        assert os.stat(out).st_ino == inode
+    if target == "hard-link":
+        assert real.read_bytes() == streamed
+    assert not list(tmp_path.glob("*.part"))
+
 def test_run_merges_extra_shocks(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"
     csv_path.write_text(TWO_ASSET_CSV)
@@ -236,6 +282,49 @@ def test_sweep_writes_csv_and_manifest(toy_csv, tmp_path, capsys):
     assert manifest["config"]["input_sha256"]
     digest = hashlib.sha256((out / "survival.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["survival.csv"] == digest
+
+
+class HalfWritten:
+    """A text file whose first write puts half its text down and raises, as a
+    full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def open_half_written(path, mode="r", **kwargs):
+    """open, except that a file opened for writing is HalfWritten."""
+    fh = open(path, mode, **kwargs)
+    return HalfWritten(fh) if "w" in mode else fh
+
+
+@pytest.mark.parametrize("writer", [ingestion, cli], ids=["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["ingest"],
+    ["phase", "--p", "0.6", "--alpha", "0:1:0.5", "--eta", "0", "--replicates", "1"],
+], ids=["ingest", "phase"])
+def test_a_write_that_fails_leaves_the_last_run_whole(argv, writer, toy_csv, tmp_path,
+                                                      monkeypatch, capsys):
+    # an output takes its name only once it is whole, and the manifest comes
+    # last: a second run whose CSV or JSON write fails halfway leaves every
+    # file of the first as it was, and no part of a file under any name
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--input", toy_csv, "--out", str(out)) == 0
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    monkeypatch.setattr(writer, "open", open_half_written, raising=False)
+    assert run_cli(*argv, "--input", toy_csv, "--out", str(out)) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
 
 @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 1_000_003])

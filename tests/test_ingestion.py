@@ -28,8 +28,7 @@ def table(*rows):
     a None holding is a blank cell."""
     ids, assets, liabilities, holdings = zip(*rows)
     return cf.RawTable(ids, np.array(assets), np.array(liabilities),
-                       np.array([[nan if v is None else v for v in h] for h in holdings]),
-                       np.arange(len(rows)) + 2)
+                       np.array([[nan if v is None else v for v in h] for h in holdings]))
 
 
 def write(path, text):
@@ -50,18 +49,18 @@ def test_load_raw_csv_blank_means_missing(tmp_path):
     assert raw.total_assets.tolist() == [100.0, 50.0]
     assert raw.total_liabilities.tolist() == [90.0, 30.0]
     assert np.array_equal(raw.holdings, [[40.0, nan], [nan, 10.0]], equal_nan=True)
-    assert raw.line_numbers.tolist() == [2, 3]
+    assert ingestion._row_lines(path, 0, 1) == [2, 3]
 
 
 def test_load_raw_csv_ignores_a_byte_order_mark(tmp_path):
     text = ("bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
             "b1,100.0,90.0,40.0,\n")
-    plain = cf.load_raw_csv(write(tmp_path / "plain.csv", text))
+    paths = [write(tmp_path / "plain.csv", text), str(tmp_path / "marked.csv")]
     (tmp_path / "marked.csv").write_bytes(codecs.BOM_UTF8 + text.encode())
-    marked = cf.load_raw_csv(str(tmp_path / "marked.csv"))
+    plain, marked = map(cf.load_raw_csv, paths)
     assert tuple(marked.bank_ids) == tuple(plain.bank_ids) == ("b1",)
     assert np.array_equal(marked.holdings, plain.holdings, equal_nan=True)
-    assert marked.line_numbers.tolist() == plain.line_numbers.tolist()
+    assert [ingestion._row_lines(path, 0) for path in paths] == [[2], [2]]
 
 
 def test_load_raw_csv_header_is_checked(tmp_path):
@@ -113,9 +112,9 @@ def test_load_raw_csv_reports_first_bad_row_across_blocks(tmp_path, monkeypatch,
     monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
     head = "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
     good = "".join(f"b{i},10,5,5,{'' if i % 2 else 5}\n" for i in range(5))
-    raw = cf.load_raw_csv(write(tmp_path / "good.csv", head + good + "\n"))
+    raw = cf.load_raw_csv(path := write(tmp_path / "good.csv", head + good + "\n"))
     assert tuple(raw.bank_ids) == tuple(f"b{i}" for i in range(5))
-    assert raw.line_numbers.tolist() == [2, 3, 4, 5, 6]
+    assert ingestion._row_lines(path, *range(5)) == [2, 3, 4, 5, 6]
     assert np.isnan(raw.holdings[:, 1]).tolist() == [False, True, False, True, False]
     # row 4's negative holding comes before row 5's malformed row and row 6's text
     bad = head + "a,10,5,5,5\nb,10,5,5,5\nc,10,5,-1,5\nd,1\ne,10,5,x,5\n"
@@ -170,8 +169,61 @@ def test_load_raw_csv_numbers_a_row_by_its_first_file_line(tmp_path):
     with pytest.raises(cf.SchemaError,
                        match=r"^row 4: column 'asset_00' has non-numeric value 'x'$"):
         cf.load_raw_csv(path)
-    raw = cf.load_raw_csv(write(tmp_path / "good.csv", head + spanning + "\nb,100.0,50.0,100.0\n"))
-    assert raw.line_numbers.tolist() == [2, 5]
+    path = write(tmp_path / "good.csv", head + spanning + "\nb,100.0,50.0,100.0\n")
+    assert tuple(cf.load_raw_csv(path).bank_ids) == ("a", "b")
+    assert ingestion._row_lines(path, 0, 1) == [2, 5]
+
+
+BAD_HEAD = "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
+BAD_GOOD = "".join(f"b{i},10,5,5,5\n" for i in range(10))
+# two ids quoted across lines, "a" on lines 2-3 and "b" on lines 5-6, a blank line between
+BAD_QUOTED = '"a\n",10,5,5,5\n\n"\nb",10,5,5,5\n'
+# the first error of each file, read by load_raw_csv or load_completed_network
+# (the loader of phase --input); a repeat found after the parse and one found
+# beside a bad row both name the lines of two earlier rows
+BAD_INPUTS = {
+    "repeat-early": ("raw", "a,10,5,5,5\na,10,5,5,5\n" + BAD_GOOD,
+                     "row 3: duplicate bank_id 'a', first on row 2"),
+    "repeat-late": ("raw", BAD_GOOD + "b3,10,5,5,5\n",
+                    "row 12: duplicate bank_id 'b3', first on row 5"),
+    "repeat-before-a-bad-row": ("raw", BAD_GOOD + "b7,10,5,5,5\nc,10,5,x,5\n",
+                                "row 12: duplicate bank_id 'b7', first on row 9"),
+    "bad-row-before-a-repeat": ("raw", BAD_GOOD + "c,10,5,-1,5\nb7,10,5,5,5\n",
+                                "row 12: negative holding asset_00"),
+    "repeat-with-bad-cells": ("raw", BAD_GOOD + "b2,10,5,x,5\n",
+                              "row 12: duplicate bank_id 'b2', first on row 4"),
+    "repeat-of-a-multi-line-id": ("raw", BAD_QUOTED + BAD_GOOD + '"\n\na\n",10,5,5,5\n',
+                                  "row 17: duplicate bank_id 'a', first on row 2"),
+    "bad-row-after-multi-line-ids": ("raw", BAD_QUOTED + BAD_GOOD + 'c,"10\n",5,5\n',
+                                     "row 17: expected 5 fields, found 4"),
+    "multi-line-repeat-before-a-bad-row": ("raw", BAD_QUOTED + BAD_GOOD + "a,10,5,5,5\nc,1\n",
+                                           "row 17: duplicate bank_id 'a', first on row 2"),
+    "completed-blank": ("completed", BAD_QUOTED + BAD_GOOD + "\nc,10,5,5,\n"
+                        + BAD_GOOD.replace("b", "d"), "row 18: blank asset_01; run ingest first"),
+    "completed-off-total": ("completed", BAD_QUOTED + BAD_GOOD + "\nc,10,5,5,4\n"
+                            + BAD_GOOD.replace("b", "d"),
+                            "row 18: holdings sum 9.0 does not match total_assets 10.0; "
+                            "run ingest first"),
+}
+LAYOUTS = {"lf": lambda text: text, "crlf": lambda text: text.replace("\n", "\r\n"),
+           "cr": lambda text: text.replace("\n", "\r"), "bom": lambda text: "\ufeff" + text}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_error_messages_name_the_same_lines_at_every_block_size(tmp_path, monkeypatch,
+                                                                 block_rows, case):
+    # every line break counts as one line, in a quoted cell too, and a blank
+    # row or a byte order mark moves no row's line
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    reader, rows, message = BAD_INPUTS[case]
+    load = cf.load_raw_csv if reader == "raw" else cf.load_completed_network
+    for layout, lay_out in LAYOUTS.items():
+        path = tmp_path / f"{layout}.csv"
+        path.write_bytes(lay_out(BAD_HEAD + rows).encode())
+        with pytest.raises(cf.SchemaError) as error:
+            load(str(path))
+        assert (layout, str(error.value)) == (layout, message)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
@@ -213,7 +265,8 @@ def test_load_raw_csv_reads_every_line_layout(layout, tmp_path):
         assert getattr(other, name).tobytes() == getattr(plain, name).tobytes()
     assert other.holdings.flags.c_contiguous
     step = 2 if layout == "blank-lines" else 1
-    assert other.line_numbers.tolist() == [1 + step, 1 + 2 * step, 1 + 3 * step]
+    lines = ingestion._row_lines(str(tmp_path / "other.csv"), 0, 1, 2)
+    assert lines == [1 + step, 1 + 2 * step, 1 + 3 * step]
 
 
 def test_expected_columns():
@@ -241,9 +294,13 @@ def test_average_weights_undefined_when_nobody_reports():
 
 def test_completion_worked_example():
     # residual 60 split over two missing assets with average weights 0.1 and
-    # 0.3 lands 15 and 45 on them
+    # 0.3 lands 15 and 45 on them; a row whose reported cells meet its total,
+    # exactly or above it by less than SUM_RTOL, fills its blanks with 0 and
+    # is no repair
     raw = table(("donor", 100.0, 50.0, [60.0, 10.0, 30.0]),
-                ("t", 100.0, 80.0, [40.0, None, None]))
+                ("t", 100.0, 80.0, [40.0, None, None]),
+                ("met", 100.0, 80.0, [100.0, None, None]),
+                ("over", 100.0, 80.0, [100.00000005, None, None]))
     avg = cf.compute_average_weights(raw)
     assert avg[1] == 0.1 and avg[2] == 0.3
     net, report = cf.complete_dataset(raw)
@@ -251,6 +308,7 @@ def test_completion_worked_example():
     assert net.holdings[1, 0] == 40.0
     assert np.allclose(net.holdings[1, 1:], [15.0, 45.0], rtol=1e-12)
     assert net.holdings[1].sum() == pytest.approx(100.0, rel=1e-9)
+    assert net.holdings[2:].tolist() == [[100.0, 0.0, 0.0], [100.00000005, 0.0, 0.0]]
 
 
 def test_completion_consistent_row_passes_through():

@@ -113,8 +113,7 @@ def test_derived_quantities():
 
 
 def test_network_from_sheets_refuses_an_empty_table():
-    empty = cf.RawTable((), np.empty(0), np.empty(0), np.empty((0, 1)),
-                        np.empty(0, dtype=np.int64))
+    empty = cf.RawTable((), np.empty(0), np.empty(0), np.empty((0, 1)))
     with pytest.raises(ValueError, match="empty network"):
         cf.network_from_sheets(empty)
 

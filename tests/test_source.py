@@ -194,3 +194,61 @@ def test_the_script_and_python_m_share_one_entry():
     called = {node.func.id for node in ast.walk(guards[0])
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert called == {entry}
+
+
+# os's readers of the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+# the one read: numpy's BLAS thread count, which changes no byte
+BLAS_PIN = "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"
+
+
+def test_no_input_comes_from_the_environment():
+    # every input is a flag, and the manifest records the flags: a variable
+    # standing in for one would make one command line write two outputs
+    reads = []
+    for module in MODULES:
+        tree = _tree(module)
+        pin = {id(node.func.value) for node in ast.walk(tree) if module.name == "cascade.py"
+               and isinstance(node, ast.Call) and ast.unparse(node) == BLAS_PIN}
+        reads += [f"{module.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (getattr(node, "attr", None) in ENVIRONMENT
+                      or isinstance(node, ast.Name) and node.id in ENVIRONMENT
+                      or isinstance(node, ast.alias) and node.name in ENVIRONMENT)
+                  and id(node) not in pin]
+    assert reads == [], f"the environment is read at {reads}"
+
+
+def _price_index(node) -> bool:
+    """Whether node names price_index, as a name, an attribute or a slice of one."""
+    while isinstance(node, (ast.Subscript, ast.Starred)):
+        node = node.value
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(map(_price_index, node.elts))
+    return getattr(node, "id", getattr(node, "attr", None)) == "price_index"
+
+
+def test_prices_change_only_in_scale_prices():
+    # screening keeps each bound below its bank's total only because
+    # _scale_prices scales the bounds with every price change; prices set
+    # anywhere else but RoundState's construction let it skip a bank that can fail
+    allowed = {"write": "_scale_prices", "RoundState": "run_cascade"}
+    sites = []
+    for module in MODULES:
+        tree = _tree(module)
+        scope = {line: node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                 for line in range(node.lineno, node.end_lineno + 1)}
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign)
+                       or isinstance(node, ast.AnnAssign) and node.value else [])
+            if any(map(_price_index, targets)) or isinstance(node, ast.keyword) \
+                    and node.arg == "out" and _price_index(node.value):
+                kind = "write"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RoundState" \
+                    and any(k.arg == "price_index" for k in node.keywords):
+                kind = "RoundState"
+            else:
+                continue
+            if module.name != "cascade.py" or scope.get(node.lineno) != allowed[kind]:
+                sites.append(f"{module.name}:{node.lineno}")
+    assert sites == [], f"price_index is written at {sites}"
