@@ -35,7 +35,7 @@ from .network import (DEFAULT_MEAN_WEIGHTS, SUM_RTOL, BankAssetNetwork, FloatA, 
 
 FIXED_COLUMNS = ("bank_id", "total_assets", "total_liabilities")
 # rows parsed or written at a time: bounds the Python objects alive at once
-BLOCK_ROWS = 256
+BLOCK_ROWS = 128
 # rows completed at a time: bounds the N x M temporaries of completion, while
 # keeping numpy's per-call cost, paid per block, small
 COMPLETE_ROWS = 2048
@@ -136,26 +136,44 @@ def _row_error(line: int, rec: list, header: list, ids, path) -> SchemaError:
 def _parse_block(block, header) -> FloatA:
     """The numbers of a block of (line, record) data rows up to its first bad
     row: one row each of the two totals and the holdings, NaN for a blank
-    holding. Repeated bank_ids are left to the caller."""
-    values, blanks = [], []
+    holding. Repeated bank_ids are left to the caller.
+
+    The good rows' cells, a blank written "nan", go to float64 in one numpy
+    call, which reads each string with float() itself, so no cell becomes a
+    Python float; only a block holding a cell float() refuses reads its rows
+    one at a time, to find the first such row."""
+    texts, blanks = [], []
     for _, rec in block:
         bank_id = rec[0].strip()
-        try:
-            if len(rec) != len(header) or not bank_id:
-                raise ValueError
-            cells = [c.strip() for c in rec[3:]]
-            # number's rule, tested once per row on its joined text: the parse's speed
-            if not _plain("".join((rec[1], rec[2], *cells))) or "\r" in bank_id or "\n" in bank_id:
-                raise ValueError
-            values.append([float(rec[1]), float(rec[2]),
-                           *(float(c) if c else math.nan for c in cells)])
-        except ValueError:
+        if len(rec) != len(header) or not bank_id or "\r" in bank_id or "\n" in bank_id:
             break   # a bad row: no later row can be the first bad one
+        cells = [c.strip() for c in rec[3:]]
+        # number's rule, tested once per row on its joined text: the parse's speed
+        if not _plain("".join((rec[1], rec[2], *cells))):
+            break
+        texts += rec[1:3]
+        texts += [c or "nan" for c in cells]
         blanks.append(cells.count(""))
-    array = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 1)
+    width = len(header) - 1
+    try:
+        array = np.array(texts, dtype=np.float64)
+    except ValueError:   # keep the rows before the first that holds a cell float() refuses
+        k = next(k for k in range(len(blanks)) if not _reads(texts[k * width:(k + 1) * width]))
+        array = np.array(texts[:k * width], dtype=np.float64)
+        del blanks[k:]
+    array = array.reshape(len(blanks), width)
     # NaN from a blank cell is fine; a non-finite number written in a cell is not
     bad = (np.count_nonzero(~np.isfinite(array), axis=1) != blanks) | (array < 0).any(axis=1)
     return array[:int(np.argmax(bad))] if bad.any() else array
+
+
+def _reads(texts) -> bool:
+    """Whether float() reads every one of texts."""
+    try:
+        np.array(texts, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
 
 
 def _records(reader):
@@ -211,10 +229,11 @@ def load_raw_csv(path) -> RawTable:
     """Read a balance-sheet CSV; blank asset cells become NaN. A bad file
     raises SchemaError for its first bad row, or for having no data row.
 
-    Each block of rows is parsed straight into the table's columns, which
-    _max_rows sizes, so no second copy of the table is made; the bank ids
-    are one of those columns, so no per-row Python object outlives its
-    block."""
+    Each block of BLOCK_ROWS rows is parsed straight into the table's
+    columns, which _max_rows sizes, so no second copy of the table is made;
+    a block's cells become float64 in one numpy call, so no cell is ever a
+    Python float, and the bank ids are one of the columns, so no per-row
+    Python object outlives its block."""
     size = _max_rows(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

@@ -1,32 +1,35 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
 lattice's worker count and fork driver, the command line's range, manifest,
 --out, --synthetic and network-and-label rules, the number reader at every
-door, the CSV parse's row checks, duplicate ids, table size and one block at a
-time, the records csv refuses, the second read that finds a bad file's row
-lines, the CSV writer's encoding, blocks and quoting, the writers' whole-file
-rename and the targets it must not replace, the rules that no input comes from
-the environment and that prices change only in _scale_prices, the network's id
-column and sum tolerance, ingest's in-place completion, its repair masks, the
-rows it refuses and its row sums, synthetic generation's in-place weights and
-holdings and its id column, the label file's header and duplicate count, the
-manifest digest's built-in module, the entry's OpenSSL block and the package's
-start-up rules, each with the tests that kill it or the reason no result can
-change.
+door, the CSV parse's row checks, blank cells, refused cells, duplicate ids,
+table size and one block at a time, the records csv refuses, the second read
+that finds a bad file's row lines, the CSV writer's encoding, blocks and
+quoting, the writers' whole-file rename and the targets it must not replace,
+the rules that no input comes from the environment and that prices change only
+in _scale_prices, the network's id column and sum tolerance, ingest's in-place
+completion, its repair masks, the rows it refuses and its row sums, synthetic
+generation's in-place weights and holdings and its id column, the label file's
+header and duplicate count, the manifest digest's built-in module, the entry's
+OpenSSL block and the package's start-up rules, each with the tests that kill
+it or the reason no result can change.
 
-    python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests]
+    python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests | --each]
 
 Each live mutant replaces one line of a copy of the repository made under
---workdir (a temporary directory, removed afterwards, by default) and runs its killing tests
-there with `pytest -x`; it counts as killed when pytest exits 1 (a test
-failed), survived when it exits 0, and any other exit (a kill id that names no
-test, an import error) prints UNEXPECTED. With
---all-tests every mutant, equivalent ones included, runs the whole `tests/`
-directory instead. Pytest does not collect this file (its name does not start
-with `test_`); it is run by hand. The killing tests take about 4 minutes for
-the whole list on two cores, most of it in the mutants that only a hypothesis
-test kills, as it shrinks each failure; --all-tests about a minute per mutant;
-tests/test_mutants.py checks, without running any mutant, that every listed
-line and kill id exists.
+--workdir (a temporary directory, removed afterwards, by default) and runs its
+killing tests there with `pytest -x`; it counts as killed when pytest exits 1
+(a test failed), survived when it exits 0, and any other exit (a kill id that
+names no test, an import error) prints UNEXPECTED. With --each every kill id
+runs alone against its mutant, so an id that passes prints UNEXPECTED even
+where another id kills the mutant. With --all-tests every mutant, equivalent
+ones included, runs the whole `tests/` directory instead. Each line gives the
+run's seconds, marked SLOW past SLOW_S (a report, never a failure), and the
+last line the total. Pytest does not collect this file (its name does not
+start with `test_`); it is run by hand. The killing tests take about 4
+minutes for the whole list on two cores, --each about 10, most of it in the
+few runs that only a hypothesis test kills, as it shrinks each failure;
+--all-tests about a minute per mutant; tests/test_mutants.py checks, without
+running any mutant, that every listed line and kill id exists.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,7 +76,12 @@ REFUSED_ROW = "tests/test_ingestion.py::test_completion_refuses_a_row_it_cannot_
 WRITER = "tests/test_evaluation.py::test_write_csv"
 CSV_REFUSED = "tests/test_ingestion.py::test_load_raw_csv_names_the_line_of_a_record_csv_refuses"
 LINES = "tests/test_ingestion.py::test_error_messages_name_the_same_lines_at_every_block_size"
+AS_FLOAT = "tests/test_ingestion.py::test_load_raw_csv_reads_a_cell_as_float_does"
+AROUND_REFUSED = ("tests/test_ingestion.py::"
+                  "test_load_raw_csv_finds_the_first_bad_row_around_a_refused_cell")
 THROUGH = "tests/test_cli.py::test_run_out_writes_through_what_it_names"
+# a run longer than this prints SLOW, which reports and never fails
+SLOW_S = 30
 FAILING = "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken"
 
 
@@ -345,8 +354,14 @@ MUTANTS = (
     Mutant("reader-csv-cell", INGESTION, "value = number(text, float)", "value = float(text)",
            (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
     Mutant("reader-joined-row", INGESTION,
-           'if not _plain("".join((rec[1], rec[2], *cells))) or ', "if ",
+           'if not _plain("".join((rec[1], rec[2], *cells))):', "if False:",
            (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
+    Mutant("parse-blank-read-as-zero", INGESTION, '[c or "nan" for c in cells]',
+           '[c or "0" for c in cells]',
+           (f"{AS_FLOAT}[128]", "tests/test_ingestion.py::test_load_raw_csv_blank_means_missing")),
+    Mutant("parse-keeps-the-refused-row", INGESTION, "np.array(texts[:k * width],",
+           "np.array(texts[:(k + 1) * width],",
+           (f"{AROUND_REFUSED}[negative-before-it-128]", f"{AROUND_REFUSED}[refused-cell-3]")),
     Mutant("reader-underscore-plain", INGESTION, 'return text.isascii() and "_" not in text',
            "return text.isascii()", (f"{BAD_FILE}[ingest-underscore]",)),
     Mutant("parse-duplicate-kept", INGESTION, "if has_repeat(ids[:n]):", "if False:",
@@ -418,7 +433,7 @@ MUTANTS = (
            "start, end = end + 1, reader.line_num", "start = end = reader.line_num",
            ("tests/test_ingestion.py::test_load_raw_csv_numbers_a_row_by_its_first_file_line",)),
     Mutant("parse-field-count-unchecked", INGESTION,
-           "if len(rec) != len(header) or not bank_id:", "if not bank_id:", (BAD_CELLS,)),
+           "if len(rec) != len(header) or not bank_id or", "if not bank_id or", (BAD_CELLS,)),
     Mutant("parse-negative-kept", INGESTION, " | (array < 0).any(axis=1)", "", (BAD_CELLS,)),
     Mutant("row-negative-totals-unchecked", INGESTION,
            "if k == 2 and (value < 0 or float(rec[1]) < 0):", "if False:",
@@ -608,8 +623,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workdir", default=None)
     ap.add_argument("--only", nargs="*", default=None, help="mutant names to run")
-    ap.add_argument("--all-tests", action="store_true",
-                    help="run the whole tests/ directory for every mutant")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--all-tests", action="store_true",
+                      help="run the whole tests/ directory for every mutant")
+    mode.add_argument("--each", action="store_true",
+                      help="run each kill id alone; one that passes is UNEXPECTED")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="cascadefin-mutants-") as tmp:
         tree = os.path.join(args.workdir or tmp, "tree")
@@ -622,24 +640,35 @@ def main(argv=None) -> int:
 def run_all(tree: str, args) -> int:
     chosen = [m for m in MUTANTS if args.only is None or m.name in args.only]
     originals = [source(tree, m) for m in chosen]   # every listed line still exists
-    unexpected = 0
+    unexpected, start = 0, time.perf_counter()
     for mutant, original in zip(chosen, originals):
         if not (mutant.kills or args.all_tests):
             print(f"equivalent  {mutant.name}: {mutant.proof}")
             continue
+        if args.all_tests:
+            runs = [["tests"]]
+        else:
+            runs = [[kill] for kill in mutant.kills] if args.each else [list(mutant.kills)]
         path = os.path.join(tree, mutant.path)
         with open(path, "w") as fh:
             fh.write(original.replace(mutant.old, mutant.new))
         try:
-            code = run_tests(tree, ["tests"] if args.all_tests else mutant.kills)
+            for tests in runs:
+                began = time.perf_counter()
+                code = run_tests(tree, tests)
+                seconds = time.perf_counter() - began
+                # pytest exits 1 when a test fails; 2 to 5 mean it never ran them
+                verdict = {0: "survived", 1: "killed"}.get(code, f"exit {code}")
+                expected = code == (1 if mutant.kills else 0)
+                unexpected += not expected
+                print(f"{verdict:10s}  {seconds:6.1f} s  {mutant.name}"
+                      + (f"  {tests[0]}" if args.each else "")
+                      + ("  SLOW" if seconds > SLOW_S else "")
+                      + ("" if expected else "  UNEXPECTED"), flush=True)
         finally:
             with open(path, "w") as fh:
                 fh.write(original)
-        # pytest exits 1 when a test fails; 2 to 5 mean it never ran them
-        verdict = {0: "survived", 1: "killed"}.get(code, f"exit {code}")
-        expected = code == (1 if mutant.kills else 0)
-        unexpected += not expected
-        print(f"{verdict:10s}  {mutant.name}" + ("" if expected else "  UNEXPECTED"))
+    print(f"total       {time.perf_counter() - start:6.1f} s")
     return 1 if unexpected else 0
 
 

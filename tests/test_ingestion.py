@@ -92,18 +92,63 @@ def test_load_raw_csv_rejects_bad_cells(tmp_path):
         cf.load_raw_csv(path)
 
 
-@pytest.mark.parametrize("cell", ["nan", "NaN", " nan ", "inf", "-inf", "Infinity"])
-def test_load_raw_csv_rejects_non_finite_numbers_not_blanks(tmp_path, cell):
-    # NaN marks a blank cell in the table; a number that reads NaN is not one
-    path = write(tmp_path / "raw.csv",
-                 "bank_id,total_assets,total_liabilities,asset_00,asset_01\n"
-                 f"b1,10,5,4,\nb2,10,5,{cell},\n")
-    with pytest.raises(cf.SchemaError, match=r"^row 3: column 'asset_00' is not finite$"):
+# spellings float() reads, and the error of each cell spelling the parse refuses
+READ_AS_FLOAT = ["+1", ".5", "5.", "1E5", "1e-400", "-0.0", "4.9e-324"]
+REFUSED_CELLS = {"1_0": "has non-numeric value '1_0'", "١": "has non-numeric value '١'",
+                 "0x10": "has non-numeric value '0x10'", "1.5e": "has non-numeric value '1.5e'",
+                 **dict.fromkeys(["nan", "NaN", " nan ", "inf", "-inf", "Infinity", "1e309"],
+                                 "is not finite")}
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 128, 8192])
+def test_load_raw_csv_reads_a_cell_as_float_does(tmp_path, monkeypatch, block_rows):
+    # a block's cells go to float64 in one numpy call, which must read each
+    # spelling bit for bit as float() does; each row holds every spelling and
+    # a blank, and its totals are padded with spaces
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    n = len(READ_AS_FLOAT)
+    rows = [[READ_AS_FLOAT[(i + m) % n] for m in range(n)] + [""] for i in range(n)]
+    totals = [(f" {i}.5 ", f"  {i}e2") for i in range(n)]
+    text = ",".join(expected_columns(n + 1)) + "\n" + "".join(
+        f"b{i},{a},{b},{','.join(cells)}\n" for i, ((a, b), cells) in enumerate(zip(totals, rows)))
+    raw = cf.load_raw_csv(write(tmp_path / "raw.csv", text))
+    assert raw.total_assets.tobytes() == np.array([float(a) for a, _ in totals]).tobytes()
+    assert raw.total_liabilities.tobytes() == np.array([float(b) for _, b in totals]).tobytes()
+    expected = np.array([[float(c) if c else nan for c in cells] for cells in rows])
+    assert raw.holdings.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 128, 8192])
+@pytest.mark.parametrize("cell", REFUSED_CELLS)
+def test_load_raw_csv_refuses_a_cell_by_its_spelling(tmp_path, monkeypatch, block_rows, cell):
+    # NaN marks a blank cell in the table; a number that reads NaN is not one,
+    # so the bad row holds a blank too
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    head = "bank_id,total_assets,total_liabilities,asset_00,asset_01\na,10,5,5,\nb,10,5,,5\n"
+    message = re.escape(REFUSED_CELLS[cell])
+    path = write(tmp_path / "holding.csv", head + f"c,10,5,,{cell}\nd,10,5,5,5\n")
+    with pytest.raises(cf.SchemaError, match=f"^row 4: column 'asset_01' {message}$"):
         cf.load_raw_csv(path)
-    path = write(tmp_path / "totals.csv",
-                 "bank_id,total_assets,total_liabilities,asset_00\n"
-                 f"b1,{cell},5,4\n")
-    with pytest.raises(cf.SchemaError, match=r"^row 2: column 'total_assets' is not finite$"):
+    path = write(tmp_path / "total.csv", head + f"c,{cell},5,,5\nd,10,5,5,5\n")
+    with pytest.raises(cf.SchemaError, match=f"^row 4: column 'total_assets' {message}$"):
+        cf.load_raw_csv(path)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 128, 8192])
+@pytest.mark.parametrize("rows, message", [
+    ("a,10,5,5\n\nb,10,5,5\nc,10,5,0x10\n",
+     "row 5: column 'asset_00' has non-numeric value '0x10'"),
+    ("a,10,5,5\n\nb,10,5,5\nc,,5,5\n", "row 5: column 'total_assets' has non-numeric value ''"),
+    ("a,10,5,5\n\nb,10,5,-1\nc,10,5,0x10\n", "row 4: negative holding asset_00"),
+    ("a,10,5,5\n\na,10,5,5\nc,10,5,1.5e\n", "row 4: duplicate bank_id 'a', first on row 2"),
+], ids=["refused-cell", "blank-total", "negative-before-it", "repeat-before-it"])
+def test_load_raw_csv_finds_the_first_bad_row_around_a_refused_cell(tmp_path, monkeypatch,
+                                                                     block_rows, rows, message):
+    # a cell float() refuses fails its block's one numpy call, and the block
+    # is read again a row at a time; the error is still the first bad row's
+    monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
+    path = write(tmp_path / "raw.csv", "bank_id,total_assets,total_liabilities,asset_00\n" + rows)
+    with pytest.raises(cf.SchemaError, match=f"^{re.escape(message)}$"):
         cf.load_raw_csv(path)
 
 
@@ -483,20 +528,31 @@ def test_save_writes_utf_8_whatever_the_locale(tmp_path):
     assert tuple(cf.load_completed_network(path).bank_ids) == ids
 
 
-def test_ingest_layers_peak_in_bounded_memory(tmp_path):
-    # on 10k rows each layer peaks at about 2.02 (parse, the table included),
+def test_ingest_layers_peak_in_bounded_memory(tmp_path, monkeypatch):
+    # on 10k rows each layer peaks at about 1.56 (parse, the table included),
     # 0.18 (average weights), 0.99 (complete), 0.16 (network checks, the
-    # sorted copy of the ids included) and 0.25 (write) times the holdings'
+    # sorted copy of the ids included) and 0.15 (write) times the holdings'
     # bytes; one that builds a whole-table temporary, such as a copy of the
     # parsed holdings, a completed copy beside the raw table, an N x M
     # boolean mask, a copy of the id column or a stack of all columns, reads
-    # above 2.44, 0.3, 1.9, 0.29 and 1.4
+    # above 2.36, 0.3, 1.9, 0.29 and 1.4; a parse that makes a Python float
+    # of each cell, 256 rows a block, read 1.85
     def peak(layer, *args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = layer(*args)
         return result, tracemalloc.get_traced_memory()[1] - before
 
+    max_rows = ingestion._max_rows
+
+    def sized(path):
+        # the parse's peak is taken once the row count's 1 MiB reads end: they
+        # peak at 2.02 times the holdings' bytes, above the table itself
+        size = max_rows(path)
+        tracemalloc.reset_peak()
+        return size
+
+    monkeypatch.setattr(ingestion, "_max_rows", sized)
     path = write(tmp_path / "raw.csv", _raw_text(10_000, seed=5))
     tracemalloc.start()
     try:
@@ -509,7 +565,7 @@ def test_ingest_layers_peak_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     nbytes = raw.holdings.nbytes
-    assert parse < 2.3 * nbytes
+    assert parse < 1.7 * nbytes
     assert weights < 0.25 * nbytes
     assert complete < 1.4 * nbytes
     assert checks < 0.25 * nbytes
@@ -518,9 +574,9 @@ def test_ingest_layers_peak_in_bounded_memory(tmp_path):
 
 def test_parse_holds_one_block_of_records_at_a_time(tmp_path, monkeypatch):
     # at 2500 rows a block the records of a block take about 1.4 times the
-    # holdings' bytes of the 10k-row file: the parse peaks at about 5.96
-    # times them, and at 7.39 when the next block is read while the last one
-    # is still bound
+    # holdings' bytes of the 10k-row file: the parse peaks at about 4.90
+    # times them, at 5.88 when it makes a Python float of each cell, and at
+    # 7.31 when the next block is read while the last one is still bound
     monkeypatch.setattr(ingestion, "BLOCK_ROWS", 2500)
     path = write(tmp_path / "raw.csv", _raw_text(10_000, seed=5))
     tracemalloc.start()
@@ -529,7 +585,7 @@ def test_parse_holds_one_block_of_records_at_a_time(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.6 * raw.holdings.nbytes
+    assert peak < 5.5 * raw.holdings.nbytes
 
 
 def test_load_completed_rejects_blanks(tmp_path):
