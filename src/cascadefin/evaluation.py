@@ -74,8 +74,7 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
         raise ValueError("empty parameter grid")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    params = [CascadeParams.single(int(asset), p, alpha, eta) for p, alpha, eta in cells]
-    replicates, seed = int(replicates), int(seed)
+    asset, replicates, seed = int(asset), int(replicates), int(seed)
 
     def cell(i):
         """Run cell i's replicates one at a time through reduce.
@@ -88,10 +87,11 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
         vectors, in the same order, as a per-replicate loop. A lattice of eta = 0
         cells builds no stream, so it never loads numpy.random.
         """
-        if params[i].eta == 0.0:
-            fate = run_cascade(network, params[i], None).failed_round
+        params = CascadeParams.single(asset, *cells[i])
+        if params.eta == 0.0:
+            fate = run_cascade(network, params, None).failed_round
             return reduce(itertools.repeat(fate, replicates), replicates, positives)
-        fates = (run_cascade(network, params[i], stream(seed, DOMAIN_CELL, i, rep)).failed_round
+        fates = (run_cascade(network, params, stream(seed, DOMAIN_CELL, i, rep)).failed_round
                  for rep in range(replicates))
         return reduce(fates, replicates, positives)
 

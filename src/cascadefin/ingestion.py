@@ -65,18 +65,13 @@ class RawTable:
 
 def _check_header(header: list[str]) -> int:
     """Validate the column layout, returning the asset count."""
-    for pos, name in enumerate(FIXED_COLUMNS):
-        if pos >= len(header) or header[pos] != name:
-            found = header[pos] if pos < len(header) else "<missing>"
-            raise SchemaError(f"expected column {name!r} at position {pos}, found {found!r}")
     n_assets = len(header) - len(FIXED_COLUMNS)
+    for pos, name in enumerate(expected_columns(max(n_assets, 0))):
+        found = header[pos] if pos < len(header) else "<missing>"
+        if found != name:
+            raise SchemaError(f"expected column {name!r} at position {pos}, found {found!r}")
     if n_assets < 1:
         raise SchemaError("no asset_NN columns found")
-    for m in range(n_assets):
-        pos = len(FIXED_COLUMNS) + m
-        want = f"asset_{m:02d}"
-        if header[pos] != want:
-            raise SchemaError(f"expected column {want!r} at position {pos}, found {header[pos]!r}")
     return n_assets
 
 
@@ -92,88 +87,73 @@ def number(text: str, kind):
     return kind(text)
 
 
-def _duplicate_error(path, ids):
-    """The SchemaError of the first data row of the file at path whose bank_id
-    an earlier row has, or None; a walk made only once the file is known to
-    be bad."""
+def _file_error(path, header, ids, block=()) -> SchemaError:
+    """The SchemaError of the first bad data row of the file at path, in one
+    walk made only once the file is known to be bad. ids are its first rows'
+    bank_ids, which may repeat, and block the (line, record) rows after them,
+    each checked in the order of its columns: field count, an empty bank_id or
+    one holding a line break, a repeat of an earlier id, then each cell."""
     first = {}
     for i, bank_id in enumerate(ids):
         if (j := first.setdefault(bank_id, i)) != i:
             line, first_line = _row_lines(path, i, j)
             return SchemaError(f"row {line}: duplicate bank_id {bank_id!r}, "
                                f"first on row {first_line}")
+    for i, (line, rec) in enumerate(block, start=len(ids)):
+        if len(rec) != len(header):
+            return SchemaError(f"row {line}: expected {len(header)} fields, found {len(rec)}")
+        bank_id = rec[0].strip()
+        if not bank_id:
+            return SchemaError(f"row {line}: empty bank_id")
+        if "\r" in bank_id or "\n" in bank_id:
+            return SchemaError(f"row {line}: bank_id contains a line break")
+        if (j := first.setdefault(bank_id, i)) != i:
+            return SchemaError(f"row {line}: duplicate bank_id {bank_id!r}, "
+                               f"first on row {_row_lines(path, j)[0]}")
+        for k in range(1, len(rec)):
+            text = rec[k] if k < 3 else rec[k].strip()
+            if k >= 3 and not text:
+                continue
+            try:
+                value = number(text, float)
+            except ValueError:
+                return SchemaError(f"row {line}: column {header[k]!r} has non-numeric value "
+                                   f"{text!r}")
+            if not math.isfinite(value):
+                return SchemaError(f"row {line}: column {header[k]!r} is not finite")
+            if k == 2 and (value < 0 or float(rec[1]) < 0):
+                return SchemaError(f"row {line}: negative totals")
+            if k >= 3 and value < 0:
+                return SchemaError(f"row {line}: negative holding {header[k]}")
 
 
-def _row_error(line: int, rec: list, header: list, ids, path) -> SchemaError:
-    """The first problem of a bad data row, checking its columns in order;
-    ids are the earlier rows' of the file at path, among which no bank_id
-    repeats."""
-    if len(rec) != len(header):
-        return SchemaError(f"row {line}: expected {len(header)} fields, found {len(rec)}")
-    bank_id = rec[0].strip()
-    if not bank_id:
-        return SchemaError(f"row {line}: empty bank_id")
-    if "\r" in bank_id or "\n" in bank_id:
-        return SchemaError(f"row {line}: bank_id contains a line break")
-    if error := _duplicate_error(path, [*ids, bank_id]):
-        return error
-    for k in range(1, len(rec)):
-        text = rec[k] if k < 3 else rec[k].strip()
-        if k >= 3 and not text:
-            continue
-        try:
-            value = number(text, float)
-        except ValueError:
-            return SchemaError(f"row {line}: column {header[k]!r} has non-numeric value {text!r}")
-        if not math.isfinite(value):
-            return SchemaError(f"row {line}: column {header[k]!r} is not finite")
-        if k == 2 and (value < 0 or float(rec[1]) < 0):
-            return SchemaError(f"row {line}: negative totals")
-        if k >= 3 and value < 0:
-            return SchemaError(f"row {line}: negative holding {header[k]}")
+def _parse_block(block, header) -> FloatA | None:
+    """The numbers of a block of (line, record) data rows, one row each of the
+    two totals and the holdings, NaN for a blank holding, or None when any of
+    its rows is bad; repeated bank_ids are left to the caller.
 
-
-def _parse_block(block, header) -> FloatA:
-    """The numbers of a block of (line, record) data rows up to its first bad
-    row: one row each of the two totals and the holdings, NaN for a blank
-    holding. Repeated bank_ids are left to the caller.
-
-    The good rows' cells, a blank written "nan", go to float64 in one numpy
-    call, which reads each string with float() itself, so no cell becomes a
-    Python float; only a block holding a cell float() refuses reads its rows
-    one at a time, to find the first such row."""
-    texts, blanks = [], []
+    The cells, a blank written "nan", go to float64 in one numpy call, which
+    reads each string with float() itself, so no cell becomes a Python float."""
+    texts, blanks = [], 0
     for _, rec in block:
         bank_id = rec[0].strip()
         if len(rec) != len(header) or not bank_id or "\r" in bank_id or "\n" in bank_id:
-            break   # a bad row: no later row can be the first bad one
+            return None
         cells = [c.strip() for c in rec[3:]]
         # number's rule, tested once per row on its joined text: the parse's speed
         if not _plain("".join((rec[1], rec[2], *cells))):
-            break
+            return None
         texts += rec[1:3]
         texts += [c or "nan" for c in cells]
-        blanks.append(cells.count(""))
-    width = len(header) - 1
+        blanks += cells.count("")
     try:
         array = np.array(texts, dtype=np.float64)
-    except ValueError:   # keep the rows before the first that holds a cell float() refuses
-        k = next(k for k in range(len(blanks)) if not _reads(texts[k * width:(k + 1) * width]))
-        array = np.array(texts[:k * width], dtype=np.float64)
-        del blanks[k:]
-    array = array.reshape(len(blanks), width)
-    # NaN from a blank cell is fine; a non-finite number written in a cell is not
-    bad = (np.count_nonzero(~np.isfinite(array), axis=1) != blanks) | (array < 0).any(axis=1)
-    return array[:int(np.argmax(bad))] if bad.any() else array
-
-
-def _reads(texts) -> bool:
-    """Whether float() reads every one of texts."""
-    try:
-        np.array(texts, dtype=np.float64)
     except ValueError:
-        return False
-    return True
+        return None
+    # NaN from a blank cell is fine; a non-finite number written in a cell is not
+    if np.count_nonzero(~np.isfinite(array)) != blanks or (array < 0).any():
+        return None
+    return array.reshape(len(block), len(header) - 1)
 
 
 def _records(reader):
@@ -233,7 +213,9 @@ def load_raw_csv(path) -> RawTable:
     columns, which _max_rows sizes, so no second copy of the table is made;
     a block's cells become float64 in one numpy call, so no cell is ever a
     Python float, and the bank ids are one of the columns, so no per-row
-    Python object outlives its block."""
+    Python object outlives its block. Only whole blocks are stored: the first
+    block _parse_block refuses, or a repeated id once every block is read,
+    sends the rows read so far to _file_error, which names the first bad one."""
     size = _max_rows(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -248,16 +230,13 @@ def load_raw_csv(path) -> RawTable:
             records, n = _records(reader), 0
             while block := list(itertools.islice(records, BLOCK_ROWS)):
                 values = _parse_block(block, header)
-                rows = slice(n, n + len(values))
+                if values is None:
+                    raise _file_error(path, header, ids[:n], block)
+                rows = slice(n, n + len(block))
                 total_assets[rows], total_liabilities[rows] = values[:, 0], values[:, 1]
                 holdings[rows] = values[:, 2:]
-                ids[rows] = [rec[0].strip() for _, rec in block[:len(values)]]
-                n += len(values)
-                if len(values) < len(block):
-                    line, rec = block[len(values)]
-                    # a duplicate on an earlier row comes before this row's error
-                    raise (_duplicate_error(path, ids[:n])
-                           or _row_error(line, rec, header, ids[:n], path))
+                ids[rows] = [rec[0].strip() for _, rec in block]
+                n += len(block)
                 # unbound before the next block is read, so one block's records
                 # are alive at a time
                 del block, values
@@ -269,7 +248,7 @@ def load_raw_csv(path) -> RawTable:
         raise SchemaError("no data rows in input")
     # on a sorted copy, as BankAssetNetwork tests: a dict of each id's row holds an int per row
     if has_repeat(ids[:n]):
-        raise _duplicate_error(path, ids[:n])
+        raise _file_error(path, header, ids[:n])
     return RawTable(ids[:n], total_assets[:n], total_liabilities[:n], holdings[:n])
 
 

@@ -1,17 +1,18 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
 lattice's worker count and fork driver, the command line's range, manifest,
 --out, --synthetic and network-and-label rules, the number reader at every
-door, the CSV parse's row checks, blank cells, refused cells, duplicate ids,
-table size and one block at a time, the records csv refuses, the second read
-that finds a bad file's row lines, the CSV writer's encoding, blocks and
-quoting, the writers' whole-file rename and the targets it must not replace,
-the rules that no input comes from the environment and that prices change only
-in _scale_prices, the network's id column and sum tolerance, ingest's in-place
-completion, its repair masks, the rows it refuses and its row sums, synthetic
-generation's in-place weights and holdings and its id column, the label file's
-header and duplicate count, the manifest digest's built-in module, the entry's
-OpenSSL block and the package's start-up rules, each with the tests that kill
-it or the reason no result can change.
+door, the CSV header's columns, the parse's row checks, blank cells, refused
+cells, duplicate ids, table size and one block at a time, the records csv
+refuses, the second read that finds a bad file's row lines, the CSV writer's
+encoding, blocks and quoting, the writers' whole-file rename and the targets
+it must not replace, the rules that no input comes from the environment and
+that prices change only in _scale_prices, the network's id column and sum
+tolerance, ingest's in-place completion, its repair masks, the rows it
+refuses and its row sums, synthetic generation's in-place weights and
+holdings and its id column, the label file's header and duplicate count, the
+manifest digest's built-in module, the entry's OpenSSL block and the
+package's start-up rules, each with the tests that kill it or the reason no
+result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests | --each]
 
@@ -26,8 +27,9 @@ ones included, runs the whole `tests/` directory instead. Each line gives the
 run's seconds, marked SLOW past SLOW_S (a report, never a failure), and the
 last line the total. Pytest does not collect this file (its name does not
 start with `test_`); it is run by hand. The killing tests take about 4
-minutes for the whole list on two cores, --each about 10, most of it in the
-few runs that only a hypothesis test kills, as it shrinks each failure;
+minutes for the whole list on two cores, each mutant a few seconds, as every
+mutant's first kill id fails at once; --each about 8, most of it in the runs
+of a hypothesis property alone, as it searches and shrinks each failure;
 --all-tests about a minute per mutant; tests/test_mutants.py checks, without
 running any mutant, that every listed line and kill id exists.
 """
@@ -54,6 +56,7 @@ LAZY_IMPORTS = "tests/test_startup.py::test_import_loads_neither_openssl_nor_num
 RANDOM_ON_DEMAND = "tests/test_startup.py::test_numpy_random_loads_only_for_barrier_noise"
 BARRIER_PROPERTY = "tests/test_properties.py::test_screening_changes_nothing_at_the_barrier"
 ROC_ORACLE = "tests/test_properties.py::test_roc_grid_matches_bank_by_bank_count"
+ROC_TIES = "tests/test_evaluation.py::test_roc_votes_break_ties_as_documented"
 CONFIG_CHECKS = "tests/test_ingestion.py::test_synthetic_config_validation"
 BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_2_before_loading"
 LABEL_DOMAIN = "tests/test_cli.py::test_label_cascade_out_of_domain_exits_2"
@@ -80,6 +83,8 @@ AS_FLOAT = "tests/test_ingestion.py::test_load_raw_csv_reads_a_cell_as_float_doe
 AROUND_REFUSED = ("tests/test_ingestion.py::"
                   "test_load_raw_csv_finds_the_first_bad_row_around_a_refused_cell")
 THROUGH = "tests/test_cli.py::test_run_out_writes_through_what_it_names"
+HEADER = "tests/test_ingestion.py::test_load_raw_csv_header_is_checked"
+CSV_ORACLE = "tests/test_properties.py::test_csv_reader_matches_record_by_record_reference"
 # a run longer than this prints SLOW, which reports and never fails
 SLOW_S = 30
 FAILING = "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken"
@@ -189,9 +194,10 @@ MUTANTS = (
     # evaluation: roc votes
     Mutant("roc-vote-tie-fails", EVALUATION,
            "failed_votes * 2 > replicates", "failed_votes * 2 >= replicates",
-           (ROC_ORACLE,)),
+           (ROC_TIES, ROC_ORACLE)),
     Mutant("roc-first-step-tie-lost", EVALUATION,
-           "first_votes * 2 >= failed_votes", "first_votes * 2 > failed_votes", (ROC_ORACLE,)),
+           "first_votes * 2 >= failed_votes", "first_votes * 2 > failed_votes",
+           (ROC_TIES, ROC_ORACLE)),
     Mutant("roc-preshock-votes-failed", EVALUATION,
            "failed_votes += fate >= 1", "failed_votes += fate >= 0",
            ("tests/test_evaluation.py::test_roc_counts_preshock_failures_in_no_split",)),
@@ -199,7 +205,7 @@ MUTANTS = (
            "first_votes += fate == 1", "first_votes += fate >= 1",
            ("tests/test_evaluation.py::test_roc_splits_partition_full",)),
     Mutant("roc-preshock-votes-first", EVALUATION,
-           "first_votes += fate == 1", "first_votes += fate <= 1", (ROC_ORACLE,)),
+           "first_votes += fate == 1", "first_votes += fate <= 1", (ROC_TIES, ROC_ORACLE)),
     # evaluation: survival and phase regions
     Mutant("survival-no-agree-shortcut", EVALUATION,
            "if of_all.min() == of_all.max():", "if False:",
@@ -352,23 +358,36 @@ MUTANTS = (
            "if value < lo or value > hi:", (f"{BAD_INPUT}[phase-threshold-nan]",)),
     # ingestion: the CSV parse's row checks and its number reader
     Mutant("reader-csv-cell", INGESTION, "value = number(text, float)", "value = float(text)",
-           (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
+           (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]", CSV_ORACLE)),
     Mutant("reader-joined-row", INGESTION,
            'if not _plain("".join((rec[1], rec[2], *cells))):', "if False:",
-           (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]")),
+           (f"{DOORS}[csv-cell]", f"{BAD_FILE}[ingest-underscore]", CSV_ORACLE)),
     Mutant("parse-blank-read-as-zero", INGESTION, '[c or "nan" for c in cells]',
            '[c or "0" for c in cells]',
-           (f"{AS_FLOAT}[128]", "tests/test_ingestion.py::test_load_raw_csv_blank_means_missing")),
-    Mutant("parse-keeps-the-refused-row", INGESTION, "np.array(texts[:k * width],",
-           "np.array(texts[:(k + 1) * width],",
-           (f"{AROUND_REFUSED}[negative-before-it-128]", f"{AROUND_REFUSED}[refused-cell-3]")),
+           (f"{AS_FLOAT}[128]", "tests/test_ingestion.py::test_load_raw_csv_blank_means_missing",
+            CSV_ORACLE)),
+    Mutant("parse-keeps-the-refused-row", INGESTION,
+           "    except ValueError:\n        return None\n    # NaN",
+           "    except ValueError:\n        array = np.zeros(len(texts))\n    # NaN",
+           (f"{AROUND_REFUSED}[refused-cell-128]", f"{AROUND_REFUSED}[refused-cell-3]",
+            CSV_ORACLE)),
+    # the header: each column named in order, with at least one asset
+    Mutant("header-assets-unchecked", INGESTION,
+           "enumerate(expected_columns(max(n_assets, 0))):",
+           "enumerate(expected_columns(max(n_assets, 0))[:3]):",
+           (f"{HEADER}[asset-order]", CSV_ORACLE)),
+    Mutant("header-without-assets", INGESTION, "if n_assets < 1:", "if n_assets < 0:",
+           (f"{HEADER}[no-assets]", CSV_ORACLE)),
+    Mutant("header-missing-unnamed", INGESTION, 'else "<missing>"', 'else ""',
+           (f"{HEADER}[missing]", CSV_ORACLE)),
     Mutant("reader-underscore-plain", INGESTION, 'return text.isascii() and "_" not in text',
-           "return text.isascii()", (f"{BAD_FILE}[ingest-underscore]",)),
+           "return text.isascii()", (f"{BAD_FILE}[ingest-underscore]", CSV_ORACLE)),
     Mutant("parse-duplicate-kept", INGESTION, "if has_repeat(ids[:n]):", "if False:",
-           (DUPLICATE, f"{DUPLICATE_ORDER}[first-repeat-3]")),
+           (DUPLICATE, f"{DUPLICATE_ORDER}[first-repeat-3]", CSV_ORACLE)),
     Mutant("parse-earlier-duplicate-late", INGESTION,
-           "raise (_duplicate_error(path, ids[:n])", "raise (None",
-           (f"{DUPLICATE_ORDER}[before-a-later-bad-row-3]",)),
+           "raise _file_error(path, header, ids[:n], block)",
+           "raise _file_error(path, header, ids[:0], block)",
+           (f"{DUPLICATE_ORDER}[before-a-later-bad-row-3]", CSV_ORACLE)),
     Mutant("parse-holds-two-blocks", INGESTION, "                del block, values\n", "",
            ("tests/test_ingestion.py::test_parse_holds_one_block_of_records_at_a_time",)),
     Mutant("parse-table-copied", INGESTION,
@@ -377,10 +396,10 @@ MUTANTS = (
            ("tests/test_ingestion.py::test_ingest_layers_peak_in_bounded_memory",)),
     # a bad file's row lines, from a second read that skips the header as the parse does
     Mutant("row-line-reads-the-header", INGESTION, "        next(reader)   # the header\n", "",
-           (f"{LINES}[repeat-early-8192]", f"{LINES}[completed-blank-8192]")),
+           (f"{LINES}[repeat-early-8192]", f"{LINES}[completed-blank-8192]", CSV_ORACLE)),
     Mutant("row-line-one-row-early", INGESTION, "islice(enumerate(_records(reader)),",
            "islice(enumerate(_records(reader), 1),",
-           (f"{LINES}[repeat-late-8192]", f"{LINES}[completed-off-total-8192]")),
+           (f"{LINES}[repeat-late-8192]", f"{LINES}[completed-off-total-8192]", CSV_ORACLE)),
     Mutant("save-locale-encoding", INGESTION, 'newline="", encoding="utf-8") as fh:',
            'newline="") as fh:',
            ("tests/test_ingestion.py::test_save_writes_utf_8_whatever_the_locale",)),
@@ -420,27 +439,30 @@ MUTANTS = (
                      f"{BAD_FILE}[ingest-unclosed-quote]", f"{BAD_FILE}[labels-oversized-id]")),
     # the parse sizes its columns by the file's CR and LF bytes
     Mutant("max-rows-without-lf", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
-           'chunk.count(b"\\r")', (f"{LAYOUTS}[lf]",)),
+           'chunk.count(b"\\r")', (f"{LAYOUTS}[lf]", CSV_ORACLE)),
     Mutant("max-rows-without-cr", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
-           'chunk.count(b"\\n")', (f"{LAYOUTS}[cr]",)),
+           'chunk.count(b"\\n")', (f"{LAYOUTS}[cr]", CSV_ORACLE)),
     Mutant("row-duplicate-unchecked", INGESTION,
-           "if error := _duplicate_error(path, [*ids, bank_id]):", "if False:",
-           (f"{DUPLICATE_ORDER}[before-its-cells-3]",)),
+           "if (j := first.setdefault(bank_id, i)) != i:\n            return",
+           "if False:\n            return",
+           (f"{DUPLICATE_ORDER}[before-its-cells-3]", CSV_ORACLE)),
     Mutant("duplicate-names-a-later-row", INGESTION,
            "for i, bank_id in enumerate(ids):",
-           "for i, bank_id in reversed(list(enumerate(ids))):", (DUPLICATE,)),
+           "for i, bank_id in reversed(list(enumerate(ids))):", (DUPLICATE, CSV_ORACLE)),
     Mutant("records-last-line", INGESTION,
            "start, end = end + 1, reader.line_num", "start = end = reader.line_num",
-           ("tests/test_ingestion.py::test_load_raw_csv_numbers_a_row_by_its_first_file_line",)),
+           ("tests/test_ingestion.py::test_load_raw_csv_numbers_a_row_by_its_first_file_line",
+            CSV_ORACLE)),
     Mutant("parse-field-count-unchecked", INGESTION,
-           "if len(rec) != len(header) or not bank_id or", "if not bank_id or", (BAD_CELLS,)),
-    Mutant("parse-negative-kept", INGESTION, " | (array < 0).any(axis=1)", "", (BAD_CELLS,)),
+           "if len(rec) != len(header) or not bank_id or", "if not bank_id or",
+           (BAD_CELLS, CSV_ORACLE)),
+    Mutant("parse-negative-kept", INGESTION, " or (array < 0).any()", "", (BAD_CELLS, CSV_ORACLE)),
     Mutant("row-negative-totals-unchecked", INGESTION,
            "if k == 2 and (value < 0 or float(rec[1]) < 0):", "if False:",
            (f"{BAD_FILE}[ingest-negative-liabilities]",
-            f"{BAD_FILE}[ingest-negative-total-assets]")),
+            f"{BAD_FILE}[ingest-negative-total-assets]", CSV_ORACLE)),
     Mutant("row-negative-assets-unchecked", INGESTION, "(value < 0 or float(rec[1]) < 0)",
-           "value < 0", (f"{BAD_FILE}[ingest-negative-total-assets]",)),
+           "value < 0", (f"{BAD_FILE}[ingest-negative-total-assets]", CSV_ORACLE)),
     # ingestion: SyntheticConfig's checks of the spec
     Mutant("config-seed-alone-unlabelled", INGESTION,
            "labelled = self.label_seed is not None or any(", "labelled = any(",
@@ -495,8 +517,8 @@ MUTANTS = (
     Mutant("startup-eager-hashlib", CLI,
            "import argparse\n", "import argparse\nimport hashlib\n", (LAZY_IMPORTS,)),
     Mutant("cell-eta-0-streams", EVALUATION,
-           "run_cascade(network, params[i], None)",
-           "run_cascade(network, params[i], stream(seed, DOMAIN_CELL, i, 0))",
+           "run_cascade(network, params, None)",
+           "run_cascade(network, params, stream(seed, DOMAIN_CELL, i, 0))",
            (f"{RANDOM_ON_DEMAND}[eta-0]",)),
     Mutant("digest-hashlib-first", CLI, "    digest = sha256()",
            "    from hashlib import sha256\n    digest = sha256()",
@@ -536,7 +558,7 @@ MUTANTS = (
            ("tests/test_cli.py::test_ingest_prints_the_blank_cells_of_its_input",)),
     Mutant("row-sums-loop-counts", INGESTION,
            "for k in np.flatnonzero(np.bincount(counts)):", "for k in np.bincount(counts):",
-           (COMPLETION,)),
+           ("tests/test_ingestion.py::test_row_sums_add_each_rows_present_cells", COMPLETION)),
     # ingest: completion's repair masks and the rows it refuses
     Mutant("complete-off-counts-blank-rows", INGESTION,
            "off = ~has_missing & (np.abs(residual) > tol)", "off = np.abs(residual) > tol",
@@ -556,7 +578,9 @@ MUTANTS = (
            ("tests/test_ingestion.py::test_completion_worked_example", COMPLETION)),
     Mutant("complete-uniform-without-residual", INGESTION,
            "uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)",
-           "uniform = has_missing & (weight_sum[:, 0] <= 0)", (COMPLETION,)),
+           "uniform = has_missing & (weight_sum[:, 0] <= 0)",
+           ("tests/test_ingestion.py::test_completion_uniform_fill_when_averages_are_zero",
+            COMPLETION)),
     Mutant("complete-uniform-with-weights", INGESTION,
            "uniform = has_missing & (weight_sum[:, 0] <= 0) & (r[:, 0] > tol)",
            "uniform = has_missing & (r[:, 0] > tol)",

@@ -1,6 +1,7 @@
 """Closed-form barrier probability, straight-line reference cascade,
-unscreened barrier pass, bank-by-bank ROC counts and row-by-row balance-sheet
-completion, used as oracles by the test suite.
+unscreened barrier pass, bank-by-bank ROC counts, row-by-row balance-sheet
+completion and a record-by-record CSV reader, used as oracles by the test
+suite.
 
 Deliberately naive: explicit per-bank holdings updated with python loops, no
 vectorization, no shortcuts. The production engine tracks holdings through a
@@ -22,7 +23,10 @@ still be 1 when the shock lands).
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import math
 
 import numpy as np
 
@@ -301,3 +305,80 @@ def complete_rows(bank_ids, total_assets, holdings):
         if repair is not None:
             report.append(repair)
     return np.array(avg), np.array(filled, dtype=np.float64).reshape(holdings.shape), report
+
+
+def _number(text):
+    """A cell's number: plain ASCII without `_`, read by float(); ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
+def _bad_row(line, rec, header, first):
+    """The message of the first problem of one data record, checked in the
+    order of its columns, or None; first maps each earlier row's bank_id to
+    its line, and gains this row's."""
+    if len(rec) != len(header):
+        return f"row {line}: expected {len(header)} fields, found {len(rec)}"
+    bank_id = rec[0].strip()
+    if not bank_id:
+        return f"row {line}: empty bank_id"
+    if "\r" in bank_id or "\n" in bank_id:
+        return f"row {line}: bank_id contains a line break"
+    if bank_id in first:
+        return f"row {line}: duplicate bank_id {bank_id!r}, first on row {first[bank_id]}"
+    first[bank_id] = line
+    for k, name in enumerate(header[1:], start=1):
+        # the totals are read as written, a holding stripped and maybe blank
+        text = rec[k] if k < 3 else rec[k].strip()
+        if k >= 3 and text == "":
+            continue
+        try:
+            value = _number(text)
+        except ValueError:
+            return f"row {line}: column {name!r} has non-numeric value {text!r}"
+        if not math.isfinite(value):
+            return f"row {line}: column {name!r} is not finite"
+        if k == 2 and (value < 0 or _number(rec[1]) < 0):
+            return f"row {line}: negative totals"
+        if k >= 3 and value < 0:
+            return f"row {line}: negative holding {name}"
+    return None
+
+
+def load_csv(text):
+    """A balance-sheet CSV's text read one csv record at a time: the message
+    of its first error, or (bank ids, total assets, total liabilities,
+    holdings with NaN for a blank, each row's first file line).
+
+    The header comes first: bank_id, total_assets, total_liabilities, then
+    asset_00, asset_01, ... in order, at least one. A leading byte order mark
+    is dropped, a blank record skipped, and a record starts on the line after
+    the last one's end. Each data row is then checked in the order of its
+    columns (_bad_row), and a file without one is an error too."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    header = next(reader, None)
+    if header is None:
+        return "empty file: missing header row"
+    n_assets = len(header) - 3
+    names = ["bank_id", "total_assets", "total_liabilities"]
+    names += [f"asset_{m:02d}" for m in range(max(n_assets, 0))]
+    for pos, name in enumerate(names):
+        found = header[pos] if pos < len(header) else "<missing>"
+        if found != name:
+            return f"expected column {name!r} at position {pos}, found {found!r}"
+    if n_assets < 1:
+        return "no asset_NN columns found"
+    first, rows, end = {}, [], reader.line_num
+    for rec in reader:
+        line, end = end + 1, reader.line_num
+        if not rec or (len(rec) == 1 and rec[0].strip() == ""):
+            continue
+        if error := _bad_row(line, rec, header, first):
+            return error
+        rows.append((rec[0].strip(), float(rec[1]), float(rec[2]),
+                     [float(c) if c.strip() else math.nan for c in rec[3:]], line))
+    if not rows:
+        return "no data rows in input"
+    ids, assets, liabilities, holdings, lines = map(list, zip(*rows))
+    return ids, np.array(assets), np.array(liabilities), np.array(holdings), lines

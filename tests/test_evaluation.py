@@ -183,6 +183,18 @@ def test_roc_counts_preshock_failures_in_no_split():
                                             ("consecutive_steps", 0))]
 
 
+def test_roc_votes_break_ties_as_documented():
+    # six replicates' fate rounds of three banks (-1 survives, 0 fails before
+    # the shock). a fails in 3 of 6 runs, a tied vote, so it is not failed. b
+    # fails in 4, in round 1 in 2 of them, half, so it counts to the first
+    # step. c fails in 4, never in round 1; neither surviving nor failing
+    # before the shock is a round-1 vote, so it counts to the later steps
+    fates = np.array([[1, 1, 1, -1, -1, -1], [1, 1, 2, 2, -1, -1], [2, 2, 2, 2, -1, 0]]).T
+    positives = np.array([True, True, False])
+    # (true, false) positives of the full, first-step and consecutive-steps splits
+    assert evaluation._reduce_roc(fates, 6, positives) == [(1, 1), (1, 0), (0, 1)]
+
+
 # --- phase scans ---------------------------------------------------------
 
 def test_phase_scan_validates_axes():
@@ -308,10 +320,12 @@ def test_write_csv(columns, text, tmp_path, monkeypatch):
 
 
 def test_write_csv_holds_one_block_of_cells_at_a_time(tmp_path):
-    # on a 30k-row ROC-shaped table the writer peaks at about 0.04 times the
-    # columns' bytes; turning whole columns into Python objects reads 2.31
+    # on a 9k-row ROC-shaped table the writer peaks at about 0.08 times the
+    # columns' bytes, and at 0.26 with blocks four times as long; turning whole
+    # columns into Python objects reads 4.3. The mutant that does so writes the
+    # whole table once per block, so its time grows as the rows squared
     gen = np.random.default_rng(5)
-    n_cells = 10_000
+    n_cells = 3_000
     columns = {name: np.repeat(gen.random(n_cells), 3) for name in ("alpha", "eta", "p")}
     columns |= {"split": np.tile(("full", "first_step", "consecutive_steps"), n_cells),
                 "fpr": gen.random(3 * n_cells), "tpr": gen.random(3 * n_cells),

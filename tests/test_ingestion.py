@@ -63,13 +63,23 @@ def test_load_raw_csv_ignores_a_byte_order_mark(tmp_path):
     assert [ingestion._row_lines(path, 0) for path in paths] == [[2], [2]]
 
 
-def test_load_raw_csv_header_is_checked(tmp_path):
-    path = write(tmp_path / "bad.csv", "bank,total_assets,x\nb,1,2\n")
-    with pytest.raises(cf.SchemaError, match="'bank_id'"):
-        cf.load_raw_csv(path)
-    path = write(tmp_path / "bad2.csv",
-                 "bank_id,total_assets,total_liabilities,asset_01\nb,1,2,3\n")
-    with pytest.raises(cf.SchemaError, match="'asset_00'"):
+@pytest.mark.parametrize("header, message", [
+    ("bank,total_assets,x", "expected column 'bank_id' at position 0, found 'bank'"),
+    ("bank_id,total_assets",
+     "expected column 'total_liabilities' at position 2, found '<missing>'"),
+    ("bank_id,assets,total_liabilities,asset_00",
+     "expected column 'total_assets' at position 1, found 'assets'"),
+    ("bank_id,total_assets,liabilities,asset_00",
+     "expected column 'total_liabilities' at position 2, found 'liabilities'"),
+    ("bank_id,total_assets,total_liabilities,asset_01",
+     "expected column 'asset_00' at position 3, found 'asset_01'"),
+    ("bank_id,total_assets,total_liabilities,asset_00,asset_02,asset_01",
+     "expected column 'asset_01' at position 4, found 'asset_02'"),
+    ("bank_id,total_assets,total_liabilities", "no asset_NN columns found"),
+], ids=["id", "missing", "assets", "liabilities", "first-asset", "asset-order", "no-assets"])
+def test_load_raw_csv_header_is_checked(tmp_path, header, message):
+    path = write(tmp_path / "bad.csv", header + "\nb,10,5,5,5,5\n")
+    with pytest.raises(cf.SchemaError, match=f"^{re.escape(message)}$"):
         cf.load_raw_csv(path)
 
 
@@ -145,7 +155,7 @@ def test_load_raw_csv_refuses_a_cell_by_its_spelling(tmp_path, monkeypatch, bloc
 def test_load_raw_csv_finds_the_first_bad_row_around_a_refused_cell(tmp_path, monkeypatch,
                                                                      block_rows, rows, message):
     # a cell float() refuses fails its block's one numpy call, and the block
-    # is read again a row at a time; the error is still the first bad row's
+    # is walked again a row at a time; the error is still the first bad row's
     monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
     path = write(tmp_path / "raw.csv", "bank_id,total_assets,total_liabilities,asset_00\n" + rows)
     with pytest.raises(cf.SchemaError, match=f"^{re.escape(message)}$"):
@@ -198,7 +208,7 @@ def test_load_raw_csv_tells_a_trailing_nul_apart(tmp_path):
 ], ids=["before-a-later-bad-row", "after-its-field-count", "before-its-cells", "first-repeat"])
 def test_load_raw_csv_orders_a_duplicate_among_row_errors(tmp_path, monkeypatch, block_rows,
                                                           rows, message):
-    # the first bad row's error, in _row_error's order of checks, where an
+    # the first bad row's error, in _file_error's order of checks, where an
     # earlier row repeating a bank_id is a bad row too
     monkeypatch.setattr(ingestion, "BLOCK_ROWS", block_rows)
     path = write(tmp_path / "dup.csv", "bank_id,total_assets,total_liabilities,asset_00\n" + rows)
@@ -414,10 +424,20 @@ def test_completion_refuses_a_row_it_cannot_complete(rows, error, message):
 
 
 def test_completion_uniform_fill_when_averages_are_zero():
+    # z's reported cell already meets its total: its blanks get 0, no repair
     net, report = cf.complete_dataset(table(("d", 100.0, 50.0, [100.0, 0.0, 0.0]),
-                                            ("a", 100.0, 50.0, [40.0, None, None])))
-    assert [r["action"] for r in report] == ["uniform_fill_zero_average_weights"]
-    assert net.holdings[1].tolist() == [40.0, 30.0, 30.0]
+                                            ("a", 100.0, 50.0, [40.0, None, None]),
+                                            ("z", 100.0, 50.0, [100.0, None, None])))
+    assert [(r["row_id"], r["action"]) for r in report] == \
+        [("a", "uniform_fill_zero_average_weights")]
+    assert net.holdings[1:].tolist() == [[40.0, 30.0, 30.0], [100.0, 0.0, 0.0]]
+
+
+def test_row_sums_add_each_rows_present_cells():
+    # rows of 2, 0 and 3 present cells: each count's rows are summed once
+    values = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0], [1.0, 1.0, 1.0]])
+    mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
+    assert ingestion._row_sums(values, mask).tolist() == [5.0, 0.0, 3.0]
 
 
 def test_complete_dataset_collects_repairs():

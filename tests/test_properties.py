@@ -2,7 +2,8 @@
 screened barrier passes against full ones, nested survivor sets, the lattice
 analyses against themselves across --jobs and the ROC reducer against a
 bank-by-bank count, columnar completion against the row-by-row reference,
-and bank ids through a written and re-read CSV."""
+the CSV reader against a record-by-record one, and bank ids through a written
+and re-read CSV."""
 
 import json
 import os
@@ -16,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascadefin as cf
+from cascadefin import ingestion
 
 from helpers import make_network, random_instance, rows
-from reference import brute_force_cascade, brute_force_roc, complete_rows, full_barrier_round
+from reference import (brute_force_cascade, brute_force_roc, complete_rows,
+                       full_barrier_round, load_csv)
 
 # derandomized, so every run of the suite checks the same examples
 ENGINE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -307,6 +310,87 @@ def test_completion_matches_row_by_row_reference(tab):
     assert json.dumps(got_report) == json.dumps(report)
     sums = net.holdings.sum(axis=1)
     assert np.all(np.abs(sums - totals) <= 1e-9 * np.maximum(totals, 1.0))
+
+
+# CSV fields as written in the file. Every spelling of ID_SPELLINGS reads as
+# the same id, quoted or padded or spanning lines
+ID_SPELLINGS = ["b{}", "b{}", " b{} ", '"b{}"', '"\nb{}\r\n"']
+BAD_IDS = ['"l\nm"', "", '"n\ro"', "  ", '""']
+GOOD_CELLS = ["5", "0", "1.5", " 2 ", "1e3", "-0.0", "1e-400", ".5"]
+BAD_CELLS = ["-1", "1_0", "", "nan", "\u0663", "inf", "-2.5", "0x10", "-inf", "1e309", "x",
+             "1.5e"]
+
+
+@st.composite
+def balance_sheet_files(draw):
+    """The text of a small balance-sheet CSV: LF, CRLF or CR line ends, maybe
+    a byte order mark, blank lines and no final line end. A row may repeat an
+    earlier row's id, leave holdings blank, and have one fault: too few or
+    too many fields, an empty id or one holding a line break, or a cell the
+    reader refuses."""
+    m = draw(st.integers(1, 3))
+    header = ingestion.expected_columns(m)
+    # now and then a header cut short, or out of order
+    header = draw(st.sampled_from([header] * 16 + [header[:2], header[:3],
+                                                   header[:3] + header[:2:-1], header[::-1]]))
+    records = [",".join(header)]
+    for i in range(draw(st.integers(0, 12))):
+        repeat = i > 0 and draw(st.integers(0, 5)) == 0
+        bank_id = draw(st.sampled_from(ID_SPELLINGS)).format(draw(st.integers(0, i - 1))
+                                                             if repeat else i)
+        fields = [bank_id, *(draw(st.sampled_from(GOOD_CELLS)) for _ in range(2 + m))]
+        for k in range(3, len(fields)):
+            if draw(st.integers(0, 4)) == 0:
+                fields[k] = ""
+        fault = draw(st.sampled_from([None] * 9 + ["cell", "id", "width"]))
+        if fault == "width":
+            fields = (fields + ["5"])[:draw(st.sampled_from([1, 2 + m, 4 + m]))]
+        elif fault == "id":
+            fields[0] = draw(st.sampled_from(BAD_IDS))
+        elif fault == "cell":
+            fields[draw(st.integers(1, 2 + m))] = draw(st.sampled_from(BAD_CELLS))
+        records += [" "] * draw(st.sampled_from([0, 0, 0, 1])) + [",".join(fields)]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(records) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@ENGINE
+@given(balance_sheet_files())
+# one hand-built file for each reader mutant the property kills only after a
+# long search and shrink, and one for each file feature worth holding
+@example("bank_id,total_assets,total_liabilities,asset_00\na,1_0,5,\n")
+@example("bank_id,total_assets,total_liabilities,asset_00\na,10,5,0x10\nb,10\n")
+@example("bank_id,total_assets,total_liabilities,asset_00\na,10,5,5,5\n")
+@example("bank_id,total_assets,total_liabilities,asset_00\na,-10,5,5\nb,10,5,-1\n")
+@example("bank_id,total_assets,total_liabilities,asset_01,asset_00\na,10,5,5,5\n")
+@example("bank_id,total_assets,total_liabilities,asset_00\na,10,5,5\nb,10,5,\na,10,5,5\n"
+         "c,10,5,x\n")
+@example('\ufeffbank_id,total_assets,total_liabilities,asset_00,asset_01\r"\na",10,5,5,\r\r'
+         '"b\n",10,5,,5\r \rc,10,5,5,-0.0\rd,10,5,\u0663,5')
+def test_csv_reader_matches_record_by_record_reference(text):
+    # the message of the first error, or the same arrays bit for bit and the
+    # same row lines, at every block size; a block the parse refuses holds a
+    # row the error names, or the reader would raise no SchemaError
+    expect = load_csv(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "raw.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        for block_rows in (1, 2, 3, 8192):
+            with mock.patch.object(ingestion, "BLOCK_ROWS", block_rows):
+                try:
+                    raw = cf.load_raw_csv(path)
+                except cf.SchemaError as e:
+                    assert str(e) == expect
+                    continue
+            assert not isinstance(expect, str), expect
+            ids, assets, liabilities, holdings, lines = expect
+            assert list(raw.bank_ids) == ids
+            assert raw.total_assets.tobytes() == assets.tobytes()
+            assert raw.total_liabilities.tobytes() == liabilities.tobytes()
+            assert raw.holdings.tobytes() == holdings.tobytes()
+            assert ingestion._row_lines(path, *range(len(ids))) == lines
 
 
 # an id a CSV keeps as it is: the parse strips whitespace from both ends and
