@@ -10,18 +10,7 @@ Library layout:
 
 __version__ = "0.1.3"
 
-from .cascade import (
-    RNG_ALGORITHM,
-    SURVIVED,
-    CascadeParams,
-    CascadeResult,
-    RoundState,
-    apply_fire_sales,
-    apply_shock,
-    evaluate_round,
-    run_cascade,
-    stream,
-)
+from .cascade import SURVIVED, CascadeParams, CascadeResult, run_cascade, stream
 from .evaluation import (
     PhaseDiagram,
     phase_scan,
@@ -39,7 +28,6 @@ from .ingestion import (
     load_completed_network,
     load_labels,
     load_raw_csv,
-    network_from_sheets,
     save_completed_csv,
     write_csv,
 )
@@ -47,10 +35,9 @@ from .network import ASSET_NAMES, DEFAULT_MEAN_WEIGHTS, BankAssetNetwork
 
 __all__ = [
     "ASSET_NAMES", "BankAssetNetwork", "CascadeParams", "CascadeResult",
-    "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RNG_ALGORITHM", "RawTable", "RoundState",
-    "SURVIVED", "SchemaError", "SyntheticConfig", "apply_fire_sales", "apply_shock",
-    "complete_dataset", "compute_average_weights", "evaluate_round", "generate_synthetic",
+    "DEFAULT_MEAN_WEIGHTS", "PhaseDiagram", "RawTable", "SURVIVED", "SchemaError",
+    "SyntheticConfig", "complete_dataset", "compute_average_weights", "generate_synthetic",
     "labels_from_cascade", "load_completed_network", "load_labels", "load_raw_csv",
-    "network_from_sheets", "phase_scan", "roc_grid", "run_cascade", "save_completed_csv",
-    "stream", "survival_curves", "write_csv",
+    "phase_scan", "roc_grid", "run_cascade", "save_completed_csv", "stream",
+    "survival_curves", "write_csv",
 ]

@@ -92,9 +92,8 @@ class CascadeParams:
         object.__setattr__(self, "shocked_assets", shocks)
 
     @classmethod
-    def single(cls, asset: int, p: float, alpha: float, eta: float,
-               max_rounds: int = None) -> "CascadeParams":
-        return cls(alpha=alpha, eta=eta, shocked_assets={asset: p}, max_rounds=max_rounds)
+    def single(cls, asset: int, p: float, alpha: float, eta: float) -> "CascadeParams":
+        return cls(alpha=alpha, eta=eta, shocked_assets={asset: p})
 
 
 @dataclass

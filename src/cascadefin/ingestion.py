@@ -365,16 +365,19 @@ def _complete_rows(bank_ids, b, values, avg) -> list:
 
 def network_from_sheets(raw: RawTable) -> BankAssetNetwork:
     """The network of a RawTable without blanks. An asset column that sums to
-    inf raises SchemaError."""
+    inf raises SchemaError; the network sums the columns, and they are summed
+    again only to name that column."""
     if not len(raw.bank_ids):
         raise ValueError("empty network")
-    with np.errstate(over="ignore"):
-        market_value = raw.holdings.sum(axis=0)
-    if np.isinf(market_value).any():
-        m = int(np.argmax(np.isinf(market_value)))
-        raise SchemaError(f"column 'asset_{m:02d}' sums to inf over all rows")
-    return BankAssetNetwork(raw.bank_ids, raw.holdings, raw.total_assets,
-                            raw.total_liabilities, market_value)
+    try:
+        return BankAssetNetwork(raw.bank_ids, raw.holdings, raw.total_assets,
+                                raw.total_liabilities)
+    except ValueError:
+        with np.errstate(over="ignore"):
+            inf = np.isinf(raw.holdings.sum(axis=0))
+        if not inf.any():
+            raise
+    raise SchemaError(f"column 'asset_{int(np.argmax(inf)):02d}' sums to inf over all rows")
 
 
 def load_completed_network(path) -> BankAssetNetwork:
@@ -441,8 +444,13 @@ def write_csv(columns, path):
     header, BLOCK_ROWS rows at a time: the one writer of every table. A float
     column writes the repr of each value, which round-trips and never varies,
     any other column str of each value as a CSV field, a None column blanks.
-    The file takes its name only once it is whole (replacing)."""
-    n_rows = max((len(col) for col in columns.values() if col is not None), default=0)
+    The file takes its name only once it is whole (replacing); columns of
+    unequal length raise ValueError before it is opened."""
+    lengths = {name: len(col) for name, col in columns.items() if col is not None}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("columns of unequal length: "
+                         + ", ".join(f"{name} {n}" for name, n in lengths.items()))
+    n_rows = max(lengths.values(), default=0)
     with replacing(path) as part, open(part, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, n_rows, BLOCK_ROWS):

@@ -8,7 +8,7 @@ holdings, the totals and the per-asset market values a cascade reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -74,15 +74,16 @@ class BankAssetNetwork:
     bank_ids is a 1-D numpy.dtypes.StringDType array, one id a row: a tuple
     or list is converted once, and a StringDType column is kept as it is,
     not copied. Being an array, it compares elementwise with ==. holdings is
-    the N x M matrix of original (pre-shock) positions; market_value holds
-    the per-asset totals A_m = sum_i B_{i,m}. A cascade only reads them.
+    the N x M matrix of original (pre-shock) positions; market_value is
+    derived from them, the per-asset totals A_m = sum_i B_{i,m}, so it never
+    disagrees with the holdings. A cascade only reads them.
     """
 
     bank_ids: np.ndarray
     holdings: FloatA
     total_assets: FloatA
     total_liabilities: FloatA
-    market_value: FloatA = None
+    market_value: FloatA = field(init=False)
 
     def __post_init__(self):
         # np.asarray(ids, dtype=StringDType()) would copy a StringDType column:
@@ -96,11 +97,14 @@ class BankAssetNetwork:
         if (self.holdings.ndim != 2 or self.bank_ids.ndim != 1
                 or len(self.bank_ids) != len(self.holdings)):
             raise ValueError("bank ids do not match the rows of a 2-D holdings matrix")
+        for name in ("total_assets", "total_liabilities"):
+            if (shape := getattr(self, name).shape) != self.bank_ids.shape:
+                raise ValueError(f"{name} has shape {shape}, not one value per bank id "
+                                 f"{self.bank_ids.shape}")
         if has_repeat(self.bank_ids):
             raise ValueError("duplicate bank_id")
-        if self.market_value is None:
-            with np.errstate(over="ignore"):   # the finite check below refuses inf
-                self.market_value = self.holdings.sum(axis=0)
+        with np.errstate(over="ignore"):   # the finite check below refuses inf
+            self.market_value = self.holdings.sum(axis=0)
         # reductions, not N x M boolean temporaries: min and max carry a NaN through
         for name in ("holdings", "total_assets", "total_liabilities", "market_value"):
             values = getattr(self, name)

@@ -13,17 +13,22 @@ from cascadefin import evaluation
 
 
 def make_network(holdings, liabilities, ids=None, market_value=None):
+    """A network of the holdings, each row's total its sum; a market_value
+    given replaces the column sums the network derives, as the screening
+    property's shrunk markets do."""
     holdings = np.asarray(holdings, dtype=np.float64)
     liabilities = np.asarray(liabilities, dtype=np.float64)
     if ids is None:
         ids = tuple(f"b{i:03d}" for i in range(len(holdings)))
-    return cf.BankAssetNetwork(
+    net = cf.BankAssetNetwork(
         bank_ids=tuple(ids),
         holdings=holdings,
         total_assets=holdings.sum(axis=1),
         total_liabilities=liabilities,
-        market_value=market_value,
     )
+    if market_value is not None:
+        net.market_value = np.asarray(market_value, dtype=np.float64)
+    return net
 
 
 def toy_network():

@@ -4,15 +4,15 @@ lattice's worker count and fork driver, the command line's range, manifest,
 door, the CSV header's columns, the parse's row checks, blank cells, refused
 cells, duplicate ids, table size and one block at a time, the records csv
 refuses, the second read that finds a bad file's row lines, the CSV writer's
-encoding, blocks and quoting, the writers' whole-file rename and the targets
-it must not replace, the rules that no input comes from the environment and
-that prices change only in _scale_prices, the network's id column and sum
-tolerance, ingest's in-place completion, its repair masks, the rows it
-refuses and its row sums, synthetic generation's in-place weights and
-holdings and its id column, the label file's header and duplicate count, the
-manifest digest's built-in module, the entry's OpenSSL block and the
-package's start-up rules, each with the tests that kill it or the reason no
-result can change.
+encoding, equal-length columns, blocks and quoting, the writers' whole-file
+rename and the targets it must not replace, the rules that no input comes from
+the environment and that prices change only in _scale_prices, the network's id
+column, one total per bank and sum tolerance, ingest's in-place completion,
+its repair masks, the rows it refuses and its row sums, synthetic generation's
+in-place weights and holdings and its id column, the label file's header and
+duplicate count, the manifest digest's built-in module, the entry's OpenSSL
+block and the package's start-up rules, each with the tests that kill it or
+the reason no result can change.
 
     python tests/mutants.py [--workdir DIR] [--only NAME ...] [--all-tests | --each]
 
@@ -85,6 +85,7 @@ AROUND_REFUSED = ("tests/test_ingestion.py::"
 THROUGH = "tests/test_cli.py::test_run_out_writes_through_what_it_names"
 HEADER = "tests/test_ingestion.py::test_load_raw_csv_header_is_checked"
 CSV_ORACLE = "tests/test_properties.py::test_csv_reader_matches_record_by_record_reference"
+LABELS_ORACLE = "tests/test_properties.py::test_label_reader_matches_record_by_record_reference"
 # a run longer than this prints SLOW, which reports and never fails
 SLOW_S = 30
 FAILING = "failing = undefined.any(axis=1) | (negative & (known_sum <= 0)) | overflow | broken"
@@ -142,6 +143,9 @@ MUTANTS = (
             "tests/test_ingestion.py::test_ingest_layers_peak_in_bounded_memory")),
     Mutant("network-ids-of-any-rank", NETWORK, " or self.bank_ids.ndim != 1", "",
            ("tests/test_network.py::test_network_needs_one_holdings_row_per_bank_id[2-d-ids]",)),
+    Mutant("network-totals-of-any-length", NETWORK,
+           "if (shape := getattr(self, name).shape) != self.bank_ids.shape:", "if False:",
+           ("tests/test_network.py::test_network_needs_one_total_per_bank_id",)),
     Mutant("network-sum-tolerance-unscaled", NETWORK,
            "return miss > np.multiply(tol, SUM_RTOL, out=tol)", "return miss > tol",
            ("tests/test_network.py::test_network_validates_holdings_sum",)),
@@ -407,6 +411,9 @@ MUTANTS = (
     Mutant("writer-whole-column", INGESTION, "col[lo:lo + BLOCK_ROWS].tolist())", "col.tolist())",
            (f"{WRITER}[longer-than-a-block]",
             "tests/test_evaluation.py::test_write_csv_holds_one_block_of_cells_at_a_time")),
+    Mutant("writer-unequal-columns-written", INGESTION,
+           "if len(set(lengths.values())) > 1:", "if False:",
+           ("tests/test_evaluation.py::test_write_csv_refuses_columns_of_unequal_length",)),
     Mutant("writer-text-unquoted", INGESTION, 'else _csv_field,', "else str,",
            (f"{WRITER}[quoted-text]",
             "tests/test_ingestion.py::test_save_quotes_bank_ids_as_csv_writer_does")),
@@ -436,7 +443,13 @@ MUTANTS = (
     Mutant("csv-error-uncaught", INGESTION, 'raise SchemaError(f"row {end + 1}: {e}") from None',
            "raise", (f"{CSV_REFUSED}[unclosed-quote-3]",
                      "tests/test_ingestion.py::test_labels_name_the_line_of_a_record_csv_refuses",
-                     f"{BAD_FILE}[ingest-unclosed-quote]", f"{BAD_FILE}[labels-oversized-id]")),
+                     f"{BAD_FILE}[ingest-unclosed-quote]", f"{BAD_FILE}[labels-oversized-id]",
+                     LABELS_ORACLE)),
+    Mutant("csv-error-names-the-last-line", INGESTION, 'f"row {end + 1}: {e}"',
+           'f"row {end}: {e}"',
+           (f"{CSV_REFUSED}[unclosed-quote-3]",
+            "tests/test_ingestion.py::test_labels_name_the_line_of_a_record_csv_refuses",
+            LABELS_ORACLE)),
     # the parse sizes its columns by the file's CR and LF bytes
     Mutant("max-rows-without-lf", INGESTION, 'chunk.count(b"\\n") + chunk.count(b"\\r")',
            'chunk.count(b"\\r")', (f"{LAYOUTS}[lf]", CSV_ORACLE)),
@@ -616,13 +629,14 @@ MUTANTS = (
     # labels: the optional header is the first non-blank record
     Mutant("labels-header-kept", INGESTION,
            'if ids and ids[0].lower() == "bank_id":', "if False:",
-           ("tests/test_ingestion.py::test_labels_header_is_the_first_non_blank_record",)),
+           ("tests/test_ingestion.py::test_labels_header_is_the_first_non_blank_record",
+            LABELS_ORACLE)),
     # labels: the duplicate warning counts the extra copies
     Mutant("labels-duplicates-unwarned", INGESTION, "    if dupes:", "    if False:",
-           ("tests/test_ingestion.py::test_labels_dedupe_warns",)),
+           ("tests/test_ingestion.py::test_labels_dedupe_warns", LABELS_ORACLE)),
     Mutant("labels-counts-repeated-ids", INGESTION, "dupes = len(ids) - len(unique)",
            "dupes = sum(ids.count(i) > 1 for i in unique)",
-           ("tests/test_ingestion.py::test_labels_dedupe_warns",)),
+           ("tests/test_ingestion.py::test_labels_dedupe_warns", LABELS_ORACLE)),
 )
 
 

@@ -1,7 +1,7 @@
 """Closed-form barrier probability, straight-line reference cascade,
 unscreened barrier pass, bank-by-bank ROC counts, row-by-row balance-sheet
-completion and a record-by-record CSV reader, used as oracles by the test
-suite.
+completion and record-by-record readers of a balance-sheet CSV and of a label
+file, used as oracles by the test suite.
 
 Deliberately naive: explicit per-bank holdings updated with python loops, no
 vectorization, no shortcuts. The production engine tracks holdings through a
@@ -382,3 +382,44 @@ def load_csv(text):
         return "no data rows in input"
     ids, assets, liabilities, holdings, lines = map(list, zip(*rows))
     return ids, np.array(assets), np.array(liabilities), np.array(holdings), lines
+
+
+def load_labels(text):
+    """A label file's text read one csv record at a time: the message of the
+    first record csv refuses, or (the set of ids, the count of repeats).
+
+    A leading byte order mark is dropped. A record's id is its first field
+    stripped, and a record without one is blank and skipped. The first record
+    with an id is a header, and skipped too, when that id is bank_id in any
+    case. Each id after the first of its kind is a repeat. A record csv
+    refuses is named by the line it starts on, counted here as the lines csv
+    has taken so far, plus one."""
+    taken = 0
+
+    def lines():
+        nonlocal taken
+        for line in io.StringIO(text.removeprefix("\ufeff"), newline=""):
+            taken += 1
+            yield line
+
+    reader = csv.reader(lines())
+    ids, first = [], True
+    while True:
+        start = taken + 1
+        try:
+            rec = next(reader, None)
+        except csv.Error as e:
+            return f"row {start}: {e}"
+        if rec is None:
+            break
+        bank_id = rec[0].strip() if rec else ""
+        if not bank_id:
+            continue
+        if not (first and bank_id.lower() == "bank_id"):
+            ids.append(bank_id)
+        first = False
+    seen, repeats = set(), 0
+    for bank_id in ids:
+        repeats += bank_id in seen
+        seen.add(bank_id)
+    return frozenset(seen), repeats

@@ -78,7 +78,7 @@ def criterion_1():
     branches = set()
     for j, (ratio, eta) in enumerate(points):
         b = 100.0 * ratio
-        state = cf.RoundState(
+        state = cf.cascade.RoundState(
             alive=np.ones(k, dtype=bool),
             price_index=np.ones(1),
             market_value=np.array([b * k]),
@@ -86,7 +86,7 @@ def criterion_1():
             liabilities=np.full(k, 100.0),
         )
         params = cf.CascadeParams.single(0, 1.0, 0.0, eta)
-        failures = cf.evaluate_round(state, params, cf.stream(SEED, 1, j))
+        failures = cf.cascade.evaluate_round(state, params, cf.stream(SEED, 1, j))
         freq = failures.size / k
         expect = failure_probability(b, 100.0, eta)
         assert abs(expect - min(max((1.0 - ratio) / eta, 0.0), 1.0)) < 1e-12

@@ -22,7 +22,7 @@ from reference import brute_force_cascade, failure_probability, full_barrier_rou
 def state_for(totals, liabilities):
     # K banks on a single unit-priced asset, one holding each
     totals = np.asarray(totals, dtype=np.float64).reshape(-1, 1)
-    return cf.RoundState(
+    return cf.cascade.RoundState(
         alive=np.ones(totals.shape[0], dtype=bool),
         price_index=np.ones(1),
         market_value=np.array([float(totals.sum())]),
@@ -33,7 +33,7 @@ def state_for(totals, liabilities):
 
 def fresh_state(net):
     # the state run_cascade starts from: everyone alive, every price index 1
-    return cf.RoundState(
+    return cf.cascade.RoundState(
         alive=np.ones(net.n_banks, dtype=bool),
         price_index=np.ones(net.n_assets),
         market_value=net.market_value.copy(),
@@ -44,7 +44,7 @@ def fresh_state(net):
 
 def shocked(net, params):
     state = fresh_state(net)
-    assert cf.apply_shock(state, params) == []
+    assert cf.cascade.apply_shock(state, params) == []
     return state
 
 
@@ -79,7 +79,7 @@ def test_barrier_monte_carlo_matches_closed_form():
     k = 100_000
     state = state_for(np.full(k, 80.0), np.full(k, 100.0))
     params = cf.CascadeParams.single(0, 1.0, 0.0, 0.5)
-    failures = cf.evaluate_round(state, params, cf.stream(1234))
+    failures = cf.cascade.evaluate_round(state, params, cf.stream(1234))
     assert abs(failures.size / k - 0.4) < 0.01
 
 
@@ -130,7 +130,7 @@ def test_shock_skips_dead_asset_with_warning():
     net = make_network([[100.0, 0.0]], [50.0])
     state = fresh_state(net)
     with pytest.warns(UserWarning, match="zero market value"):
-        skipped = cf.apply_shock(state, cf.CascadeParams.single(1, 0.5, 0.0, 0.0))
+        skipped = cf.cascade.apply_shock(state, cf.CascadeParams.single(1, 0.5, 0.0, 0.0))
     assert skipped == [1]
     assert np.array_equal(state.price_index, [1.0, 1.0])
 
@@ -138,7 +138,7 @@ def test_shock_skips_dead_asset_with_warning():
 def test_shock_unknown_asset_raises():
     net = toy_network()
     with pytest.raises(ValueError, match="not in network"):
-        cf.apply_shock(fresh_state(net), cf.CascadeParams.single(7, 0.5, 0.0, 0.0))
+        cf.cascade.apply_shock(fresh_state(net), cf.CascadeParams.single(7, 0.5, 0.0, 0.0))
 
 
 # --- round evaluation ----------------------------------------------------
@@ -146,7 +146,7 @@ def test_shock_unknown_asset_raises():
 def test_evaluate_round_eta_zero_needs_no_rng():
     state = state_for([90.0, 110.0], [100.0, 100.0])
     params = cf.CascadeParams.single(0, 1.0, 0.0, 0.0)
-    failures = cf.evaluate_round(state, params, None)
+    failures = cf.cascade.evaluate_round(state, params, None)
     assert failures.tolist() == [0]
     assert state.alive.tolist() == [False, True]
 
@@ -156,7 +156,7 @@ def test_evaluate_round_records_draws_for_alive_banks():
     state.alive[2] = False
     params = cf.CascadeParams.single(0, 1.0, 0.0, 0.26)
     rng = cf.stream(5)
-    failures = cf.evaluate_round(state, params, rng)
+    failures = cf.cascade.evaluate_round(state, params, rng)
     # one uniform per alive bank, ascending; only bank 0 can fail
     r = cf.stream(5).random(2) * 0.26
     assert failures.tolist() == ([0] if 90.0 < (1.0 - r[0]) * 100.0 else [])
@@ -167,7 +167,7 @@ def test_evaluate_round_records_draws_for_alive_banks():
 def test_evaluate_round_simultaneous_at_fixed_prices():
     # both marginal banks are judged at the same pre-round prices
     state = state_for([99.0, 99.5], [100.0, 100.0])
-    failures = cf.evaluate_round(state, cf.CascadeParams.single(0, 1.0, 0.0, 0.0), None)
+    failures = cf.cascade.evaluate_round(state, cf.CascadeParams.single(0, 1.0, 0.0, 0.0), None)
     assert failures.tolist() == [0, 1]
 
 
@@ -183,15 +183,15 @@ def screening_run(market_value):
     # A is far from its barrier, B next to it, and C, next to its barrier
     # too, holds only asset 1; p = 0.5 shocks asset 0 and alpha is 0.5
     holdings = np.array([[100.0, 0.0], [100.0, 0.0], [0.0, 100.0]]).view(RowCounter)
-    state = cf.RoundState(alive=np.ones(3, dtype=bool), price_index=np.ones(2),
-                          market_value=np.array(market_value), holdings_base=holdings,
-                          liabilities=np.array([10.0, 95.0, 99.0]))
+    state = cf.cascade.RoundState(alive=np.ones(3, dtype=bool), price_index=np.ones(2),
+                                  market_value=np.array(market_value), holdings_base=holdings,
+                                  liabilities=np.array([10.0, 95.0, 99.0]))
     params = cf.CascadeParams.single(0, 0.5, 0.5, 0.0)
 
     def barrier():
         # (failed banks, rows summed) of one pass
         holdings.gathered = []
-        failures = cf.evaluate_round(state, params, None)
+        failures = cf.cascade.evaluate_round(state, params, None)
         return failures.tolist(), holdings.gathered
 
     return state, params, barrier
@@ -200,13 +200,13 @@ def screening_run(market_value):
 def test_barrier_pass_skips_banks_their_bound_proves_solvent():
     state, params, barrier = screening_run([200.0, 100.0])
     assert barrier() == ([], [3])       # no bound yet: every row is summed
-    cf.apply_shock(state, params)
+    cf.cascade.apply_shock(state, params)
     # the shock halves every bound to 50: A, against 10, is skipped, and B
     # (against 95) and C (against 99) are summed
     assert barrier() == ([1], [2])
     assert 50.0 - 1e-9 < state.bound[0] < 50.0
     assert state.bound[2] == 100.0
-    assert cf.apply_fire_sales(state, np.array([1]), params) == []
+    assert cf.cascade.apply_fire_sales(state, np.array([1]), params) == []
     # factor 0.75 on asset 0: A's bound falls to 37.5, still above its 10,
     # and C's to 75, so only C is summed
     assert barrier() == ([], [1])
@@ -254,9 +254,9 @@ def test_clamped_fire_sale_forces_a_full_pass():
     # asset 0 is tracked at 30, below its holdings, so B's sale clamps it
     state, params, barrier = screening_run([30.0, 100.0])
     assert barrier() == ([], [3])
-    cf.apply_shock(state, params)
+    cf.cascade.apply_shock(state, params)
     assert barrier() == ([1], [2])
-    assert cf.apply_fire_sales(state, np.array([1]), params) == [0]
+    assert cf.cascade.apply_fire_sales(state, np.array([1]), params) == [0]
     # the clamp zeroed every bound: A and C are summed again, and A fails at
     # price 0
     assert barrier() == ([0], [2])
@@ -269,7 +269,7 @@ def test_fire_sale_worked_example():
     state = state_for([50.0, 100.0, 50.0], [60.0, 60.0, 60.0])
     state.alive[0] = False
     params = cf.CascadeParams.single(0, 1.0, 0.5, 0.0)
-    clamped = cf.apply_fire_sales(state, np.array([0]), params)
+    clamped = cf.cascade.apply_fire_sales(state, np.array([0]), params)
     assert state.price_index[0] == pytest.approx(0.875, rel=1e-15)
     assert state.market_value[0] == pytest.approx(175.0, rel=1e-15)
     holdings = state.holdings_base * state.price_index
@@ -279,8 +279,8 @@ def test_fire_sale_worked_example():
 
 def test_fire_sale_alpha_zero_changes_nothing():
     state = state_for([50.0, 100.0], [60.0, 60.0])
-    assert cf.apply_fire_sales(state, np.array([0]),
-                               cf.CascadeParams.single(0, 1.0, 0.0, 0.0)) == []
+    assert cf.cascade.apply_fire_sales(state, np.array([0]),
+                                       cf.CascadeParams.single(0, 1.0, 0.0, 0.0)) == []
     assert state.price_index[0] == 1.0
     assert state.market_value[0] == 150.0
 
@@ -288,21 +288,21 @@ def test_fire_sale_alpha_zero_changes_nothing():
 def test_fire_sale_requires_failures():
     state = state_for([50.0], [60.0])
     with pytest.raises(ValueError, match="non-empty"):
-        cf.apply_fire_sales(state, np.array([], dtype=np.int64),
-                            cf.CascadeParams.single(0, 1.0, 0.5, 0.0))
+        cf.cascade.apply_fire_sales(state, np.array([], dtype=np.int64),
+                                    cf.CascadeParams.single(0, 1.0, 0.5, 0.0))
 
 
 def test_fire_sale_clamps_oversold_asset():
     # defensive path: a deduction exceeding the tracked value pins price at 0
-    state = cf.RoundState(
+    state = cf.cascade.RoundState(
         alive=np.array([True]),
         price_index=np.ones(1),
         market_value=np.array([20.0]),
         holdings_base=np.array([[30.0]]),
         liabilities=np.array([10.0]),
     )
-    clamped = cf.apply_fire_sales(state, np.array([0]),
-                                  cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
+    clamped = cf.cascade.apply_fire_sales(state, np.array([0]),
+                                          cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
     assert clamped == [0]
     assert state.price_index[0] == 0.0
     assert state.market_value[0] == 0.0
@@ -313,12 +313,12 @@ def test_fire_sale_leaves_a_worthless_asset_nobody_sells():
     # asset 1 goes through, leaves asset 0 as it was, and prices asset 1 as
     # in a market where every asset has value
     def sale(market_value):
-        state = cf.RoundState(alive=np.array([False, True]), price_index=np.ones(2),
-                              market_value=np.array(market_value),
-                              holdings_base=np.array([[0.0, 30.0], [0.0, 50.0]]),
-                              liabilities=np.array([40.0, 40.0]))
+        state = cf.cascade.RoundState(alive=np.array([False, True]), price_index=np.ones(2),
+                                      market_value=np.array(market_value),
+                                      holdings_base=np.array([[0.0, 30.0], [0.0, 50.0]]),
+                                      liabilities=np.array([40.0, 40.0]))
         params = cf.CascadeParams.single(1, 1.0, 0.3, 0.0)
-        assert cf.apply_fire_sales(state, np.array([0]), params) == []
+        assert cf.cascade.apply_fire_sales(state, np.array([0]), params) == []
         return state
 
     dead, live = sale([0.0, 80.0]), sale([5.0, 80.0])
@@ -330,7 +330,7 @@ def test_fire_sale_leaves_a_worthless_asset_nobody_sells():
 
 def test_fire_sale_on_zero_value_asset_raises():
     # holdings of an asset whose market value is already 0 cannot be sold
-    state = cf.RoundState(
+    state = cf.cascade.RoundState(
         alive=np.array([True]),
         price_index=np.ones(1),
         market_value=np.array([0.0]),
@@ -338,8 +338,8 @@ def test_fire_sale_on_zero_value_asset_raises():
         liabilities=np.array([10.0]),
     )
     with pytest.raises(ValueError, match="zero-value asset"):
-        cf.apply_fire_sales(state, np.array([0]),
-                            cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
+        cf.cascade.apply_fire_sales(state, np.array([0]),
+                                    cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
 
 
 # --- full cascades -------------------------------------------------------
@@ -408,7 +408,8 @@ def test_fixed_seed_is_deterministic_at_positive_eta():
 
 def test_max_rounds_flags_non_convergence():
     result = cf.run_cascade(toy_network(),
-                            cf.CascadeParams.single(0, 0.6, 1.0, 0.0, max_rounds=1),
+                            cf.CascadeParams(alpha=1.0, eta=0.0, shocked_assets={0: 0.6},
+                                             max_rounds=1),
                             cf.stream(0))
     assert result.diagnostics["non_converged"]
     assert result.rounds_executed == 1

@@ -319,6 +319,15 @@ def test_write_csv(columns, text, tmp_path, monkeypatch):
         assert path.read_bytes() == text.encode()
 
 
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    # zip would stop at the shortest column and drop the rest without a word
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="^columns of unequal length: a 5, b 3, c 5$"):
+        cf.write_csv({"a": np.arange(5.0), "none": None, "b": np.arange(3.0),
+                      "c": np.array(["x"] * 5)}, path)
+    assert not path.exists()
+
+
 def test_write_csv_holds_one_block_of_cells_at_a_time(tmp_path):
     # on a 9k-row ROC-shaped table the writer peaks at about 0.08 times the
     # columns' bytes, and at 0.26 with blocks four times as long; turning whole

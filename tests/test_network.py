@@ -68,6 +68,19 @@ def test_network_needs_one_holdings_row_per_bank_id(ids, holdings):
         cf.BankAssetNetwork(ids, np.array(holdings), np.array([3.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("assets, liabilities, message", [
+    ([1.0, 1.0], [0.5, 0.5, 0.5], r"total_liabilities has shape \(3,\)"),
+    ([2.0], [0.5, 0.5], r"total_assets has shape \(1,\)"),
+    ([1.0, 1.0], 0.5, r"total_liabilities has shape \(\)"),
+], ids=["long-liabilities", "short-assets", "scalar-liabilities"])
+def test_network_needs_one_total_per_bank_id(assets, liabilities, message):
+    # a longer vector was taken and its extra values never read; a shorter
+    # one failed with an IndexError while the sum check named its bank
+    with pytest.raises(ValueError, match=f"^{message}, not one value per bank id \\(2,\\)$"):
+        cf.BankAssetNetwork(("b0", "b1"), np.ones((2, 1)), np.array(assets),
+                            np.array(liabilities))
+
+
 def test_network_rejects_duplicate_ids():
     # a duplicate is found whether or not it follows its first
     for ids in (("same", "same"), ("b", "a", "b")):
@@ -115,7 +128,7 @@ def test_derived_quantities():
 def test_network_from_sheets_refuses_an_empty_table():
     empty = cf.RawTable((), np.empty(0), np.empty(0), np.empty((0, 1)))
     with pytest.raises(ValueError, match="empty network"):
-        cf.network_from_sheets(empty)
+        cf.ingestion.network_from_sheets(empty)
 
 
 def test_failed_banks_have_lower_equity_ratio():

@@ -21,7 +21,7 @@ from cascadefin import ingestion
 
 from helpers import make_network, random_instance, rows
 from reference import (brute_force_cascade, brute_force_roc, complete_rows,
-                       full_barrier_round, load_csv)
+                       full_barrier_round, load_csv, load_labels)
 
 # derandomized, so every run of the suite checks the same examples
 ENGINE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -293,6 +293,12 @@ def raw_tables(draw):
 # a row whose reported cells pass its total by less than the tolerance: no
 # negative residual, so its blank is filled with 0 and nothing is rescaled
 @example((np.array([100.0, 100.0]), np.array([[60.0, 40.0], [100.00000005, np.nan]])))
+# a row with a blank whose known cells miss its total by far: its blank takes
+# the residual, and no cell is rescaled
+@example((np.array([100.0, 100.0]), np.array([[60.0, 40.0], [30.0, np.nan]])))
+# a row whose blank has average weight 0 and whose known cells meet its
+# total: its blank is filled with 0, and no repair is reported
+@example((np.array([100.0, 50.0]), np.array([[100.0, 0.0], [50.0, np.nan]])))
 def test_completion_matches_row_by_row_reference(tab):
     totals, holdings = tab
     ids = tuple(f"b{i}" for i in range(len(totals)))
@@ -391,6 +397,55 @@ def test_csv_reader_matches_record_by_record_reference(text):
             assert raw.total_liabilities.tobytes() == liabilities.tobytes()
             assert raw.holdings.tobytes() == holdings.tobytes()
             assert ingestion._row_lines(path, *range(len(ids))) == lines
+
+
+# label-file records as written: ids plain, padded, quoted around a comma or
+# a line break, or with a quote left open to the end of the file; blank lines
+# and records; headers in any case; now and then a field over csv's limit
+LABEL_RECORDS = 4 * ["b{}", " b{} ", '"b{}"', '"b,{}"', '"\nb\r\n{} "', "", " ", " , ",
+                     "bank_id", "Bank_ID", ' "BANK_ID" '] + ['"b{}', '"' + "x" * 131_073 + '"']
+
+
+@st.composite
+def label_files(draw):
+    """The text of a small label file: LF, CRLF or CR line ends, maybe a byte
+    order mark and no final line end; ids repeat often, and a record may carry
+    more fields."""
+    records = [draw(st.sampled_from(LABEL_RECORDS)).format(draw(st.integers(0, 3)))
+               + draw(st.sampled_from(["", "", "", ",x", ","]))
+               for _ in range(draw(st.integers(0, 8)))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(records) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@ENGINE
+@given(label_files())
+# one hand-built file for each mutant the property kills
+@example("\r\n , \r\n Bank_ID \r\nb1\r\n")
+@example("b1\nb2\nb1\n")
+@example('"b1"\r"b1 "\rb1,x\r')
+@example('\ufeffbank_id\n"b\n1"\n\n"' + "x" * 131_073 + '"\nb2\n')
+def test_label_reader_matches_record_by_record_reference(text):
+    # the reference's message, or its set of ids and the warning its count of
+    # repeats gives, none without a repeat
+    expect = load_labels(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "labels.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                labels = cf.load_labels(path)
+            except cf.SchemaError as e:
+                assert str(e) == expect
+                return
+    assert not isinstance(expect, str), expect
+    ids, repeats = expect
+    assert labels == ids
+    assert [str(w.message) for w in caught] == \
+        [f"label file contains {repeats} duplicate ids; deduplicated"] * bool(repeats)
 
 
 # an id a CSV keeps as it is: the parse strips whitespace from both ends and

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -141,6 +142,15 @@ def test_every_public_name_is_used_outside_tests():
     read = set().union(*(_read(_tree(f)) for f in users))
     unused = sorted(set(_all(_tree(SRC / "__init__.py"))) - read)
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_every_public_name_is_documented():
+    # README's Python API is the export list, so the API cannot grow undocumented
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    undocumented = sorted(name for name in _all(_tree(SRC / "__init__.py"))
+                          if not re.search(rf"\b{name}\b", section))
+    assert undocumented == [], f"exported but not in README's Python API: {undocumented}"
 
 
 def _project() -> dict:
