@@ -4,8 +4,8 @@ One run proceeds in rounds. Every alive bank is evaluated against the same
 pre-round prices (simultaneous evaluation), failures within a round are
 aggregated into a single fire-sale price update, and the loop stops at the
 first round with no failures. The run's working arrays live in one RoundState
-that apply_shock, evaluate_round and apply_fire_sales update in place; the
-network is only read. Holdings are tracked implicitly: a surviving bank's
+that run_cascade's shock, evaluate_round and apply_fire_sales update in place;
+the network is only read. Holdings are tracked implicitly: a surviving bank's
 current position in asset m is its original holding times the asset's
 cumulative price index, so the factorization invariant holds by construction
 and bank totals are cheap to recompute each round.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 # numpy starts OpenBLAS's worker threads as it loads, but the package calls no
@@ -105,12 +105,12 @@ class RoundState:
     banks that already failed are excluded from every sum, so that product is
     only meaningful where alive is True.
 
-    bound holds each bank's certified lower bound on its current total, 0.0
-    until set (run_cascade sets the row totals at prices 1 before round 0);
-    evaluate_round skips the banks it proves solvent. It stays a lower bound
-    only while every price change goes through apply_shock or
-    apply_fire_sales. Code that changes price_index any other way must zero
-    bound first, or banks that can fail are skipped.
+    bound holds each bank's certified lower bound on its current total
+    (run_cascade starts it at the row totals at prices 1; zeros certify
+    nothing); evaluate_round skips the banks it proves solvent. It stays a
+    lower bound only while every price change goes through _scale_prices.
+    Code that changes price_index any other way must zero bound first, or
+    banks that can fail are skipped.
     """
 
     alive: BoolA
@@ -118,41 +118,17 @@ class RoundState:
     market_value: FloatA
     holdings_base: FloatA
     liabilities: FloatA
-    bound: FloatA = field(init=False)
-
-    def __post_init__(self):
-        self.bound = np.zeros(self.alive.size)
+    bound: FloatA
 
 
-def apply_shock(state: RoundState, params: CascadeParams) -> list:
-    """Scale each shocked asset's price and market value by its p.
-
-    Assets with zero market value are skipped with a warning; returns their
-    indices.
-    """
-    factor = np.ones_like(state.price_index)
-    skipped = []
-    for m, p in params.shocked_assets.items():
-        if m < 0 or m >= state.price_index.size:
-            raise ValueError(f"shocked asset {m} not in network")
-        if state.market_value[m] == 0.0:
-            warnings.warn(f"shocked asset {m} has zero market value; shock skipped")
-            skipped.append(m)
-            continue
-        factor[m] = p
-    state.market_value *= factor
-    _scale_prices(state, factor, factor.min())
-    return skipped
-
-
-def _scale_prices(state: RoundState, factor: FloatA, low: float) -> None:
+def _scale_prices(state: RoundState, factor: FloatA) -> None:
     """Multiply each asset's price index by its factor (in [0, 1]) and every
-    bound by the smallest factor, low, less the margin proved in evaluate_round."""
+    bound by the smallest factor less the margin proved in evaluate_round."""
     prices = state.price_index * factor
     if prices.min() < BOUND_FLOOR and ((prices < BOUND_FLOOR) & (state.price_index > 0.0)).any():
         state.bound[:] = 0.0
     else:
-        state.bound *= low * (1.0 - max(1e-12, 4.0 * factor.size * EPS))
+        state.bound *= factor.min() * (1.0 - max(1e-12, 4.0 * factor.size * EPS))
     state.price_index[:] = prices
 
 
@@ -239,12 +215,11 @@ def apply_fire_sales(state: RoundState, failures: IntA, params: CascadeParams) -
             raise ValueError("fire sale on a zero-value asset")
         factor = np.ones_like(a)
         np.divide(remaining, a, out=factor, where=a > 0.0)
-    low = factor.min()
     clamped = []
-    if low < 0.0:
+    if factor.min() < 0.0:
         clamped = (factor < 0.0).nonzero()[0].tolist()
         np.maximum(factor, 0.0, out=factor)
-    _scale_prices(state, factor, max(low, 0.0))
+    _scale_prices(state, factor)
     np.maximum(remaining, 0.0, out=a)
     return clamped
 
@@ -259,7 +234,7 @@ class CascadeResult:
     price_index: FloatA
     market_value: FloatA
     price_trajectory: FloatA      # (boundaries, M); row 0 = just after the shock
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def run_cascade(network: BankAssetNetwork, params: CascadeParams,
@@ -276,20 +251,32 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
     if rng is None and params.eta != 0.0:
         raise ValueError(f"eta = {params.eta} draws barrier noise; pass a generator")
     n = network.n_banks
+    # round 0 sums only the banks below their row's total (see evaluate_round)
     state = RoundState(alive=np.ones(n, dtype=bool), price_index=np.ones(network.n_assets),
                        market_value=network.market_value.copy(),
                        holdings_base=network.holdings,
-                       liabilities=network.total_liabilities)
+                       liabilities=network.total_liabilities,
+                       bound=np.sum(network.holdings, axis=1))
     failed_round = np.full(n, SURVIVED, dtype=np.int64)
 
-    # round 0 sums only the banks below their row's total (see evaluate_round)
-    np.sum(network.holdings, axis=1, out=state.bound)
     failures0 = evaluate_round(state, params, rng)  # round 0: pre-shock pass
     failed_round[failures0] = 0
     failures_per_round = [failures0.size]
     n_alive = n - failures0.size
 
-    shock_skipped = apply_shock(state, params)
+    # the shock scales each shocked asset's price and market value by its p
+    factor = np.ones(network.n_assets)
+    shock_skipped = []
+    for m, p in params.shocked_assets.items():
+        if m < 0 or m >= factor.size:
+            raise ValueError(f"shocked asset {m} not in network")
+        if state.market_value[m] == 0.0:
+            warnings.warn(f"shocked asset {m} has zero market value; shock skipped")
+            shock_skipped.append(m)
+            continue
+        factor[m] = p
+    state.market_value *= factor
+    _scale_prices(state, factor)
     trajectory = [state.price_index.copy()]
     clamp_events = []
 

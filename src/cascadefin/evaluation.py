@@ -82,7 +82,7 @@ def _run_lattice(network, asset, cells, replicates, seed, reduce, jobs,
         An eta = 0 cell runs one cascade, with no generator, and feeds that fate
         vector to the reducer once per replicate. This is exact: at eta = 0 the
         barrier is a step, so evaluate_round draws no random number, and neither
-        apply_shock nor apply_fire_sales ever touches the rng. Every replicate of
+        the shock nor apply_fire_sales ever touches the rng. Every replicate of
         such a cell therefore has the same fates, and the reducer sees the same R
         vectors, in the same order, as a per-replicate loop. A lattice of eta = 0
         cells builds no stream, so it never loads numpy.random.

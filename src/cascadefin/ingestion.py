@@ -470,10 +470,17 @@ def save_completed_csv(network: BankAssetNetwork, path):
 
 def load_labels(path) -> frozenset:
     """The bank ids of a one-column bank_id CSV (header optional, duplicates
-    dropped with a warning)."""
+    dropped with a warning); a record with a second non-blank field is a
+    SchemaError, as its id would be a guess."""
+    ids = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            ids = [value for _, rec in _records(csv.reader(fh)) if (value := rec[0].strip())]
+            for line, rec in _records(csv.reader(fh)):
+                if any(field.strip() for field in rec[1:]):
+                    raise SchemaError(f"row {line}: expected one field (a bank_id), "
+                                      f"found {len(rec)}")
+                if value := rec[0].strip():
+                    ids.append(value)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     if ids and ids[0].lower() == "bank_id":   # the header is the first non-blank record

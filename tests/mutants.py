@@ -6,10 +6,11 @@ cells, duplicate ids, table size and one block at a time, the records csv
 refuses, the second read that finds a bad file's row lines, the CSV writer's
 encoding, equal-length columns, blocks and quoting, the writers' whole-file
 rename and the targets it must not replace, the rules that no input comes from
-the environment and that prices change only in _scale_prices, the network's id
-column, one total per bank and sum tolerance, ingest's in-place completion,
-its repair masks, the rows it refuses and its row sums, synthetic generation's
-in-place weights and holdings and its id column, the label file's header and
+the environment and that prices change only in _scale_prices, the shock's
+range check, dead-asset skip and scaling, the network's id column, one total
+per bank and sum tolerance, ingest's in-place completion, its repair masks,
+the rows it refuses and its row sums, synthetic generation's in-place weights
+and holdings and its id column, the label file's header, one field and
 duplicate count, the manifest digest's built-in module, the entry's OpenSSL
 block and the package's start-up rules, each with the tests that kill it or
 the reason no result can change.
@@ -117,6 +118,9 @@ MUTANTS = (
     Mutant("barrier-no-bound-update", CASCADE,
            "    state.bound[rows] = totals\n", "",
            ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
+    Mutant("barrier-bound-shrunk", CASCADE,
+           "    state.bound[rows] = totals\n", "    state.bound[rows] = totals * (1.0 - 1e-9)\n",
+           ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
     Mutant("barrier-no-eta", CASCADE, "        r *= params.eta\n", "",
            ("tests/test_cascade.py::test_barrier_monte_carlo_matches_closed_form",)),
     Mutant("barrier-threshold-plus", CASCADE,
@@ -127,7 +131,7 @@ MUTANTS = (
            ("tests/test_cascade.py::test_evaluate_round_eta_zero_needs_no_rng",)),
     # round-0 seeding and contiguity
     Mutant("round0-no-seed", CASCADE,
-           "    np.sum(network.holdings, axis=1, out=state.bound)\n", "",
+           "bound=np.sum(network.holdings, axis=1)", "bound=np.zeros(n)",
            ("tests/test_cascade.py::test_round_zero_sums_only_banks_below_their_row_total",)),
     Mutant("network-duplicates-unsorted", NETWORK, "ordered = np.sort(ids)", "ordered = ids",
            ("tests/test_network.py::test_network_rejects_duplicate_ids", DUPLICATE)),
@@ -159,6 +163,26 @@ MUTANTS = (
             "tests/test_properties.py::test_contiguous_row_sums_match_gathered_rows")),
     Mutant("loop-alive-count-kept", CASCADE, "        n_alive -= failures.size\n", "",
            ("tests/test_cascade.py::test_toy_cascade_frozen_trace",)),
+    # run_cascade's shock
+    Mutant("shock-range-unchecked", CASCADE, "if m < 0 or m >= factor.size:", "if False:",
+           ("tests/test_cascade.py::test_shock_unknown_asset_raises",)),
+    Mutant("shock-negative-asset-kept", CASCADE,
+           "if m < 0 or m >= factor.size:", "if m >= factor.size:",
+           ("tests/test_cascade.py::test_shock_unknown_asset_raises",)),
+    Mutant("shock-dead-asset-shocked", CASCADE, "if state.market_value[m] == 0.0:", "if False:",
+           ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning",)),
+    Mutant("shock-dead-asset-unwarned", CASCADE,
+           '            warnings.warn(f"shocked asset {m} has zero market value; shock skipped")\n',
+           "", ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning",)),
+    Mutant("shock-skip-unlisted", CASCADE, "            shock_skipped.append(m)\n", "",
+           ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning",)),
+    Mutant("shock-skip-ends-the-loop", CASCADE,
+           "            continue\n", "            break\n",
+           ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning[dead-then-live]",)),
+    Mutant("shock-p-unapplied", CASCADE, "        factor[m] = p\n", "",
+           ("tests/test_cascade.py::test_shock_scales_price_and_market",)),
+    Mutant("shock-market-unscaled", CASCADE, "    state.market_value *= factor\n", "",
+           ("tests/test_cascade.py::test_shock_scales_price_and_market",)),
     # apply_fire_sales
     Mutant("sale-no-alpha", CASCADE, "params.alpha * sold.sum(axis=0)", "sold.sum(axis=0)",
            ("tests/test_cascade.py::test_fire_sale_worked_example",)),
@@ -170,14 +194,11 @@ MUTANTS = (
            ("tests/test_cascade.py::test_fire_sale_on_zero_value_asset_raises",)),
     Mutant("sale-divide-where-ge", CASCADE, "where=a > 0.0)", "where=a >= 0.0)",
            ("tests/test_cascade.py::test_fire_sale_leaves_a_worthless_asset_nobody_sells",)),
-    Mutant("sale-clamp-test-le", CASCADE, "    if low < 0.0:", "    if low <= 0.0:",
-           proof="at low == 0 no factor is negative: the clamp list is empty, the maximum "
-                 "leaves every factor as it is (none is -0.0: a - d is never -0.0 when "
-                 "a > 0, and a factor is 1 where a <= 0) and low stays 0.0"),
-    Mutant("sale-low-not-floored", CASCADE, "max(low, 0.0)", "low",
-           proof="a negative factor needs a > 0 and a deduction > 0, so a positive price; "
-                 "the clamp takes it to 0, below BOUND_FLOOR, and _scale_prices zeroes "
-                 "every bound without reading low"),
+    Mutant("sale-clamp-test-le", CASCADE,
+           "    if factor.min() < 0.0:", "    if factor.min() <= 0.0:",
+           proof="at a smallest factor of 0 no factor is negative: the clamp list is empty "
+                 "and the maximum leaves every factor as it is (none is -0.0: a - d is "
+                 "never -0.0 when a > 0, and a factor is 1 where a <= 0)"),
     Mutant("sale-no-clamp", CASCADE, "        np.maximum(factor, 0.0, out=factor)\n", "",
            ("tests/test_cascade.py::test_fire_sale_clamps_oversold_asset",)),
     Mutant("sale-market-not-clamped", CASCADE,
@@ -189,8 +210,11 @@ MUTANTS = (
            proof="when the smallest price equals BOUND_FLOOR no price lies below it, so "
                  "the full test that follows finds nothing either"),
     Mutant("scale-no-margin", CASCADE,
-           "state.bound *= low * (1.0 - max(1e-12, 4.0 * factor.size * EPS))",
-           "state.bound *= low",
+           "state.bound *= factor.min() * (1.0 - max(1e-12, 4.0 * factor.size * EPS))",
+           "state.bound *= factor.min()",
+           ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
+    Mutant("scale-wide-margin", CASCADE, "max(1e-12, 4.0 * factor.size * EPS)",
+           "max(1e-3, 4.0 * factor.size * EPS)",
            ("tests/test_cascade.py::test_barrier_pass_skips_banks_their_bound_proves_solvent",)),
     Mutant("scale-no-floor-reset", CASCADE,
            "if prices.min() < BOUND_FLOOR and ((prices < BOUND_FLOOR) & "
@@ -436,8 +460,9 @@ MUTANTS = (
     Mutant("out-from-the-environment", CLI, 'out = args.out or "."',
            'out = args.out or os.environ.get("CASCADEFIN_OUT", ".")',
            ("tests/test_source.py::test_no_input_comes_from_the_environment",)),
-    Mutant("shock-prices-unscreened", CASCADE, "_scale_prices(state, factor, factor.min())",
-           "state.price_index *= factor",
+    Mutant("shock-prices-unscreened", CASCADE,
+           "    state.market_value *= factor\n    _scale_prices(state, factor)",
+           "    state.market_value *= factor\n    state.price_index *= factor",
            ("tests/test_source.py::test_prices_change_only_in_scale_prices",)),
     # a record csv.reader refuses is a schema error on the line it starts
     Mutant("csv-error-uncaught", INGESTION, 'raise SchemaError(f"row {end + 1}: {e}") from None',
@@ -631,6 +656,10 @@ MUTANTS = (
            'if ids and ids[0].lower() == "bank_id":', "if False:",
            ("tests/test_ingestion.py::test_labels_header_is_the_first_non_blank_record",
             LABELS_ORACLE)),
+    # labels: a record names one bank, and a second field is refused
+    Mutant("labels-second-field-dropped", INGESTION,
+           "if any(field.strip() for field in rec[1:]):", "if False:",
+           (f"{BAD_FILE}[labels-two-columns]", LABELS_ORACLE)),
     # labels: the duplicate warning counts the extra copies
     Mutant("labels-duplicates-unwarned", INGESTION, "    if dupes:", "    if False:",
            ("tests/test_ingestion.py::test_labels_dedupe_warns", LABELS_ORACLE)),

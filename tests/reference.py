@@ -386,14 +386,15 @@ def load_csv(text):
 
 def load_labels(text):
     """A label file's text read one csv record at a time: the message of the
-    first record csv refuses, or (the set of ids, the count of repeats).
+    first record refused, or (the set of ids, the count of repeats).
 
-    A leading byte order mark is dropped. A record's id is its first field
-    stripped, and a record without one is blank and skipped. The first record
-    with an id is a header, and skipped too, when that id is bank_id in any
-    case. Each id after the first of its kind is a repeat. A record csv
-    refuses is named by the line it starts on, counted here as the lines csv
-    has taken so far, plus one."""
+    A leading byte order mark is dropped. A record with a non-blank field
+    after its first is refused. A record's id is its first field stripped,
+    and a record without one is blank and skipped. The first record with an
+    id is a header, and skipped too, when that id is bank_id in any case.
+    Each id after the first of its kind is a repeat. A refused record, by
+    this rule or by csv, is named by the line it starts on, counted here as
+    the lines csv has taken so far, plus one."""
     taken = 0
 
     def lines():
@@ -412,6 +413,8 @@ def load_labels(text):
             return f"row {start}: {e}"
         if rec is None:
             break
+        if any(field.strip() for field in rec[1:]):
+            return f"row {start}: expected one field (a bank_id), found {len(rec)}"
         bank_id = rec[0].strip() if rec else ""
         if not bank_id:
             continue

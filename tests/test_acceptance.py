@@ -84,6 +84,7 @@ def criterion_1():
             market_value=np.array([b * k]),
             holdings_base=np.full((k, 1), b),
             liabilities=np.full(k, 100.0),
+            bound=np.zeros(k),
         )
         params = cf.CascadeParams.single(0, 1.0, 0.0, eta)
         failures = cf.cascade.evaluate_round(state, params, cf.stream(SEED, 1, j))

@@ -6,6 +6,7 @@ several tests cross-check the two implementations on the same RNG streams.
 """
 
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -28,24 +29,8 @@ def state_for(totals, liabilities):
         market_value=np.array([float(totals.sum())]),
         holdings_base=totals,
         liabilities=np.asarray(liabilities, dtype=np.float64),
+        bound=np.zeros(totals.shape[0]),   # no bound yet: every row is summed
     )
-
-
-def fresh_state(net):
-    # the state run_cascade starts from: everyone alive, every price index 1
-    return cf.cascade.RoundState(
-        alive=np.ones(net.n_banks, dtype=bool),
-        price_index=np.ones(net.n_assets),
-        market_value=net.market_value.copy(),
-        holdings_base=net.holdings,
-        liabilities=net.total_liabilities,
-    )
-
-
-def shocked(net, params):
-    state = fresh_state(net)
-    assert cf.cascade.apply_shock(state, params) == []
-    return state
 
 
 # --- Eq-style barrier probability ---------------------------------------
@@ -102,43 +87,55 @@ def test_params_single_and_sorted_shocks():
 
 
 # --- shock ---------------------------------------------------------------
+# At alpha = 0 a fire sale moves no price or market value, so a run's market
+# is the post-shock one; the post-shock prices are price_trajectory[0].
 
 def test_shock_scales_price_and_market():
     net = toy_network()
-    state = shocked(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0))
-    assert np.allclose(state.price_index, [0.6])
-    assert np.allclose(state.market_value, [120.0])
+    result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0), None)
+    assert np.allclose(result.price_trajectory[0], [0.6])
+    assert np.allclose(result.market_value, [120.0])
     # the network itself is never touched
     assert np.array_equal(net.market_value, [200.0])
     # p = 1 is a no-op shock, p = 0 wipes the asset
-    s1 = shocked(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0))
-    assert np.array_equal(s1.price_index, [1.0])
-    s0 = shocked(net, cf.CascadeParams.single(0, 0.0, 0.0, 0.0))
-    assert np.array_equal(s0.price_index, [0.0])
+    s1 = cf.run_cascade(net, cf.CascadeParams.single(0, 1.0, 0.0, 0.0), None)
+    assert np.array_equal(s1.price_trajectory[0], [1.0])
+    s0 = cf.run_cascade(net, cf.CascadeParams.single(0, 0.0, 0.0, 0.0), None)
+    assert np.array_equal(s0.price_trajectory[0], [0.0])
     assert np.array_equal(s0.market_value, [0.0])
 
 
 def test_shock_reduces_bank_total_per_holding():
-    # a 100 holding of the shocked asset at p=0.6 costs the bank 40
-    net = make_network([[100.0, 50.0]], [100.0])
-    state = shocked(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0))
-    totals = (state.holdings_base * state.price_index).sum(axis=1)
-    assert totals[0] == pytest.approx(110.0)
+    # a 100 holding of the shocked asset at p=0.6 costs a bank 40: 110 is
+    # left, below the first bank's 111 and above the second's 109
+    net = make_network([[100.0, 50.0], [100.0, 50.0]], [111.0, 109.0])
+    result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.6, 0.0, 0.0), None)
+    totals = (net.holdings * result.price_trajectory[0]).sum(axis=1)
+    assert totals == pytest.approx([110.0, 110.0])
+    assert result.failed_round.tolist() == [1, cf.SURVIVED]
 
 
-def test_shock_skips_dead_asset_with_warning():
-    net = make_network([[100.0, 0.0]], [50.0])
-    state = fresh_state(net)
-    with pytest.warns(UserWarning, match="zero market value"):
-        skipped = cf.cascade.apply_shock(state, cf.CascadeParams.single(1, 0.5, 0.0, 0.0))
-    assert skipped == [1]
-    assert np.array_equal(state.price_index, [1.0, 1.0])
+@pytest.mark.parametrize("shocks, prices", [
+    ({0: 0.5}, [1.0, 1.0]),
+    # the dead asset comes first, and the live one still takes its p
+    ({0: 0.5, 1: 0.6}, [1.0, 0.6]),
+], ids=["dead-alone", "dead-then-live"])
+def test_shock_skips_dead_asset_with_warning(shocks, prices):
+    net = make_network([[0.0, 100.0]], [50.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = cf.run_cascade(net, cf.CascadeParams(0.0, 0.0, shocks), None)
+    assert [str(w.message) for w in caught] == \
+        ["shocked asset 0 has zero market value; shock skipped"]
+    assert result.diagnostics["shock_skipped_assets"] == [0]
+    assert result.price_trajectory[0].tolist() == prices
+    assert result.market_value.tolist() == [0.0, 100.0 * prices[1]]
 
 
 def test_shock_unknown_asset_raises():
-    net = toy_network()
-    with pytest.raises(ValueError, match="not in network"):
-        cf.cascade.apply_shock(fresh_state(net), cf.CascadeParams.single(7, 0.5, 0.0, 0.0))
+    for asset in (7, -1):
+        with pytest.raises(ValueError, match=f"shocked asset {asset} not in network"):
+            cf.run_cascade(toy_network(), cf.CascadeParams.single(asset, 0.5, 0.0, 0.0), None)
 
 
 # --- round evaluation ----------------------------------------------------
@@ -179,39 +176,33 @@ class RowCounter(np.ndarray):
         return np.asarray(self).take(idx, axis=axis)
 
 
-def screening_run(market_value):
-    # A is far from its barrier, B next to it, and C, next to its barrier
-    # too, holds only asset 1; p = 0.5 shocks asset 0 and alpha is 0.5
-    holdings = np.array([[100.0, 0.0], [100.0, 0.0], [0.0, 100.0]]).view(RowCounter)
-    state = cf.cascade.RoundState(alive=np.ones(3, dtype=bool), price_index=np.ones(2),
-                                  market_value=np.array(market_value), holdings_base=holdings,
-                                  liabilities=np.array([10.0, 95.0, 99.0]))
-    params = cf.CascadeParams.single(0, 0.5, 0.5, 0.0)
-
-    def barrier():
-        # (failed banks, rows summed) of one pass
-        holdings.gathered = []
-        failures = cf.cascade.evaluate_round(state, params, None)
-        return failures.tolist(), holdings.gathered
-
-    return state, params, barrier
+def screening_run(liabilities, market_value=None):
+    # A and B hold 100 of asset 0 and C 100 of asset 1; p = 0.5 shocks asset
+    # 0 and alpha is 0.5. Returns the run and the rows each take gathered,
+    # in the barrier passes and the fire sales alike
+    net = make_network([[100.0, 0.0], [100.0, 0.0], [0.0, 100.0]], liabilities,
+                       market_value=market_value)
+    net.holdings = net.holdings.view(RowCounter)
+    net.holdings.gathered = []
+    result = cf.run_cascade(net, cf.CascadeParams.single(0, 0.5, 0.5, 0.0), None)
+    return result, net.holdings.gathered
 
 
 def test_barrier_pass_skips_banks_their_bound_proves_solvent():
-    state, params, barrier = screening_run([200.0, 100.0])
-    assert barrier() == ([], [3])       # no bound yet: every row is summed
-    cf.cascade.apply_shock(state, params)
-    # the shock halves every bound to 50: A, against 10, is skipped, and B
-    # (against 95) and C (against 99) are summed
-    assert barrier() == ([1], [2])
-    assert 50.0 - 1e-9 < state.bound[0] < 50.0
-    assert state.bound[2] == 100.0
-    assert cf.cascade.apply_fire_sales(state, np.array([1]), params) == []
-    # factor 0.75 on asset 0: A's bound falls to 37.5, still above its 10,
-    # and C's to 75, so only C is summed
-    assert barrier() == ([], [1])
-    assert 37.5 - 1e-9 < state.bound[0] < 37.5
-    assert state.bound[2] == 100.0
+    # each bound starts at its row's total, 100, so round 0 sums no row. The
+    # shock scales every bound by 0.5 less the margin, to within 1e-9 below
+    # 50: A, against 50 - 1e-9, is skipped, and B, whose total is exactly
+    # its 50, and C are summed
+    result, gathered = screening_run([50.0 - 1e-9, 50.0, 99.0])
+    assert result.failed_round.tolist() == [cf.SURVIVED] * 3
+    assert gathered == [0, 2]
+    # B fails against 95, and its sale (factor 0.75 on asset 0) takes A's
+    # bound to within 1e-9 below 37.5, above its 37.5 - 1e-9, and C's, 100
+    # as its row was summed, to within 1e-9 below 75, above its 75 - 1e-9:
+    # round 2 sums no row
+    result, gathered = screening_run([37.5 - 1e-9, 95.0, 75.0 - 1e-9])
+    assert result.failed_round.tolist() == [cf.SURVIVED, 1, cf.SURVIVED]
+    assert gathered == [0, 2, 1, 0]
 
 
 def test_round_zero_sums_only_banks_below_their_row_total():
@@ -251,15 +242,13 @@ def test_fortran_ordered_holdings_run_bit_for_bit():
 
 
 def test_clamped_fire_sale_forces_a_full_pass():
-    # asset 0 is tracked at 30, below its holdings, so B's sale clamps it
-    state, params, barrier = screening_run([30.0, 100.0])
-    assert barrier() == ([], [3])
-    cf.cascade.apply_shock(state, params)
-    assert barrier() == ([1], [2])
-    assert cf.cascade.apply_fire_sales(state, np.array([1]), params) == [0]
-    # the clamp zeroed every bound: A and C are summed again, and A fails at
-    # price 0
-    assert barrier() == ([0], [2])
+    # asset 0 is tracked at 30, below its holdings, so B's sale in round 1
+    # clamps it. The clamp zeroes every bound: round 2 sums A and C again,
+    # and A fails at price 0; A's sale moves no price, so round 3 skips C
+    result, gathered = screening_run([10.0, 95.0, 99.0], market_value=[30.0, 100.0])
+    assert result.diagnostics["clamp_events"] == [[1, 0]]
+    assert result.failed_round.tolist() == [2, 1, cf.SURVIVED]
+    assert gathered == [0, 2, 1, 2, 1, 0]
 
 
 # --- fire sale -----------------------------------------------------------
@@ -300,6 +289,7 @@ def test_fire_sale_clamps_oversold_asset():
         market_value=np.array([20.0]),
         holdings_base=np.array([[30.0]]),
         liabilities=np.array([10.0]),
+        bound=np.zeros(1),
     )
     clamped = cf.cascade.apply_fire_sales(state, np.array([0]),
                                           cf.CascadeParams.single(0, 1.0, 1.0, 0.0))
@@ -316,7 +306,7 @@ def test_fire_sale_leaves_a_worthless_asset_nobody_sells():
         state = cf.cascade.RoundState(alive=np.array([False, True]), price_index=np.ones(2),
                                       market_value=np.array(market_value),
                                       holdings_base=np.array([[0.0, 30.0], [0.0, 50.0]]),
-                                      liabilities=np.array([40.0, 40.0]))
+                                      liabilities=np.array([40.0, 40.0]), bound=np.zeros(2))
         params = cf.CascadeParams.single(1, 1.0, 0.3, 0.0)
         assert cf.cascade.apply_fire_sales(state, np.array([0]), params) == []
         return state
@@ -336,6 +326,7 @@ def test_fire_sale_on_zero_value_asset_raises():
         market_value=np.array([0.0]),
         holdings_base=np.array([[30.0]]),
         liabilities=np.array([10.0]),
+        bound=np.zeros(1),
     )
     with pytest.raises(ValueError, match="zero-value asset"):
         cf.cascade.apply_fire_sales(state, np.array([0]),

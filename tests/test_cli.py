@@ -704,13 +704,16 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
      (ONE_ASSET + 'a,10,5,10\n"b,10,5,10\n' + "c\n" * 70_000).encode(), FIELD_LIMIT.format(3)),
     (["sweep", "--synthetic", "n=20", "--labels"],
      ('bank_id\nB00001\n"' + "x" * 200_000 + '"\n').encode(), FIELD_LIMIT.format(3)),
+    (["run", "--synthetic", "n=20", "--labels"], b"bank_id,failed\nB00001,0\nB00002,1\n",
+     "schema error: row 1: expected one field (a bank_id), found 2"),
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
         "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
         "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
         "ingest-underscore", "ingest-negative-total-assets", "ingest-negative-liabilities",
         "ingest-average-weight-overflows",
         "ingest-zero-row-fills-from-inf-weight", "ingest-no-asset-columns", "run-empty-file",
-        "ingest-unclosed-quote", "phase-unclosed-quote", "labels-oversized-id"])
+        "ingest-unclosed-quote", "phase-unclosed-quote", "labels-oversized-id",
+        "labels-two-columns"])
 def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
     path = tmp_path / "bad.csv"

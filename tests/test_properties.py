@@ -162,8 +162,7 @@ def test_contiguous_row_sums_match_gathered_rows(m, n, fortran, seed):
     gen = cf.stream(seed)
     holdings = gen.uniform(0.0, 1.0, (n, m)) * 10.0 ** gen.integers(-6, 7, (n, m))
     net = make_network(np.asfortranarray(holdings) if fortran else holdings, np.zeros(n))
-    bound = np.empty(n)
-    np.sum(net.holdings, axis=1, out=bound)
+    bound = np.sum(net.holdings, axis=1)
     rows = np.sort(gen.permutation(n)[:gen.integers(1, n + 1)])
     positions = net.holdings.take(rows, axis=0)
     positions *= np.ones(m)
@@ -424,8 +423,9 @@ def label_files(draw):
 # one hand-built file for each mutant the property kills
 @example("\r\n , \r\n Bank_ID \r\nb1\r\n")
 @example("b1\nb2\nb1\n")
-@example('"b1"\r"b1 "\rb1,x\r')
+@example('"b1"\r"b1 "\rb1,\r')
 @example('\ufeffbank_id\n"b\n1"\n\n"' + "x" * 131_073 + '"\nb2\n')
+@example("b1,\n,\n b2 , \n,b1\nb3\n")
 def test_label_reader_matches_record_by_record_reference(text):
     # the reference's message, or its set of ids and the warning its count of
     # repeats gives, none without a repeat
