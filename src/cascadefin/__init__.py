@@ -8,7 +8,7 @@ Library layout:
   cli        -- the `cascadefin` command-line tool
 """
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 from .cascade import SURVIVED, CascadeParams, CascadeResult, run_cascade, stream
 from .evaluation import (

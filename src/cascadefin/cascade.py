@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -246,7 +245,8 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
     lands; then evaluation and fire-sale rounds alternate until a round fails
     nobody or nobody is left. The result depends only on the network, params
     and the state of rng, and not on rng at all when eta = 0, where rng may
-    be None; eta > 0 without a generator raises ValueError.
+    be None. ValueError: eta > 0 without a generator, or a shocked asset
+    outside the network or with zero market value, which no shock can move.
     """
     if rng is None and params.eta != 0.0:
         raise ValueError(f"eta = {params.eta} draws barrier noise; pass a generator")
@@ -266,14 +266,11 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
 
     # the shock scales each shocked asset's price and market value by its p
     factor = np.ones(network.n_assets)
-    shock_skipped = []
     for m, p in params.shocked_assets.items():
         if m < 0 or m >= factor.size:
             raise ValueError(f"shocked asset {m} not in network")
         if state.market_value[m] == 0.0:
-            warnings.warn(f"shocked asset {m} has zero market value; shock skipped")
-            shock_skipped.append(m)
-            continue
+            raise ValueError(f"shocked asset {m} has zero market value (no bank holds it)")
         factor[m] = p
     state.market_value *= factor
     _scale_prices(state, factor)
@@ -302,7 +299,6 @@ def run_cascade(network: BankAssetNetwork, params: CascadeParams,
     diagnostics = {
         "preshock_failed": int(failures0.size),
         "clamp_events": clamp_events,
-        "shock_skipped_assets": shock_skipped,
         "non_converged": non_converged,
     }
     return CascadeResult(

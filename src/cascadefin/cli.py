@@ -153,6 +153,8 @@ def _grids(args) -> list:
 def _check_asset(network, asset, flag="--asset"):
     if asset < 0 or asset >= network.n_assets:
         raise UsageError(f"{flag} {asset} out of range (network has {network.n_assets} assets)")
+    if network.market_value[asset] == 0.0:
+        raise UsageError(f"{flag} {asset}: no bank holds the asset (zero market value)")
 
 
 def _resolve(args, etas):

@@ -1,16 +1,16 @@
 """One-line mutants of the cascade engine, the analyses' comparisons, the
 lattice's worker count and fork driver, the command line's range, manifest,
---out, --synthetic and network-and-label rules, the number reader at every
-door, the CSV header's columns, the parse's row checks, blank cells, refused
-cells, duplicate ids, table size and one block at a time, the records csv
-refuses, the second read that finds a bad file's row lines, the CSV writer's
-encoding, equal-length columns, blocks and quoting, the writers' whole-file
-rename and the targets it must not replace, the rules that no input comes from
-the environment and that prices change only in _scale_prices, the shock's
-range check, dead-asset skip and scaling, the network's id column, one total
-per bank and sum tolerance, ingest's in-place completion, its repair masks,
-the rows it refuses and its row sums, synthetic generation's in-place weights
-and holdings and its id column, the label file's header, one field and
+--out, --synthetic, shocked-asset and network-and-label rules, the number
+reader at every door, the CSV header's columns, the parse's row checks, blank
+cells, refused cells, duplicate ids, table size and one block at a time, the
+records csv refuses, the second read that finds a bad file's row lines, the
+CSV writer's encoding, equal-length columns, blocks and quoting, the writers'
+whole-file rename and the targets it must not replace, the rules that no input
+comes from the environment and that prices change only in _scale_prices, the
+shock's range check, dead-asset refusal and scaling, the network's id column,
+one total per bank and sum tolerance, ingest's in-place completion, its repair
+masks, the rows it refuses and its row sums, synthetic generation's in-place
+weights and holdings and its id column, the label file's header, one field and
 duplicate count, the manifest digest's built-in module, the entry's OpenSSL
 block and the package's start-up rules, each with the tests that kill it or
 the reason no result can change.
@@ -170,15 +170,7 @@ MUTANTS = (
            "if m < 0 or m >= factor.size:", "if m >= factor.size:",
            ("tests/test_cascade.py::test_shock_unknown_asset_raises",)),
     Mutant("shock-dead-asset-shocked", CASCADE, "if state.market_value[m] == 0.0:", "if False:",
-           ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning",)),
-    Mutant("shock-dead-asset-unwarned", CASCADE,
-           '            warnings.warn(f"shocked asset {m} has zero market value; shock skipped")\n',
-           "", ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning",)),
-    Mutant("shock-skip-unlisted", CASCADE, "            shock_skipped.append(m)\n", "",
-           ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning",)),
-    Mutant("shock-skip-ends-the-loop", CASCADE,
-           "            continue\n", "            break\n",
-           ("tests/test_cascade.py::test_shock_skips_dead_asset_with_warning[dead-then-live]",)),
+           ("tests/test_cascade.py::test_shock_on_dead_asset_raises",)),
     Mutant("shock-p-unapplied", CASCADE, "        factor[m] = p\n", "",
            ("tests/test_cascade.py::test_shock_scales_price_and_market",)),
     Mutant("shock-market-unscaled", CASCADE, "    state.market_value *= factor\n", "",
@@ -356,6 +348,9 @@ MUTANTS = (
            ("tests/test_cli.py::test_roc_label_file_without_both_classes_exits_2[disjoint]",)),
     Mutant("resolve-labels-name-no-bank", CLI, "if n_pos == 0:", "if False:",
            ("tests/test_cli.py::test_labels_naming_no_bank_exit_2",)),
+    Mutant("check-asset-dead-accepted", CLI, "if network.market_value[asset] == 0.0:",
+           "if False:", (f"{BAD_FILE}[phase-asset-held-by-nobody]",
+                         f"{BAD_FILE}[shock-asset-held-by-nobody]")),
     # the number reader, bypassed at each door of the command line
     Mutant("reader-p-scalar", CLI, "values = [number(text, float)]", "values = [float(text)]",
            (f"{DOORS}[p]",)),

@@ -58,7 +58,8 @@ def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
 
     holdings     N x M nested lists (or anything indexable) of non-negative floats
     liabilities  length-N list
-    shocks       dict {asset index: p}
+    shocks       dict {asset index: p}; a shocked asset whose market is 0
+                 raises ValueError, as in the engine
     market       per-asset tracked market values A_m; the holdings' column
                  sums when None
     rng          numpy Generator; only consulted when eta > 0. Draw discipline
@@ -112,7 +113,7 @@ def brute_force_cascade(holdings, liabilities, shocks, alpha, eta, rng=None,
     # the shock itself
     for a, p in sorted(shocks.items()):
         if market[a] == 0.0:
-            continue
+            raise ValueError(f"shocked asset {a} has zero market value")
         price[a] *= p
         market[a] *= p
         for i in range(n):

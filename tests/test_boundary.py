@@ -162,8 +162,15 @@ def synthetic_argv(draw):
 @example(["run", "--synthetic", "n=50,sigma=1000", "--p", "0.5"])                 # (a)
 @example(["run", "--synthetic", "n=50,median=1e308", "--p", "0.5"])               # (a)
 @example(["run", "--synthetic", "n=50,sigma=-3"])
+# concentration=1e-300 puts every holding in asset 8: a shock on any other
+# asset, by --asset, --shock or label_asset, moves nothing and is refused
 @example(["run", "--synthetic", "n=50,concentration=1e-300", "--p", "0.5"])
 @example(["phase", "--synthetic", "n=50,concentration=1e-300", "--eta", "0"])
+@example(["run", "--synthetic", "n=50,concentration=1e-300", "--asset", "8",
+          "--shock", "0:0.5"])
+@example(["roc", "--synthetic",
+          "n=50,concentration=1e-300,label_asset=0,label_p=0.3,label_alpha=0,label_eta=0",
+          "--asset", "8", "--p", "0.5", "--alpha", "0", "--eta", "0"])
 @example(["sweep", "--synthetic", "n=20", "--p", "0.5:0.5000000000005:1e-13"])
 @example(["run", "--synthetic", "n=3,n=2", "--p", "0.5"])
 @example(["run", "--synthetic", "n=5,label_seed=0"])
@@ -232,6 +239,7 @@ THREE_ASSETS = TWO_ASSETS[:-1] + ",asset_02\n"
 @example((TWO_ASSETS + "a,1e-300,0,1e10,0\nb,10,5,5,5\nc,10,5,,5\n").encode())
 @example((TWO_ASSETS + "a,1e-300,0,1e10,0\nb,10,5,5,5\n").encode())
 @example((TWO_ASSETS + "a,1e-300,0,1e10,0\nb,10,5,0,0\n").encode())
+@example((TWO_ASSETS + "a,10,5,0,10\nb,10,5,0,10\n").encode())   # nobody holds asset 0
 def test_small_csv_files_exit_0_or_2(content):
     # ingest the file, then run on it as given and on ingest's output
     with tempfile.TemporaryDirectory() as tmp:
@@ -247,12 +255,12 @@ def test_small_csv_files_exit_0_or_2(content):
                      "--out", os.path.join(tmp, "raw.json")], os.path.join(tmp, "raw.json"))
 
 
-def test_a_worthless_shocked_asset_is_skipped_and_listed(tmp_path):
-    # concentration=1e-300 leaves asset 0 with no holdings anywhere: decided,
-    # the shock is skipped with a warning and run's diagnostics list it
+def test_a_worthless_shocked_asset_is_refused(tmp_path):
+    # concentration=1e-300 leaves asset 0 with no holdings anywhere: a shock
+    # there moves nothing, so the run is refused before it writes a byte
     out = tmp_path / "result.json"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error")
         assert run_checked(["run", "--synthetic", "n=50,concentration=1e-300", "--p", "0.5",
-                            "--out", str(out)], str(out)) == 0
-    assert json.loads(out.read_text())["diagnostics"]["shock_skipped_assets"] == [0]
+                            "--out", str(out)], str(out)) == 2
+    assert not out.exists()

@@ -115,21 +115,16 @@ def test_shock_reduces_bank_total_per_holding():
     assert result.failed_round.tolist() == [1, cf.SURVIVED]
 
 
-@pytest.mark.parametrize("shocks, prices", [
-    ({0: 0.5}, [1.0, 1.0]),
-    # the dead asset comes first, and the live one still takes its p
-    ({0: 0.5, 1: 0.6}, [1.0, 0.6]),
-], ids=["dead-alone", "dead-then-live"])
-def test_shock_skips_dead_asset_with_warning(shocks, prices):
+@pytest.mark.parametrize("shocks", [{0: 0.5}, {0: 0.5, 1: 0.6}],
+                         ids=["dead-alone", "dead-then-live"])
+def test_shock_on_dead_asset_raises(shocks):
+    # nobody holds asset 0, so no shock can move it: the run is refused
+    # outright, with no warning, even beside a live shocked asset
     net = make_network([[0.0, 100.0]], [50.0])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = cf.run_cascade(net, cf.CascadeParams(0.0, 0.0, shocks), None)
-    assert [str(w.message) for w in caught] == \
-        ["shocked asset 0 has zero market value; shock skipped"]
-    assert result.diagnostics["shock_skipped_assets"] == [0]
-    assert result.price_trajectory[0].tolist() == prices
-    assert result.market_value.tolist() == [0.0, 100.0 * prices[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^shocked asset 0 has zero market value "):
+            cf.run_cascade(net, cf.CascadeParams(0.0, 0.0, shocks), None)
 
 
 def test_shock_unknown_asset_raises():
@@ -443,12 +438,11 @@ def test_json_dict_layout(tmp_path, capsys):
     assert doc["fates"] == [1, 2, None]
     assert doc["rounds"] == 3
     assert doc["price_index"] == [pytest.approx(0.6 * (2 / 3) * (2 / 3), rel=1e-12)]
-    assert list(doc["diagnostics"]) == ["preshock_failed", "clamp_events",
-                                        "shock_skipped_assets", "non_converged"]
+    assert list(doc["diagnostics"]) == ["preshock_failed", "clamp_events", "non_converged"]
 
 
 def test_matches_brute_force_on_random_instances():
-    checked = 0
+    checked = refused = 0
     for trial in range(120):
         g = cf.stream(5000 + trial)
         holdings, liabilities = random_instance(g, n_hi=8, m_hi=3, zero_frac=0.3)
@@ -457,8 +451,17 @@ def test_matches_brute_force_on_random_instances():
         p = float(g.choice([0.0, 0.4, 0.8, 1.0]))
         asset = int(g.integers(0, holdings.shape[1]))
         params = cf.CascadeParams.single(asset, p, alpha, eta)
-        result = cf.run_cascade(make_network(holdings, liabilities), params,
-                                rng=cf.stream(trial, DOMAIN_CELL))
+        net = make_network(holdings, liabilities)
+        if not holdings[:, asset].any():
+            # nobody holds the asset: both refuse its shock
+            with pytest.raises(ValueError, match="zero market value"):
+                cf.run_cascade(net, params, rng=cf.stream(trial, DOMAIN_CELL))
+            with pytest.raises(ValueError, match="zero market value"):
+                brute_force_cascade(holdings.tolist(), liabilities.tolist(), {asset: p},
+                                    alpha, eta, rng=cf.stream(trial, DOMAIN_CELL))
+            refused += 1
+            continue
+        result = cf.run_cascade(net, params, rng=cf.stream(trial, DOMAIN_CELL))
         bf = brute_force_cascade(holdings.tolist(), liabilities.tolist(),
                                  {asset: p}, alpha, eta,
                                  rng=cf.stream(trial, DOMAIN_CELL))
@@ -468,7 +471,7 @@ def test_matches_brute_force_on_random_instances():
         assert np.allclose(result.price_index, bf["price_index"], rtol=1e-12, atol=0)
         assert np.allclose(result.market_value, bf["market_value"], rtol=1e-12, atol=1e-9)
         checked += 1
-    assert checked == 120
+    assert (checked, refused) == (119, 1)
 
 
 def test_price_index_never_increases():

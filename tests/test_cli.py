@@ -615,6 +615,12 @@ LABELS_NEEDED = ("--synthetic: label cascade needs ['label_alpha', 'label_asset'
       "label_p=0.9", "--p", "0.5"], "--synthetic: key 'label_p' given twice"),
     (["run", "--synthetic", "n=5,label_seed=0"], LABELS_NEEDED),
     (["run", "--synthetic", "n=5,label_seed=2"], LABELS_NEEDED),
+    # concentration=1e-300 puts every holding in asset 8
+    (["roc", "--synthetic",
+      "n=50,concentration=1e-300,label_asset=0,label_p=0.3,label_alpha=0,label_eta=0",
+      "--asset", "8", "--p", "0.5", "--alpha", "0", "--eta", "0"],
+     "--synthetic: the spec gives no valid network: shocked asset 0 has zero market value "
+     "(no bank holds it)"),
 ], ids=["roc-replicates-0", "phase-replicates-0", "phase-threshold-7", "phase-threshold-nan",
         "seed-negative",
         "alpha-2", "eta-0.7", "p-1.5", "p-range-past-1", "shock-p-1.5", "shock-twice", "jobs-0",
@@ -627,7 +633,8 @@ LABELS_NEEDED = ("--synthetic: label cascade needs ['label_alpha', 'label_asset'
         "synthetic-bad-value", "range-non-numeric", "range-one-point-repeats",
         "range-repeats-values", "jobs-non-numeric", "sweep-out-file", "phase-out-under-file",
         "ingest-out-file", "run-out-dir", "run-out-in-missing-dir", "synthetic-key-twice",
-        "synthetic-label-key-twice", "label-seed-0-alone", "label-seed-2-alone"])
+        "synthetic-label-key-twice", "label-seed-0-alone", "label-seed-2-alone",
+        "label-asset-held-by-nobody"])
 def test_bad_input_exits_2_before_loading(argv, message, tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(TOY_CSV.splitlines(keepends=True)[0])
@@ -664,6 +671,9 @@ WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
 # row b holds nothing, so completion fills all of it, asset 0 from that weight
 ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
                             + "a,1e-300,0,1e10,0\nb,10,5,0,0\n").encode()
+# nobody holds asset 0
+DEAD_ASSET_0 = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
+                + "a,10,5,0,10\nb,10,5,0,10\n").encode()
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -706,6 +716,10 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
      ('bank_id\nB00001\n"' + "x" * 200_000 + '"\n').encode(), FIELD_LIMIT.format(3)),
     (["run", "--synthetic", "n=20", "--labels"], b"bank_id,failed\nB00001,0\nB00002,1\n",
      "schema error: row 1: expected one field (a bank_id), found 2"),
+    (["phase", "--eta", "0", "--input"], DEAD_ASSET_0,
+     "usage error: --asset 0: no bank holds the asset (zero market value)"),
+    (["run", "--asset", "1", "--shock", "0:0.5", "--input"], DEAD_ASSET_0,
+     "usage error: --shock 0: no bank holds the asset (zero market value)"),
 ], ids=["ingest-latin1", "run-latin1", "labels-latin1", "run-row-misses-total",
         "run-row-sums-to-inf", "ingest-id-cr", "run-id-lf", "ingest-column-sums-to-inf",
         "run-column-sums-to-inf", "ingest-known-cells-sum-to-inf", "ingest-arabic-indic-digit",
@@ -713,7 +727,7 @@ ZERO_ROW_WEIGHT_OVERFLOW = (TWO_ASSET_CSV.splitlines(keepends=True)[0]
         "ingest-average-weight-overflows",
         "ingest-zero-row-fills-from-inf-weight", "ingest-no-asset-columns", "run-empty-file",
         "ingest-unclosed-quote", "phase-unclosed-quote", "labels-oversized-id",
-        "labels-two-columns"])
+        "labels-two-columns", "phase-asset-held-by-nobody", "shock-asset-held-by-nobody"])
 def test_bad_file_exits_2(argv, content, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where an ingest that wrongly succeeds writes
     path = tmp_path / "bad.csv"
@@ -743,6 +757,30 @@ def test_overflow_errors_print_one_line(argv, content, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sweep", "roc", "phase"])
+@pytest.mark.parametrize("held", [True, False], ids=["every-asset-held", "asset-1-held-by-nobody"])
+def test_stderr_does_not_depend_on_jobs(command, held, tmp_path):
+    # fresh interpreters, since pytest records warnings instead of printing
+    # them; a warning raised in each worker would print once per worker
+    path, labels = tmp_path / "net.csv", tmp_path / "labels.csv"
+    path.write_text(TWO_ASSET_CSV if held else
+                    TWO_ASSET_CSV.replace(",50.0,50.0", ",100.0,0.0")
+                    .replace(",80.0,20.0", ",100.0,0.0"))
+    labels.write_text("bank_id\nA\n")
+    argv = [command, "--input", str(path), "--asset", "1", "--p", "0.5:0.9:0.2",
+            "--alpha", "0:0.5:0.5", "--eta", "0"]
+    argv += {"sweep": [], "roc": ["--labels", str(labels)],
+             "phase": ["--replicates", "2"]}[command]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    procs = [subprocess.run([sys.executable, "-m", "cascadefin.cli", *argv, "--jobs", jobs,
+                             "--out", str(tmp_path / f"out{jobs}")],
+                            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                            timeout=300) for jobs in ("1", "2")]
+    assert procs[0].stderr == procs[1].stderr
+    assert procs[0].returncode == procs[1].returncode == (0 if held else 2)
+    assert (procs[0].stderr == b"") == held, procs[0].stderr
 
 
 def test_shock_asset_out_of_range_exits_2(toy_csv, capsys):
@@ -898,7 +936,7 @@ LABELS = "<a label file naming A, C and E>"
 @pytest.mark.parametrize("argv, name, digest", [
     (["run", "--labels", LABELS, "--p", "0.4", "--alpha", "0.8", "--eta", "0.2",
       "--seed", "3"], "result.json",
-     "118d99ad23a75df2412a25bd82e8c979a7eda892bb388669adce249363bdebc8"),
+     "a2fd376d743af5747571d6673176df4a3d26cb7f4f980a745338d74e291ca844"),
     (["sweep", "--labels", LABELS, "--p", "0.4:1:0.3", "--alpha", "0:0.5:0.25",
       "--eta", "0"], "survival.csv",
      "5d0b96b8b60f09f40c8f5a4deaeb54a6554dc7ac5901b737fc86820b8a7b1857"),
@@ -913,7 +951,7 @@ LABELS = "<a label file naming A, C and E>"
     # eta = 0 runs its cascade without a generator, on the bytes it wrote with one
     (["run", "--labels", LABELS, "--p", "0.4", "--alpha", "0.8", "--eta", "0",
       "--shock", "1:0.7"], "result.json",
-     "d50cd2e55f3688c4857ca409146c193e5f068ba1abfa042e329d88aacb307832"),
+     "4ab3f6a496875fa3f5df3c2ab75773aa60cf586a51ce905297af22b01419e877"),
 ], ids=["run", "sweep", "roc", "phase-1d-eta-0", "phase-2d", "run-eta-0"])
 def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
     # reruns agreeing with each other would miss a change that moves every
@@ -934,7 +972,7 @@ def test_output_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
     (["sweep", "--synthetic", "n=300,label_asset=0,label_p=0.5,label_alpha=0.1,label_eta=0",
       "--p", "0:1:0.25", "--alpha", "0:0.2:0.1", "--eta", "0.1", "--seed", "4"],
      {"survival.csv": "36e974e6ee92c384f19393d28d49dc2a0aae1c78be52584815c1e856a2ef810f",
-      "manifest.json": "d0a8af039d1222c81d6cc5114f8ddb092fa6d86c7977ee9be1b19114bc559e3d"}),
+      "manifest.json": "bb92368316da90d67bffd9f7bd24826879878c66745fa48bf5b68b6c08d09463"}),
 ], ids=["sweep-eta-0.1-labeled"])
 def test_synthetic_output_bytes_are_pinned(argv, digests, tmp_path, capsys):
     # at eta > 0 every cell's stream key (seed, cell index, replicate) reaches
